@@ -9,32 +9,19 @@ history's utility.
 This module owns the automaton data model, its validation, synchronous
 products, the finite unrolling into an explicit stit model, the
 first-action restriction and its primed union (whose executions are exactly
-the executions starting with that action), exact extremal (maximin /
-minimin) bottleneck values, and the cycle-automaton machinery that
-enumerates abstract schedules.
+the executions starting with that action), and exact extremal (maximin /
+minimin) bottleneck values.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import AutomatonError, ResourceLimitError
+from .errors import AutomatonError
 from .tree_model import ExplicitStitModel
-
-
-DEFAULT_RESOURCE_LIMIT = 10_000
-
-
-def resource_limit() -> int:
-    raw = os.environ.get("DEONTIC_MC_RESOURCE_LIMIT", "")
-    try:
-        return int(raw) if raw else DEFAULT_RESOURCE_LIMIT
-    except ValueError:
-        return DEFAULT_RESOURCE_LIMIT
 
 
 def _as_weight(w) -> Fraction:
@@ -87,49 +74,13 @@ class AccumulationSpec:
     kind: str = "min"
 
     def combine(self, values):
-        """The commutative schedule combiner (min for the bottleneck value)."""
+        """Fold traversed weights into a value (min: the bottleneck)."""
         if self.kind != "min":
             raise AutomatonError(f"unsupported accumulation {self.kind!r}")
         values = list(values)
         if not values:
             raise AutomatonError("nothing to combine")
         return min(values)
-
-    def of_path(self, transitions):
-        return self.combine(t.weight for t in transitions)
-
-
-@dataclass(frozen=True)
-class Execution:
-    """Ultimately periodic execution: a finite stem and a repeated loop."""
-
-    stem: tuple[Transition, ...]
-    loop: tuple[Transition, ...]
-
-    def __post_init__(self):
-        if not self.loop:
-            raise AutomatonError("execution loop must be non-empty")
-        seq = self.stem + self.loop
-        for a, b in zip(seq, seq[1:]):
-            if a.dst != b.src:
-                raise AutomatonError("execution transitions do not chain")
-        if self.loop[-1].dst != self.loop[0].src:
-            raise AutomatonError("execution loop is not closed")
-
-    def value(self, accumulation: AccumulationSpec) -> Fraction:
-        return accumulation.of_path(self.stem + self.loop)
-
-    def strategy(self) -> "Strategy":
-        return Strategy(tuple(t.action for t in self.stem),
-                        tuple(t.action for t in self.loop))
-
-
-@dataclass(frozen=True)
-class Strategy:
-    """Action projection of an execution, lasso-represented."""
-
-    stem: tuple[str, ...]
-    loop: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -201,14 +152,11 @@ class StitAutomaton:
     def reachable(self) -> list[str]:
         seen = [self.initial]
         seen_set = {self.initial}
-        queue = [self.initial]
-        while queue:
-            q = queue.pop(0)
+        for q in seen:  # breadth-first: the list grows while it is walked
             for t in self._out.get(q, ()):
                 if t.dst not in seen_set:
                     seen_set.add(t.dst)
                     seen.append(t.dst)
-                    queue.append(t.dst)
         return seen
 
     def first_actions(self) -> list[str]:
@@ -317,10 +265,6 @@ def save_automaton(aut: StitAutomaton, path):
     with open(path, "w", encoding="utf-8") as fp:
         json.dump(aut.to_json(), fp, indent=2)
         fp.write("\n")
-
-
-def validate_automaton(aut: StitAutomaton) -> list[AutomatonViolation]:
-    return aut.validate()
 
 
 # ---------------------------------------------------------------------------
@@ -590,220 +534,3 @@ def _has_reachable_cycle(start, edges) -> bool:
             color[node] = 2
             stack.pop()
     return False
-
-
-# ---------------------------------------------------------------------------
-# Cycle automaton and abstract schedules
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class UEdge:
-    """Edge of the cycle automaton, with the underlying path in T."""
-
-    src: str
-    dst: str
-    kind: str  # "entry", "connect", "share"
-    path: tuple[Transition, ...]
-    arrive: str  # state of T on the destination cycle where the path lands
-    weight: Fraction  # 0 for share edges, min of the path otherwise
-
-
-@dataclass
-class CycleAutomaton:
-    initial: str
-    cycles: dict[str, tuple[Transition, ...]]
-    edges: list[UEdge] = field(default_factory=list)
-
-    def states(self):
-        return [self.initial] + sorted(self.cycles)
-
-
-def simple_cycles(aut: StitAutomaton) -> list[tuple[Transition, ...]]:
-    """All simple cycles among the reachable states, canonically rotated."""
-    limit = resource_limit()
-    reachable = aut.reachable()
-    order = {q: i for i, q in enumerate(reachable)}
-    cycles = []
-
-    def dfs(start, state, path, on_path):
-        for t in aut.out(state):
-            if t.dst not in order:
-                continue
-            if t.dst == start:
-                cycles.append(tuple(path + [t]))
-                if len(cycles) > limit:
-                    raise ResourceLimitError(
-                        f"more than {limit} simple cycles; raise "
-                        f"DEONTIC_MC_RESOURCE_LIMIT to go on")
-            elif order[t.dst] > order[start] and t.dst not in on_path:
-                dfs(start, t.dst, path + [t], on_path | {t.dst})
-
-    for q in reachable:
-        dfs(q, q, [], {q})
-    return cycles
-
-
-def _simple_paths(aut, src, dst, limit):
-    """All simple transition paths src -> dst (just the empty path when
-    src == dst: a non-empty return to src would be a cycle, not a path)."""
-    if src == dst:
-        return [()]
-    out = []
-
-    def dfs(state, path, seen):
-        for t in aut.out(state):
-            if t.dst == dst:
-                out.append(tuple(path + [t]))
-                if len(out) > limit:
-                    raise ResourceLimitError(f"more than {limit} simple paths")
-            elif t.dst not in seen:
-                dfs(t.dst, path + [t], seen | {t.dst})
-
-    dfs(src, [], {src})
-    return out
-
-
-def build_cycle_automaton(aut: StitAutomaton) -> CycleAutomaton:
-    """The unlabeled weighted automaton whose finite paths name schedules.
-
-    One state per simple cycle plus the initial state; entry edges replicate
-    paths from the initial state onto each cycle, connecting paths join
-    disjoint cycles, and zero-weight edges join cycles that share a state.
-    """
-    limit = resource_limit()
-    cycles = simple_cycles(aut)
-    u = CycleAutomaton("q0", {f"C{i}": c for i, c in enumerate(cycles)})
-    cycle_states = {name: {t.src for t in c} for name, c in u.cycles.items()}
-    for name, onto in sorted(cycle_states.items()):
-        for target in sorted(onto):
-            for path in _simple_paths(aut, aut.initial, target, limit):
-                weight = (min(t.weight for t in path) if path else Fraction(0))
-                u.edges.append(UEdge("q0", name, "entry", path, target, weight))
-    for a, b in itertools.permutations(sorted(u.cycles), 2):
-        shared = cycle_states[a] & cycle_states[b]
-        if shared:
-            for s in sorted(shared):
-                u.edges.append(UEdge(a, b, "share", (), s, Fraction(0)))
-            continue
-        for src in sorted(cycle_states[a]):
-            for dst in sorted(cycle_states[b]):
-                for path in _simple_paths(aut, src, dst, limit):
-                    if not path:
-                        continue
-                    u.edges.append(UEdge(a, b, "connect", path, dst,
-                                         min(t.weight for t in path)))
-    u.edges = list(dict.fromkeys(u.edges))
-    return u
-
-
-@dataclass(frozen=True)
-class AbstractSchedule:
-    """Prefix into a first cycle, then further cycles via connecting paths."""
-
-    prefix: tuple[Transition, ...]
-    cycles: tuple[tuple[str, tuple[Transition, ...]], ...]
-    connectors: tuple[tuple[Transition, ...], ...]
-    value: Fraction
-
-
-def enumerate_abstract_schedules(u: CycleAutomaton,
-                                 accumulation: AccumulationSpec | None = None
-                                 ) -> list[AbstractSchedule]:
-    """Schedules named by the simple paths of the cycle automaton.
-
-    The schedule value combines (via the accumulation's commutative
-    combiner) the weights of the prefix, every connector, and every cycle
-    traversed; it equals the bottleneck of a concrete execution realizing
-    the schedule.
-    """
-    accumulation = accumulation or AccumulationSpec()
-    limit = resource_limit()
-    by_src: dict[str, list[UEdge]] = {}
-    for e in u.edges:
-        by_src.setdefault(e.src, []).append(e)
-    out = []
-
-    def weights_of(schedule_edges, cycle_names):
-        ws = [t.weight for e in schedule_edges for t in e.path]
-        for name in cycle_names:
-            ws.extend(t.weight for t in u.cycles[name])
-        return ws
-
-    def dfs(state, visited, edges_taken, names):
-        if names:
-            entry = edges_taken[0].path
-            connectors = tuple(e.path for e in edges_taken[1:])
-            cycles = tuple((n, u.cycles[n]) for n in names)
-            out.append(AbstractSchedule(
-                entry, cycles, connectors,
-                accumulation.combine(weights_of(edges_taken, names))))
-            if len(out) > limit:
-                raise ResourceLimitError(f"more than {limit} schedules")
-        for e in by_src.get(state, ()):
-            if e.dst in visited:
-                continue
-            dfs(e.dst, visited | {e.dst}, edges_taken + [e], names + [e.dst])
-
-    dfs(u.initial, {u.initial}, [], [])
-    return out
-
-
-def realize_schedule(u: CycleAutomaton, schedule: AbstractSchedule,
-                     edges_taken: list[UEdge] | None = None) -> Execution:
-    """One concrete execution whose traversed transitions realize a schedule:
-    enter the first cycle, run each cycle once (walking along a cycle to the
-    next departure point when needed), and loop on the last cycle forever."""
-    names = [n for n, _ in schedule.cycles]
-    # reconstruct the edges from the schedule pieces
-    path_chunks = [schedule.prefix] + list(schedule.connectors)
-    stem: list[Transition] = []
-    arrive = None
-    for i, name in enumerate(names):
-        chunk = path_chunks[i] if i < len(path_chunks) else ()
-        if i == 0:
-            stem.extend(chunk)
-            arrive = chunk[-1].dst if chunk else _cycle_start(u, name)
-        else:
-            if chunk:
-                stem.extend(_walk_cycle(u.cycles[names[i - 1]], arrive,
-                                        chunk[0].src))
-                stem.extend(chunk)
-                arrive = chunk[-1].dst
-            else:
-                shared = ({t.src for t in u.cycles[names[i - 1]]}
-                          & {t.src for t in u.cycles[name]})
-                target = sorted(shared)[0]
-                stem.extend(_walk_cycle(u.cycles[names[i - 1]], arrive, target))
-                arrive = target
-        if i < len(names) - 1:
-            stem.extend(_rotate_cycle(u.cycles[name], arrive))
-    loop = _rotate_cycle(u.cycles[names[-1]], arrive)
-    return Execution(tuple(stem), tuple(loop))
-
-
-def _cycle_start(u, name):
-    # canonical rotations start at the lowest-ordered state, and the initial
-    # state is ordered first, so cycles through it start there
-    return u.cycles[name][0].src
-
-
-def _rotate_cycle(cycle, start):
-    idx = [i for i, t in enumerate(cycle) if t.src == start]
-    if not idx:
-        raise AutomatonError(f"state {start!r} is not on the cycle")
-    i = idx[0]
-    return tuple(cycle[i:] + cycle[:i])
-
-
-def _walk_cycle(cycle, frm, to):
-    rotated = _rotate_cycle(cycle, frm)
-    walk = []
-    cur = frm
-    for t in rotated:
-        if cur == to:
-            break
-        walk.append(t)
-        cur = t.dst
-    if cur != to:
-        raise AutomatonError(f"state {to!r} is not on the cycle")
-    return walk

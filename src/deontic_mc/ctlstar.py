@@ -299,21 +299,9 @@ def _find_accepting_lasso(ts, labels, buchi, start_nodes):
             succ_cache[node] = hit
         return hit
 
-    # restrict to nodes reachable from the starts
-    reach = []
-    seen = set()
-    queue = list(dict.fromkeys(start_nodes))
-    seen.update(queue)
-    reach.extend(queue)
-    while queue:
-        node = queue.pop(0)
-        for nxt in succ(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                reach.append(nxt)
-                queue.append(nxt)
+    # Tarjan rooted at the starts visits exactly the reachable nodes
     target_scc = None
-    for comp in _sccs(reach, lambda n: [x for x in succ(n) if x in seen]):
+    for comp in _sccs(start_nodes, succ):
         if _accepting_scc(comp, succ, buchi.accepting, lambda n: n[1]):
             target_scc = sorted(comp)
             break
@@ -361,17 +349,7 @@ def buchi_accepts(buchi: BuchiAutomaton, stem_labels, loop_labels) -> bool:
         return [(j, b2) for b2 in buchi.succ[b] if buchi.reads(b2, labels[j])]
 
     starts = [(0, b) for b in buchi.initial if buchi.reads(b, labels[0])]
-    reach = list(starts)
-    seen = set(starts)
-    queue = list(starts)
-    while queue:
-        node = queue.pop(0)
-        for nxt in succ(node):
-            if nxt not in seen:
-                seen.add(nxt)
-                reach.append(nxt)
-                queue.append(nxt)
-    for comp in _sccs(reach, succ):
+    for comp in _sccs(starts, succ):
         if _accepting_scc(comp, succ, buchi.accepting, lambda node: node[1]):
             return True
     return False
@@ -509,21 +487,13 @@ class _Reducer:
                 succ_cache[node] = hit
             return hit
 
-        nodes = _product_nodes(self.ts, self.labels, buchi)
+        # good = nodes that reach an accepting SCC; Tarjan emits sinks
+        # first, so every successor component is decided before its callers
         good = set()
-        for comp in _sccs(nodes, succ):
-            if _accepting_scc(comp, succ, buchi.accepting, lambda n: n[1]):
+        for comp in _sccs(_product_nodes(self.ts, self.labels, buchi), succ):
+            if (_accepting_scc(comp, succ, buchi.accepting, lambda n: n[1])
+                    or any(nxt in good for m in comp for nxt in succ(m))):
                 good.update(comp)
-        # backward closure: nodes that can reach a good node
-        changed = True
-        while changed:
-            changed = False
-            for node in nodes:
-                if node in good:
-                    continue
-                if any(nxt in good for nxt in succ(node)):
-                    good.add(node)
-                    changed = True
         return {q for q in self.ts.states
                 if any((q, b) in good for b in buchi.initial
                        if buchi.reads(b, self.labels[q]))}

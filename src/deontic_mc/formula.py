@@ -261,10 +261,6 @@ def contains_stit(f):
     return any(isinstance(g, (Cstit, Dstit, DstitOf)) for g in walk(f))
 
 
-def contains_quantifier(f):
-    return any(isinstance(g, (ForallPaths, ExistsPaths)) for g in walk(f))
-
-
 def atoms_of(f):
     """Names of all atoms occurring in f."""
     return {g.name for g in walk(f) if isinstance(g, Atom)}

@@ -26,29 +26,6 @@ from .automaton import StitAutomaton, save_automaton
 from .tree_model import ExplicitStitModel, save_model
 
 
-@dataclass(frozen=True)
-class RssAtoms:
-    """Atom bundle for one agent; names derive from the agent name only,
-    so they are stable across runs and across models."""
-
-    agent: str
-
-    @property
-    def proceeds(self) -> str:
-        return proceeds_atom(self.agent)
-
-    @property
-    def granted(self) -> str:
-        return granted_atom(self.agent)
-
-    @property
-    def wants(self) -> str:
-        return wants_atom(self.agent)
-
-    def given_by(self, giver: str) -> str:
-        return grow_atom(giver, self.agent)
-
-
 def grow_atom(giver: str, receiver: str) -> str:
     return f"grow_{giver}_{receiver}"
 

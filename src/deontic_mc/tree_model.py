@@ -653,10 +653,6 @@ def save_model(model: ExplicitStitModel, path):
         fp.write("\n")
 
 
-def validate_model(model: ExplicitStitModel) -> list[Violation]:
-    return model.validate()
-
-
 def check_inference_condition(model, agent, mid, g_atom, p_atom):
     """Check the stit-model structural condition that lets a model carry
     both the keep-right-of-way prohibition and the do-not-wait-forever

@@ -7,34 +7,27 @@ import pytest
 
 from deontic_mc.automaton import (
     AccumulationSpec,
-    Execution,
     StitAutomaton,
-    Transition,
     bounded_traces,
-    build_cycle_automaton,
-    enumerate_abstract_schedules,
     extremal_values,
     load_automaton,
     prime_automaton,
     product,
-    realize_schedule,
     restrict_first_action,
     save_automaton,
     unroll,
-    validate_automaton,
 )
-from deontic_mc.errors import AutomatonError, ResourceLimitError
+from deontic_mc.errors import AutomatonError
 from deontic_mc.generate import random_automaton
 
 import oracle
-from conftest import make_t0
 
 
 # ======================== Validation ========================
 
 class TestValidate:
     def test_t0_is_clean(self, t0):
-        assert validate_automaton(t0) == []
+        assert t0.validate() == []
 
     def test_two_actions_on_one_edge_pair(self):
         bad = StitAutomaton(
@@ -232,101 +225,6 @@ class TestExtremalValues:
             iv = extremal_values(aut)
             lo, hi = oracle.brute_extremal(aut)
             assert (iv.lo, iv.hi) == (lo, hi)
-
-
-# ======================== Cycle automaton and schedules ========================
-
-class TestCycles:
-    def test_single_self_loop(self):
-        aut = StitAutomaton(["q0"], "q0", ["K"], [],
-                            [("q0", "K", "q0", 3)], {})
-        u = build_cycle_automaton(aut)
-        assert len(u.cycles) == 1
-        schedules = enumerate_abstract_schedules(u)
-        assert len(schedules) == 1
-        assert schedules[0].value == 3
-
-    def test_t0_two_cycles_no_connections(self, t0):
-        u = build_cycle_automaton(t0)
-        assert len(u.cycles) == 2
-        assert not [e for e in u.edges if e.kind in ("connect", "share")]
-        values = sorted(s.value for s in enumerate_abstract_schedules(u))
-        assert values == [2, 4]
-
-    def test_shared_state_cycles_link_both_ways(self):
-        aut = StitAutomaton(
-            ["q0", "q1"], "q0", ["a", "b", "c"], [],
-            [("q0", "a", "q0", 1), ("q0", "b", "q1", 2),
-             ("q1", "c", "q0", 3)], {})
-        u = build_cycle_automaton(aut)
-        share = {(e.src, e.dst) for e in u.edges if e.kind == "share"}
-        names = sorted(u.cycles)
-        assert (names[0], names[1]) in share and (names[1], names[0]) in share
-        orders = [tuple(n for n, _ in s.cycles)
-                  for s in enumerate_abstract_schedules(u)]
-        assert (names[0], names[1]) in orders and \
-            (names[1], names[0]) in orders
-
-    def test_schedule_values_are_execution_bottlenecks(self):
-        """Every schedule's combined value is the bottleneck of one of its
-        concrete executions."""
-        rng = random.Random(5)
-        spec = AccumulationSpec()
-        checked = 0
-        for _ in range(40):
-            aut = random_automaton(rng, max_states=3)
-            try:
-                u = build_cycle_automaton(aut)
-                schedules = enumerate_abstract_schedules(u)
-            except ResourceLimitError:
-                continue
-            for schedule in schedules:
-                execution = realize_schedule(u, schedule)
-                assert execution.value(spec) == schedule.value
-                checked += 1
-        assert checked > 50
-
-    def test_commutative_combiner_ignores_order(self):
-        aut = StitAutomaton(
-            ["q0", "q1"], "q0", ["a", "b", "c"], [],
-            [("q0", "a", "q0", 1), ("q0", "b", "q1", 2),
-             ("q1", "c", "q0", 3)], {})
-        u = build_cycle_automaton(aut)
-        by_set = {}
-        for s in enumerate_abstract_schedules(u):
-            key = frozenset(n for n, _ in s.cycles)
-            by_set.setdefault(key, set()).add(s.value)
-        for key, values in by_set.items():
-            if len(key) == 2:
-                assert len(values) == 1
-
-    def test_cycle_enumeration_respects_resource_limit(self, monkeypatch):
-        monkeypatch.setenv("DEONTIC_MC_RESOURCE_LIMIT", "1")
-        aut = make_t0()
-        with pytest.raises(ResourceLimitError):
-            build_cycle_automaton(aut)
-
-
-# ======================== Executions and strategies ========================
-
-class TestExecution:
-    def test_value_is_bottleneck(self):
-        t1 = Transition("q0", "K", "q1", Fraction(4))
-        t2 = Transition("q1", "s", "q1", Fraction(5))
-        ex = Execution((t1,), (t2,))
-        assert ex.value(AccumulationSpec()) == 4
-        assert ex.strategy().stem == ("K",) and ex.strategy().loop == ("s",)
-
-    def test_broken_chain_rejected(self):
-        t1 = Transition("q0", "K", "q1", Fraction(1))
-        t2 = Transition("q2", "s", "q2", Fraction(1))
-        with pytest.raises(AutomatonError):
-            Execution((t1,), (t2,))
-
-    def test_open_loop_rejected(self):
-        t1 = Transition("q0", "K", "q1", Fraction(1))
-        with pytest.raises(AutomatonError):
-            Execution((), (t1,))
 
 
 # ======================== File format ========================

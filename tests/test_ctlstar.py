@@ -198,6 +198,26 @@ class TestCheckCtls:
         got = check_ctls(ts, fm.parse_formula("E F (A G p)"))
         assert got == {"s0", "s1"}
 
+    def test_agrees_with_rerooted_lasso_enumeration(self):
+        """E psi holds at q iff some lasso from q satisfies psi, A psi iff
+        every one does, and A psi is the complement of E !psi."""
+        rng = random.Random(14)
+        for _ in range(60):
+            ts = random_system(rng, max_states=4)
+            psi = random_path_formula(rng, 3, ["p", "q"])
+            exists = check_ctls(ts, fm.ExistsPaths(psi))
+            forall = check_ctls(ts, fm.ForallPaths(psi))
+            assert forall == set(ts.states) - check_ctls(
+                ts, fm.ExistsPaths(fm.Not(psi)))
+            edges = [(a, b) for a in ts.states for b in ts.successors(a)]
+            for q in ts.states:
+                rooted = TransitionSystem(ts.states, q, edges, ts.labels)
+                truths = {oracle.scan_eval(psi, [ts.labels[s] for s in stem],
+                                           [ts.labels[s] for s in loop])
+                          for stem, loop in oracle.enumerate_ts_lassos(rooted)}
+                assert (q in exists) == (True in truths), (q, psi)
+                assert (q in forall) == (False not in truths), (q, psi)
+
     def test_stit_rejected(self, t0):
         with pytest.raises(GrammarError):
             check_ctls(strip_weights(t0),

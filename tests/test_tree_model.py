@@ -16,7 +16,6 @@ from deontic_mc.tree_model import (
     check_inference_condition,
     load_model,
     save_model,
-    validate_model,
 )
 
 
@@ -35,7 +34,7 @@ def tiny_two_agent(values=(5, 5, 1, 1), labels=None):
 
 class TestValidate:
     def test_fig1_is_clean(self, fig1):
-        assert validate_model(fig1) == []
+        assert fig1.validate() == []
 
     def test_partition_violation_when_cells_share_a_history(self, fig1):
         data = fig1.to_json()
