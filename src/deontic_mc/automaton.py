@@ -8,9 +8,9 @@ history's utility.
 
 This module owns the automaton data model, its validation, synchronous
 products, the finite unrolling into an explicit stit model, the
-first-action restriction and its primed union (whose executions are exactly
-the executions starting with that action), and exact extremal (maximin /
-minimin) bottleneck values.
+first-action restriction and its priming (one fresh root in front of the
+unchanged automaton, so the executions are exactly the executions starting
+with that action), and exact extremal (maximin / minimin) bottleneck values.
 """
 
 from __future__ import annotations
@@ -64,26 +64,6 @@ class Transition:
 
 
 @dataclass(frozen=True)
-class AccumulationSpec:
-    """How weights along an execution turn into a history value.
-
-    Only the bottleneck accumulation (min) is implemented; the kind is kept
-    as data so mixed-kind products are detectable.
-    """
-
-    kind: str = "min"
-
-    def combine(self, values):
-        """Fold traversed weights into a value (min: the bottleneck)."""
-        if self.kind != "min":
-            raise AutomatonError(f"unsupported accumulation {self.kind!r}")
-        values = list(values)
-        if not values:
-            raise AutomatonError("nothing to combine")
-        return min(values)
-
-
-@dataclass(frozen=True)
 class ValueInterval:
     """[lo, hi]: extreme history values reachable after one first action."""
 
@@ -110,8 +90,7 @@ class AutomatonViolation:
 class StitAutomaton:
     """Finite weighted nondeterministic automaton with labeled states."""
 
-    def __init__(self, states, initial, actions, final, transitions, labels,
-                 accumulation=None):
+    def __init__(self, states, initial, actions, final, transitions, labels):
         self.states = list(states)
         self.initial = initial
         self.actions = list(actions)
@@ -121,7 +100,6 @@ class StitAutomaton:
             else Transition(t[0], t[1], t[2], _as_weight(t[3]))
             for t in transitions]
         self.labels = {q: frozenset(v) for q, v in dict(labels).items()}
-        self.accumulation = accumulation or AccumulationSpec()
         self._out: dict[str, list[Transition]] = {q: [] for q in self.states}
         for t in self.transitions:
             self._out.setdefault(t.src, []).append(t)
@@ -226,9 +204,12 @@ class StitAutomaton:
                                           _as_weight(e["weight"])))
         if not isinstance(data["labels"], dict):
             raise AutomatonError("labels: expected an object keyed by state")
+        if data["accumulation"] != "min":
+            raise AutomatonError(
+                f"unsupported accumulation {data['accumulation']!r}; "
+                "only 'min' is implemented")
         return cls(data["states"], data["init"], data["actions"], data["final"],
-                   transitions, data["labels"],
-                   AccumulationSpec(data["accumulation"]))
+                   transitions, data["labels"])
 
     def to_json(self) -> dict:
         return {
@@ -240,7 +221,7 @@ class StitAutomaton:
                              "weight": _weight_text(t.weight)}
                             for t in self.transitions],
             "labels": {q: sorted(v) for q, v in sorted(self.labels.items()) if v},
-            "accumulation": self.accumulation.kind,
+            "accumulation": "min",
         }
 
 
@@ -284,9 +265,6 @@ def product(automata, weight_combine="min", names=None) -> StitAutomaton:
         raise AutomatonError("product of zero automata")
     if weight_combine not in _WEIGHT_POLICIES:
         raise AutomatonError(f"unknown weight policy {weight_combine!r}")
-    kinds = {a.accumulation.kind for a in automata}
-    if len(kinds) != 1:
-        raise AutomatonError(f"accumulation kinds differ: {sorted(kinds)}")
     combine = _WEIGHT_POLICIES[weight_combine]
     names = list(names) if names else [f"a{i}" for i in range(len(automata))]
     if len(names) != len(automata):
@@ -323,8 +301,7 @@ def product(automata, weight_combine="min", names=None) -> StitAutomaton:
                 state_id(srcs), act,
                 state_id(tuple(t.dst for t in ts)),
                 combine([t.weight for t in ts])))
-    return StitAutomaton(states, initial, actions, final, transitions, labels,
-                         automata[0].accumulation)
+    return StitAutomaton(states, initial, actions, final, transitions, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +354,7 @@ def unroll(aut: StitAutomaton, depth: int, agent: str = "alpha") -> ExplicitStit
         if not kids:
             hid = f"h{next(counter)}"
             weights = [incoming_weight[m] for m in path[1:]]
-            value = aut.accumulation.combine(weights) if weights else Fraction(0)
+            value = min(weights) if weights else Fraction(0)
             histories.append((hid, list(path), value))
             paths[hid] = list(path)
             return
@@ -410,7 +387,7 @@ def unroll(aut: StitAutomaton, depth: int, agent: str = "alpha") -> ExplicitStit
 
 
 # ---------------------------------------------------------------------------
-# First-action restriction and the primed union
+# First-action restriction and priming
 # ---------------------------------------------------------------------------
 
 def restrict_first_action(aut: StitAutomaton, action: str) -> StitAutomaton:
@@ -421,36 +398,29 @@ def restrict_first_action(aut: StitAutomaton, action: str) -> StitAutomaton:
     transitions = [t for t in aut.transitions
                    if t.src != aut.initial or t.action == action]
     return StitAutomaton(aut.states, aut.initial, aut.actions, aut.final,
-                         transitions, aut.labels, aut.accumulation)
+                         transitions, aut.labels)
 
 
 def prime_automaton(restricted: StitAutomaton, aut: StitAutomaton) -> StitAutomaton:
-    """Union a renamed copy of the restricted automaton with the original.
+    """The original automaton behind one fresh initial state.
 
-    Every renamed transition that targeted the renamed initial state is
-    redirected to the original's initial state, so executions of the result
-    are exactly the original's executions that begin with the restricted
-    first action.
+    `restricted` is restrict_first_action(aut, K).  The fresh root (named
+    after aut's initial state plus primes) carries the initial state's label
+    and K's initial transitions, re-sourced to it with their targets
+    unchanged; nothing leads back to it.  So the result's executions are
+    exactly the original's executions that begin with K, and its root is
+    bisimilar to restricted's initial state: every CTL* verdict agrees.
     """
-    if restricted.accumulation.kind != aut.accumulation.kind:
-        raise AutomatonError("accumulation kinds differ")
-    suffix = "'"
     taken = set(aut.states)
-    while any(q + suffix in taken for q in restricted.states):
-        suffix += "'"
-    ren = {q: q + suffix for q in restricted.states}
-    transitions = []
-    for t in restricted.transitions:
-        dst = aut.initial if t.dst == restricted.initial else ren[t.dst]
-        transitions.append(Transition(ren[t.src], t.action, dst, t.weight))
+    root = aut.initial + "'"
+    while root in taken:
+        root += "'"
+    transitions = [Transition(root, t.action, t.dst, t.weight)
+                   for t in restricted.out(restricted.initial)]
     transitions.extend(aut.transitions)
-    states = [ren[q] for q in restricted.states] + list(aut.states)
-    labels = {ren[q]: restricted.label(q) for q in restricted.states}
-    labels.update({q: aut.label(q) for q in aut.states})
-    actions = list(dict.fromkeys(list(restricted.actions) + list(aut.actions)))
-    final = {ren[q] for q in restricted.final} | set(aut.final)
-    return StitAutomaton(states, ren[restricted.initial], actions, final,
-                         transitions, labels, aut.accumulation)
+    labels = {**aut.labels, root: restricted.label(restricted.initial)}
+    return StitAutomaton([root] + list(aut.states), root, aut.actions,
+                         aut.final, transitions, labels)
 
 
 def bounded_traces(aut: StitAutomaton, depth: int,
@@ -487,8 +457,6 @@ def extremal_values(aut: StitAutomaton) -> ValueInterval:
     weight reachable at all (every reachable transition lies on some
     execution once no dead end is reachable).
     """
-    if aut.accumulation.kind != "min":
-        raise AutomatonError("extremal values implemented for accumulation=min")
     reachable = set(aut.reachable())
     for q in sorted(reachable):
         if not aut.out(q):

@@ -2,8 +2,8 @@
 
 Subcommands: validate, check, mc, unroll, rss.  Exit codes are a stable
 contract: 0 when the input is valid / the checked statement holds, 1 when a
-check fails, 2 for usage, parse, or lookup errors.  ``--format machine``
-emits a JSON report with deterministic key ordering.
+check fails, 2 for usage, parse, or lookup errors and for internal errors.
+``--format machine`` emits a JSON report with deterministic key ordering.
 """
 
 from __future__ import annotations
@@ -356,6 +356,10 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     except json.JSONDecodeError as exc:
         print(f"error: malformed file: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except Exception as exc:  # a crash must not read as exit 1, "fails"
+        print(f"error: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -430,7 +430,9 @@ def eval_on_lasso(f: fm.Formula, stem_labels, loop_labels) -> bool:
 # ---------------------------------------------------------------------------
 
 class _Reducer:
-    """Replaces path-quantified subformulas by fresh atoms, innermost first."""
+    """Replaces path-quantified subformulas by fresh atoms, innermost first.
+
+    Input formulas have their bounded operators expanded already."""
 
     def __init__(self, ts: TransitionSystem):
         self.ts = ts
@@ -465,19 +467,12 @@ class _Reducer:
             return type(f)(self.reduce(f.operand))
         if isinstance(f, (fm.And, fm.Or, fm.Implies, fm.Until, fm.Release)):
             return type(f)(self.reduce(f.left), self.reduce(f.right))
-        if isinstance(f, fm.NextPow):
-            return fm.NextPow(f.steps, self.reduce(f.operand))
-        if isinstance(f, fm.EventuallyBounded):
-            return fm.EventuallyBounded(f.lo, f.hi, self.reduce(f.operand))
-        if isinstance(f, fm.BoundedRelease):
-            return fm.BoundedRelease(f.bound, self.reduce(f.left),
-                                     self.reduce(f.right))
         raise GrammarError(f"cannot reduce {type(f).__name__}",
                            production="ctl-star")
 
     def _e_sat(self, psi):
         """States from which some path satisfies psi."""
-        buchi = ltl_to_buchi(fm.expand_bounded(psi))
+        buchi = ltl_to_buchi(psi)
         succ_cache: dict = {}
 
         def succ(node):

@@ -368,9 +368,6 @@ def _tight(f):
 # Tokenizer
 # ---------------------------------------------------------------------------
 
-_SYMBOLS = ("->", "(", ")", "[", "]", "{", "}", ",", ":", "/", "!", "&", "|", "^")
-
-
 @dataclass(frozen=True)
 class _Token:
     kind: str  # "ident", "int", "sym", "eof"
@@ -426,7 +423,6 @@ def _tokenize(text):
     return toks
 
 
-_RESERVED = {"true", "false", "cstit", "dstit", "X", "F", "G", "U", "R", "BR", "O"}
 # "A" and "E" double as path quantifiers and as plain atom names; the parser
 # disambiguates on one token of lookahead.
 _FORMULA_START_SYMS = {"(", "[", "!"}

@@ -1,13 +1,16 @@
 """Deciding dominance oughts at the root of a stit automaton.
 
 Two phases.  First, per first action K, the automaton is restricted to K,
-primed (so its executions are exactly the executions starting with K), and
-its extremal bottleneck values [l, u] are computed; an action is optimal
-iff no other interval sits strictly above it (l' > u).  Second, every
-optimal action must guarantee the obligation, which splits into three
+primed (one fresh root with K's initial edges in front of the unchanged
+automaton, so its executions are exactly the executions starting with K),
+and its extremal bottleneck values [l, u] are computed; an action is
+optimal iff no other interval sits strictly above it (l' > u).  Second,
+every optimal action must guarantee the obligation, which splits into three
 cases: a plain CTL* formula is a universality check over the primed
 automaton, a positive dstit additionally needs the formula to be avoidable
 somewhere in the full automaton, and a negated dstit is the complement.
+Counterexamples name the user's initial state in place of the fresh root,
+so they are lassos of the checked automaton.
 
 The negated-dstit case unpacks as follows.  At the root, every history of
 an action K sits in the same choice cell, so K guarantees ![a dstit: phi]
@@ -18,7 +21,7 @@ check fails exactly when the full automaton has a phi-violating execution
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import formula as fm
 from .automaton import (
@@ -29,7 +32,7 @@ from .automaton import (
     restrict_first_action,
 )
 from .ctlstar import Counterexample, check_universal, strip_weights
-from .errors import AutomatonError, GrammarError
+from .errors import GrammarError
 
 CASE_CTLS = "ctls"
 CASE_DSTIT_POSITIVE = "dstit_positive"
@@ -112,30 +115,29 @@ def _coerce_obligation(a) -> fm.Obligation:
 class _Pipeline:
     """Shared first-phase results for one automaton."""
 
-    def __init__(self, aut: StitAutomaton, agent: str):
+    def __init__(self, aut: StitAutomaton):
         aut.require_valid()
-        if aut.accumulation.kind != "min":
-            raise AutomatonError(
-                f"unsupported accumulation {aut.accumulation.kind!r}")
         self.aut = aut
-        self.agent = agent
         self.ts_full = strip_weights(aut)
-        self.primed: dict[str, StitAutomaton] = {}
+        self.views: dict = {}  # first action -> its primed, stripped view
         self.intervals: list[ValueInterval] = []
         for action in aut.first_actions():
             primed = prime_automaton(restrict_first_action(aut, action), aut)
-            self.primed[action] = primed
             iv = extremal_values(primed)
             self.intervals.append(ValueInterval(action, iv.lo, iv.hi))
+            self.views[action] = strip_weights(primed)
         self._forall_cache: dict = {}
 
     def optimal(self) -> list[ValueInterval]:
         return [iv for iv in self.intervals
                 if not any(other.lo > iv.hi for other in self.intervals)]
 
-    def _forall(self, ts_key, ts, phi):
-        key = (ts_key, phi)
+    def _forall(self, action, phi):
+        """check_universal on the action's view (None: the full automaton).
+        Keyed by action, not by root name: every view's root has one name."""
+        key = (action, phi)
         if key not in self._forall_cache:
+            ts = self.ts_full if action is None else self.views[action]
             self._forall_cache[key] = check_universal(ts, phi)
         return self._forall_cache[key]
 
@@ -143,12 +145,14 @@ class _Pipeline:
         """Does this first action guarantee the cased obligation?
 
         Returns (ok, counterexample-or-None)."""
-        ts_n = strip_weights(self.primed[action])
+        ok_n, cx_n = self._forall(action, phi)
+        if cx_n is not None:
+            # the fresh root has no incoming edge, so it heads the stem, and
+            # its first step is K's edge out of the user's initial state
+            cx_n = replace(cx_n, stem=(self.aut.initial,) + cx_n.stem[1:])
         if shape == CASE_CTLS:
-            ok, cx = self._forall(action, ts_n, phi)
-            return ok, cx
-        ok_full, _ = self._forall("*", self.ts_full, phi)
-        ok_n, cx_n = self._forall(action, ts_n, phi)
+            return ok_n, cx_n
+        ok_full, _ = self._forall(None, phi)
         if shape == CASE_DSTIT_POSITIVE:
             # K guarantees [a dstit: phi] iff phi is not globally forced
             # and K forces it
@@ -168,42 +172,29 @@ class _Pipeline:
 def check_ought(aut: StitAutomaton, agent: str, obligation) -> Verdict:
     """Does the model generated by the automaton satisfy the dominance ought
     of the obligation for this agent at the root?"""
-    ob = _coerce_obligation(obligation)
-    shape, phi = _obligation_shape(ob, agent)
-    pipe = _Pipeline(aut, agent)
-    optimal = pipe.optimal()
-    verdict = Verdict(True, pipe.intervals,
-                      [(iv.action, iv) for iv in optimal],
-                      {iv.action: shape for iv in optimal})
-    for iv in optimal:
-        ok, cx = pipe.guarantees(iv.action, shape, phi)
-        if not ok:
-            verdict.holds = False
-            verdict.failing_action = iv.action
-            verdict.counterexample = cx
-            break
-    return verdict
+    return check_conditional_ought(aut, agent, obligation, None)
 
 
 def check_conditional_ought(aut: StitAutomaton, agent: str, obligation,
                             condition) -> Verdict:
     """Conditional variant: only the optimal first actions that guarantee
     the condition must guarantee the obligation; with no such action the
-    ought holds vacuously (flagged)."""
-    ob = _coerce_obligation(obligation)
-    cond = _coerce_obligation(condition)
-    shape, phi = _obligation_shape(ob, agent)
-    cond_shape, cond_phi = _obligation_shape(cond, agent)
-    pipe = _Pipeline(aut, agent)
+    ought holds vacuously (flagged).  A condition of None retains every
+    optimal action (never none: the largest hi is never dominated), which
+    is the unconditional ought."""
+    shape, phi = _obligation_shape(_coerce_obligation(obligation), agent)
+    if condition is not None:
+        cond_shape, cond_phi = _obligation_shape(
+            _coerce_obligation(condition), agent)
+    pipe = _Pipeline(aut)
     optimal = pipe.optimal()
-    retained = [iv for iv in optimal
-                if pipe.guarantees(iv.action, cond_shape, cond_phi)[0]]
+    retained = optimal if condition is None else [
+        iv for iv in optimal
+        if pipe.guarantees(iv.action, cond_shape, cond_phi)[0]]
     verdict = Verdict(True, pipe.intervals,
                       [(iv.action, iv) for iv in optimal],
-                      {iv.action: shape for iv in retained})
-    if not retained:
-        verdict.vacuous = True
-        return verdict
+                      {iv.action: shape for iv in retained},
+                      vacuous=not retained)
     for iv in retained:
         ok, cx = pipe.guarantees(iv.action, shape, phi)
         if not ok:
@@ -221,8 +212,5 @@ def check_ought_statement(aut: StitAutomaton, statement: fm.OughtStatement
         raise GrammarError(
             "group oughts are checked on explicit models, not automata",
             production="ought")
-    agent = statement.agents[0]
-    if statement.condition is None:
-        return check_ought(aut, agent, statement.body)
-    return check_conditional_ought(aut, agent, statement.body,
+    return check_conditional_ought(aut, statement.agents[0], statement.body,
                                    statement.condition)

@@ -114,10 +114,6 @@ class ExplicitStitModel:
         for m in self.moments.values():
             if m.parent is not None and m.parent in self.moments:
                 self._children[m.parent].append(m.id)
-        self._through: dict[int, frozenset] = {}
-        for h in self.histories.values():
-            for mid in h.moments:
-                self._through.setdefault(mid, frozenset())
         grouped: dict[int, set] = {m: set() for m in self.moments}
         for h in self.histories.values():
             for mid in h.moments:
@@ -602,7 +598,7 @@ class ExplicitStitModel:
             "moments": [{"id": m.id, "parent": m.parent}
                         for m in sorted(self.moments.values(), key=lambda m: m.id)],
             "histories": [{"id": h.id, "moments": list(h.moments),
-                           "value": _value_text(h.value)}
+                           "value": str(h.value)}
                           for h in sorted(self.histories.values(),
                                           key=lambda h: h.id)],
             "choices": [{"agent": agent, "moment": mid,
@@ -612,10 +608,6 @@ class ExplicitStitModel:
                        for (mid, hid), atoms in sorted(self.labels.items())
                        if atoms],
         }
-
-
-def _value_text(v: Fraction) -> str:
-    return str(v)
 
 
 def _require_fields(data, fields, what):

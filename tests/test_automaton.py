@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from deontic_mc.automaton import (
-    AccumulationSpec,
     StitAutomaton,
     bounded_traces,
     extremal_values,
@@ -89,13 +88,6 @@ class TestProduct:
         assert product([a, b], "min").transitions[0].weight == 2
         assert product([a, b], "sum").transitions[0].weight == 7
 
-    def test_accumulation_mismatch(self):
-        a = StitAutomaton(["s0"], "s0", ["x"], [], [("s0", "x", "s0", 1)], {})
-        b = StitAutomaton(["t0"], "t0", ["u"], [], [("t0", "u", "t0", 1)], {},
-                          AccumulationSpec("sum"))
-        with pytest.raises(AutomatonError, match="accumulation"):
-            product([a, b])
-
 
 # ======================== Unrolling ========================
 
@@ -149,7 +141,7 @@ class TestRestrictPrime:
 
     def test_prime_state_count(self, t0):
         t1p = prime_automaton(restrict_first_action(t0, "K1"), t0)
-        assert len(t1p.states) == 2 * len(t0.states)
+        assert len(t1p.states) == len(t0.states) + 1
         assert t1p.validate() == []
 
     def test_prime_traces_equal_first_action_traces(self, t0):
@@ -257,4 +249,11 @@ class TestFileFormat:
         data = t0.to_json()
         data["bonus"] = []
         with pytest.raises(AutomatonError, match="unknown fields"):
+            StitAutomaton.from_json(data)
+
+    def test_only_min_accumulation_loads(self, t0):
+        data = t0.to_json()
+        assert data["accumulation"] == "min"
+        data["accumulation"] = "sum"
+        with pytest.raises(AutomatonError, match="accumulation 'sum'"):
             StitAutomaton.from_json(data)

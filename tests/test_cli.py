@@ -62,6 +62,14 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
 
+    def test_unsupported_accumulation_exits_two(self, capsys, tmp_path):
+        data = make_t0().to_json()
+        data["accumulation"] = "sum"
+        path = tmp_path / "sum.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and "accumulation" in err and "valid" not in out
+
 
 # ======================== check ========================
 
@@ -128,6 +136,31 @@ class TestMc:
             capsys, "mc", str(path), "--agent", "alpha", "--ought",
             "O[alpha cstit: ![alpha dstit: !p_alpha BR[2] g_alpha] / w_alpha]")
         assert code == 0 and "holds" in out
+
+    @pytest.mark.parametrize("ought", [
+        "O[alpha cstit: X^2000 p]",
+        "O[alpha cstit: " + "(" * 3000 + "p" + ")" * 3000 + "]",
+    ], ids=["next-2000", "parens-3000"])
+    def test_crash_exits_two_not_one(self, capsys, t0_file, ought):
+        """Inputs that overflow the recursive walks end as internal errors
+        (exit 2), never as a check that fails (exit 1)."""
+        code, _, err = run(capsys, "mc", t0_file, "--agent", "alpha",
+                           "--ought", ought)
+        assert code == 2 and "internal error" in err
+
+    def test_base_exceptions_pass_through(self, capsys, t0_file, monkeypatch):
+        """Only Exception is mapped to exit 2; an interrupt or an alarm
+        raised as a BaseException still reaches the caller."""
+        class Alarm(BaseException):
+            pass
+
+        def ring(*_):
+            raise Alarm()
+
+        monkeypatch.setattr("deontic_mc.cli.check_ought_statement", ring)
+        with pytest.raises(Alarm):
+            main(["mc", t0_file, "--agent", "alpha",
+                  "--ought", "O[alpha cstit: G p]"])
 
     def test_machine_report_is_deterministic(self, capsys, t0_file):
         _, first, _ = run(capsys, "--format", "machine", "mc", t0_file,

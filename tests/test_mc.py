@@ -134,6 +134,35 @@ class TestConditionalOught:
             check_ought_statement(t0, st)
 
 
+# ======================== Counterexamples ========================
+
+class TestCounterexamples:
+    def test_counterexamples_are_lassos_of_the_automaton(self):
+        """Every ought counterexample starts at the user's initial state,
+        follows the automaton's transitions (the loop closing too), takes
+        the failing action first, and violates its formula under the
+        independent scan evaluator."""
+        rng = random.Random(31)
+        found = 0
+        for _ in range(150):
+            aut = random_automaton(rng)
+            v = check_ought(aut, "alpha",
+                            random_obligation(rng, "alpha", 3, ["p", "q"]))
+            cx = v.counterexample
+            if cx is None:
+                continue
+            found += 1
+            assert cx.stem[0] == aut.initial
+            path = cx.stem + cx.loop + cx.loop[:1]
+            edges = {(t.src, t.dst): t.action for t in aut.transitions}
+            assert all((a, b) in edges for a, b in zip(path, path[1:]))
+            assert edges[path[0], path[1]] == v.failing_action
+            assert not oracle.scan_eval(cx.formula,
+                                        [aut.label(q) for q in cx.stem],
+                                        [aut.label(q) for q in cx.loop])
+        assert found >= 30
+
+
 # ======================== Oracle agreement ========================
 
 class TestOracleAgreement:
