@@ -7,6 +7,10 @@ state subformulas reduce to fresh atoms by recursive labeling, and
 universality is emptiness of the product with the negation.  Returned
 counterexamples are re-checked by direct lasso evaluation before they leave
 this module.
+
+The tableau is built with bitsets: each subformula's truth under all 2^n
+valuations of the n elementary formulas is one Python int, computed once
+with &, | and ^, so no formula is looked up per valuation.
 """
 
 from __future__ import annotations
@@ -96,49 +100,62 @@ def ltl_to_buchi(f: fm.Formula) -> BuchiAutomaton:
     valuations of the elementary formulas (the atoms plus one next-step
     obligation bit per X/U/R subformula), transitions make each obligation
     bit agree with the successor's truth, and one acceptance set per Until
-    keeps its eventuality from being postponed forever."""
+    keeps its eventuality from being postponed forever.
+
+    The construction is bit-parallel.  Valuation m is the bitmask of the
+    elementary formulas it makes true, and each subformula is evaluated
+    once, into one int whose bit m is its truth under valuation m; the
+    automaton's parts are read off the set bits of those columns.  States
+    are numbered by size, then lexicographically (``itertools.combinations``
+    order over the elementary formulas)."""
     f = fm.nnf(fm.expand_bounded(f))
     _check_buchi_input(f)
     atoms = sorted(fm.atoms_of(f))
     temporals = [g for g in _dedup(fm.walk(f)) if isinstance(g, _TEMPORAL)]
     elementary = [fm.Atom(a) for a in atoms] + temporals
-    if len(elementary) > _MAX_ELEMENTARY:
+    n = len(elementary)
+    if n > _MAX_ELEMENTARY:
         raise ResourceLimitError(
-            f"formula needs {len(elementary)} elementary bits; "
+            f"formula needs {n} elementary bits; "
             f"the tableau is capped at {_MAX_ELEMENTARY}")
 
-    valuations = [frozenset(c) for r in range(len(elementary) + 1)
-                  for c in itertools.combinations(elementary, r)]
-    sat_cache: dict = {}
+    size = 1 << n
+    every = (1 << size) - 1  # the column true under every valuation
+    column = {g: (((1 << (1 << i)) - 1) << (1 << i))
+              * (every // ((1 << (1 << (i + 1))) - 1))
+              for i, g in enumerate(elementary)}
+    truth = _truth_columns([f] + [g.operand for g in temporals
+                                  if isinstance(g, fm.Next)], column, every)
 
-    def sat(s, g):
-        key = (s, g)
-        hit = sat_cache.get(key)
-        if hit is not None:
-            return hit
-        out = _tableau_sat(s, g, sat)
-        sat_cache[key] = out
-        return out
+    # state id -> valuation mask, and back
+    bits = [1 << i for i in range(n)]
+    order = [sum(c) for r in range(n + 1)
+             for c in itertools.combinations(bits, r)]
+    rank = [0] * size
+    for i, m in enumerate(order):
+        rank[m] = i
 
-    ids = {s: i for i, s in enumerate(valuations)}
-    promise = {ids[s]: frozenset(g for g in temporals if g in s)
-               for s in valuations}
-    next_vec = {ids[s]: frozenset(g for g in temporals if _next_truth(s, g, sat))
-                for s in valuations}
-    by_vec: dict[frozenset, list[int]] = {}
-    for i, vec in next_vec.items():
-        by_vec.setdefault(vec, []).append(i)
-    succ = {i: sorted(by_vec.get(promise[i], [])) for i in ids.values()}
-    initial = sorted(ids[s] for s in valuations if sat(s, f))
-    accepting = []
-    for g in temporals:
-        if isinstance(g, fm.Until):
-            accepting.append(frozenset(
-                ids[s] for s in valuations
-                if not sat(s, g) or sat(s, g.right)))
-    state_atoms = {ids[s]: frozenset(a.name for a in s if isinstance(a, fm.Atom))
-                   for s in valuations}
-    return BuchiAutomaton(atoms, sorted(ids.values()), initial, succ,
+    next_vec = [0] * size
+    for j, g in enumerate(temporals):
+        # the value the promise bit of g at the PREVIOUS state asserts
+        col = truth[g.operand] if isinstance(g, fm.Next) else truth[g]
+        bit = 1 << j
+        for m in _members(col):
+            next_vec[m] |= bit
+    by_vec: dict[int, list[int]] = {}
+    for i, m in enumerate(order):
+        by_vec.setdefault(next_vec[m], []).append(i)
+    n_atoms = len(atoms)
+    succ = {i: by_vec.get(m >> n_atoms, []) for i, m in enumerate(order)}
+    initial = sorted(rank[m] for m in _members(truth[f]))
+    accepting = [frozenset(rank[m] for m in
+                           _members((every ^ truth[g]) | truth[g.right]))
+                 for g in temporals if isinstance(g, fm.Until)]
+    atom_sets = [frozenset(a for i, a in enumerate(atoms) if m >> i & 1)
+                 for m in range(1 << n_atoms)]
+    low = (1 << n_atoms) - 1
+    state_atoms = {i: atom_sets[m & low] for i, m in enumerate(order)}
+    return BuchiAutomaton(atoms, list(range(size)), initial, succ,
                           accepting, state_atoms)
 
 
@@ -146,35 +163,45 @@ def _dedup(items):
     return list(dict.fromkeys(items))
 
 
-def _tableau_sat(s, g, sat):
-    if isinstance(g, fm.Atom):
-        return g in s
-    if isinstance(g, fm.TrueFormula):
-        return True
-    if isinstance(g, fm.FalseFormula):
-        return False
-    if isinstance(g, fm.Not):
-        # NNF: negation only wraps atoms
-        return not sat(s, g.operand)
-    if isinstance(g, fm.And):
-        return sat(s, g.left) and sat(s, g.right)
-    if isinstance(g, fm.Or):
-        return sat(s, g.left) or sat(s, g.right)
-    if isinstance(g, fm.Next):
-        return g in s
-    if isinstance(g, fm.Until):
-        return sat(s, g.right) or (sat(s, g.left) and g in s)
-    if isinstance(g, fm.Release):
-        return sat(s, g.right) and (sat(s, g.left) or g in s)
-    raise GrammarError(f"cannot compile {type(g).__name__} to Buchi",
-                       production="ltl")
+def _members(col):
+    """Set bit positions of a column, ascending."""
+    return [m for m, ch in enumerate(bin(col)[:1:-1]) if ch == "1"]
 
 
-def _next_truth(s, g, sat):
-    # the value the promise bit of g at the PREVIOUS state asserts about s
-    if isinstance(g, fm.Next):
-        return sat(s, g.operand)
-    return sat(s, g)
+def _truth_columns(roots, column, every):
+    """Column of every subformula of the NNF roots, each evaluated once."""
+    truth: dict = {}
+
+    def of(g):
+        hit = truth.get(g)
+        if hit is not None:
+            return hit
+        if isinstance(g, (fm.Atom, fm.Next)):
+            out = column[g]
+        elif isinstance(g, fm.TrueFormula):
+            out = every
+        elif isinstance(g, fm.FalseFormula):
+            out = 0
+        elif isinstance(g, fm.Not):
+            # NNF: negation only wraps atoms
+            out = every ^ of(g.operand)
+        elif isinstance(g, fm.And):
+            out = of(g.left) & of(g.right)
+        elif isinstance(g, fm.Or):
+            out = of(g.left) | of(g.right)
+        elif isinstance(g, fm.Until):
+            out = of(g.right) | (of(g.left) & column[g])
+        elif isinstance(g, fm.Release):
+            out = of(g.right) & (of(g.left) | column[g])
+        else:
+            raise GrammarError(f"cannot compile {type(g).__name__} to Buchi",
+                               production="ltl")
+        truth[g] = out
+        return out
+
+    for g in roots:
+        of(g)
+    return truth
 
 
 # ---------------------------------------------------------------------------

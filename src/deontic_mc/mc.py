@@ -118,14 +118,16 @@ class _Pipeline:
     def __init__(self, aut: StitAutomaton):
         aut.require_valid()
         self.aut = aut
-        self.ts_full = strip_weights(aut)
-        self.views: dict = {}  # first action -> its primed, stripped view
+        # first action -> its primed automaton (None: the full automaton),
+        # until _forall strips it into views on first use
+        self.automata: dict = {None: aut}
+        self.views: dict = {}
         self.intervals: list[ValueInterval] = []
         for action in aut.first_actions():
             primed = prime_automaton(restrict_first_action(aut, action), aut)
             iv = extremal_values(primed)
             self.intervals.append(ValueInterval(action, iv.lo, iv.hi))
-            self.views[action] = strip_weights(primed)
+            self.automata[action] = primed
         self._forall_cache: dict = {}
 
     def optimal(self) -> list[ValueInterval]:
@@ -137,8 +139,9 @@ class _Pipeline:
         Keyed by action, not by root name: every view's root has one name."""
         key = (action, phi)
         if key not in self._forall_cache:
-            ts = self.ts_full if action is None else self.views[action]
-            self._forall_cache[key] = check_universal(ts, phi)
+            if action not in self.views:
+                self.views[action] = strip_weights(self.automata.pop(action))
+            self._forall_cache[key] = check_universal(self.views[action], phi)
         return self._forall_cache[key]
 
     def guarantees(self, action: str, shape: str, phi: fm.Formula):

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from typing import Union
 
 from . import formula as fm
 from .automaton import StitAutomaton, save_automaton
@@ -111,9 +110,6 @@ def rss6(agent: str, bound: int) -> fm.OughtStatement:
 # ---------------------------------------------------------------------------
 # Fixtures
 # ---------------------------------------------------------------------------
-
-Fixture = Union[ExplicitStitModel, StitAutomaton]
-
 
 def fig1_model() -> ExplicitStitModel:
     """Six histories over two choice moments; atom A marks all but h4.
@@ -229,7 +225,7 @@ def force_others_model() -> ExplicitStitModel:
                              choices, labels)
 
 
-def fixtures() -> dict[str, Fixture]:
+def fixtures() -> dict[str, ExplicitStitModel | StitAutomaton]:
     return {
         "fig1": fig1_model(),
         "fig2": fig2_model(),

@@ -1,5 +1,7 @@
 """CTL*/LTL layer: Buchi tableau, universality, state labeling, lassos."""
 
+import hashlib
+import itertools
 import random
 
 import pytest
@@ -14,7 +16,7 @@ from deontic_mc.ctlstar import (
     ltl_to_buchi,
     strip_weights,
 )
-from deontic_mc.errors import GrammarError, ModelError
+from deontic_mc.errors import GrammarError, ModelError, ResourceLimitError
 from deontic_mc.generate import random_automaton, random_path_formula
 
 import oracle
@@ -56,7 +58,112 @@ class TestStripWeights:
 
 # ======================== LTL -> Buchi ========================
 
+def valuation_tableau(f):
+    """The tableau built valuation by valuation, in the same state numbering
+    as ltl_to_buchi: (states, initial, succ, accepting, state_atoms)."""
+    f = fm.nnf(fm.expand_bounded(f))
+    atoms = sorted(fm.atoms_of(f))
+    temporals = list(dict.fromkeys(
+        g for g in fm.walk(f) if isinstance(g, (fm.Next, fm.Until, fm.Release))))
+    elementary = [fm.Atom(a) for a in atoms] + temporals
+    vals = [frozenset(c) for r in range(len(elementary) + 1)
+            for c in itertools.combinations(elementary, r)]
+
+    def sat(s, g):
+        if isinstance(g, (fm.Atom, fm.Next)):
+            return g in s
+        if isinstance(g, (fm.TrueFormula, fm.FalseFormula)):
+            return isinstance(g, fm.TrueFormula)
+        if isinstance(g, fm.Not):
+            return not sat(s, g.operand)
+        if isinstance(g, fm.And):
+            return sat(s, g.left) and sat(s, g.right)
+        if isinstance(g, fm.Or):
+            return sat(s, g.left) or sat(s, g.right)
+        if isinstance(g, fm.Until):
+            return sat(s, g.right) or (sat(s, g.left) and g in s)
+        return sat(s, g.right) and (sat(s, g.left) or g in s)  # Release
+
+    # what each valuation makes true of the obligations its predecessor
+    # promised: X g asks for g, U and R ask for themselves
+    next_truth = [frozenset(g for g in temporals if sat(
+        s, g.operand if isinstance(g, fm.Next) else g)) for s in vals]
+    by_truth: dict = {}
+    for j, t in enumerate(next_truth):
+        by_truth.setdefault(t, []).append(j)
+    succ = {i: by_truth.get(s & frozenset(temporals), [])
+            for i, s in enumerate(vals)}
+    initial = [i for i, s in enumerate(vals) if sat(s, f)]
+    accepting = [frozenset(i for i, s in enumerate(vals)
+                           if not sat(s, g) or sat(s, g.right))
+                 for g in temporals if isinstance(g, fm.Until)]
+    state_atoms = {i: frozenset(a.name for a in s if isinstance(a, fm.Atom))
+                   for i, s in enumerate(vals)}
+    return list(range(len(vals))), initial, succ, accepting, state_atoms
+
+
 class TestLtlToBuchi:
+    # (formula, states, initial, acceptance-set sizes, sha256 of the sorted
+    # successor lists), recorded from the per-valuation construction that
+    # the bitset one replaced
+    PINNED = [
+        ("G p", 4, [3], [],
+         "966e849673c1edd8aa3a5897b2e3439154d36db17c7c4560919bee96723bd056"),
+        ("p U q", 8, [2, 4, 5, 6, 7], [7],
+         "e5a53451a22d4965ace7d02e841bb9213e12fb373d9af8283995084eb30dd4cd"),
+        ("p R q", 8, [4, 6, 7], [],
+         "b36e60fb84b61fbaf4dbebcf4c62ac7bd4dd55cb36f3ef4080f4ead53435e687"),
+        ("X (p & X q)", 16, [3, 6, 8, 10, 11, 13, 14, 15], [],
+         "c4a96118e039b7909703e9166216fbe4347ed2e4a049982c3103d348e5a49779"),
+        ("!p BR[2] q", 64,
+         [0, 2, 3, 4, 5, 6, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 32,
+          33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 52, 53, 54,
+          55, 56, 57, 58, 59, 60, 62, 63], [],
+         "882780ce8fc18821d05097e396bcc7103e5246eed0004c3f99a21f9237600066"),
+        ("!(p U (q & X p))", 16, [0, 3, 4, 6, 9, 10, 13, 14, 15], [],
+         "92548b8f3f7c328102c1e8a7b388820d46e2a2c673a662aaf381ea4aac5f22d0"),
+        ("G F p & F G !q", 64,
+         [27, 28, 38, 39, 43, 48, 49, 50, 52, 56, 57, 59, 61, 62, 63], [48, 40],
+         "baa995dddaae6f719ee1706bf77e62de258cd419e603020fff70333900f83933"),
+    ]
+
+    @pytest.mark.parametrize("text, n_states, initial, acc_sizes, digest",
+                             PINNED)
+    def test_structure_is_pinned(self, text, n_states, initial, acc_sizes,
+                                 digest):
+        buchi = ltl_to_buchi(fm.parse_formula(text))
+        assert len(buchi.states) == n_states
+        assert buchi.initial == initial
+        assert [len(a) for a in buchi.accepting] == acc_sizes
+        assert hashlib.sha256(repr(sorted(buchi.succ.items())).encode()
+                              ).hexdigest() == digest
+
+    def test_matches_valuation_by_valuation_tableau(self):
+        rng = random.Random(15)
+        formulas = [random_path_formula(rng, 3, ["p", "q"]) for _ in range(40)]
+        formulas += [fm.parse_formula(t)
+                     for t in ("!p BR[2] q", "F[0:3] p", "X^3 p", "p R X q")]
+        for f in formulas + [fm.Not(f) for f in formulas]:
+            buchi = ltl_to_buchi(f)
+            assert (buchi.states, buchi.initial, buchi.succ, buchi.accepting,
+                    buchi.state_atoms) == valuation_tableau(f), fm.render(f)
+
+    def test_cap_is_sixteen_elementary_bits(self):
+        assert len(ltl_to_buchi(fm.parse_formula("X^15 p")).states) == 65536
+        with pytest.raises(ResourceLimitError, match="17 elementary bits"):
+            ltl_to_buchi(fm.parse_formula("X^16 p"))
+
+    @pytest.mark.parametrize("text", ["!p BR[2] q", "F[0:3] p", "X^3 p"])
+    def test_bounded_operators_language(self, text):
+        rng = random.Random(16)
+        f = fm.parse_formula(text)
+        for g in (f, fm.Not(f)):
+            buchi = ltl_to_buchi(g)
+            for _ in range(150):
+                stem, loop = rand_word(rng, ["p", "q", "r"], 4, 4)
+                assert buchi_accepts(buchi, stem, loop) == \
+                    oracle.scan_eval(g, stem, loop), (fm.render(g), stem, loop)
+
     def test_always_p_language(self):
         buchi = ltl_to_buchi(fm.parse_formula("G p"))
         assert buchi_accepts(buchi, [], [frozenset({"p"})])

@@ -82,6 +82,23 @@ class TestCheckOught:
             assert check_ought(extended, "alpha",
                                fm.parse_obligation(text)).holds == base
 
+    def test_dominated_action_gets_no_view(self, t0, monkeypatch):
+        """Only the first actions that are checked are stripped: K2 is
+        dominated on t0, so no view of its primed automaton is built."""
+        from deontic_mc import mc
+        for text in ("G p", "[alpha dstit: G p]", "![alpha dstit: G p]"):
+            expected = check_ought(t0, "alpha", text).to_json()
+            stripped = []
+
+            def counting(aut, strip=mc.strip_weights):
+                stripped.append(aut.first_actions())
+                return strip(aut)
+
+            monkeypatch.setattr(mc, "strip_weights", counting)
+            assert check_ought(t0, "alpha", text).to_json() == expected
+            monkeypatch.undo()
+            assert ["K1"] in stripped and ["K2"] not in stripped, text
+
     def test_dead_end_automaton_rejected(self):
         aut = StitAutomaton(["q0", "q1"], "q0", ["K"], [],
                             [("q0", "K", "q1", 1)], {})

@@ -1,6 +1,11 @@
 """Rule constructors and the worked fixtures."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 from deontic_mc import formula as fm
 from deontic_mc import rss
@@ -199,3 +204,27 @@ class TestFixtures:
                 for hid in model.histories_through(mid):
                     assert model.satisfies(mid, hid, thrice) == \
                         model.satisfies(mid, hid, once)
+
+
+# ======================== Re-import ========================
+
+class TestReimport:
+    def test_reimport_frees_the_previous_package(self):
+        """Dropping deontic_mc from sys.modules and importing it again leaves
+        nothing that pins the old modules (a typing.Union over package
+        classes did, through typing's cache)."""
+        script = textwrap.dedent("""
+            import gc, importlib, sys, weakref
+            importlib.import_module("deontic_mc.cli")
+            old = weakref.ref(sys.modules["deontic_mc.formula"])
+            for name in [m for m in sys.modules
+                         if m.split(".")[0] == "deontic_mc"]:
+                del sys.modules[name]
+            importlib.import_module("deontic_mc.cli")
+            gc.collect()
+            sys.exit(0 if old() is None else 1)
+        """)
+        src = str(Path(rss.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script], timeout=60,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0
