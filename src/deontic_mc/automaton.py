@@ -11,12 +11,17 @@ products, the finite unrolling into an explicit stit model, the
 first-action restriction and its priming (one fresh root in front of the
 unchanged automaton, so the executions are exactly the executions starting
 with that action), and exact extremal (maximin / minimin) bottleneck values.
+The extremal values of one first action are computed on the automaton
+itself, from that action's initial transitions, by a binary search over
+the ranked weights; they equal those of the primed automaton, which the
+model checker therefore never builds.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,7 +37,10 @@ def _as_weight(w) -> Fraction:
     if isinstance(w, int):
         return Fraction(w)
     if isinstance(w, (str, float)):
-        return Fraction(str(w))
+        try:
+            return Fraction(str(w))
+        except (ValueError, ZeroDivisionError):
+            raise AutomatonError(f"bad weight {w!r}") from None
     raise AutomatonError(f"bad weight {w!r}")
 
 
@@ -198,10 +206,17 @@ class StitAutomaton:
     def from_json(cls, data: dict) -> "StitAutomaton":
         _require_fields(data, cls._FIELDS, "automaton")
         transitions = []
+        parsed = {}  # (type, raw weight) -> Fraction: each parsed once
         for e in data["transitions"]:
             _require_fields(e, ("from", "action", "to", "weight"), "transitions")
-            transitions.append(Transition(e["from"], e["action"], e["to"],
-                                          _as_weight(e["weight"])))
+            raw = e["weight"]
+            try:  # the type in the key keeps true apart from 1
+                w = parsed[type(raw), raw]
+            except KeyError:
+                w = parsed[type(raw), raw] = _as_weight(raw)
+            except TypeError:  # unhashable, so not a weight
+                w = _as_weight(raw)
+            transitions.append(Transition(e["from"], e["action"], e["to"], w))
         if not isinstance(data["labels"], dict):
             raise AutomatonError("labels: expected an object keyed by state")
         if data["accumulation"] != "min":
@@ -346,22 +361,16 @@ def unroll(aut: StitAutomaton, depth: int, agent: str = "alpha") -> ExplicitStit
         if parent is not None:
             children.setdefault(parent, []).append(mid)
     histories = []
-    paths = {}
-    counter = itertools.count(1)
-
-    def descend(mid, path):
-        kids = children.get(mid, [])
-        if not kids:
-            hid = f"h{next(counter)}"
-            weights = [incoming_weight[m] for m in path[1:]]
-            value = min(weights) if weights else Fraction(0)
-            histories.append((hid, list(path), value))
-            paths[hid] = list(path)
-            return
-        for kid in kids:
-            descend(kid, path + [kid])
-
-    descend(0, [0])
+    stack = [[0]]  # root-to-moment paths; histories are numbered h1, h2, ...
+    while stack:   # in depth-first pre-order, first child first
+        path = stack.pop()
+        kids = children.get(path[-1])
+        if kids:
+            stack.extend(path + [kid] for kid in reversed(kids))
+            continue
+        weights = [incoming_weight[m] for m in path[1:]]
+        value = min(weights) if weights else Fraction(0)
+        histories.append((f"h{len(histories) + 1}", path, value))
     through: dict[int, list[str]] = {}
     for hid, ms, _ in histories:
         for m in ms:
@@ -401,20 +410,26 @@ def restrict_first_action(aut: StitAutomaton, action: str) -> StitAutomaton:
                          transitions, aut.labels)
 
 
-def prime_automaton(restricted: StitAutomaton, aut: StitAutomaton) -> StitAutomaton:
-    """The original automaton behind one fresh initial state.
-
-    `restricted` is restrict_first_action(aut, K).  The fresh root (named
-    after aut's initial state plus primes) carries the initial state's label
-    and K's initial transitions, re-sourced to it with their targets
-    unchanged; nothing leads back to it.  So the result's executions are
-    exactly the original's executions that begin with K, and its root is
-    bisimilar to restricted's initial state: every CTL* verdict agrees.
-    """
+def fresh_root(aut: StitAutomaton) -> str:
+    """aut's initial state name plus enough primes to name no state."""
     taken = set(aut.states)
     root = aut.initial + "'"
     while root in taken:
         root += "'"
+    return root
+
+
+def prime_automaton(restricted: StitAutomaton, aut: StitAutomaton) -> StitAutomaton:
+    """The original automaton behind one fresh initial state.
+
+    `restricted` is restrict_first_action(aut, K).  The fresh root (named
+    by fresh_root) carries the initial state's label and K's initial
+    transitions, re-sourced to it with their targets unchanged; nothing
+    leads back to it.  So the result's executions are exactly the
+    original's executions that begin with K, and its root is bisimilar to
+    restricted's initial state: every CTL* verdict agrees.
+    """
+    root = fresh_root(aut)
     transitions = [Transition(root, t.action, t.dst, t.weight)
                    for t in restricted.out(restricted.initial)]
     transitions.extend(aut.transitions)
@@ -449,56 +464,99 @@ def bounded_traces(aut: StitAutomaton, depth: int,
 # Extremal bottleneck values (accumulation = min)
 # ---------------------------------------------------------------------------
 
-def extremal_values(aut: StitAutomaton) -> ValueInterval:
-    """Exact min and max bottleneck value over all infinite executions.
+def extremal_values(aut: StitAutomaton,
+                    first_action: str | None = None) -> ValueInterval:
+    """Exact min and max bottleneck value over the infinite executions from
+    the initial state, or over those that begin with `first_action`.
 
-    hi is the largest weight w such that, keeping only transitions of weight
-    >= w, a cycle stays reachable from the initial state; lo is the smallest
-    weight reachable at all (every reachable transition lies on some
-    execution once no dead end is reachable).
+    One walk from the initial transitions (only those labeled first_action,
+    if given) collects the reachable transitions and ranks their distinct
+    weights into ints.  lo is the smallest of them: every reachable
+    transition lies on some execution once no dead end is reachable.  hi is
+    the largest weight w such that, keeping only transitions of weight >= w,
+    a cycle stays reachable; a binary search over the ranks finds it with
+    one O(E) cycle test per probe, so O(E log W) in all.  Each test starts
+    from the targets of every kept initial transition at once, as if from
+    one fresh root in front of the automaton, so the interval of K equals
+    the interval of prime_automaton(restrict_first_action(aut, K), aut)
+    without building either copy.
     """
-    reachable = set(aut.reachable())
-    for q in sorted(reachable):
-        if not aut.out(q):
-            raise AutomatonError(f"dead end reachable: no execution through {q!r}")
-    edges = [t for t in aut.transitions if t.src in reachable]
-    if not edges:
-        raise AutomatonError("no transitions reachable from the initial state")
-    lo = min(t.weight for t in edges)
-    hi = None
-    for w in sorted({t.weight for t in edges}, reverse=True):
-        if _has_reachable_cycle(aut.initial,
-                                [t for t in edges if t.weight >= w]):
-            hi = w
-            break
-    if hi is None:
-        raise AutomatonError("no infinite execution exists")
-    firsts = aut.first_actions()
-    action = firsts[0] if len(firsts) == 1 else None
-    return ValueInterval(action, lo, hi)
+    entry = [t for t in aut.out(aut.initial)
+             if first_action is None or t.action == first_action]
+    if not entry:
+        if first_action is not None:
+            raise AutomatonError(
+                f"action {first_action!r} is not enabled at {aut.initial!r}")
+        raise AutomatonError(
+            f"dead end reachable: no execution through {aut.initial!r}")
+    # states are numbered in walk order; succ[i] lists (j, weight key) pairs.
+    # A weight's key is its integer ratio: Fractions hash and compare slowly.
+    index: dict[str, int] = {}
+    order: list[str] = []
+    for t in entry:
+        if t.dst not in index:
+            index[t.dst] = len(order)
+            order.append(t.dst)
+    keys = {t.weight.as_integer_ratio() for t in entry}
+    succ: list[list] = []
+    for q in order:  # the list grows while it is walked
+        row = []
+        for t in aut._out.get(q, ()):
+            j = index.get(t.dst)
+            if j is None:
+                j = index[t.dst] = len(order)
+                order.append(t.dst)
+            key = t.weight.as_integer_ratio()
+            keys.add(key)
+            row.append((j, key))
+        succ.append(row)
+    dead = sorted(q for q, row in zip(order, succ) if not row)
+    if dead:
+        raise AutomatonError(f"dead end reachable: no execution through "
+                             f"{dead[0]!r}")
+    # rank 0 is the smallest weight; over a common denominator the order of
+    # the weights is the order of integers
+    scale = math.lcm(*{den for _, den in keys})
+    ranked = sorted(keys, key=lambda k: k[0] * (scale // k[1]))
+    rank = {key: r for r, key in enumerate(ranked)}
+    succ = [[(j, rank[key]) for j, key in row] for row in succ]
+    entry = [(index[t.dst], rank[t.weight.as_integer_ratio()]) for t in entry]
+    # probe 0 keeps every transition, so it finds a cycle: nothing reachable
+    # is a dead end; hi never exceeds the best initial transition
+    low, high = 0, max(r for _, r in entry)
+    while low < high:
+        mid = (low + high + 1) // 2
+        if _cycle_at_rank(succ, [j for j, r in entry if r >= mid], mid):
+            low = mid
+        else:
+            high = mid - 1
+    if first_action is None:
+        firsts = aut.first_actions()
+        first_action = firsts[0] if len(firsts) == 1 else None
+    return ValueInterval(first_action, Fraction(*ranked[0]),
+                         Fraction(*ranked[low]))
 
 
-def _has_reachable_cycle(start, edges) -> bool:
-    succ: dict[str, list[str]] = {}
-    for t in edges:
-        succ.setdefault(t.src, []).append(t.dst)
-    color: dict[str, int] = {}  # 1 = on stack, 2 = done
-
-    stack = [(start, iter(succ.get(start, ())))]
-    color[start] = 1
-    while stack:
-        node, it = stack[-1]
-        advanced = False
-        for nxt in it:
-            c = color.get(nxt)
-            if c == 1:
-                return True
-            if c is None:
-                color[nxt] = 1
-                stack.append((nxt, iter(succ.get(nxt, ()))))
-                advanced = True
-                break
-        if not advanced:
-            color[node] = 2
-            stack.pop()
+def _cycle_at_rank(succ, sources, floor) -> bool:
+    """Is a cycle of transitions ranked >= floor reachable from sources?"""
+    color = [0] * len(succ)  # 1 = on the depth-first stack, 2 = done
+    for s in sources:
+        if color[s]:
+            continue
+        color[s] = 1
+        stack = [(s, iter(succ[s]))]
+        while stack:
+            node, it = stack[-1]
+            for j, r in it:
+                if r >= floor:
+                    c = color[j]
+                    if c == 1:
+                        return True
+                    if not c:
+                        color[j] = 1
+                        stack.append((j, iter(succ[j])))
+                        break
+            else:
+                color[node] = 2
+                stack.pop()
     return False

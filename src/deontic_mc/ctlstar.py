@@ -16,6 +16,7 @@ with &, | and ^, so no formula is looked up per valuation.
 from __future__ import annotations
 
 import itertools
+from collections import ChainMap
 from dataclasses import dataclass
 
 from . import formula as fm
@@ -46,6 +47,37 @@ class TransitionSystem:
         dead = [q for q in self.states if not self.succ[q]]
         if dead:
             raise ModelError(f"transition system has dead ends: {dead}")
+
+
+class RootedView(TransitionSystem):
+    """A transition system behind one fresh initial state.
+
+    The root carries `label`, leads to `targets` and has no incoming edge.
+    Every other state's successor list is the base system's own, shared
+    rather than copied, so a view costs O(states), not O(edges)."""
+
+    def __init__(self, base: TransitionSystem, root, targets, label):
+        self.base = base
+        self.states = [root] + base.states
+        self.initial = root
+        self.root_succ = list(dict.fromkeys(targets))
+        self.succ = ChainMap({root: self.root_succ}, base.succ)
+        # a plain dict: the reducer copies labels, and a ChainMap copies slowly
+        self.labels = {root: frozenset(label), **base.labels}
+
+    # successors and require_total read the base's dict directly: they are
+    # on the product's hot path, where a ChainMap lookup is several times
+    # slower
+    def successors(self, state):
+        if state == self.initial:
+            return self.root_succ
+        return self.base.succ[state]
+
+    def require_total(self):
+        self.base.require_total()
+        if not self.root_succ:
+            raise ModelError(
+                f"transition system has dead ends: {[self.initial]}")
 
 
 def strip_weights(aut) -> TransitionSystem:

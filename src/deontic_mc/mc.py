@@ -1,16 +1,20 @@
 """Deciding dominance oughts at the root of a stit automaton.
 
-Two phases.  First, per first action K, the automaton is restricted to K,
-primed (one fresh root with K's initial edges in front of the unchanged
-automaton, so its executions are exactly the executions starting with K),
-and its extremal bottleneck values [l, u] are computed; an action is
-optimal iff no other interval sits strictly above it (l' > u).  Second,
-every optimal action must guarantee the obligation, which splits into three
-cases: a plain CTL* formula is a universality check over the primed
-automaton, a positive dstit additionally needs the formula to be avoidable
-somewhere in the full automaton, and a negated dstit is the complement.
-Counterexamples name the user's initial state in place of the fresh root,
-so they are lassos of the checked automaton.
+Two phases.  First, per first action K, the extremal bottleneck values
+[l, u] of the executions that begin with K are computed on the automaton
+itself (extremal_values(aut, K): one walk from K's initial transitions and
+a binary search over the ranked weights); an action is optimal iff no other
+interval sits strictly above it (l' > u).  Second, every optimal action
+must guarantee the obligation, which splits into three cases: a plain CTL*
+formula is a universality check over K's view, a positive dstit
+additionally needs the formula to be avoidable somewhere in the full
+automaton, and a negated dstit is the complement.  The automaton is
+stripped of weights once per check; K's view puts one fresh root with K's
+initial targets in front of that stripped system and shares its edges, so
+its executions are exactly the executions starting with K, as in
+prime_automaton(restrict_first_action(aut, K), aut), and no per-action copy
+is built.  Counterexamples name the user's initial state in place of the
+fresh root, so they are lassos of the checked automaton.
 
 The negated-dstit case unpacks as follows.  At the root, every history of
 an action K sits in the same choice cell, so K guarantees ![a dstit: phi]
@@ -24,14 +28,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import formula as fm
+# restrict_first_action and prime_automaton are not called here; they are
+# re-exported because the benchmark's tracer wraps them as mc attributes
 from .automaton import (
     StitAutomaton,
     ValueInterval,
     extremal_values,
+    fresh_root,
     prime_automaton,
     restrict_first_action,
 )
-from .ctlstar import Counterexample, check_universal, strip_weights
+from .ctlstar import Counterexample, RootedView, check_universal, strip_weights
 from .errors import GrammarError
 
 CASE_CTLS = "ctls"
@@ -118,30 +125,35 @@ class _Pipeline:
     def __init__(self, aut: StitAutomaton):
         aut.require_valid()
         self.aut = aut
-        # first action -> its primed automaton (None: the full automaton),
-        # until _forall strips it into views on first use
-        self.automata: dict = {None: aut}
+        self.intervals = [extremal_values(aut, action)
+                          for action in aut.first_actions()]
+        # action -> stripped system: the full one under None, a rooted view
+        # of it under each first action; built on first use
         self.views: dict = {}
-        self.intervals: list[ValueInterval] = []
-        for action in aut.first_actions():
-            primed = prime_automaton(restrict_first_action(aut, action), aut)
-            iv = extremal_values(primed)
-            self.intervals.append(ValueInterval(action, iv.lo, iv.hi))
-            self.automata[action] = primed
         self._forall_cache: dict = {}
 
     def optimal(self) -> list[ValueInterval]:
         return [iv for iv in self.intervals
                 if not any(other.lo > iv.hi for other in self.intervals)]
 
+    def _view(self, action):
+        if action not in self.views:
+            if None not in self.views:
+                self.views[None] = strip_weights(self.aut)
+            if action is not None:
+                aut = self.aut
+                self.views[action] = RootedView(
+                    self.views[None], fresh_root(aut),
+                    [t.dst for t in aut.out(aut.initial) if t.action == action],
+                    aut.label(aut.initial))
+        return self.views[action]
+
     def _forall(self, action, phi):
         """check_universal on the action's view (None: the full automaton).
         Keyed by action, not by root name: every view's root has one name."""
         key = (action, phi)
         if key not in self._forall_cache:
-            if action not in self.views:
-                self.views[action] = strip_weights(self.automata.pop(action))
-            self._forall_cache[key] = check_universal(self.views[action], phi)
+            self._forall_cache[key] = check_universal(self._view(action), phi)
         return self._forall_cache[key]
 
     def guarantees(self, action: str, shape: str, phi: fm.Formula):

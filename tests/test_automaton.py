@@ -7,6 +7,7 @@ import pytest
 
 from deontic_mc.automaton import (
     StitAutomaton,
+    ValueInterval,
     bounded_traces,
     extremal_values,
     load_automaton,
@@ -18,6 +19,7 @@ from deontic_mc.automaton import (
 )
 from deontic_mc.errors import AutomatonError
 from deontic_mc.generate import random_automaton
+from deontic_mc.tree_model import ExplicitStitModel
 
 import oracle
 
@@ -122,6 +124,67 @@ class TestUnroll:
             depth = rng.randint(1, 4)
             assert unroll(aut, depth).validate() == []
 
+    def test_deep_unroll_does_not_recurse(self):
+        aut = StitAutomaton(["q0"], "q0", ["K"], [], [("q0", "K", "q0", 1)],
+                            {})
+        model = unroll(aut, 1500)
+        assert len(model.histories) == 1 and len(model.moments) == 1501
+
+    def test_matches_recursive_reference(self):
+        """Histories keep their depth-first pre-order numbering h1, h2, ...
+        on the acceptance criterion 7 draws."""
+        for i in range(200):
+            rng = random.Random(7_000_000 + i)
+            aut = random_automaton(rng, max_states=4)
+            depth = rng.randint(1, 4)
+            assert unroll(aut, depth).to_json() == \
+                recursive_unroll(aut, depth).to_json(), i
+
+
+def recursive_unroll(aut, depth, agent="alpha"):
+    """Reference unrolling: moments numbered level by level, histories
+    collected by a recursive depth-first descent."""
+    moments, state, action, weight = [(0, None)], {0: aut.initial}, {}, {}
+    level = [0]
+    for _ in range(depth):
+        below = []
+        for m in level:
+            for t in aut.out(state[m]):
+                mid = len(moments)
+                moments.append((mid, m))
+                state[mid], action[mid], weight[mid] = t.dst, t.action, t.weight
+                below.append(mid)
+        level = below
+    children = {}
+    for mid, parent in moments[1:]:
+        children.setdefault(parent, []).append(mid)
+    histories = []
+
+    def descend(path):
+        kids = children.get(path[-1])
+        if not kids:
+            histories.append((f"h{len(histories) + 1}", path,
+                              min(weight[m] for m in path[1:])))
+        for kid in kids or ():
+            descend(path + [kid])
+
+    descend([0])
+    through = {}
+    for hid, path, _ in histories:
+        for m in path:
+            through.setdefault(m, []).append(hid)
+    choices = {}
+    for mid, kids in children.items():
+        cells = {}
+        for kid in kids:
+            cells.setdefault(action[kid], set()).update(through[kid])
+        choices[(agent, mid)] = [sorted(cells[a]) for a in
+                                 aut.enabled_actions(state[mid]) if a in cells]
+    labels = {(m, h): aut.label(state[m]) for m, _ in moments
+              for h in through[m]}
+    return ExplicitStitModel([agent], aut.atoms(), moments, histories,
+                             choices, labels)
+
 
 # ======================== T_n and T_n' ========================
 
@@ -209,6 +272,47 @@ class TestExtremalValues:
             lo, hi = oracle.brute_extremal(aut)
             assert (iv.lo, iv.hi) == (lo, hi)
 
+    def test_first_action_intervals(self, t0):
+        assert extremal_values(t0, "K1") == ValueInterval("K1", 4, 4)
+        assert extremal_values(t0, "K2") == ValueInterval("K2", 2, 2)
+        assert extremal_values(t0) == ValueInterval(None, 2, 4)
+        with pytest.raises(AutomatonError, match="not enabled"):
+            extremal_values(t0, "stay")
+
+    def test_first_action_leaves_through_the_initial_state(self):
+        """K's executions may come back to the initial state and leave by
+        another action; those transitions count toward K's interval."""
+        aut = StitAutomaton(
+            ["q0", "q1", "q2"], "q0", ["K1", "K2", "s"], [],
+            [("q0", "K1", "q1", 8), ("q1", "s", "q0", 6),
+             ("q0", "K2", "q2", 1), ("q2", "s", "q2", 9)], {})
+        assert extremal_values(aut, "K1") == ValueInterval("K1", 1, 6)
+        assert extremal_values(aut, "K2") == ValueInterval("K2", 1, 1)
+
+    def test_first_action_matches_primed_path_and_oracle(self):
+        """On 1000 draws with up to 20 distinct weights, integer and not:
+        K's interval on the automaton itself equals the primed automaton's
+        and the lasso oracle's on the primed automaton.  The executions
+        split by first action, so the whole automaton's interval spans the
+        oracle's per-action ones."""
+        rng = random.Random(404)
+        for i in range(1000):
+            pool = [Fraction(rng.randint(-10, 40), rng.choice((1, 1, 2, 3)))
+                    for _ in range(rng.randint(1, 20))]
+            aut = random_automaton(rng, max_states=4, weights=pool)
+            brute = []
+            for action in aut.first_actions():
+                primed = prime_automaton(restrict_first_action(aut, action),
+                                         aut)
+                iv = extremal_values(aut, action)
+                again = extremal_values(primed)
+                assert iv == ValueInterval(action, again.lo, again.hi), i
+                brute.append(oracle.brute_extremal(primed))
+                assert (iv.lo, iv.hi) == brute[-1], i
+            whole = extremal_values(aut)
+            assert whole.lo == min(lo for lo, _ in brute), i
+            assert whole.hi == max(hi for _, hi in brute), i
+
     def test_agrees_with_lasso_oracle_on_rational_weights(self):
         rng = random.Random(14)
         weights = (Fraction(1, 2), Fraction(2, 3), 1, Fraction(3, 2), 2)
@@ -249,6 +353,32 @@ class TestFileFormat:
         data = t0.to_json()
         data["bonus"] = []
         with pytest.raises(AutomatonError, match="unknown fields"):
+            StitAutomaton.from_json(data)
+
+    def test_boolean_weight_rejected_after_equal_integer(self, t0):
+        """Each distinct weight is parsed once, yet true is no weight even
+        after a weight 1 in the same file."""
+        data = t0.to_json()
+        data["transitions"][0]["weight"] = 1
+        assert StitAutomaton.from_json(data).transitions[0].weight == 1
+        data["transitions"][1]["weight"] = True
+        with pytest.raises(AutomatonError, match="bad weight True"):
+            StitAutomaton.from_json(data)
+
+    def test_weights_are_shared_and_exact(self, t0):
+        data = t0.to_json()
+        for e in data["transitions"]:
+            e["weight"] = "0.1"
+        data["transitions"][-1]["weight"] = 2
+        aut = StitAutomaton.from_json(data)
+        w = [t.weight for t in aut.transitions]
+        assert w == [Fraction(1, 10)] * 3 + [2] and w[0] is w[2]
+
+    @pytest.mark.parametrize("raw", ["abc", "1/0", [1], None])
+    def test_unreadable_weight_is_an_automaton_error(self, t0, raw):
+        data = t0.to_json()
+        data["transitions"][0]["weight"] = raw
+        with pytest.raises(AutomatonError, match="bad weight"):
             StitAutomaton.from_json(data)
 
     def test_only_min_accumulation_loads(self, t0):

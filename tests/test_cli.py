@@ -162,6 +162,20 @@ class TestMc:
             main(["mc", t0_file, "--agent", "alpha",
                   "--ought", "O[alpha cstit: G p]"])
 
+    def test_successive_calls_share_no_options(self, capsys, t0_file):
+        """main builds its parser once; an option given to one call does not
+        leak into the next."""
+        from deontic_mc import cli
+        ought = ("--agent", "alpha", "--ought", "O[alpha cstit: G p]")
+        code, first, _ = run(capsys, "--format", "machine", "mc", t0_file,
+                             *ought)
+        assert code == 0 and json.loads(first)["result"]["holds"] is True
+        code, second, _ = run(capsys, "mc", t0_file, *ought)
+        assert code == 0 and second.startswith("O[alpha cstit: G p]: holds")
+        code, _, err = run(capsys, "mc", t0_file, "--agent", "alpha")
+        assert code == 2 and "--ought" in err
+        assert cli._parser() is cli._parser()
+
     def test_machine_report_is_deterministic(self, capsys, t0_file):
         _, first, _ = run(capsys, "--format", "machine", "mc", t0_file,
                           "--agent", "alpha", "--ought", "O[alpha cstit: G p]")

@@ -8,6 +8,7 @@ import pytest
 
 from deontic_mc import formula as fm
 from deontic_mc.ctlstar import (
+    RootedView,
     TransitionSystem,
     buchi_accepts,
     check_ctls,
@@ -54,6 +55,37 @@ class TestStripWeights:
     def test_labels_preserved(self, t0):
         ts = strip_weights(t0)
         assert ts.labels["q0"] == {"p"} and ts.labels["q2"] == frozenset()
+
+
+class TestRootedView:
+    def test_equals_the_stripped_primed_automaton(self):
+        """A first action's view is the stripped primed automaton, state
+        for state and edge for edge, without copying the base's edges."""
+        from deontic_mc.automaton import (fresh_root, prime_automaton,
+                                          restrict_first_action)
+        rng = random.Random(41)
+        for _ in range(80):
+            aut = random_automaton(rng)
+            base = strip_weights(aut)
+            for action in aut.first_actions():
+                primed = strip_weights(prime_automaton(
+                    restrict_first_action(aut, action), aut))
+                view = RootedView(
+                    base, fresh_root(aut),
+                    [t.dst for t in aut.out(aut.initial)
+                     if t.action == action], aut.label(aut.initial))
+                assert (view.states, view.initial) == \
+                    (primed.states, primed.initial)
+                assert all(view.successors(q) == primed.successors(q)
+                           == view.succ[q] for q in primed.states)
+                assert view.labels == primed.labels and view.is_total()
+                assert view.successors(aut.initial) is base.succ[aut.initial]
+
+    def test_dead_root_is_reported(self, t0):
+        view = RootedView(strip_weights(t0), "q0'", [], {"p"})
+        assert not view.is_total()
+        with pytest.raises(ModelError, match="q0'"):
+            view.require_total()
 
 
 # ======================== LTL -> Buchi ========================

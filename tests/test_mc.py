@@ -83,21 +83,53 @@ class TestCheckOught:
                                fm.parse_obligation(text)).holds == base
 
     def test_dominated_action_gets_no_view(self, t0, monkeypatch):
-        """Only the first actions that are checked are stripped: K2 is
-        dominated on t0, so no view of its primed automaton is built."""
+        """Only the first actions that are checked get a rooted view: K2 is
+        dominated on t0, so no view leads to its target q2."""
         from deontic_mc import mc
         for text in ("G p", "[alpha dstit: G p]", "![alpha dstit: G p]"):
             expected = check_ought(t0, "alpha", text).to_json()
-            stripped = []
+            targets = []
 
-            def counting(aut, strip=mc.strip_weights):
-                stripped.append(aut.first_actions())
-                return strip(aut)
+            def counting(base, root, succ, label, view=mc.RootedView):
+                targets.append(list(succ))
+                return view(base, root, succ, label)
 
-            monkeypatch.setattr(mc, "strip_weights", counting)
+            monkeypatch.setattr(mc, "RootedView", counting)
             assert check_ought(t0, "alpha", text).to_json() == expected
             monkeypatch.undo()
-            assert ["K1"] in stripped and ["K2"] not in stripped, text
+            assert targets == [["q1"]], text
+
+    def test_first_phase_builds_no_copies(self, monkeypatch):
+        """check_ought and its conditional variant neither restrict nor
+        prime, and strip the user's automaton at most once per check."""
+        from deontic_mc import mc
+        calls = []
+
+        def counted(name):
+            func = getattr(mc, name)
+
+            def wrapper(*args):
+                calls.append(name)
+                return func(*args)
+            return wrapper
+
+        for name in ("restrict_first_action", "prime_automaton",
+                     "strip_weights"):
+            monkeypatch.setattr(mc, name, counted(name))
+        rng = random.Random(12)
+        checks = 0
+        for _ in range(60):
+            aut = random_automaton(rng)
+            ob = random_obligation(rng, "alpha", 2, ["p", "q"])
+            cond = random_obligation(rng, "alpha", 2, ["p", "q"])
+            for check in (lambda: check_ought(aut, "alpha", ob),
+                          lambda: check_conditional_ought(aut, "alpha", ob,
+                                                          cond)):
+                before = len(calls)
+                check()
+                assert calls[before:] in ([], ["strip_weights"])
+                checks += 1
+        assert 0 < calls.count("strip_weights") <= checks
 
     def test_dead_end_automaton_rejected(self):
         aut = StitAutomaton(["q0", "q1"], "q0", ["K"], [],
