@@ -177,12 +177,14 @@ class StitAutomaton:
                     "edge-uniqueness", t.src,
                     f"duplicate transition {t.src} -{t.action}-> {t.dst}"))
             seen_triples.add(triple)
-        for (src, dst), acts in sorted(by_pair.items()):
-            if len(acts) > 1:
-                out.append(AutomatonViolation(
-                    "edge-uniqueness", src,
-                    f"transitions {src} -> {dst} carry distinct actions "
-                    f"{sorted(acts)}"))
+        # only pairs carrying several actions are reported, so only they
+        # are sorted
+        shared = [pair for pair, acts in by_pair.items() if len(acts) > 1]
+        for src, dst in sorted(shared):
+            out.append(AutomatonViolation(
+                "edge-uniqueness", src,
+                f"transitions {src} -> {dst} carry distinct actions "
+                f"{sorted(by_pair[src, dst])}"))
         if self.initial in states:
             for q in self.reachable():
                 if not self._out.get(q):
@@ -341,7 +343,7 @@ def unroll(aut: StitAutomaton, depth: int, agent: str = "alpha") -> ExplicitStit
     moments = [(0, None)]
     state_of = {0: aut.initial}
     child_action: dict[int, str] = {}
-    incoming_weight: dict[int, Fraction] = {}
+    bottleneck: dict[int, Fraction] = {}  # the least weight from the root
     frontier = [0]
     next_id = 1
     for _ in range(depth):
@@ -353,7 +355,8 @@ def unroll(aut: StitAutomaton, depth: int, agent: str = "alpha") -> ExplicitStit
                 moments.append((mid, m))
                 state_of[mid] = t.dst
                 child_action[mid] = t.action
-                incoming_weight[mid] = t.weight
+                bottleneck[mid] = (t.weight if m == 0
+                                   else min(bottleneck[m], t.weight))
                 new_frontier.append(mid)
         frontier = new_frontier
     children: dict[int, list[int]] = {}
@@ -368,8 +371,7 @@ def unroll(aut: StitAutomaton, depth: int, agent: str = "alpha") -> ExplicitStit
         if kids:
             stack.extend(path + [kid] for kid in reversed(kids))
             continue
-        weights = [incoming_weight[m] for m in path[1:]]
-        value = min(weights) if weights else Fraction(0)
+        value = bottleneck.get(path[-1], Fraction(0))
         histories.append((f"h{len(histories) + 1}", path, value))
     through: dict[int, list[str]] = {}
     for hid, ms, _ in histories:

@@ -106,9 +106,22 @@ class BuchiAutomaton:
         self.succ = succ  # id -> list of ids
         self.accepting = accepting  # list of frozensets of ids
         self.state_atoms = state_atoms  # id -> frozenset of atom names
+        self._by_atoms: dict[frozenset, set] = {}  # atom set -> its states
+        self._reading: dict[frozenset, set] = {}   # label -> states reading it
 
-    def reads(self, state, label):
-        return self.state_atoms[state] == (frozenset(label) & self.atoms)
+    def reading(self, label):
+        """The states whose atom set is the label restricted to the
+        automaton's atoms.  Each distinct label is projected once, and the
+        states of each atom set that is asked for are collected once."""
+        hit = self._reading.get(label)
+        if hit is None:
+            atoms = frozenset(label) & self.atoms
+            hit = self._by_atoms.get(atoms)
+            if hit is None:
+                hit = self._by_atoms[atoms] = {
+                    b for b, own in self.state_atoms.items() if own == atoms}
+            self._reading[label] = hit
+        return hit
 
 
 _TEMPORAL = (fm.Next, fm.Until, fm.Release)
@@ -243,9 +256,9 @@ def _truth_columns(roots, column, every):
 def _product_nodes(ts, labels, buchi):
     nodes = []
     for q in ts.states:
-        lab = labels[q]
+        ok = buchi.reading(labels[q])
         for b in buchi.states:
-            if buchi.reads(b, lab):
+            if b in ok:
                 nodes.append((q, b))
     return nodes
 
@@ -254,9 +267,9 @@ def _product_succ(ts, labels, buchi, node):
     q, b = node
     out = []
     for q2 in ts.successors(q):
-        lab2 = labels[q2]
+        ok = buchi.reading(labels[q2])
         for b2 in buchi.succ[b]:
-            if buchi.reads(b2, lab2):
+            if b2 in ok:
                 out.append((q2, b2))
     return out
 
@@ -405,9 +418,11 @@ def buchi_accepts(buchi: BuchiAutomaton, stem_labels, loop_labels) -> bool:
     def succ(node):
         i, b = node
         j = pos_succ(i)
-        return [(j, b2) for b2 in buchi.succ[b] if buchi.reads(b2, labels[j])]
+        ok = buchi.reading(labels[j])
+        return [(j, b2) for b2 in buchi.succ[b] if b2 in ok]
 
-    starts = [(0, b) for b in buchi.initial if buchi.reads(b, labels[0])]
+    ok = buchi.reading(labels[0])
+    starts = [(0, b) for b in buchi.initial if b in ok]
     for comp in _sccs(starts, succ):
         if _accepting_scc(comp, succ, buchi.accepting, lambda node: node[1]):
             return True
@@ -550,7 +565,7 @@ class _Reducer:
                 good.update(comp)
         return {q for q in self.ts.states
                 if any((q, b) in good for b in buchi.initial
-                       if buchi.reads(b, self.labels[q]))}
+                       if b in buchi.reading(self.labels[q]))}
 
 
 def check_universal(ts: TransitionSystem, f: fm.Formula):
@@ -563,8 +578,8 @@ def check_universal(ts: TransitionSystem, f: fm.Formula):
     reducer = _Reducer(ts)
     reduced = reducer.reduce(fm.expand_bounded(f))
     buchi = ltl_to_buchi(fm.Not(reduced))
-    starts = [(ts.initial, b) for b in buchi.initial
-              if buchi.reads(b, reducer.labels[ts.initial])]
+    ok = buchi.reading(reducer.labels[ts.initial])
+    starts = [(ts.initial, b) for b in buchi.initial if b in ok]
     found = _find_accepting_lasso(ts, reducer.labels, buchi, starts)
     if found is None:
         return True, None

@@ -7,7 +7,25 @@ partition of the histories through each moment, and a labeling of
 the leaf's label repeats, so temporal operators are decided on the
 ultimately-constant extension.
 
-Evaluation is read-only; models are safe to share between threads once built.
+Evaluation is bit-parallel, on the history bit index of ``model_index``
+that the first evaluation builds.  Each formula is evaluated once per moment
+into one int, the mask of the histories of H_m at which it holds.
+Connectives are &, | and ^ within H_m.  X, X^n, F[lo:hi] and BR[n] unfold
+the next-moment groups.  U, R, F and G fill every moment reachable from the
+asked one in a single pass, successors first, with no recursion over
+moments.  A and E are all or nothing over H_m.  cstit, dstit and oughts
+compare choice-cell masks with the body's mask, and dominance compares the
+least and greatest values of each (cell, background state) pair, read off
+its lowest and highest set bit.  ``satisfies`` is then a bit test and
+``extension`` turns a mask back into ids.  The cost is O(moments x
+subformulas) big-int operations, not one truth value per history.
+
+The index and the masks live on the model instance only.  So evaluation
+writes to the model: one instance must not be evaluated from several
+threads at once (give each thread its own ``copy.deepcopy``, cheap before
+the first evaluation, or hold a lock), and a model must not be changed
+after its first evaluation, or its masks go stale.  ``validate`` and the
+structural accessors only read.
 """
 
 from __future__ import annotations
@@ -20,6 +38,7 @@ from fractions import Fraction
 
 from . import formula as fm
 from .errors import GrammarError, ModelError
+from .model_index import ModelIndex, along, spans_dominate
 
 
 @dataclass(frozen=True)
@@ -99,8 +118,9 @@ class ExplicitStitModel:
         self.moments: dict[int, Moment] = {}
         parents = {int(mid): (None if par is None else int(par))
                    for mid, par in moments}
+        depths = self._depths(parents)
         for mid, par in parents.items():
-            self.moments[mid] = Moment(mid, par, self._depth_of(mid, parents))
+            self.moments[mid] = Moment(mid, par, depths[mid])
         self.histories: dict[str, History] = {
             hid: History(hid, tuple(int(m) for m in ms), _as_value(v))
             for hid, ms, v in histories}
@@ -122,23 +142,31 @@ class ExplicitStitModel:
         self._through = {m: frozenset(hs) for m, hs in grouped.items()}
         self._hpos = {h.id: {mid: i for i, mid in enumerate(h.moments)}
                       for h in self.histories.values()}
-        self._sat_cache: dict = {}
+        self._ix = None  # evaluation index, built on first use
         self._warned_atoms: set = set()
 
     @staticmethod
-    def _depth_of(mid, parents):
-        depth = 0
-        seen = set()
-        cur = mid
-        while parents.get(cur) is not None:
-            if cur in seen:
-                raise ModelError(f"cyclic parent chain at moment {mid}")
-            seen.add(cur)
-            cur = parents[cur]
-            if cur not in parents:
-                break
-            depth += 1
-        return depth
+    def _depths(parents):
+        """Each moment's depth: the number of its ancestors that are
+        declared moments.  Each moment is walked over once."""
+        depths = {}
+        for mid in parents:
+            path, on_path, cur = [], set(), mid
+            while cur not in depths:
+                par = parents[cur]
+                if par is None or par not in parents:
+                    depths[cur] = 0
+                    break
+                if cur in on_path:
+                    raise ModelError(f"cyclic parent chain at moment {mid}")
+                on_path.add(cur)
+                path.append(cur)
+                cur = par
+            depth = depths[cur]
+            for m in reversed(path):
+                depth += 1
+                depths[m] = depth
+        return depths
 
     # -- basic structure ----------------------------------------------------
 
@@ -252,29 +280,14 @@ class ExplicitStitModel:
 
     # -- dominance and optimality --------------------------------------------
 
-    def _values(self, hids):
-        return [self.histories[h].value for h in hids]
-
     def dominates(self, agents, mid, k_low, k_high, condition=None):
         """True iff k_high strictly dominates k_low at the moment: weakly
         preferable within every background state and strictly so in one."""
-        states = self.background_states(agents, mid).states
-        restrict = None
-        if condition is not None:
-            restrict = self.extension(mid, condition)
-        weak_all = True
-        strict_some = False
-        for s in states:
-            lo, hi = k_low & s, k_high & s
-            if restrict is not None:
-                lo, hi = lo & restrict, hi & restrict
-            lo_v, hi_v = self._values(lo), self._values(hi)
-            if any(a > b for a in lo_v for b in hi_v):
-                weak_all = False
-                break
-            if lo_v and hi_v and all(a < b for a in lo_v for b in hi_v):
-                strict_some = True
-        return weak_all and strict_some
+        states = self._background(self._as_group(agents), mid)
+        restrict = -1 if condition is None else self._mask(mid, condition)
+        ix = self._index()
+        return spans_dominate(ix.spans(ix.mask(k_low) & restrict, states),
+                              ix.spans(ix.mask(k_high) & restrict, states))
 
     def optimal_actions(self, agents, mid, condition=None) -> ActionSet:
         """Un-dominated actions of the agent (or group) at the moment.
@@ -285,17 +298,56 @@ class ExplicitStitModel:
         """
         agents = self._as_group(agents)
         self._check_moment(mid)
-        cells = self.group_actions(agents, mid)
+        cells, _ = self._cells(agents, mid)
+        return ActionSet(mid, agents, tuple(
+            cells[i] for i in self._optimal(agents, mid, condition)))
+
+    def _optimal(self, agents, mid, condition):
+        """Indices of the un-dominated cells among self._cells(agents, mid).
+        The background states and the condition's mask are computed once,
+        and each (cell, state) pair is reduced to its least and greatest
+        value before any two cells are compared."""
+        ix = self._index()
+        key = (agents, mid, condition)
+        hit = ix.optimal.get(key)
+        if hit is not None:
+            return hit
+        _, masks = self._cells(agents, mid)
+        restrict = -1
+        candidates = range(len(masks))
         if condition is not None:
-            ext = self.extension(mid, condition)
-            if not ext:
+            restrict = self._mask(mid, condition)
+            if not restrict:
                 raise ModelError(f"condition unsatisfiable at moment {mid}")
-            cells = tuple(k for k in cells if k & ext)
-        optimal = tuple(
-            k for k in cells
-            if not any(k2 != k and self.dominates(agents, mid, k, k2, condition)
-                       for k2 in cells))
-        return ActionSet(mid, agents, optimal)
+            candidates = [i for i in candidates if masks[i][0] & restrict]
+        states = self._background(agents, mid)
+        spans = {i: ix.spans(masks[i][0] & restrict, states) for i in candidates}
+        out = ix.optimal[key] = tuple(
+            i for i in candidates
+            if not any(j != i and spans_dominate(spans[i], spans[j])
+                       for j in candidates))
+        return out
+
+    def _cells(self, agents, mid):
+        """The group's joint cells at the moment, each with its mask and
+        whether every id in it names a history (a cell naming an unknown
+        history guarantees nothing)."""
+        ix = self._index()
+        hit = ix.cells.get((agents, mid))
+        if hit is None:
+            cells = self.group_actions(agents, mid)
+            masks = [(mask, mask.bit_count() == len(cell))
+                     for cell, mask in zip(cells, map(ix.mask, cells))]
+            hit = ix.cells[agents, mid] = (cells, masks)
+        return hit
+
+    def _background(self, agents, mid):
+        ix = self._index()
+        hit = ix.states.get((agents, mid))
+        if hit is None:
+            hit = ix.states[agents, mid] = [
+                ix.mask(s) for s in self.background_states(agents, mid).states]
+        return hit
 
     # -- satisfaction --------------------------------------------------------
 
@@ -305,7 +357,7 @@ class ExplicitStitModel:
         self._check_history(hid)
         if hid not in self.histories_through(mid):
             raise ModelError(f"history {hid!r} does not pass through moment {mid}")
-        return self._sat(mid, hid, x)
+        return bool(self._mask(mid, x) & self._index().bit[hid])
 
     def satisfies_path(self, mid, hid, f) -> bool:
         """Pure-CTL* entry point; rejects stit operators and oughts."""
@@ -317,131 +369,167 @@ class ExplicitStitModel:
     def extension(self, mid, a) -> frozenset:
         """|A|_m: the histories through mid at which A holds."""
         self._check_moment(mid)
-        return frozenset(
-            h for h in self.histories_through(mid) if self._sat(mid, h, a))
+        return frozenset(self._index().ids_of(self._mask(mid, a)))
 
-    def _sat(self, mid, hid, x) -> bool:
-        key = (mid, hid, x)
-        hit = self._sat_cache.get(key)
-        if hit is not None:
-            return hit
-        out = self._sat_raw(mid, hid, x)
-        self._sat_cache[key] = out
-        return out
+    def _index(self):
+        if self._ix is None:
+            self._ix = ModelIndex(self.histories, self._hpos, self.moments,
+                                  self.labels)
+        return self._ix
 
-    def _sat_raw(self, mid, hid, x) -> bool:
-        if isinstance(x, fm.OughtStatement):
-            return self._sat_ought(mid, x)
-        if isinstance(x, fm.Plain):
-            return self._sat(mid, hid, x.formula)
-        if isinstance(x, fm.DstitOf):
-            return self._sat_dstit(mid, hid, x.agent, x.body)
-        if isinstance(x, fm.NegatedObligation):
-            return not self._sat(mid, hid, x.body)
-        if isinstance(x, fm.Atom):
-            if x.name not in self.atoms and x.name not in self._warned_atoms:
-                self._warned_atoms.add(x.name)
-                warnings.warn(f"atom {x.name!r} is not declared in the model; "
-                              f"it is false everywhere", stacklevel=2)
-            return x.name in self.label(mid, hid)
-        if isinstance(x, fm.TrueFormula):
-            return True
-        if isinstance(x, fm.FalseFormula):
-            return False
-        if isinstance(x, fm.Not):
-            return not self._sat(mid, hid, x.operand)
-        if isinstance(x, fm.And):
-            return self._sat(mid, hid, x.left) and self._sat(mid, hid, x.right)
-        if isinstance(x, fm.Or):
-            return self._sat(mid, hid, x.left) or self._sat(mid, hid, x.right)
-        if isinstance(x, fm.Implies):
-            return (not self._sat(mid, hid, x.left)) or self._sat(mid, hid, x.right)
-        if isinstance(x, fm.Next):
-            return self._sat(self.step(mid, hid), hid, x.operand)
-        if isinstance(x, fm.NextPow):
-            return self._sat(self._step_n(mid, hid, x.steps), hid, x.operand)
-        if isinstance(x, fm.Until):
-            return self._sat_until(mid, hid, x.left, x.right)
-        if isinstance(x, fm.Release):
-            return self._sat_release(mid, hid, x.left, x.right)
-        if isinstance(x, fm.Eventually):
-            return self._sat_until(mid, hid, fm.TRUE, x.operand)
-        if isinstance(x, fm.Always):
-            return self._sat_release(mid, hid, fm.FALSE, x.operand)
-        if isinstance(x, fm.EventuallyBounded):
-            return any(self._sat(self._step_n(mid, hid, t), hid, x.operand)
-                       for t in range(x.lo, x.hi + 1))
-        if isinstance(x, fm.BoundedRelease):
-            return self._sat_brelease(mid, hid, x)
-        if isinstance(x, fm.ForallPaths):
-            return all(self._sat(mid, h2, x.operand)
-                       for h2 in self.histories_through(mid))
-        if isinstance(x, fm.ExistsPaths):
-            return any(self._sat(mid, h2, x.operand)
-                       for h2 in self.histories_through(mid))
-        if isinstance(x, fm.Cstit):
-            cell = self.choice_of(x.agent, mid, hid)
-            return cell <= self.extension(mid, x.body)
-        if isinstance(x, fm.Dstit):
-            return self._sat_dstit(mid, hid, x.agent, x.body)
-        raise ModelError(f"cannot evaluate {type(x).__name__}")
+    def _mask(self, mid, x):
+        return self._table(x, (mid,))[mid]
 
-    def _sat_dstit(self, mid, hid, agent, body):
-        ext = self.extension(mid, body)
-        if ext == self.histories_through(mid):
-            return False
-        return self.choice_of(agent, mid, hid) <= ext
+    def _table(self, x, moments):
+        """x's memo of masks by moment, filled at least at the moments."""
+        if type(x) is fm.Plain:  # an obligation leaf is its formula
+            x = x.formula
+        ix = self._index()
+        t = ix.masks.get(x)
+        if t is None:
+            t = ix.masks[x] = {}
+        todo = [m for m in moments if m not in t]
+        if todo:
+            evaluate = _EVALUATORS.get(type(x))
+            if evaluate is None:
+                raise ModelError(f"cannot evaluate {type(x).__name__}")
+            evaluate(self, x, todo, t)
+        return t
 
-    def _sat_ought(self, mid, st: fm.OughtStatement):
-        if st.condition is not None:
-            ext = self.extension(mid, st.condition)
-            if not ext:
-                # no conditionally optimal actions: vacuously satisfied
-                return True
-        optimal = self.optimal_actions(st.agents, mid, st.condition)
-        body_ext = self.extension(mid, st.body)
-        return all(k <= body_ext for k in optimal.actions)
+    # Each evaluator fills t[m], the mask of the histories of H_m at which x
+    # holds, for every moment m in ms.
 
-    def _step_n(self, mid, hid, n):
-        for _ in range(n):
-            mid = self.step(mid, hid)
-        return mid
+    def _atom(self, x, ms, t):
+        if x.name not in self.atoms and x.name not in self._warned_atoms:
+            self._warned_atoms.add(x.name)
+            warnings.warn(f"atom {x.name!r} is not declared in the model; "
+                          f"it is false everywhere", stacklevel=2)
+        col = self._ix.labelled.get(x.name, {})
+        for m in ms:
+            t[m] = col.get(m, 0)
 
-    def _sat_until(self, mid, hid, left, right):
-        while True:
-            if self._sat(mid, hid, right):
-                return True
-            if not self._sat(mid, hid, left):
-                return False
-            nxt = self.step(mid, hid)
-            if nxt == mid:
-                return False
-            mid = nxt
+    def _constant(self, x, ms, t):
+        th = self._ix.through
+        for m in ms:
+            t[m] = th[m] if type(x) is fm.TrueFormula else 0
 
-    def _sat_release(self, mid, hid, left, right):
-        while True:
-            if not self._sat(mid, hid, right):
-                return False
-            if self._sat(mid, hid, left):
-                return True
-            nxt = self.step(mid, hid)
-            if nxt == mid:
-                return True
-            mid = nxt
+    def _not(self, x, ms, t):
+        o = self._table(x.operand if type(x) is fm.Not else x.body, ms)
+        th = self._ix.through
+        for m in ms:
+            t[m] = th[m] ^ o[m]
 
-    def _sat_brelease(self, mid, hid, x: fm.BoundedRelease):
+    def _connective(self, x, ms, t):
+        lt, rt = self._table(x.left, ms), self._table(x.right, ms)
+        th = self._ix.through
+        op = type(x)
+        for m in ms:
+            if op is fm.And:
+                t[m] = lt[m] & rt[m]
+            elif op is fm.Or:
+                t[m] = lt[m] | rt[m]
+            else:
+                t[m] = (th[m] ^ lt[m]) | rt[m]
+
+    def _bounded(self, x, ms, t):
+        """X, X^n, F[lo:hi] and l BR[n] r: the next-moment groups are
+        unfolded from each moment for the operator's bounded horizon."""
+        op = type(x)
+        if op is fm.Next:
+            lo = hi = 1
+        elif op is fm.NextPow:
+            lo = hi = x.steps
+        elif op is fm.EventuallyBounded:
+            lo, hi = x.lo, x.hi
+        else:
+            lo, hi = 0, x.bound
+        fronts = {m: self._ix.fronts(m, lo, hi) for m in ms}
+        reached = list(dict.fromkeys(
+            c for fs in fronts.values() for front in fs for c in front))
+        if op is not fm.BoundedRelease:
+            o = self._table(x.operand, reached)
+            for m, fs in fronts.items():
+                out = 0
+                for front in fs:
+                    out |= along(front, o)
+                t[m] = out
+            return
         # l BR[N] r = l | (r & X l) | ... | (r & ... & X^(N-1) r & X^N l)
         #               | (r & X r & ... & X^N r)
-        if self._sat(mid, hid, x.left):
-            return True
-        cur = mid
-        for _ in range(x.bound):
-            if not self._sat(cur, hid, x.right):
-                return False
-            cur = self.step(cur, hid)
-            if self._sat(cur, hid, x.left):
-                return True
-        return self._sat(cur, hid, x.right)
+        lt, rt = self._table(x.left, reached), self._table(x.right, reached)
+        for m, fs in fronts.items():
+            out, alive = 0, self._ix.through[m]  # alive: r held at every step
+            for front in fs:
+                out |= alive & along(front, lt)
+                alive &= along(front, rt)
+            t[m] = out | alive
+
+    def _unbounded(self, x, ms, t):
+        """U, R, F and G in one pass over the moments reachable from ms,
+        successors first; a history that stutters at its leaf ends an Until
+        unfulfilled and a Release kept."""
+        op = type(x)
+        if op is fm.Eventually:
+            left, right = fm.TRUE, x.operand
+        elif op is fm.Always:
+            left, right = fm.FALSE, x.operand
+        else:
+            left, right = x.left, x.right
+        order, cyclic = self._ix.pending(ms, t)
+        lt, rt = self._table(left, order), self._table(right, order)
+        self._ix.sweep(order, cyclic, lt, rt, t,
+                       release=op is fm.Release or op is fm.Always)
+
+    def _path_quantifier(self, x, ms, t):
+        o = self._table(x.operand, ms)
+        th = self._ix.through
+        for m in ms:
+            self._check_moment(m)
+            if type(x) is fm.ForallPaths:
+                t[m] = th[m] if o[m] == th[m] else 0
+            else:
+                t[m] = th[m] if o[m] else 0
+
+    def _stit(self, x, ms, t):
+        body = self._table(x.body, ms)
+        th = self._ix.through
+        for m in ms:
+            self._check_moment(m)
+            if type(x) is not fm.Cstit and body[m] == th[m]:
+                t[m] = 0  # settled, so not deliberately seen to
+            else:
+                t[m] = self._guaranteed(x.agent, m, body[m])
+
+    def _guaranteed(self, agent, mid, ext):
+        """The histories of H_m whose cell of the agent lies inside ext.
+        A history belongs to the first cell that contains it."""
+        ix = self._index()
+        _, masks = self._cells(self._as_group(agent), mid)
+        seen = out = 0
+        for mask, named in masks:
+            if named and not mask & ~ext:
+                out |= mask & ~seen
+            seen |= mask
+        missing = ix.through[mid] & ~seen
+        if missing:
+            raise ModelError(f"choice cells of {agent!r} at moment {mid} "
+                             f"do not cover {min(ix.ids_of(missing))!r}")
+        return out
+
+    def _ought(self, x, ms, t):
+        th = self._ix.through
+        agents = self._as_group(x.agents)
+        for m in ms:
+            if x.condition is not None and not self._mask(m, x.condition):
+                t[m] = th[m]  # no conditionally optimal actions: vacuous
+                continue
+            self._check_moment(m)
+            optimal = self._optimal(agents, m, x.condition)
+            body = self._mask(m, x.body)
+            _, masks = self._cells(agents, m)
+            holds = all(named and not mask & ~body
+                        for mask, named in map(masks.__getitem__, optimal))
+            t[m] = th[m] if holds else 0
 
     # -- validation ----------------------------------------------------------
 
@@ -462,6 +550,7 @@ class ExplicitStitModel:
                                          "parent depth is not depth - 1"))
         leaves = {m for m in self.moments if self.is_leaf(m)}
         covered = set()
+        linked = set()  # histories whose every step goes to a child
         for h in self.histories.values():
             ms = h.moments
             ok = bool(ms) and all(mid in self.moments for mid in ms)
@@ -477,11 +566,13 @@ class ExplicitStitModel:
                             f"history {h.id}: {b} is not a child of {a}"))
                         ok = False
                         break
-            if ok and ms[-1] not in leaves:
-                out.append(Violation("history-path", None, ms[-1],
-                                     f"history {h.id} ends at a non-leaf moment"))
             if ok:
+                linked.add(h.id)
                 covered.add(ms[-1])
+                if ms[-1] not in leaves:
+                    out.append(Violation(
+                        "history-path", None, ms[-1],
+                        f"history {h.id} ends at a non-leaf moment"))
             if not ms or not all(mid in self.moments for mid in ms):
                 out.append(Violation("history-path", None, None,
                                      f"history {h.id} mentions unknown moments"))
@@ -512,7 +603,7 @@ class ExplicitStitModel:
                     f"actions do not partition H_m: union {sorted(seen)} "
                     f"vs H_m {sorted(hm)}"))
         out.extend(self._validate_independence())
-        out.extend(self._validate_undivided())
+        out.extend(self._validate_undivided(linked))
         return out
 
     def _validate_independence(self):
@@ -529,7 +620,7 @@ class ExplicitStitModel:
                             + " x ".join(str(sorted(c)) for c in pick)))
         return out
 
-    def _validate_undivided(self):
+    def _validate_undivided(self, linked):
         out = []
         for (agent, mid), cells in sorted(self.choices.items()):
             if mid not in self.moments:
@@ -538,9 +629,26 @@ class ExplicitStitModel:
             for i, cell in enumerate(cells):
                 for h in cell:
                     cell_of[h] = i
-            for h1, h2 in itertools.combinations(sorted(cell_of), 2):
-                if cell_of[h1] == cell_of[h2]:
-                    continue
+            # only histories that reach a common moment after mid can break
+            # the axiom, so pairs are drawn from those groups alone; when
+            # every step is to a child, two histories share a later moment
+            # iff they share the next one
+            next_only = linked.issuperset(cell_of)
+            reach: dict[int, set] = {}
+            for h in cell_of:
+                pos = self._hpos[h].get(mid) if h in self._hpos else None
+                if pos is not None:
+                    end = pos + 2 if next_only else None
+                    for m in self.histories[h].moments[pos + 1:end]:
+                        reach.setdefault(m, set()).add(h)
+            pairs = set()
+            for group in reach.values():
+                if len({cell_of[h] for h in group}) > 1:
+                    pairs.update(
+                        (h1, h2)
+                        for h1, h2 in itertools.combinations(sorted(group), 2)
+                        if cell_of[h1] != cell_of[h2])
+            for h1, h2 in sorted(pairs):
                 if self._share_later_moment(mid, h1, h2):
                     out.append(Violation(
                         "undivided", agent, mid,
@@ -608,6 +716,21 @@ class ExplicitStitModel:
                        for (mid, hid), atoms in sorted(self.labels.items())
                        if atoms],
         }
+
+
+_EVALUATORS = {kind: method for kinds, method in (
+    ((fm.Atom,), ExplicitStitModel._atom),
+    ((fm.TrueFormula, fm.FalseFormula), ExplicitStitModel._constant),
+    ((fm.Not, fm.NegatedObligation), ExplicitStitModel._not),
+    ((fm.And, fm.Or, fm.Implies), ExplicitStitModel._connective),
+    ((fm.Next, fm.NextPow, fm.EventuallyBounded, fm.BoundedRelease),
+     ExplicitStitModel._bounded),
+    ((fm.Until, fm.Release, fm.Eventually, fm.Always),
+     ExplicitStitModel._unbounded),
+    ((fm.ForallPaths, fm.ExistsPaths), ExplicitStitModel._path_quantifier),
+    ((fm.Cstit, fm.Dstit, fm.DstitOf), ExplicitStitModel._stit),
+    ((fm.OughtStatement,), ExplicitStitModel._ought),
+) for kind in kinds}
 
 
 def _require_fields(data, fields, what):

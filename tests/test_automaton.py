@@ -37,6 +37,26 @@ class TestValidate:
              ("q1", "K1", "q1", 1)], {})
         assert any(v.axiom == "edge-uniqueness" for v in bad.validate())
 
+    def test_shared_pairs_are_reported_in_sorted_order(self):
+        """Only pairs carrying several actions are reported, sorted by
+        (src, dst) whatever the order of the transitions."""
+        transitions = [("q2", "b", "q0", 1), ("q0", "a", "q1", 1),
+                       ("q1", "a", "q2", 1), ("q2", "a", "q0", 1),
+                       ("q0", "b", "q1", 1), ("q1", "a", "q1", 1),
+                       ("q0", "c", "q1", 1), ("q1", "b", "q1", 1)]
+        rng = random.Random(3)
+        for _ in range(5):
+            rng.shuffle(transitions)
+            bad = StitAutomaton(["q0", "q1", "q2"], "q0", ["a", "b", "c"], [],
+                                transitions, {})
+            assert [str(v) for v in bad.validate()] == [
+                "[edge-uniqueness] (state=q0) transitions q0 -> q1 carry distinct "
+                "actions ['a', 'b', 'c']",
+                "[edge-uniqueness] (state=q1) transitions q1 -> q1 carry distinct "
+                "actions ['a', 'b']",
+                "[edge-uniqueness] (state=q2) transitions q2 -> q0 carry distinct "
+                "actions ['a', 'b']"]
+
     def test_reachable_dead_end(self):
         bad = StitAutomaton(["q0", "q1"], "q0", ["K"], [],
                             [("q0", "K", "q1", 1)], {})

@@ -180,6 +180,21 @@ class TestLtlToBuchi:
             assert (buchi.states, buchi.initial, buchi.succ, buchi.accepting,
                     buchi.state_atoms) == valuation_tableau(f), fm.render(f)
 
+    def test_reading_projects_each_label_onto_the_atoms(self):
+        """reading(label) is the set of states whose atom set equals the
+        label restricted to the automaton's atoms, and a label seen before
+        is answered from the memo."""
+        rng = random.Random(17)
+        for _ in range(30):
+            buchi = ltl_to_buchi(random_path_formula(rng, 3, ["p", "q"]))
+            for _ in range(10):
+                label = frozenset(a for a in ("p", "q", "r")
+                                  if rng.random() < .5)
+                got = buchi.reading(label)
+                assert got == {b for b in buchi.states
+                               if buchi.state_atoms[b] == label & buchi.atoms}
+                assert buchi.reading(label) is got
+
     def test_cap_is_sixteen_elementary_bits(self):
         assert len(ltl_to_buchi(fm.parse_formula("X^15 p")).states) == 65536
         with pytest.raises(ResourceLimitError, match="17 elementary bits"):

@@ -1,18 +1,26 @@
 """Explicit stit models: axioms, satisfaction, dominance, file format."""
 
+import itertools
 import json
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from deontic_mc import formula as fm
 from deontic_mc import rss
+from deontic_mc.automaton import StitAutomaton, unroll
 from deontic_mc.errors import ModelError
-from deontic_mc.generate import random_model, random_path_formula
+from deontic_mc.generate import (
+    random_model,
+    random_obligation,
+    random_path_formula,
+)
 from deontic_mc.tree_model import (
     ExplicitStitModel,
+    Violation,
     check_inference_condition,
     load_model,
     save_model,
@@ -59,6 +67,17 @@ class TestValidate:
         bad = ExplicitStitModel(["alpha"], [], moments, histories, choices, {})
         axioms = {v.axiom for v in bad.validate()}
         assert "undivided" in axioms
+
+    def test_depth_counts_declared_ancestors(self):
+        model = ExplicitStitModel(["alpha"], [], [(0, None), (1, 0), (2, 1),
+                                                  (3, 9), (4, 3)], [], {}, {})
+        assert {m.id: m.depth for m in model.moments.values()} == {
+            0: 0, 1: 1, 2: 2, 3: 0, 4: 1}
+
+    def test_cyclic_parent_chain_is_rejected(self):
+        with pytest.raises(ModelError, match="cyclic parent chain at moment 1"):
+            ExplicitStitModel(["alpha"], [], [(0, None), (1, 2), (2, 3),
+                                              (3, 2)], [], {}, {})
 
     def test_history_must_end_at_leaf(self):
         moments = [(0, None), (1, 0), (2, 1)]
@@ -439,3 +458,428 @@ class TestRss3OnModels:
         model.atoms = ["g_alpha", "p_alpha"]
         prohib = rss.rss3(["alpha"]).prohib[0]
         assert not model.satisfies(0, "h1", prohib)
+
+
+# ======================== Recursive reference ========================
+
+class RecursiveReference:
+    """The satisfaction relation computed one (moment, history, formula) at a
+    time, recursively and memoised, with all-pairs value scans for
+    dominance: the evaluation the bitmask index replaced.  It reads only the
+    model's structure (H_m, step, choices, labels and values)."""
+
+    def __init__(self, model):
+        self.model = model
+        self.cache = {}
+
+    def extension(self, mid, a):
+        return frozenset(h for h in self.model.histories_through(mid)
+                         if self.sat(mid, h, a))
+
+    def sat(self, mid, hid, x):
+        key = (mid, hid, x)
+        if key not in self.cache:
+            self.cache[key] = self._raw(mid, hid, x)
+        return self.cache[key]
+
+    def _raw(self, mid, hid, x):
+        model, sat = self.model, self.sat
+        if isinstance(x, fm.OughtStatement):
+            return self._ought(mid, x)
+        if isinstance(x, fm.Plain):
+            return sat(mid, hid, x.formula)
+        if isinstance(x, (fm.Dstit, fm.DstitOf)):
+            ext = self.extension(mid, x.body)
+            return (ext != model.histories_through(mid)
+                    and model.choice_of(x.agent, mid, hid) <= ext)
+        if isinstance(x, fm.Cstit):
+            return model.choice_of(x.agent, mid, hid) <= self.extension(
+                mid, x.body)
+        if isinstance(x, fm.NegatedObligation):
+            return not sat(mid, hid, x.body)
+        if isinstance(x, fm.Atom):
+            return x.name in model.label(mid, hid)
+        if isinstance(x, fm.TrueFormula):
+            return True
+        if isinstance(x, fm.FalseFormula):
+            return False
+        if isinstance(x, fm.Not):
+            return not sat(mid, hid, x.operand)
+        if isinstance(x, fm.And):
+            return sat(mid, hid, x.left) and sat(mid, hid, x.right)
+        if isinstance(x, fm.Or):
+            return sat(mid, hid, x.left) or sat(mid, hid, x.right)
+        if isinstance(x, fm.Implies):
+            return (not sat(mid, hid, x.left)) or sat(mid, hid, x.right)
+        if isinstance(x, fm.Next):
+            return sat(model.step(mid, hid), hid, x.operand)
+        if isinstance(x, fm.NextPow):
+            return sat(self._step_n(mid, hid, x.steps), hid, x.operand)
+        if isinstance(x, fm.Until):
+            return self._until(mid, hid, x.left, x.right)
+        if isinstance(x, fm.Release):
+            return self._release(mid, hid, x.left, x.right)
+        if isinstance(x, fm.Eventually):
+            return self._until(mid, hid, fm.TRUE, x.operand)
+        if isinstance(x, fm.Always):
+            return self._release(mid, hid, fm.FALSE, x.operand)
+        if isinstance(x, fm.EventuallyBounded):
+            return any(sat(self._step_n(mid, hid, t), hid, x.operand)
+                       for t in range(x.lo, x.hi + 1))
+        if isinstance(x, fm.BoundedRelease):
+            # l | (r & X l) | ... | (r & ... & X^(N-1) r & X^N l)
+            #   | (r & X r & ... & X^N r)
+            if sat(mid, hid, x.left):
+                return True
+            cur = mid
+            for _ in range(x.bound):
+                if not sat(cur, hid, x.right):
+                    return False
+                cur = model.step(cur, hid)
+                if sat(cur, hid, x.left):
+                    return True
+            return sat(cur, hid, x.right)
+        if isinstance(x, fm.ForallPaths):
+            return all(sat(mid, h, x.operand)
+                       for h in model.histories_through(mid))
+        if isinstance(x, fm.ExistsPaths):
+            return any(sat(mid, h, x.operand)
+                       for h in model.histories_through(mid))
+        raise AssertionError(f"cannot evaluate {type(x).__name__}")
+
+    def _step_n(self, mid, hid, n):
+        for _ in range(n):
+            mid = self.model.step(mid, hid)
+        return mid
+
+    def _until(self, mid, hid, left, right):
+        while True:
+            if self.sat(mid, hid, right):
+                return True
+            if not self.sat(mid, hid, left):
+                return False
+            nxt = self.model.step(mid, hid)
+            if nxt == mid:
+                return False
+            mid = nxt
+
+    def _release(self, mid, hid, left, right):
+        while True:
+            if not self.sat(mid, hid, right):
+                return False
+            if self.sat(mid, hid, left):
+                return True
+            nxt = self.model.step(mid, hid)
+            if nxt == mid:
+                return True
+            mid = nxt
+
+    def _ought(self, mid, st):
+        if st.condition is not None and not self.extension(mid, st.condition):
+            return True  # no conditionally optimal actions: vacuous
+        body = self.extension(mid, st.body)
+        return all(k <= body
+                   for k in self.optimal(st.agents, mid, st.condition))
+
+    def optimal(self, agents, mid, condition=None):
+        cells = self.model.group_actions(agents, mid)
+        if condition is not None:
+            ext = self.extension(mid, condition)
+            cells = tuple(k for k in cells if k & ext)
+        return tuple(
+            k for k in cells
+            if not any(k2 != k and self.dominates(agents, mid, k, k2, condition)
+                       for k2 in cells))
+
+    def dominates(self, agents, mid, k_low, k_high, condition=None):
+        states = self.model.background_states(agents, mid).states
+        restrict = None
+        if condition is not None:
+            restrict = self.extension(mid, condition)
+        strict_some = False
+        for s in states:
+            lo, hi = k_low & s, k_high & s
+            if restrict is not None:
+                lo, hi = lo & restrict, hi & restrict
+            lo_v = [self.model.histories[h].value for h in lo]
+            hi_v = [self.model.histories[h].value for h in hi]
+            if any(a > b for a in lo_v for b in hi_v):
+                return False
+            if lo_v and hi_v and all(a < b for a in lo_v for b in hi_v):
+                strict_some = True
+        return strict_some
+
+
+def reference_undivided(model):
+    """The undivided-histories axiom checked on every pair of histories of
+    every choice entry."""
+    out = []
+    for (agent, mid), cells in sorted(model.choices.items()):
+        if mid not in model.moments:
+            continue
+        cell_of = {}
+        for i, cell in enumerate(cells):
+            for h in cell:
+                cell_of[h] = i
+        for h1, h2 in itertools.combinations(sorted(cell_of), 2):
+            if cell_of[h1] != cell_of[h2] and \
+                    _share_later_moment(model, mid, h1, h2):
+                out.append(Violation(
+                    "undivided", agent, mid,
+                    f"histories {h1} and {h2} share a later moment but "
+                    f"sit in different actions"))
+    return out
+
+
+def _share_later_moment(model, mid, h1, h2):
+    later = []
+    for h in (h1, h2):
+        if h not in model.histories or mid not in model.histories[h].moments:
+            return False
+        ms = model.histories[h].moments
+        pos = len(ms) - 1 - ms[::-1].index(mid)  # the last visit counts
+        later.append(set(ms[pos + 1:]))
+    return bool(later[0] & later[1])
+
+
+def random_statements(rng, model):
+    """Formulas with A/E and bounded operators, stit formulas (one under X),
+    an obligation, an ought and a conditional ought over the model."""
+    agent = model.agents[0]
+    atoms = model.atoms
+
+    def formula(depth):
+        return random_path_formula(rng, depth, atoms, allow_quantifiers=True)
+
+    def obligation(depth):
+        return random_obligation(rng, agent, depth, atoms,
+                                 allow_quantifiers=True)
+
+    return [formula(3),
+            fm.Cstit(agent, fm.Plain(formula(2))),
+            fm.Next(fm.Dstit(agent, fm.Plain(formula(2)))),
+            obligation(3),
+            fm.ought(agent, obligation(3)),
+            fm.ought(rng.choice([agent, model.agents]), obligation(2),
+                     condition=obligation(2))]
+
+
+def binary_automaton(rng, n_states=8):
+    """Two successors under actions x and y from every state, so depth d
+    unrolls to 2^d histories with a two-way choice at every inner moment."""
+    states = [f"q{i}" for i in range(n_states)]
+    transitions = []
+    for s in states:
+        a, b = rng.sample(states, 2)
+        transitions += [(s, "x", a, rng.randint(1, 9)),
+                        (s, "y", b, rng.randint(1, 9))]
+    labels = {s: {atom for atom in ("p", "q") if rng.random() < .5}
+              for s in states}
+    return StitAutomaton(states, "q0", ["x", "y"], [], transitions, labels)
+
+
+def assert_agrees_with_reference(model, statements, tally):
+    ref = RecursiveReference(model)
+    for st in statements:
+        for mid in sorted(model.moments):
+            ext = model.extension(mid, st)
+            assert ext == ref.extension(mid, st), (fm.render(st), mid)
+            for h in sorted(model.histories_through(mid)):
+                got = model.satisfies(mid, h, st)
+                assert got == (h in ext), (fm.render(st), mid, h)
+                tally[type(st).__name__, got] += 1
+    condition = fm.Plain(fm.Atom(model.atoms[0]))
+    for agent in model.agents:
+        for mid in model.moments:
+            assert model.optimal_actions(agent, mid).actions == \
+                ref.optimal((agent,), mid)
+            if ref.extension(mid, condition):
+                assert model.optimal_actions(agent, mid, condition).actions \
+                    == ref.optimal((agent,), mid, condition)
+            cells = model.actions_at(agent, mid)
+            for k_low, k_high in itertools.product(cells, repeat=2):
+                for cond in (None, condition):
+                    got = model.dominates(agent, mid, k_low, k_high, cond)
+                    assert got == ref.dominates((agent,), mid, k_low, k_high,
+                                                cond)
+                    tally["dominates", got] += 1
+
+
+class TestBitmaskEvaluation:
+    """satisfies, extension and optimal_actions against the recursive
+    reference."""
+
+    @pytest.mark.filterwarnings("ignore:atom")
+    def test_agrees_with_recursive_reference_on_random_models(self):
+        rng = random.Random(41)
+        tally = Counter()
+        for _ in range(500):
+            model = random_model(rng, max_depth=rng.randint(1, 4),
+                                 max_histories=rng.randint(2, 8),
+                                 n_agents=rng.randint(1, 2))
+            assert_agrees_with_reference(model, random_statements(rng, model),
+                                         tally)
+        # both verdicts occur for every kind of statement and for dominance
+        for kind in ("OughtStatement", "Cstit", "Next", "dominates"):
+            assert tally[kind, True] > 100 and tally[kind, False] > 100, tally
+
+    def test_agrees_on_unrolled_binary_models(self):
+        rng = random.Random(42)
+        tally = Counter()
+        for _ in range(6):
+            model = unroll(binary_automaton(rng), 5)
+            agent = model.agents[0]
+            statements = [fm.parse(t.format(a=agent)) for t in (
+                "O[{a} cstit: F p]", "O[{a} cstit: G q / p]",
+                "O[{a} cstit: q U p]", "O[{a} cstit: ![{a} dstit: G q]]",
+                "[{a} cstit: X p]", "[{a} dstit: F q]", "A (p R q)",
+                "E F[1:3] (p & X^2 q)", "p BR[3] q")]
+            assert_agrees_with_reference(
+                model, statements + random_statements(rng, model), tally)
+        assert tally["OughtStatement", True] and \
+            tally["OughtStatement", False]
+
+    @pytest.mark.filterwarnings("ignore:atom")
+    @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
+    def test_agrees_on_the_figures(self, name):
+        model = getattr(rss, f"{name}_model")()
+        statements = [fm.parse(t) for t in (
+            "[alpha cstit: A]", "O[alpha cstit: A]", "[alpha dstit: A]",
+            "O[alpha cstit: (A !p) & chi]", "O[alpha cstit: F[0:2] p]",
+            "O[alpha cstit: F[0:1] p]", "O[alpha cstit: E F[1:2] p]",
+            "O[alpha cstit: ![alpha dstit: !p_alpha BR[2] g_alpha] / w_alpha]",
+            "O[alpha cstit: G (!g_alpha -> !p_alpha)]", "A F collision")]
+        rng = random.Random(43)
+        for _ in range(10):
+            statements += random_statements(rng, model)
+        assert_agrees_with_reference(model, statements, Counter())
+
+
+class TestUndividedByGrouping:
+    @staticmethod
+    def scrambled(rng):
+        """A random model with some choice cells regrouped and some history
+        paths swapped, repeated, extended by unknown moments or cut."""
+        model = random_model(rng, max_depth=rng.randint(1, 4),
+                             max_histories=rng.randint(2, 10),
+                             n_agents=rng.randint(1, 2))
+        moments = [(m.id, m.parent) for m in model.moments.values()]
+        ids = sorted(model.histories)
+        histories = []
+        keep_paths = rng.random() < .5
+        for hid in ids:
+            ms = list(model.histories[hid].moments)
+            roll = 1 if keep_paths else rng.random()
+            if roll < .15 and len(ms) > 1:
+                i, j = rng.sample(range(len(ms)), 2)
+                ms[i], ms[j] = ms[j], ms[i]
+            elif roll < .25:
+                ms.insert(rng.randrange(len(ms) + 1), rng.choice(ms))
+            elif roll < .35:
+                ms.insert(rng.randrange(len(ms) + 1),
+                          rng.choice([99, rng.choice(list(model.moments))]))
+            elif roll < .4:
+                ms = ms[:rng.randint(1, len(ms))]
+            histories.append((hid, ms, model.histories[hid].value))
+        choices = {key: [list(c) for c in cells]
+                   for key, cells in model.choices.items()}
+        for mid in model.moments:
+            if rng.random() < .6:
+                agent = rng.choice(model.agents)
+                through = sorted(model.histories_through(mid))
+                n = rng.randint(1, 3)
+                cells = [[] for _ in range(n)]
+                for h in through + (["hz"] if rng.random() < .1 else []):
+                    rng.choice(cells).append(h)
+                choices[agent, mid] = cells
+        return ExplicitStitModel(model.agents, model.atoms, moments, histories,
+                                 choices, model.labels)
+
+    def test_same_violations_as_all_pairs(self):
+        rng = random.Random(44)
+        found = Counter()
+        for _ in range(1000):
+            model = self.scrambled(rng)
+            violations = model.validate()
+            got = [v for v in violations if v.axiom == "undivided"]
+            assert got == reference_undivided(model)
+            paths_broken = any(v.axiom == "history-path" for v in violations)
+            found[paths_broken] += bool(got)
+        # both ways of grouping (next moment only, every later moment) are
+        # exercised on models that do break the axiom
+        assert found[False] > 80 and found[True] > 50, found
+
+    @pytest.mark.filterwarnings("ignore:atom")
+    def test_temporal_formulas_agree_on_scrambled_models(self):
+        """Where histories disagree on the order of moments, or pass
+        unknown ones, U, R, F, G and the bounded operators are still
+        decided history by history, as the reference does."""
+        rng = random.Random(46)
+        for _ in range(300):
+            model = self.scrambled(rng)
+            ref = RecursiveReference(model)
+            formulas = [random_path_formula(rng, 3, model.atoms)
+                        for _ in range(3)]
+            formulas += [fm.parse_formula(t) for t in ("G p", "F q", "p U q",
+                                                       "q R p", "p BR[2] q")]
+            for f in formulas:
+                for mid in model.moments:
+                    for h in sorted(model.histories_through(mid)):
+                        assert model.satisfies(mid, h, f) == \
+                            ref.sat(mid, h, f), (fm.render(f), mid, h)
+
+
+class TestEvaluationEdges:
+    def test_dominance_needs_only_one_strict_state(self):
+        """A tie in one background state and a strict win in the other is
+        dominance; a tie in both is not."""
+        model = tiny_two_agent(values=(5, 5, 5, 1))
+        rows = model.actions_at("alpha", 0)
+        assert model.dominates("alpha", 0, rows[1], rows[0])
+        assert model.optimal_actions("alpha", 0).actions == (rows[0],)
+        tied = tiny_two_agent(values=(5, 5, 5, 5))
+        assert not tied.dominates("alpha", 0, rows[1], rows[0])
+
+    def test_overlapping_cells_follow_the_first_cell(self):
+        """On a model whose cells overlap (it fails validate()), a history
+        acts by the first cell that contains it, as choice_of says."""
+        model = ExplicitStitModel(
+            ["alpha"], ["p"], [(0, None), (1, 0), (2, 0), (3, 0)],
+            [("h1", [0, 1], 1), ("h2", [0, 2], 1), ("h3", [0, 3], 1)],
+            {("alpha", 0): [["h1", "h2"], ["h2", "h3"]]},
+            {(0, "h2"): {"p"}, (0, "h3"): {"p"}})
+        cstit = fm.parse_formula("[alpha cstit: p]")
+        assert model.extension(0, cstit) == frozenset({"h3"})
+        assert model.extension(0, cstit) == \
+            RecursiveReference(model).extension(0, cstit)
+
+    def test_history_outside_every_cell_raises(self):
+        model = tiny_two_agent()
+        model.choices[("alpha", 0)] = (frozenset({"h1", "h2"}),
+                                       frozenset({"h3"}))
+        with pytest.raises(ModelError, match="do not cover 'h4'"):
+            model.satisfies(0, "h4", fm.parse_formula("[alpha cstit: p]"))
+
+    def test_undeclared_atom_warns_once_per_model(self, fig1):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for mid in fig1.moments:
+                for h in fig1.histories_through(mid):
+                    fig1.satisfies(mid, h, fm.parse_formula("G nosuch"))
+                    fig1.satisfies(mid, h, fm.parse_formula("X !nosuch"))
+                fig1.extension(mid, fm.parse("nosuch U A"))
+        assert [str(w.message) for w in caught] == [
+            "atom 'nosuch' is not declared in the model; it is false "
+            "everywhere"]
+
+    def test_deep_unroll_evaluates_without_recursion(self):
+        aut = StitAutomaton(["q0", "q1"], "q0", ["a"], [],
+                            [("q0", "a", "q1", 1), ("q1", "a", "q1", 1)],
+                            {"q0": {"p"}, "q1": {"p", "q"}})
+        model = unroll(aut, 1500)
+        assert len(model.moments) == 1501
+        h = next(iter(model.histories))
+        for text, expected in (("G p", True), ("F p", True), ("p U q", True),
+                               ("G q", False), ("F !p", False),
+                               ("p R q", False), ("X^1499 q", True)):
+            assert model.satisfies(0, h, fm.parse_formula(text)) is expected
