@@ -125,9 +125,6 @@ class StitAutomaton:
                 seen.append(t.action)
         return seen
 
-    def post(self, state, action) -> list[str]:
-        return [t.dst for t in self.out(state) if t.action == action]
-
     def label(self, state) -> frozenset:
         return self.labels.get(state, frozenset())
 

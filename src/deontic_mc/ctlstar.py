@@ -4,9 +4,15 @@ The pipeline is the classical one: path formulas compile to a generalized
 Buchi automaton through the declarative tableau construction (states are
 consistent valuations of the formula's atoms and next-step obligations),
 state subformulas reduce to fresh atoms by recursive labeling, and
-universality is emptiness of the product with the negation.  Returned
-counterexamples are re-checked by direct lasso evaluation before they leave
-this module.
+universality is emptiness of the product with the negation.
+
+Universality(ts, f) does this once per formula and system, and answers
+from any number of states: the reduction labels every state once, the
+negation is compiled once, and one incremental Tarjan explores the product,
+continuing from each state asked about and marking the nodes that reach an
+accepting SCC as SCCs complete.  The reducer's own E-checks use the same
+exploration.  A counterexample lasso is built only when asked for and is
+re-checked by direct lasso evaluation before it leaves this module.
 
 The tableau is built with bitsets: each subformula's truth under all 2^n
 valuations of the n elementary formulas is one Python int, computed once
@@ -16,7 +22,7 @@ with &, | and ^, so no formula is looked up per valuation.
 from __future__ import annotations
 
 import itertools
-from collections import ChainMap
+from collections import deque
 from dataclasses import dataclass
 
 from . import formula as fm
@@ -40,6 +46,12 @@ class TransitionSystem:
     def successors(self, state):
         return self.succ[state]
 
+    def add_root(self, state, targets, label):
+        """Add a state with these successors and label; nothing leads to it."""
+        self.states.append(state)
+        self.succ[state] = list(dict.fromkeys(targets))
+        self.labels[state] = frozenset(label)
+
     def is_total(self):
         return all(self.succ[q] for q in self.states)
 
@@ -47,37 +59,6 @@ class TransitionSystem:
         dead = [q for q in self.states if not self.succ[q]]
         if dead:
             raise ModelError(f"transition system has dead ends: {dead}")
-
-
-class RootedView(TransitionSystem):
-    """A transition system behind one fresh initial state.
-
-    The root carries `label`, leads to `targets` and has no incoming edge.
-    Every other state's successor list is the base system's own, shared
-    rather than copied, so a view costs O(states), not O(edges)."""
-
-    def __init__(self, base: TransitionSystem, root, targets, label):
-        self.base = base
-        self.states = [root] + base.states
-        self.initial = root
-        self.root_succ = list(dict.fromkeys(targets))
-        self.succ = ChainMap({root: self.root_succ}, base.succ)
-        # a plain dict: the reducer copies labels, and a ChainMap copies slowly
-        self.labels = {root: frozenset(label), **base.labels}
-
-    # successors and require_total read the base's dict directly: they are
-    # on the product's hot path, where a ChainMap lookup is several times
-    # slower
-    def successors(self, state):
-        if state == self.initial:
-            return self.root_succ
-        return self.base.succ[state]
-
-    def require_total(self):
-        self.base.require_total()
-        if not self.root_succ:
-            raise ModelError(
-                f"transition system has dead ends: {[self.initial]}")
 
 
 def strip_weights(aut) -> TransitionSystem:
@@ -250,100 +231,144 @@ def _truth_columns(roots, column, every):
 
 
 # ---------------------------------------------------------------------------
-# Product graph, SCCs, emptiness
+# Product exploration and emptiness
 # ---------------------------------------------------------------------------
 
-def _product_nodes(ts, labels, buchi):
-    nodes = []
-    for q in ts.states:
-        ok = buchi.reading(labels[q])
-        for b in buchi.states:
-            if b in ok:
-                nodes.append((q, b))
-    return nodes
+class _Product:
+    """The product of a transition system and a Buchi automaton, explored
+    on demand by one incremental Tarjan.
 
+    Each call continues the same exploration from new start nodes, so every
+    node's successors are computed once however many states are asked
+    about.  SCCs complete sinks first, so when one completes every node it
+    leads to is decided: `good` holds the nodes that reach an accepting
+    SCC, and `accepting` maps each member of an accepting SCC to that SCC's
+    sorted members."""
 
-def _product_succ(ts, labels, buchi, node):
-    q, b = node
-    out = []
-    for q2 in ts.successors(q):
-        ok = buchi.reading(labels[q2])
-        for b2 in buchi.succ[b]:
-            if b2 in ok:
-                out.append((q2, b2))
-    return out
+    def __init__(self, ts, labels, buchi):
+        self.ts, self.labels, self.buchi = ts, labels, buchi
+        self._succ: dict = {}
+        self._index: dict = {}
+        self._low: dict = {}
+        self.good: set = set()
+        self.accepting: dict = {}
 
+    def starts(self, q):
+        ok = self.buchi.reading(self.labels[q])
+        return [(q, b) for b in self.buchi.initial if b in ok]
 
-def _sccs(nodes, succ):
-    """Tarjan; returns SCCs in reverse topological order of discovery."""
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    sccs = []
-    counter = itertools.count()
-    for root in nodes:
-        if root in index:
-            continue
-        work = [(root, iter(succ(root)))]
-        index[root] = low[root] = next(counter)
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for nxt in it:
-                if nxt not in index:
-                    index[nxt] = low[nxt] = next(counter)
-                    stack.append(nxt)
-                    on_stack.add(nxt)
-                    work.append((nxt, iter(succ(nxt))))
-                    advanced = True
-                    break
-                if nxt in on_stack:
-                    low[node] = min(low[node], index[nxt])
-            if not advanced:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[node])
-                if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    sccs.append(comp)
-    return sccs
+    def succ(self, node):
+        hit = self._succ.get(node)
+        if hit is None:
+            q, b = node
+            buchi, labels = self.buchi, self.labels
+            after = buchi.succ[b]
+            hit = []
+            for q2 in self.ts.successors(q):
+                ok = buchi.reading(labels[q2])
+                for b2 in after:
+                    if b2 in ok:
+                        hit.append((q2, b2))
+            self._succ[node] = hit
+        return hit
 
+    def nonempty_from(self, q) -> bool:
+        """Does some accepting run of the product start at state q?"""
+        starts = self.starts(q)
+        self._explore(starts)
+        return any(s in self.good for s in starts)
 
-def _accepting_scc(members, succ, accepting, buchi_of):
-    """Does this SCC witness acceptance (non-trivial, hits every set)?"""
-    mset = set(members)
-    nontrivial = len(members) > 1 or any(
-        m in succ(m) for m in members)
-    if not nontrivial:
-        return False
-    for acc in accepting:
-        if not any(buchi_of(m) in acc for m in members):
-            return False
-    return True
+    def _explore(self, roots):
+        index, low, succ = self._index, self._low, self.succ
+        stack, on_stack = [], set()
+        for root in roots:
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work = [(root, iter(succ(root)))]
+            while work:
+                node, it = work[-1]
+                for nxt in it:
+                    if nxt not in index:
+                        index[nxt] = low[nxt] = len(index)
+                        stack.append(nxt)
+                        on_stack.add(nxt)
+                        work.append((nxt, iter(succ(nxt))))
+                        break
+                    if nxt in on_stack:
+                        low[node] = min(low[node], index[nxt])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[node])
+                    if low[node] == index[node]:
+                        comp = []
+                        while True:
+                            w = stack.pop()
+                            on_stack.discard(w)
+                            comp.append(w)
+                            if w == node:
+                                break
+                        self._close(comp)
+
+    def _close(self, comp):
+        """Decide a completed SCC: accepting when it has a cycle through
+        every acceptance set, good when accepting or leading to good."""
+        succ, good = self.succ, self.good
+        if ((len(comp) > 1 or comp[0] in succ(comp[0]))
+                and all(any(n[1] in acc for n in comp)
+                        for acc in self.buchi.accepting)):
+            members = sorted(comp)
+            for n in comp:
+                self.accepting[n] = members
+            good.update(comp)
+        elif any(nxt in good for n in comp for nxt in succ(n)):
+            good.update(comp)
+
+    def lasso(self, q):
+        """(stem nodes, loop nodes) of an accepting run from state q, or
+        None.  The stem is a shortest path through good nodes to an
+        accepting SCC; the loop closes through one member of each
+        acceptance set."""
+        if not self.nonempty_from(q):
+            return None
+        good, succ = self.good, self.succ
+        stem = _bfs_path([s for s in self.starts(q) if s in good],
+                         self.accepting.__contains__,
+                         lambda n: [x for x in succ(n) if x in good])
+        anchor = stem[-1]
+        members = self.accepting[anchor]
+        comp = set(members)
+
+        def in_comp(node):
+            return [x for x in succ(node) if x in comp]
+
+        targets = []
+        for acc in self.buchi.accepting:
+            hit = next(n for n in members if n[1] in acc)
+            if hit not in targets:
+                targets.append(hit)
+        loop = []
+        cur = anchor
+        for t in targets:
+            if cur != t:
+                loop.extend(_bfs_path([cur], t.__eq__, in_comp)[1:])
+                cur = t
+        loop.extend(_bfs_path(in_comp(cur), anchor.__eq__, in_comp))
+        return stem[:-1], [anchor] + loop[:-1]
 
 
 def _bfs_path(starts, goal_test, succ):
     """Shortest node path from any start to a goal (inclusive), or None."""
-    from collections import deque
     prev = {}
-    seen = set()
     queue = deque()
     for s in starts:
-        if s in seen:
-            continue
-        seen.add(s)
-        queue.append(s)
-        prev[s] = None
+        if s not in prev:
+            prev[s] = None
+            queue.append(s)
     while queue:
         node = queue.popleft()
         if goal_test(node):
@@ -351,82 +376,24 @@ def _bfs_path(starts, goal_test, succ):
             while node is not None:
                 path.append(node)
                 node = prev[node]
-            return list(reversed(path))
+            return path[::-1]
         for nxt in succ(node):
-            if nxt not in seen:
-                seen.add(nxt)
+            if nxt not in prev:
                 prev[nxt] = node
                 queue.append(nxt)
     return None
 
 
-def _find_accepting_lasso(ts, labels, buchi, start_nodes):
-    """(stem nodes, loop nodes) of an accepting run, or None if empty."""
-    succ_cache: dict = {}
-
-    def succ(node):
-        hit = succ_cache.get(node)
-        if hit is None:
-            hit = _product_succ(ts, labels, buchi, node)
-            succ_cache[node] = hit
-        return hit
-
-    # Tarjan rooted at the starts visits exactly the reachable nodes
-    target_scc = None
-    for comp in _sccs(start_nodes, succ):
-        if _accepting_scc(comp, succ, buchi.accepting, lambda n: n[1]):
-            target_scc = sorted(comp)
-            break
-    if target_scc is None:
-        return None
-    comp_set = set(target_scc)
-
-    def in_comp(node):
-        return [x for x in succ(node) if x in comp_set]
-
-    stem_path = _bfs_path(start_nodes, lambda n: n in comp_set, succ)
-    anchor = stem_path[-1]
-    # close a loop from the anchor through one member of each acceptance set
-    loop = []
-    cur = anchor
-    targets = []
-    for acc in buchi.accepting:
-        hit = next((n for n in target_scc if n[1] in acc), None)
-        if hit is not None and hit not in targets:
-            targets.append(hit)
-    for t in targets:
-        if cur == t:
-            continue
-        seg = _bfs_path([cur], lambda n: n == t, in_comp)
-        loop.extend(seg[1:])
-        cur = t
-    back = _bfs_path(in_comp(cur), lambda n: n == anchor, in_comp)
-    loop.extend(back)
-    return stem_path[:-1], [anchor] + loop[:-1]
-
-
 def buchi_accepts(buchi: BuchiAutomaton, stem_labels, loop_labels) -> bool:
     """Does the automaton accept the ultimately periodic word stem.loop^omega?"""
-    stem_labels = [frozenset(x) for x in stem_labels]
-    loop_labels = [frozenset(x) for x in loop_labels]
-    n_stem, n = len(stem_labels), len(stem_labels) + len(loop_labels)
-    labels = stem_labels + loop_labels
-
-    def pos_succ(i):
-        return i + 1 if i + 1 < n else n_stem
-
-    def succ(node):
-        i, b = node
-        j = pos_succ(i)
-        ok = buchi.reading(labels[j])
-        return [(j, b2) for b2 in buchi.succ[b] if b2 in ok]
-
-    ok = buchi.reading(labels[0])
-    starts = [(0, b) for b in buchi.initial if b in ok]
-    for comp in _sccs(starts, succ):
-        if _accepting_scc(comp, succ, buchi.accepting, lambda node: node[1]):
-            return True
-    return False
+    stem = [frozenset(x) for x in stem_labels]
+    word = stem + [frozenset(x) for x in loop_labels]
+    n_stem, n = len(stem), len(word)
+    # the word's positions as a transition system: the last closes the loop
+    ts = TransitionSystem(range(n), 0,
+                          [(i, i + 1 if i + 1 < n else n_stem)
+                           for i in range(n)], dict(enumerate(word)))
+    return _Product(ts, ts.labels, buchi).nonempty_from(0)
 
 
 # ---------------------------------------------------------------------------
@@ -546,26 +513,45 @@ class _Reducer:
 
     def _e_sat(self, psi):
         """States from which some path satisfies psi."""
-        buchi = ltl_to_buchi(psi)
-        succ_cache: dict = {}
+        product = _Product(self.ts, self.labels, ltl_to_buchi(psi))
+        return {q for q in self.ts.states if product.nonempty_from(q)}
 
-        def succ(node):
-            hit = succ_cache.get(node)
-            if hit is None:
-                hit = _product_succ(self.ts, self.labels, buchi, node)
-                succ_cache[node] = hit
-            return hit
 
-        # good = nodes that reach an accepting SCC; Tarjan emits sinks
-        # first, so every successor component is decided before its callers
-        good = set()
-        for comp in _sccs(_product_nodes(self.ts, self.labels, buchi), succ):
-            if (_accepting_scc(comp, succ, buchi.accepting, lambda n: n[1])
-                    or any(nxt in good for m in comp for nxt in succ(m))):
-                good.update(comp)
-        return {q for q in self.ts.states
-                if any((q, b) in good for b in buchi.initial
-                       if b in buchi.reading(self.labels[q]))}
+class Universality:
+    """Does every infinite path from a state satisfy one formula?
+
+    Built once per formula and system, and asked for any number of states:
+    the path quantifiers are reduced to atoms once over the whole system,
+    the negation is compiled to one Buchi automaton, and one product
+    exploration continues from each state asked about.  A counterexample
+    is built only when asked for."""
+
+    def __init__(self, ts: TransitionSystem, f: fm.Formula):
+        ts.require_total()
+        self.formula = f
+        reducer = _Reducer(ts)
+        self.reduced = reducer.reduce(fm.expand_bounded(f))
+        self.labels = reducer.labels
+        self.product = _Product(ts, self.labels,
+                                ltl_to_buchi(fm.Not(self.reduced)))
+
+    def holds_from(self, q) -> bool:
+        return not self.product.nonempty_from(q)
+
+    def counterexample(self, q) -> Counterexample | None:
+        """A lasso from q violating the formula, or None if it holds at q.
+        The lasso is re-validated by direct evaluation before it is
+        returned."""
+        found = self.product.lasso(q)
+        if found is None:
+            return None
+        stem = tuple(n[0] for n in found[0])
+        loop = tuple(n[0] for n in found[1])
+        if eval_on_lasso(self.reduced, [self.labels[s] for s in stem],
+                         [self.labels[s] for s in loop]):
+            raise AssertionError("internal error: counterexample does not "
+                                 "violate the formula")
+        return Counterexample(stem, loop, self.formula)
 
 
 def check_universal(ts: TransitionSystem, f: fm.Formula):
@@ -574,24 +560,8 @@ def check_universal(ts: TransitionSystem, f: fm.Formula):
     Returns (True, None) or (False, counterexample); the counterexample is
     re-validated by direct lasso evaluation before being returned.
     """
-    ts.require_total()
-    reducer = _Reducer(ts)
-    reduced = reducer.reduce(fm.expand_bounded(f))
-    buchi = ltl_to_buchi(fm.Not(reduced))
-    ok = buchi.reading(reducer.labels[ts.initial])
-    starts = [(ts.initial, b) for b in buchi.initial if b in ok]
-    found = _find_accepting_lasso(ts, reducer.labels, buchi, starts)
-    if found is None:
-        return True, None
-    stem_nodes, loop_nodes = found
-    stem = tuple(q for q, _ in stem_nodes)
-    loop = tuple(q for q, _ in loop_nodes)
-    word_stem = [reducer.labels[q] for q in stem]
-    word_loop = [reducer.labels[q] for q in loop]
-    if eval_on_lasso(reduced, word_stem, word_loop):
-        raise AssertionError("internal error: counterexample does not violate "
-                             "the formula")
-    return False, Counterexample(stem, loop, f)
+    cx = Universality(ts, f).counterexample(ts.initial)
+    return cx is None, cx
 
 
 def check_ctls(ts: TransitionSystem, f: fm.Formula) -> set:

@@ -6,15 +6,19 @@ itself (extremal_values(aut, K): one walk from K's initial transitions and
 a binary search over the ranked weights); an action is optimal iff no other
 interval sits strictly above it (l' > u).  Second, every optimal action
 must guarantee the obligation, which splits into three cases: a plain CTL*
-formula is a universality check over K's view, a positive dstit
+formula is a universality check from K's root, a positive dstit
 additionally needs the formula to be avoidable somewhere in the full
-automaton, and a negated dstit is the complement.  The automaton is
-stripped of weights once per check; K's view puts one fresh root with K's
-initial targets in front of that stripped system and shares its edges, so
-its executions are exactly the executions starting with K, as in
-prime_automaton(restrict_first_action(aut, K), aut), and no per-action copy
-is built.  Counterexamples name the user's initial state in place of the
-fresh root, so they are lassos of the checked automaton.
+automaton, and a negated dstit is the complement.  Each check builds one
+system: the automaton stripped of weights, plus one fresh root per optimal
+action with the initial label and K's initial targets.  Nothing leads to a
+root, so the executions from K's root are exactly the executions starting
+with K, as in prime_automaton(restrict_first_action(aut, K), aut), and no
+per-action copy is built.  Each distinct formula gets one
+ctlstar.Universality over that system (one reduction, one Buchi automaton,
+one product exploration), which answers every root and the user's initial
+state.  A counterexample is built only for the failing action of a plain or
+positive-dstit verdict; it names the user's initial state in place of the
+root, so it is a lasso of the checked automaton.
 
 The negated-dstit case unpacks as follows.  At the root, every history of
 an action K sits in the same choice cell, so K guarantees ![a dstit: phi]
@@ -28,17 +32,22 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from . import formula as fm
-# restrict_first_action and prime_automaton are not called here; they are
-# re-exported because the benchmark's tracer wraps them as mc attributes
+# restrict_first_action, prime_automaton and check_universal are not called
+# here; they are re-exported because the benchmark's tracer wraps them as mc
+# attributes
 from .automaton import (
     StitAutomaton,
     ValueInterval,
     extremal_values,
-    fresh_root,
     prime_automaton,
     restrict_first_action,
 )
-from .ctlstar import Counterexample, RootedView, check_universal, strip_weights
+from .ctlstar import (
+    Counterexample,
+    Universality,
+    check_universal,
+    strip_weights,
+)
 from .errors import GrammarError
 
 CASE_CTLS = "ctls"
@@ -120,68 +129,76 @@ def _coerce_obligation(a) -> fm.Obligation:
 
 
 class _Pipeline:
-    """Shared first-phase results for one automaton."""
+    """First-phase results for one automaton, and one system and one
+    universality check per formula shared by every first action."""
 
     def __init__(self, aut: StitAutomaton):
         aut.require_valid()
         self.aut = aut
         self.intervals = [extremal_values(aut, action)
                           for action in aut.first_actions()]
-        # action -> stripped system: the full one under None, a rooted view
-        # of it under each first action; built on first use
-        self.views: dict = {}
-        self._forall_cache: dict = {}
+        self.optimal = [iv for iv in self.intervals
+                        if not any(other.lo > iv.hi for other in self.intervals)]
+        self.roots: dict = {}  # optimal action -> its root in the system
+        self._system = None
+        self._checks: dict = {}  # formula -> Universality
 
-    def optimal(self) -> list[ValueInterval]:
-        return [iv for iv in self.intervals
-                if not any(other.lo > iv.hi for other in self.intervals)]
+    def _build_system(self):
+        """The stripped automaton plus one fresh root per optimal action,
+        with the initial label and the action's initial targets.  Nothing
+        leads to a root, so the executions from K's root are exactly the
+        executions that begin with K."""
+        aut = self.aut
+        ts = strip_weights(aut)
+        taken, root = set(aut.states), aut.initial
+        for iv in self.optimal:
+            root += "'"
+            while root in taken:
+                root += "'"
+            ts.add_root(root, [t.dst for t in aut.out(aut.initial)
+                               if t.action == iv.action],
+                        aut.label(aut.initial))
+            self.roots[iv.action] = root
+        return ts
 
-    def _view(self, action):
-        if action not in self.views:
-            if None not in self.views:
-                self.views[None] = strip_weights(self.aut)
-            if action is not None:
-                aut = self.aut
-                self.views[action] = RootedView(
-                    self.views[None], fresh_root(aut),
-                    [t.dst for t in aut.out(aut.initial) if t.action == action],
-                    aut.label(aut.initial))
-        return self.views[action]
+    def _check(self, phi) -> Universality:
+        check = self._checks.get(phi)
+        if check is None:
+            if self._system is None:
+                self._system = self._build_system()
+            check = self._checks[phi] = Universality(self._system, phi)
+        return check
 
-    def _forall(self, action, phi):
-        """check_universal on the action's view (None: the full automaton).
-        Keyed by action, not by root name: every view's root has one name."""
-        key = (action, phi)
-        if key not in self._forall_cache:
-            self._forall_cache[key] = check_universal(self._view(action), phi)
-        return self._forall_cache[key]
+    def _forall(self, action, phi) -> bool:
+        """Does every execution beginning with the action (None: every
+        execution) satisfy phi?"""
+        return self._check(phi).holds_from(
+            self.aut.initial if action is None else self.roots[action])
 
     def guarantees(self, action: str, shape: str, phi: fm.Formula):
         """Does this first action guarantee the cased obligation?
 
-        Returns (ok, counterexample-or-None)."""
-        ok_n, cx_n = self._forall(action, phi)
-        if cx_n is not None:
-            # the fresh root has no incoming edge, so it heads the stem, and
-            # its first step is K's edge out of the user's initial state
-            cx_n = replace(cx_n, stem=(self.aut.initial,) + cx_n.stem[1:])
+        Returns (ok, refuted): refuted when it fails because one of the
+        action's executions violates phi, which counterexample() shows."""
+        ok_n = self._forall(action, phi)
         if shape == CASE_CTLS:
-            return ok_n, cx_n
-        ok_full, _ = self._forall(None, phi)
+            return ok_n, not ok_n
         if shape == CASE_DSTIT_POSITIVE:
             # K guarantees [a dstit: phi] iff phi is not globally forced
             # and K forces it
-            if ok_full:
-                return False, None
-            if not ok_n:
-                return False, cx_n
-            return True, None
+            if self._forall(None, phi):
+                return False, False
+            return ok_n, not ok_n
         if shape == CASE_DSTIT_NEGATED:
             # fails exactly when the dstit is real: avoidable yet K-forced
-            if not ok_full and ok_n:
-                return False, None
-            return True, None
+            return not ok_n or self._forall(None, phi), False
         raise GrammarError(f"unknown case {shape!r}", production="obligation")
+
+    def counterexample(self, action: str, phi: fm.Formula) -> Counterexample:
+        cx = self._check(phi).counterexample(self.roots[action])
+        # the root heads the stem, as nothing leads to it, and its first
+        # step is K's edge out of the user's initial state
+        return replace(cx, stem=(self.aut.initial,) + cx.stem[1:])
 
 
 def check_ought(aut: StitAutomaton, agent: str, obligation) -> Verdict:
@@ -202,7 +219,7 @@ def check_conditional_ought(aut: StitAutomaton, agent: str, obligation,
         cond_shape, cond_phi = _obligation_shape(
             _coerce_obligation(condition), agent)
     pipe = _Pipeline(aut)
-    optimal = pipe.optimal()
+    optimal = pipe.optimal
     retained = optimal if condition is None else [
         iv for iv in optimal
         if pipe.guarantees(iv.action, cond_shape, cond_phi)[0]]
@@ -211,11 +228,12 @@ def check_conditional_ought(aut: StitAutomaton, agent: str, obligation,
                       {iv.action: shape for iv in retained},
                       vacuous=not retained)
     for iv in retained:
-        ok, cx = pipe.guarantees(iv.action, shape, phi)
+        ok, refuted = pipe.guarantees(iv.action, shape, phi)
         if not ok:
             verdict.holds = False
             verdict.failing_action = iv.action
-            verdict.counterexample = cx
+            if refuted:
+                verdict.counterexample = pipe.counterexample(iv.action, phi)
             break
     return verdict
 

@@ -612,7 +612,9 @@ class ExplicitStitModel:
             per_agent = [self.actions_at(a, mid) for a in self.agents]
             if any(len(cells) > 1 for cells in per_agent):
                 for pick in itertools.product(*per_agent):
-                    if not frozenset.intersection(*pick):
+                    # one agent: the pick's intersection is its one cell
+                    if not (pick[0] if len(pick) == 1
+                            else frozenset.intersection(*pick)):
                         out.append(Violation(
                             "independence", None, mid,
                             "a selection of one action per agent has empty "

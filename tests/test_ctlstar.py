@@ -8,8 +8,8 @@ import pytest
 
 from deontic_mc import formula as fm
 from deontic_mc.ctlstar import (
-    RootedView,
     TransitionSystem,
+    Universality,
     buchi_accepts,
     check_ctls,
     check_universal,
@@ -57,35 +57,57 @@ class TestStripWeights:
         assert ts.labels["q0"] == {"p"} and ts.labels["q2"] == frozenset()
 
 
-class TestRootedView:
-    def test_equals_the_stripped_primed_automaton(self):
-        """A first action's view is the stripped primed automaton, state
-        for state and edge for edge, without copying the base's edges."""
-        from deontic_mc.automaton import (fresh_root, prime_automaton,
-                                          restrict_first_action)
+def add_roots(aut, ts):
+    """One fresh root per first action, named as the checker names them:
+    the initial state's name plus primes, skipping taken names."""
+    roots, root = {}, aut.initial
+    for action in aut.first_actions():
+        root += "'"
+        while root in aut.states:
+            root += "'"
+        ts.add_root(root, [t.dst for t in aut.out(aut.initial)
+                           if t.action == action], aut.label(aut.initial))
+        roots[action] = root
+    return roots
+
+
+class TestAddRoot:
+    def test_roots_equal_the_stripped_primed_automata(self):
+        """Behind each first action's root, the multi-root system is the
+        stripped primed automaton state for state and edge for edge, and
+        the formula's verdict from the root is the primed system's."""
+        from deontic_mc.automaton import prime_automaton, restrict_first_action
         rng = random.Random(41)
         for _ in range(80):
             aut = random_automaton(rng)
-            base = strip_weights(aut)
-            for action in aut.first_actions():
+            ts = strip_weights(aut)
+            roots = add_roots(aut, ts)
+            f = random_path_formula(rng, 3, ["p", "q"],
+                                    allow_quantifiers=True)
+            check = Universality(ts, f)
+            assert len(set(roots.values())) == len(roots)
+            assert not set(roots.values()) & set(aut.states)
+            assert not any(r in ts.successors(q)
+                           for q in ts.states for r in roots.values())
+            for action, root in roots.items():
                 primed = strip_weights(prime_automaton(
                     restrict_first_action(aut, action), aut))
-                view = RootedView(
-                    base, fresh_root(aut),
-                    [t.dst for t in aut.out(aut.initial)
-                     if t.action == action], aut.label(aut.initial))
-                assert (view.states, view.initial) == \
-                    (primed.states, primed.initial)
-                assert all(view.successors(q) == primed.successors(q)
-                           == view.succ[q] for q in primed.states)
-                assert view.labels == primed.labels and view.is_total()
-                assert view.successors(aut.initial) is base.succ[aut.initial]
+                assert ts.successors(root) == \
+                    primed.successors(primed.initial)
+                assert ts.labels[root] == primed.labels[primed.initial]
+                assert all(ts.successors(q) == primed.successors(q)
+                           and ts.labels[q] == primed.labels[q]
+                           for q in aut.states)
+                assert check.holds_from(root) == \
+                    check_universal(primed, f)[0]
+            assert ts.is_total()
 
     def test_dead_root_is_reported(self, t0):
-        view = RootedView(strip_weights(t0), "q0'", [], {"p"})
-        assert not view.is_total()
+        ts = strip_weights(t0)
+        ts.add_root("q0'", [], {"p"})
+        assert not ts.is_total()
         with pytest.raises(ModelError, match="q0'"):
-            view.require_total()
+            ts.require_total()
 
 
 # ======================== LTL -> Buchi ========================
@@ -318,6 +340,31 @@ class TestCheckUniversal:
                     expected = False
                     break
             assert check_universal(ts, f)[0] == expected
+
+    def test_one_check_answers_every_state(self):
+        """One Universality asked from every state in turn agrees with a
+        fresh check_universal rooted at that state, and its counterexample
+        from a state starts there and violates the formula."""
+        rng = random.Random(15)
+        for _ in range(60):
+            ts = random_system(rng)
+            f = random_path_formula(rng, 3, ["p", "q"],
+                                    allow_quantifiers=rng.random() < .5)
+            check = Universality(ts, f)
+            edges = [(a, b) for a in ts.states for b in ts.successors(a)]
+            for q in rng.sample(ts.states, len(ts.states)):
+                rooted = TransitionSystem(ts.states, q, edges, ts.labels)
+                ok, _ = check_universal(rooted, f)
+                assert check.holds_from(q) == ok
+                cx = check.counterexample(q)
+                assert (cx is None) == ok
+                if cx is not None and not any(
+                        isinstance(g, (fm.ForallPaths, fm.ExistsPaths))
+                        for g in fm.walk(f)):
+                    assert (cx.stem + cx.loop)[0] == q
+                    assert not oracle.scan_eval(
+                        f, [ts.labels[s] for s in cx.stem],
+                        [ts.labels[s] for s in cx.loop])
 
     def test_requires_total_system(self):
         ts = TransitionSystem(["a", "b"], "a", [("a", "b")], {})

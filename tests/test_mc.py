@@ -6,7 +6,14 @@ from fractions import Fraction
 import pytest
 
 from deontic_mc import formula as fm
-from deontic_mc.automaton import StitAutomaton, extremal_values
+from deontic_mc import mc
+from deontic_mc.automaton import (
+    StitAutomaton,
+    extremal_values,
+    prime_automaton,
+    restrict_first_action,
+)
+from deontic_mc.ctlstar import check_universal, strip_weights
 from deontic_mc.errors import AutomatonError, GrammarError
 from deontic_mc.generate import random_automaton, random_obligation
 from deontic_mc.mc import (
@@ -82,27 +89,57 @@ class TestCheckOught:
             assert check_ought(extended, "alpha",
                                fm.parse_obligation(text)).holds == base
 
-    def test_dominated_action_gets_no_view(self, t0, monkeypatch):
-        """Only the first actions that are checked get a rooted view: K2 is
-        dominated on t0, so no view leads to its target q2."""
-        from deontic_mc import mc
+    def test_dominated_action_gets_no_root(self, t0, monkeypatch):
+        """Only the optimal first actions get a root in the check's system:
+        K2 is dominated on t0, so no root leads to its target q2."""
+        from deontic_mc.ctlstar import TransitionSystem
         for text in ("G p", "[alpha dstit: G p]", "![alpha dstit: G p]"):
             expected = check_ought(t0, "alpha", text).to_json()
             targets = []
 
-            def counting(base, root, succ, label, view=mc.RootedView):
+            def counting(ts, root, succ, label,
+                         add=TransitionSystem.add_root):
                 targets.append(list(succ))
-                return view(base, root, succ, label)
+                return add(ts, root, succ, label)
 
-            monkeypatch.setattr(mc, "RootedView", counting)
+            monkeypatch.setattr(TransitionSystem, "add_root", counting)
             assert check_ought(t0, "alpha", text).to_json() == expected
             monkeypatch.undo()
             assert targets == [["q1"]], text
 
+    def test_one_tableau_per_distinct_formula(self, t0, monkeypatch):
+        """Each check compiles each distinct formula once, however many
+        first actions, dstit sides and conditions ask about it."""
+        from deontic_mc import ctlstar
+        built = []
+
+        def counting(f, build=ctlstar.ltl_to_buchi):
+            built.append(f)
+            return build(f)
+
+        monkeypatch.setattr(ctlstar, "ltl_to_buchi", counting)
+        two_optimal = StitAutomaton(
+            ["q0", "q1", "q2"], "q0", ["K1", "K2", "stay"], [],
+            [("q0", "K1", "q1", 4), ("q1", "stay", "q1", 5),
+             ("q0", "K2", "q2", 4), ("q2", "stay", "q2", 4)],
+            {"q0": {"p"}, "q1": {"p"}, "q2": set()})
+        for aut in (t0, two_optimal):
+            for body, cond, n in (
+                    ("G p", None, 1),
+                    ("[alpha dstit: G p]", None, 1),
+                    ("![alpha dstit: F p]", None, 1),
+                    ("F p", "F p", 1),
+                    ("[alpha dstit: G p]", "G p", 1),
+                    ("![alpha dstit: G p]", "[alpha dstit: G p]", 1),
+                    # one tableau for the E F subformula, one for the rest
+                    ("G (E F p)", "G (E F p)", 2)):
+                built.clear()
+                check_conditional_ought(aut, "alpha", body, cond)
+                assert len(built) == len(set(built)) == n, (body, cond)
+
     def test_first_phase_builds_no_copies(self, monkeypatch):
         """check_ought and its conditional variant neither restrict nor
         prime, and strip the user's automaton at most once per check."""
-        from deontic_mc import mc
         calls = []
 
         def counted(name):
@@ -210,6 +247,82 @@ class TestCounterexamples:
                                         [aut.label(q) for q in cx.stem],
                                         [aut.label(q) for q in cx.loop])
         assert found >= 30
+
+
+# ======================== Shared checks ========================
+
+def per_action_verdict(aut, agent, obligation, condition):
+    """The ought decided with one check_universal per (action, formula) on
+    the stripped primed copy of the automaton, as before the checks were
+    shared: (holds, failing action, vacuous, has counterexample)."""
+    shape, phi = mc._obligation_shape(mc._coerce_obligation(obligation), agent)
+    intervals = [extremal_values(aut, a) for a in aut.first_actions()]
+    optimal = [iv.action for iv in intervals
+               if not any(o.lo > iv.hi for o in intervals)]
+
+    def forall(action, f):
+        ts = strip_weights(aut if action is None else prime_automaton(
+            restrict_first_action(aut, action), aut))
+        return check_universal(ts, f)[0]
+
+    def guarantees(action, shape, f):
+        ok_n = forall(action, f)
+        if shape == mc.CASE_CTLS:
+            return ok_n, not ok_n
+        ok_full = forall(None, f)
+        if shape == mc.CASE_DSTIT_POSITIVE:
+            return ok_n and not ok_full, not ok_full and not ok_n
+        return ok_full or not ok_n, False
+
+    retained = optimal
+    if condition is not None:
+        cond = mc._obligation_shape(mc._coerce_obligation(condition), agent)
+        retained = [a for a in optimal if guarantees(a, *cond)[0]]
+    for action in retained:
+        ok, refuted = guarantees(action, shape, phi)
+        if not ok:
+            return False, action, False, refuted
+    return True, None, not retained, False
+
+
+class TestSharedChecks:
+    def test_shared_system_matches_per_action_copies(self):
+        """One system and one check per formula give, for every optimal
+        action and for the full automaton, the verdict of check_universal
+        on that action's stripped primed copy; the oughts built from them
+        match the per-action decision and, where it applies, the oracle."""
+        rng = random.Random(2024)
+        quantified = conditional = oracle_checked = 0
+        for i in range(420):
+            aut = random_automaton(rng)
+            quant = i % 3 == 0
+            ob = random_obligation(rng, "alpha", 3, ["p", "q"], quant)
+            cond = None
+            if i % 2 == 0:
+                cond = random_obligation(rng, "alpha", 2, ["p", "q"], quant)
+            quantified += quant
+            conditional += cond is not None
+
+            pipe = mc._Pipeline(aut)
+            for shape_of in (ob,) if cond is None else (ob, cond):
+                _, phi = mc._obligation_shape(shape_of, "alpha")
+                for iv in pipe.optimal:
+                    primed = strip_weights(prime_automaton(
+                        restrict_first_action(aut, iv.action), aut))
+                    assert pipe._forall(iv.action, phi) == \
+                        check_universal(primed, phi)[0]
+                assert pipe._forall(None, phi) == \
+                    check_universal(strip_weights(aut), phi)[0]
+
+            v = check_conditional_ought(aut, "alpha", ob, cond)
+            assert (v.holds, v.failing_action, v.vacuous,
+                    v.counterexample is not None) == \
+                per_action_verdict(aut, "alpha", ob, cond)
+            if cond is None and not quant:
+                assert v.holds == oracle.brute_force_ought(aut, "alpha", ob)
+                oracle_checked += 1
+        assert quantified >= 140 and conditional >= 210
+        assert oracle_checked >= 100
 
 
 # ======================== Oracle agreement ========================

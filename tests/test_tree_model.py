@@ -631,6 +631,23 @@ def reference_undivided(model):
     return out
 
 
+def reference_independence(model):
+    """The independence axiom checked by intersecting every selection of one
+    cell per agent, single agents included."""
+    out = []
+    for mid in model.moments:
+        per_agent = [model.actions_at(a, mid) for a in model.agents]
+        if any(len(cells) > 1 for cells in per_agent):
+            for pick in itertools.product(*per_agent):
+                if not frozenset.intersection(*pick):
+                    out.append(Violation(
+                        "independence", None, mid,
+                        "a selection of one action per agent has empty "
+                        "intersection: "
+                        + " x ".join(str(sorted(c)) for c in pick)))
+    return out
+
+
 def _share_later_moment(model, mid, h1, h2):
     later = []
     for h in (h1, h2):
@@ -808,6 +825,19 @@ class TestUndividedByGrouping:
         # both ways of grouping (next moment only, every later moment) are
         # exercised on models that do break the axiom
         assert found[False] > 80 and found[True] > 50, found
+
+    def test_same_independence_violations_as_intersections(self):
+        rng = random.Random(44)
+        found = Counter()
+        for _ in range(1000):
+            model = self.scrambled(rng)
+            got = [v for v in model.validate() if v.axiom == "independence"]
+            assert got == reference_independence(model)
+            found["two agents"] += len(model.agents) == 2
+            found["empty cell"] += any(
+                not cell for cells in model.choices.values() for cell in cells)
+            found["violated"] += bool(got)
+        assert min(found.values()) > 50, found
 
     @pytest.mark.filterwarnings("ignore:atom")
     def test_temporal_formulas_agree_on_scrambled_models(self):
