@@ -15,6 +15,10 @@ The extremal values of one first action are computed on the automaton
 itself, from that action's initial transitions, by a binary search over
 the ranked weights; they equal those of the primed automaton, which the
 model checker therefore never builds.
+
+Automata are immutable once built, so whatever is derived from one alone is
+computed once and kept on the instance (StitAutomaton._memoised): its
+validation here, and the model checker's first phase in mc.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from types import MappingProxyType
 
 from .errors import AutomatonError
 from .tree_model import ExplicitStitModel
@@ -96,23 +101,48 @@ class AutomatonViolation:
 
 
 class StitAutomaton:
-    """Finite weighted nondeterministic automaton with labeled states."""
+    """Finite weighted nondeterministic automaton with labeled states.
+
+    Immutable once built: the sequences are tuples, `final` is a frozenset,
+    `labels` a read-only mapping, and setting or deleting an attribute
+    raises, so what _memoised keeps can never go stale."""
 
     def __init__(self, states, initial, actions, final, transitions, labels):
-        self.states = list(states)
-        self.initial = initial
-        self.actions = list(actions)
-        self.final = set(final)
-        self.transitions = [
+        states = tuple(states)
+        transitions = tuple(
             t if isinstance(t, Transition)
             else Transition(t[0], t[1], t[2], _as_weight(t[3]))
-            for t in transitions]
-        self.labels = {q: frozenset(v) for q, v in dict(labels).items()}
-        self._out: dict[str, list[Transition]] = {q: [] for q in self.states}
-        for t in self.transitions:
-            self._out.setdefault(t.src, []).append(t)
+            for t in transitions)
+        out: dict[str, list[Transition]] = {q: [] for q in states}
+        for t in transitions:
+            out.setdefault(t.src, []).append(t)
+        vars(self).update(
+            states=states,
+            initial=initial,
+            actions=tuple(actions),
+            final=frozenset(final),
+            transitions=transitions,
+            labels=MappingProxyType(
+                {q: frozenset(v) for q, v in dict(labels).items()}),
+            _out={q: tuple(row) for q, row in out.items()},
+            _memo={})
 
-    def out(self, state) -> list[Transition]:
+    def __setattr__(self, name, value):
+        raise AttributeError(f"StitAutomaton is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"StitAutomaton is immutable: cannot delete {name!r}")
+
+    def _memoised(self, build):
+        """build(self), computed on the first call with this builder and
+        kept: the automaton never changes, so neither does the result."""
+        memo = self._memo
+        if build not in memo:
+            memo[build] = build(self)
+        return memo[build]
+
+    def out(self, state) -> tuple[Transition, ...]:
         if state not in self._out:
             raise AutomatonError(f"unknown state {state!r}")
         return self._out[state]
@@ -148,47 +178,9 @@ class StitAutomaton:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[AutomatonViolation]:
-        out = []
-        states = set(self.states)
-        if self.initial not in states:
-            out.append(AutomatonViolation("initial", self.initial,
-                                          "initial state not in state set"))
-        for q in self.final - states:
-            out.append(AutomatonViolation("final", q, "final state unknown"))
-        for q in set(self.labels) - states:
-            out.append(AutomatonViolation("labels", q, "labeled state unknown"))
-        by_pair: dict[tuple[str, str], set[str]] = {}
-        seen_triples = set()
-        for t in self.transitions:
-            if t.src not in states or t.dst not in states:
-                out.append(AutomatonViolation(
-                    "endpoints", t.src, f"transition {t} has unknown endpoint"))
-                continue
-            if t.action not in self.actions:
-                out.append(AutomatonViolation(
-                    "actions", t.src, f"transition action {t.action!r} not declared"))
-            by_pair.setdefault((t.src, t.dst), set()).add(t.action)
-            triple = (t.src, t.action, t.dst)
-            if triple in seen_triples:
-                out.append(AutomatonViolation(
-                    "edge-uniqueness", t.src,
-                    f"duplicate transition {t.src} -{t.action}-> {t.dst}"))
-            seen_triples.add(triple)
-        # only pairs carrying several actions are reported, so only they
-        # are sorted
-        shared = [pair for pair, acts in by_pair.items() if len(acts) > 1]
-        for src, dst in sorted(shared):
-            out.append(AutomatonViolation(
-                "edge-uniqueness", src,
-                f"transitions {src} -> {dst} carry distinct actions "
-                f"{sorted(by_pair[src, dst])}"))
-        if self.initial in states:
-            for q in self.reachable():
-                if not self._out.get(q):
-                    out.append(AutomatonViolation(
-                        "no-dead-end", q,
-                        "reachable state has no outgoing transition"))
-        return out
+        """The axioms the automaton breaks, none if it is valid.  They are
+        found on the first call; each call returns its own copy."""
+        return list(self._memoised(_violations))
 
     def require_valid(self):
         violations = self.validate()
@@ -237,6 +229,50 @@ class StitAutomaton:
             "labels": {q: sorted(v) for q, v in sorted(self.labels.items()) if v},
             "accumulation": "min",
         }
+
+
+def _violations(aut) -> tuple[AutomatonViolation, ...]:
+    out = []
+    states = set(aut.states)
+    if aut.initial not in states:
+        out.append(AutomatonViolation("initial", aut.initial,
+                                      "initial state not in state set"))
+    for q in aut.final - states:
+        out.append(AutomatonViolation("final", q, "final state unknown"))
+    for q in set(aut.labels) - states:
+        out.append(AutomatonViolation("labels", q, "labeled state unknown"))
+    by_pair: dict[tuple[str, str], set[str]] = {}
+    seen_triples = set()
+    for t in aut.transitions:
+        if t.src not in states or t.dst not in states:
+            out.append(AutomatonViolation(
+                "endpoints", t.src, f"transition {t} has unknown endpoint"))
+            continue
+        if t.action not in aut.actions:
+            out.append(AutomatonViolation(
+                "actions", t.src, f"transition action {t.action!r} not declared"))
+        by_pair.setdefault((t.src, t.dst), set()).add(t.action)
+        triple = (t.src, t.action, t.dst)
+        if triple in seen_triples:
+            out.append(AutomatonViolation(
+                "edge-uniqueness", t.src,
+                f"duplicate transition {t.src} -{t.action}-> {t.dst}"))
+        seen_triples.add(triple)
+    # only pairs carrying several actions are reported, so only they
+    # are sorted
+    shared = [pair for pair, acts in by_pair.items() if len(acts) > 1]
+    for src, dst in sorted(shared):
+        out.append(AutomatonViolation(
+            "edge-uniqueness", src,
+            f"transitions {src} -> {dst} carry distinct actions "
+            f"{sorted(by_pair[src, dst])}"))
+    if aut.initial in states:
+        for q in aut.reachable():
+            if not aut._out.get(q):
+                out.append(AutomatonViolation(
+                    "no-dead-end", q,
+                    "reachable state has no outgoing transition"))
+    return tuple(out)
 
 
 def _require_fields(data, fields, what):

@@ -470,6 +470,27 @@ def eval_on_lasso(f: fm.Formula, stem_labels, loop_labels) -> bool:
 # State-subformula reduction and the public checks
 # ---------------------------------------------------------------------------
 
+def _expand_bounded(f):
+    """fm.expand_bounded(f), refused first if one bounded operator alone
+    unfolds past the tableau's cap: X^n, F[lo:n] and BR[n] each unfold into
+    at least n next-step obligations, so ltl_to_buchi would refuse them,
+    and the unfolding is as deep as n."""
+    for g in fm.walk(f):
+        if isinstance(g, fm.NextPow):
+            op, n = f"X^{g.steps}", g.steps
+        elif isinstance(g, fm.EventuallyBounded):
+            op, n = f"F[{g.lo}:{g.hi}]", g.hi
+        elif isinstance(g, fm.BoundedRelease):
+            op, n = f"BR[{g.bound}]", g.bound
+        else:
+            continue
+        if n > _MAX_ELEMENTARY:
+            raise ResourceLimitError(
+                f"{op} unfolds into {n} next-step obligations; the tableau "
+                f"is capped at {_MAX_ELEMENTARY} elementary bits")
+    return fm.expand_bounded(f)
+
+
 class _Reducer:
     """Replaces path-quantified subformulas by fresh atoms, innermost first.
 
@@ -530,7 +551,7 @@ class Universality:
         ts.require_total()
         self.formula = f
         reducer = _Reducer(ts)
-        self.reduced = reducer.reduce(fm.expand_bounded(f))
+        self.reduced = reducer.reduce(_expand_bounded(f))
         self.labels = reducer.labels
         self.product = _Product(ts, self.labels,
                                 ltl_to_buchi(fm.Not(self.reduced)))
@@ -568,7 +589,7 @@ def check_ctls(ts: TransitionSystem, f: fm.Formula) -> set:
     """States satisfying a CTL* state formula, by recursive labeling."""
     ts.require_total()
     reducer = _Reducer(ts)
-    reduced = reducer.reduce(fm.expand_bounded(f))
+    reduced = reducer.reduce(_expand_bounded(f))
     for g in fm.walk(reduced):
         if isinstance(g, (fm.Next, fm.Until, fm.Release, fm.Eventually,
                           fm.Always)):

@@ -8,17 +8,22 @@ interval sits strictly above it (l' > u).  Second, every optimal action
 must guarantee the obligation, which splits into three cases: a plain CTL*
 formula is a universality check from K's root, a positive dstit
 additionally needs the formula to be avoidable somewhere in the full
-automaton, and a negated dstit is the complement.  Each check builds one
-system: the automaton stripped of weights, plus one fresh root per optimal
-action with the initial label and K's initial targets.  Nothing leads to a
-root, so the executions from K's root are exactly the executions starting
-with K, as in prime_automaton(restrict_first_action(aut, K), aut), and no
-per-action copy is built.  Each distinct formula gets one
+automaton, and a negated dstit is the complement.
+
+No obligation enters the first phase, so it is done once per automaton, on
+its first check, and kept on the (immutable) automaton: the validation, the
+intervals, the optimal actions and one system, the automaton stripped of
+weights plus one fresh root per optimal action with the initial label and
+K's initial targets.  Nothing leads to a root, so the executions from K's
+root are exactly the executions starting with K, as in
+prime_automaton(restrict_first_action(aut, K), aut), and no per-action copy
+is built.  A check adds only a map from each distinct formula to one
 ctlstar.Universality over that system (one reduction, one Buchi automaton,
 one product exploration), which answers every root and the user's initial
-state.  A counterexample is built only for the failing action of a plain or
-positive-dstit verdict; it names the user's initial state in place of the
-root, so it is a lasso of the checked automaton.
+state and is dropped with the check.  A counterexample is built only for
+the failing action of a plain or positive-dstit verdict; it names the
+user's initial state in place of the root, so it is a lasso of the checked
+automaton.
 
 The negated-dstit case unpacks as follows.  At the root, every history of
 an action K sits in the same choice cell, so K guarantees ![a dstit: phi]
@@ -128,52 +133,58 @@ def _coerce_obligation(a) -> fm.Obligation:
                        production="obligation")
 
 
-class _Pipeline:
-    """First-phase results for one automaton, and one system and one
-    universality check per formula shared by every first action."""
+class _FirstPhase:
+    """What no obligation changes: the validation, the per-action intervals,
+    the optimal actions and the system with one root per optimal action.
+    Built on an automaton's first check and kept on it, so every later
+    check of the automaton reads the same one."""
 
     def __init__(self, aut: StitAutomaton):
         aut.require_valid()
-        self.aut = aut
-        self.intervals = [extremal_values(aut, action)
-                          for action in aut.first_actions()]
-        self.optimal = [iv for iv in self.intervals
-                        if not any(other.lo > iv.hi for other in self.intervals)]
-        self.roots: dict = {}  # optimal action -> its root in the system
-        self._system = None
-        self._checks: dict = {}  # formula -> Universality
-
-    def _build_system(self):
-        """The stripped automaton plus one fresh root per optimal action,
-        with the initial label and the action's initial targets.  Nothing
-        leads to a root, so the executions from K's root are exactly the
-        executions that begin with K."""
-        aut = self.aut
-        ts = strip_weights(aut)
+        self.initial = aut.initial
+        self.intervals = tuple(extremal_values(aut, action)
+                               for action in aut.first_actions())
+        self.optimal = tuple(
+            iv for iv in self.intervals
+            if not any(other.lo > iv.hi for other in self.intervals))
+        # the stripped automaton plus one fresh root per optimal action, with
+        # the initial label and the action's initial targets.  Nothing leads
+        # to a root, so the executions from K's root are exactly the
+        # executions that begin with K.
+        self.system = strip_weights(aut)
+        self.roots: dict[str, str] = {}  # optimal action -> its root
         taken, root = set(aut.states), aut.initial
         for iv in self.optimal:
             root += "'"
             while root in taken:
                 root += "'"
-            ts.add_root(root, [t.dst for t in aut.out(aut.initial)
-                               if t.action == iv.action],
-                        aut.label(aut.initial))
+            self.system.add_root(root, [t.dst for t in aut.out(aut.initial)
+                                        if t.action == iv.action],
+                                 aut.label(aut.initial))
             self.roots[iv.action] = root
-        return ts
+
+
+class _Pipeline:
+    """One check: the automaton's first phase, and one universality check
+    per formula, shared by every first action and dropped with the check."""
+
+    def __init__(self, aut: StitAutomaton):
+        self.phase = aut._memoised(_FirstPhase)
+        self.optimal = self.phase.optimal
+        self._checks: dict = {}  # formula -> Universality
 
     def _check(self, phi) -> Universality:
         check = self._checks.get(phi)
         if check is None:
-            if self._system is None:
-                self._system = self._build_system()
-            check = self._checks[phi] = Universality(self._system, phi)
+            check = self._checks[phi] = Universality(self.phase.system, phi)
         return check
 
     def _forall(self, action, phi) -> bool:
         """Does every execution beginning with the action (None: every
         execution) satisfy phi?"""
+        phase = self.phase
         return self._check(phi).holds_from(
-            self.aut.initial if action is None else self.roots[action])
+            phase.initial if action is None else phase.roots[action])
 
     def guarantees(self, action: str, shape: str, phi: fm.Formula):
         """Does this first action guarantee the cased obligation?
@@ -195,10 +206,10 @@ class _Pipeline:
         raise GrammarError(f"unknown case {shape!r}", production="obligation")
 
     def counterexample(self, action: str, phi: fm.Formula) -> Counterexample:
-        cx = self._check(phi).counterexample(self.roots[action])
+        cx = self._check(phi).counterexample(self.phase.roots[action])
         # the root heads the stem, as nothing leads to it, and its first
         # step is K's edge out of the user's initial state
-        return replace(cx, stem=(self.aut.initial,) + cx.stem[1:])
+        return replace(cx, stem=(self.phase.initial,) + cx.stem[1:])
 
 
 def check_ought(aut: StitAutomaton, agent: str, obligation) -> Verdict:
@@ -223,7 +234,7 @@ def check_conditional_ought(aut: StitAutomaton, agent: str, obligation,
     retained = optimal if condition is None else [
         iv for iv in optimal
         if pipe.guarantees(iv.action, cond_shape, cond_phi)[0]]
-    verdict = Verdict(True, pipe.intervals,
+    verdict = Verdict(True, list(pipe.phase.intervals),
                       [(iv.action, iv) for iv in optimal],
                       {iv.action: shape for iv in retained},
                       vacuous=not retained)

@@ -195,13 +195,15 @@ def brute_extremal(aut):
     return min(values), max(values)
 
 
-def brute_force_ought(aut, agent, obligation) -> bool:
+def brute_force_ought(aut, agent, obligation, condition=None) -> bool:
     """Evaluate the dominance ought on the lasso-approximated history set.
 
     Histories are the enumerated lassos, grouped by first action into the
     root choice; an action is strictly dominated when every value of another
     action sits strictly above all of its own; the ought requires every
-    un-dominated action to guarantee the obligation.
+    un-dominated action to guarantee the obligation.  With a condition, only
+    the un-dominated actions that guarantee the condition must (none: the
+    ought holds vacuously).
     """
     ob = fm.normalize_obligation(obligation)
     lassos = enumerate_lassos(aut)
@@ -244,4 +246,7 @@ def brute_force_ought(aut, agent, obligation) -> bool:
                    for other in cells)
 
     optimal = [a for a in cells if not dominated(a)]
+    if condition is not None:
+        cond = fm.normalize_obligation(condition)
+        optimal = [a for a in optimal if guarantees(a, cond)]
     return all(guarantees(a, ob) for a in optimal)

@@ -137,16 +137,21 @@ class TestMc:
             "O[alpha cstit: ![alpha dstit: !p_alpha BR[2] g_alpha] / w_alpha]")
         assert code == 0 and "holds" in out
 
-    @pytest.mark.parametrize("ought", [
-        "O[alpha cstit: X^2000 p]",
-        "O[alpha cstit: " + "(" * 3000 + "p" + ")" * 3000 + "]",
+    @pytest.mark.parametrize("ought,message", [
+        ("O[alpha cstit: X^2000 p]",
+         "X^2000 unfolds into 2000 next-step obligations; the tableau is "
+         "capped at 16 elementary bits"),
+        ("O[alpha cstit: " + "(" * 3000 + "p" + ")" * 3000 + "]",
+         "internal error"),
     ], ids=["next-2000", "parens-3000"])
-    def test_crash_exits_two_not_one(self, capsys, t0_file, ought):
-        """Inputs that overflow the recursive walks end as internal errors
-        (exit 2), never as a check that fails (exit 1)."""
+    def test_crash_exits_two_not_one(self, capsys, t0_file, ought, message):
+        """A bounded operator past the tableau's cap is refused as a
+        resource limit before it is unfolded, and input that overflows the
+        recursive parser ends as an internal error: both exit 2, never as
+        a check that fails (exit 1)."""
         code, _, err = run(capsys, "mc", t0_file, "--agent", "alpha",
                            "--ought", ought)
-        assert code == 2 and "internal error" in err
+        assert code == 2 and message in err
 
     def test_base_exceptions_pass_through(self, capsys, t0_file, monkeypatch):
         """Only Exception is mapped to exit 2; an interrupt or an alarm

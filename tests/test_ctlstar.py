@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import re
 
 import pytest
 
@@ -297,6 +298,27 @@ class TestCheckUniversal:
     def test_true_holds(self, t0):
         ok, cx = check_universal(strip_weights(t0), fm.TRUE)
         assert ok and cx is None
+
+    @pytest.mark.parametrize("text,op", [
+        ("X^2000 p", "X^2000"), ("F[3:2000] p", "F[3:2000]"),
+        ("p BR[2000] q", "BR[2000]"), ("G (q -> X^17 p)", "X^17")])
+    def test_bounded_operator_past_the_cap_refused_unexpanded(
+            self, t0, text, op):
+        """One bounded operator that alone unfolds past the tableau's cap
+        is a resource limit, raised before the unfolding (which would
+        overflow the recursive passes), in both checks."""
+        f = fm.parse_formula(text)
+        match = re.escape(op) + " unfolds into .* capped at 16 elementary bits"
+        with pytest.raises(ResourceLimitError, match=match):
+            Universality(strip_weights(t0), f)
+        with pytest.raises(ResourceLimitError, match=match):
+            check_ctls(strip_weights(t0), fm.ExistsPaths(f))
+
+    def test_bound_at_the_cap_reaches_the_tableau(self, t0):
+        """X^16 passes the unexpanded test; its 17 elementary bits are then
+        refused by the tableau itself."""
+        with pytest.raises(ResourceLimitError, match="17 elementary bits"):
+            Universality(strip_weights(t0), fm.parse_formula("X^16 p"))
 
     def test_restricted_branch_satisfies_gp(self, t0):
         from deontic_mc.automaton import prime_automaton, restrict_first_action

@@ -1,7 +1,10 @@
 """Root-ought decision over automata: intervals, cases, oracle agreement."""
 
+import importlib.util
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +16,13 @@ from deontic_mc.automaton import (
     prime_automaton,
     restrict_first_action,
 )
-from deontic_mc.ctlstar import check_universal, strip_weights
+from deontic_mc.ctlstar import TransitionSystem, check_universal, strip_weights
 from deontic_mc.errors import AutomatonError, GrammarError
-from deontic_mc.generate import random_automaton, random_obligation
+from deontic_mc.generate import (
+    random_automaton,
+    random_obligation,
+    random_path_formula,
+)
 from deontic_mc.mc import (
     check_conditional_ought,
     check_ought,
@@ -24,6 +31,16 @@ from deontic_mc.mc import (
 
 import oracle
 from conftest import make_t0
+
+
+def counting(owner, name, calls):
+    """owner.name, logging its name in calls on each call."""
+    func = getattr(owner, name)
+
+    def wrapper(*args):
+        calls.append(name)
+        return func(*args)
+    return wrapper
 
 
 # ======================== Worked examples ========================
@@ -82,19 +99,20 @@ class TestCheckOught:
         for text in ("G p", "F p", "[alpha dstit: G p]"):
             base = check_ought(t0, "alpha", fm.parse_obligation(text)).holds
             extended = StitAutomaton(
-                t0.states + ["q3"], "q0", t0.actions + ["K0"], [],
-                t0.transitions + [("q0", "K0", "q3", Fraction(1, 2)),
-                                  ("q3", "stay", "q3", Fraction(1, 2))],
+                list(t0.states) + ["q3"], "q0", list(t0.actions) + ["K0"], [],
+                list(t0.transitions) + [("q0", "K0", "q3", Fraction(1, 2)),
+                                        ("q3", "stay", "q3", Fraction(1, 2))],
                 {**t0.labels, "q3": set()})
             assert check_ought(extended, "alpha",
                                fm.parse_obligation(text)).holds == base
 
-    def test_dominated_action_gets_no_root(self, t0, monkeypatch):
+    def test_dominated_action_gets_no_root(self, monkeypatch):
         """Only the optimal first actions get a root in the check's system:
-        K2 is dominated on t0, so no root leads to its target q2."""
-        from deontic_mc.ctlstar import TransitionSystem
+        K2 is dominated on t0, so no root leads to its target q2.  The
+        system is built on an automaton's first check, so each statement is
+        checked on a fresh t0."""
         for text in ("G p", "[alpha dstit: G p]", "![alpha dstit: G p]"):
-            expected = check_ought(t0, "alpha", text).to_json()
+            expected = check_ought(make_t0(), "alpha", text).to_json()
             targets = []
 
             def counting(ts, root, succ, label,
@@ -103,7 +121,7 @@ class TestCheckOught:
                 return add(ts, root, succ, label)
 
             monkeypatch.setattr(TransitionSystem, "add_root", counting)
-            assert check_ought(t0, "alpha", text).to_json() == expected
+            assert check_ought(make_t0(), "alpha", text).to_json() == expected
             monkeypatch.undo()
             assert targets == [["q1"]], text
 
@@ -141,18 +159,9 @@ class TestCheckOught:
         """check_ought and its conditional variant neither restrict nor
         prime, and strip the user's automaton at most once per check."""
         calls = []
-
-        def counted(name):
-            func = getattr(mc, name)
-
-            def wrapper(*args):
-                calls.append(name)
-                return func(*args)
-            return wrapper
-
         for name in ("restrict_first_action", "prime_automaton",
                      "strip_weights"):
-            monkeypatch.setattr(mc, name, counted(name))
+            monkeypatch.setattr(mc, name, counting(mc, name, calls))
         rng = random.Random(12)
         checks = 0
         for _ in range(60):
@@ -323,6 +332,123 @@ class TestSharedChecks:
                 oracle_checked += 1
         assert quantified >= 140 and conditional >= 210
         assert oracle_checked >= 100
+
+
+# ======================== First-phase memo ========================
+
+def bench_workloads():
+    """The benchmark's workload module, for its wide automaton generator."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def three_shapes(phi):
+    dstit = fm.DstitOf("alpha", fm.Plain(phi))
+    return [fm.Plain(phi), dstit, fm.NegatedObligation(dstit)]
+
+
+def check_sequence(bodies, conditions):
+    """Every body in the three shapes, unconditional, then each shape of a
+    body under a condition of the next shape."""
+    out = []
+    for phi, cond in zip(bodies, conditions):
+        obs, conds = three_shapes(phi), three_shapes(cond)
+        out += [(ob, None) for ob in obs]
+        out += [(ob, conds[(i + 1) % 3]) for i, ob in enumerate(obs)]
+    return out
+
+
+class TestFirstPhaseMemo:
+    def test_repeated_checks_match_fresh_automata(self):
+        """Checks in sequence on one automaton, which share its first
+        phase, give byte for byte the verdict of a fresh copy of the
+        automaton per check, and agree with the oracle: random automata
+        and small automata of the benchmark's wide generator, in the three
+        shapes and under conditions."""
+        rng = random.Random(808)
+        cases = []
+        for _ in range(60):
+            bodies = [random_path_formula(rng, 3, ["p", "q"]) for _ in range(2)]
+            conds = [random_path_formula(rng, 2, ["p", "q"]) for _ in range(2)]
+            # at most 4 states: the oracle enumerates every lasso per check
+            cases.append((random_automaton(rng, max_states=4),
+                          check_sequence(bodies, conds)))
+        wl = bench_workloads()
+        # the wide workload's bodies, each in the three shapes
+        bodies = [fm.parse_formula(t)
+                  for t in ("G p", "F q", "F r", "G (p | q)", "G F q")]
+        for i in range(4):
+            aut = StitAutomaton.from_json(wl._wide_automaton(rng, i, 2, 40))
+            cases.append((aut, check_sequence(bodies, bodies[1:] + bodies[:1])))
+        n_checks = held = 0
+        for aut, sequence in cases:
+            for ob, cond in sequence:
+                v = check_conditional_ought(aut, "alpha", ob, cond)
+                fresh = check_conditional_ought(
+                    StitAutomaton.from_json(aut.to_json()), "alpha", ob, cond)
+                assert json.dumps(v.to_json()) == json.dumps(fresh.to_json())
+                assert v.holds == oracle.brute_force_ought(aut, "alpha", ob,
+                                                           cond), (ob, cond)
+                n_checks += 1
+                held += v.holds
+        assert n_checks == 60 * 12 + 4 * 30
+        assert 0 < held < n_checks
+
+    def test_first_phase_runs_once_per_automaton(self, monkeypatch):
+        """Over k checks of one automaton the validation, the intervals,
+        the stripping and the roots are computed on the first check only."""
+        calls = []
+        for owner, name in ((mc, "extremal_values"), (mc, "strip_weights"),
+                            (StitAutomaton, "validate"),
+                            (TransitionSystem, "add_root")):
+            monkeypatch.setattr(owner, name, counting(owner, name, calls))
+        aut = make_t0()
+        for ob, cond in check_sequence([fm.parse_formula("G p")],
+                                       [fm.parse_formula("F p")]):
+            check_conditional_ought(aut, "alpha", ob, cond)
+        assert sorted(calls) == ["add_root", "extremal_values",
+                                 "extremal_values", "strip_weights",
+                                 "validate"]
+
+    def test_fields_cannot_change(self, t0):
+        for name in ("states", "initial", "actions", "final", "transitions",
+                     "labels", "_out"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(t0, name, getattr(t0, name))
+            with pytest.raises(AttributeError, match="immutable"):
+                delattr(t0, name)
+        with pytest.raises(AttributeError):
+            t0.states.append("q3")
+        with pytest.raises(AttributeError):
+            t0.final.add("q1")
+        with pytest.raises(TypeError):
+            t0.labels["q2"] = frozenset({"p"})
+        with pytest.raises(AttributeError):
+            t0.out("q0").append(t0.transitions[0])
+        assert isinstance(t0.actions, tuple)
+        assert isinstance(t0.transitions, tuple)
+
+    def test_returned_results_are_copies(self, t0):
+        """Changing what a check or validate() returned changes nothing
+        that a later call returns."""
+        broken = StitAutomaton(["q0", "q1"], "q0", ["K"], [],
+                               [("q0", "K", "q1", 1)], {})
+        found = broken.validate()
+        assert found
+        found.clear()
+        assert broken.validate()
+        with pytest.raises(AutomatonError, match="no-dead-end"):
+            check_ought(broken, "alpha", "G p")
+
+        first = check_ought(t0, "alpha", "G p")
+        expected = first.to_json()
+        first.intervals.clear()
+        first.optimal_actions.append(("K2", first.optimal_actions[0][1]))
+        first.case_taken["K2"] = "ctls"
+        assert check_ought(t0, "alpha", "G p").to_json() == expected
 
 
 # ======================== Oracle agreement ========================
