@@ -30,23 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import AutomatonError
+from .errors import AutomatonError, _as_rational, _require_fields
 from .tree_model import ExplicitStitModel
 
 
 def _as_weight(w) -> Fraction:
-    if isinstance(w, Fraction):
-        return w
-    if isinstance(w, bool):
-        raise AutomatonError(f"bad weight {w!r}")
-    if isinstance(w, int):
-        return Fraction(w)
-    if isinstance(w, (str, float)):
-        try:
-            return Fraction(str(w))
-        except (ValueError, ZeroDivisionError):
-            raise AutomatonError(f"bad weight {w!r}") from None
-    raise AutomatonError(f"bad weight {w!r}")
+    return _as_rational(w, "weight", AutomatonError)
 
 
 def _weight_text(w: Fraction) -> str:
@@ -190,16 +179,18 @@ class StitAutomaton:
 
     # -- serialization -------------------------------------------------------
 
-    _FIELDS = ("states", "init", "final", "actions", "transitions", "labels",
-               "accumulation")
+    _FIELDS = {"states": list, "init": str, "final": list, "actions": list,
+               "transitions": list, "labels": dict, "accumulation": None}
+    _TRANSITION_FIELDS = dict.fromkeys(("from", "action", "to", "weight"))
 
     @classmethod
     def from_json(cls, data: dict) -> "StitAutomaton":
-        _require_fields(data, cls._FIELDS, "automaton")
+        _require_fields(data, cls._FIELDS, "automaton", AutomatonError)
         transitions = []
         parsed = {}  # (type, raw weight) -> Fraction: each parsed once
         for e in data["transitions"]:
-            _require_fields(e, ("from", "action", "to", "weight"), "transitions")
+            _require_fields(e, cls._TRANSITION_FIELDS, "transitions",
+                            AutomatonError)
             raw = e["weight"]
             try:  # the type in the key keeps true apart from 1
                 w = parsed[type(raw), raw]
@@ -208,8 +199,8 @@ class StitAutomaton:
             except TypeError:  # unhashable, so not a weight
                 w = _as_weight(raw)
             transitions.append(Transition(e["from"], e["action"], e["to"], w))
-        if not isinstance(data["labels"], dict):
-            raise AutomatonError("labels: expected an object keyed by state")
+        if not all(isinstance(v, list) for v in data["labels"].values()):
+            raise AutomatonError("labels: expected a list of atoms per state")
         if data["accumulation"] != "min":
             raise AutomatonError(
                 f"unsupported accumulation {data['accumulation']!r}; "
@@ -275,17 +266,6 @@ def _violations(aut) -> tuple[AutomatonViolation, ...]:
     return tuple(out)
 
 
-def _require_fields(data, fields, what):
-    if not isinstance(data, dict):
-        raise AutomatonError(f"{what}: expected an object")
-    missing = [f for f in fields if f not in data]
-    unknown = [f for f in data if f not in fields]
-    if missing:
-        raise AutomatonError(f"{what}: missing fields {missing}")
-    if unknown:
-        raise AutomatonError(f"{what}: unknown fields {unknown}")
-
-
 def load_automaton(path) -> StitAutomaton:
     with open(path, "r", encoding="utf-8") as fp:
         data = json.load(fp, parse_float=Fraction)
@@ -302,20 +282,15 @@ def save_automaton(aut: StitAutomaton, path):
 # Product
 # ---------------------------------------------------------------------------
 
-_WEIGHT_POLICIES = {"min": min, "sum": sum}
-
-
-def product(automata, weight_combine="min", names=None) -> StitAutomaton:
+def product(automata, names=None) -> StitAutomaton:
     """Synchronous product: states and actions are tuples of the components'.
 
     Labels are unioned; with more than one component each atom is qualified
-    by its component's name ("a0.p").  Weights combine per the named policy.
+    by its component's name ("a0.p").  A joint transition weighs the least
+    of its components' weights.
     """
     if not automata:
         raise AutomatonError("product of zero automata")
-    if weight_combine not in _WEIGHT_POLICIES:
-        raise AutomatonError(f"unknown weight policy {weight_combine!r}")
-    combine = _WEIGHT_POLICIES[weight_combine]
     names = list(names) if names else [f"a{i}" for i in range(len(automata))]
     if len(names) != len(automata):
         raise AutomatonError("need one name per component")
@@ -350,7 +325,7 @@ def product(automata, weight_combine="min", names=None) -> StitAutomaton:
             transitions.append(Transition(
                 state_id(srcs), act,
                 state_id(tuple(t.dst for t in ts)),
-                combine([t.weight for t in ts])))
+                min(t.weight for t in ts)))
     return StitAutomaton(states, initial, actions, final, transitions, labels)
 
 

@@ -545,10 +545,10 @@ class Universality:
     the path quantifiers are reduced to atoms once over the whole system,
     the negation is compiled to one Buchi automaton, and one product
     exploration continues from each state asked about.  A counterexample
-    is built only when asked for."""
+    is built only when asked for.  A path into a dead end is not a run, so
+    the callers rule out reachable dead ends (check_universal, mc)."""
 
     def __init__(self, ts: TransitionSystem, f: fm.Formula):
-        ts.require_total()
         self.formula = f
         reducer = _Reducer(ts)
         self.reduced = reducer.reduce(_expand_bounded(f))
@@ -581,6 +581,7 @@ def check_universal(ts: TransitionSystem, f: fm.Formula):
     Returns (True, None) or (False, counterexample); the counterexample is
     re-validated by direct lasso evaluation before being returned.
     """
+    ts.require_total()
     cx = Universality(ts, f).counterexample(ts.initial)
     return cx is None, cx
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the checks on model and
+automaton files that raise them."""
+
+from fractions import Fraction
 
 
 class DeonticError(Exception):
@@ -39,3 +42,42 @@ class AutomatonError(DeonticError):
 
 class ResourceLimitError(DeonticError):
     """An enumeration exceeded the configured resource cap."""
+
+
+# JSON type -> its name in messages; (int, NoneType) is "an integer or null"
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
+               int: "an integer", (int, type(None)): "an integer or null"}
+
+
+def _require_fields(data, fields, what, error):
+    """Raise error unless data is an object with exactly the keys of
+    fields, each holding a value of the JSON type fields maps it to (None:
+    any value)."""
+    if not isinstance(data, dict):
+        raise error(f"{what}: expected an object")
+    if data.keys() != fields.keys():
+        missing = [f for f in fields if f not in data]
+        if missing:
+            raise error(f"{what}: missing fields {missing}")
+        unknown = [f for f in data if f not in fields]
+        raise error(f"{what}: unknown fields {unknown}")
+    for name, kind in fields.items():
+        if kind is not None and not isinstance(data[name], kind):
+            raise error(f"{what}: {name!r} must be {_JSON_TYPES[kind]}")
+
+
+def _as_rational(v, what, error) -> Fraction:
+    """v as an exact rational: an int, a Fraction (JSON floats load as
+    Fractions), a decimal or fraction string, or a float read through its
+    shortest decimal text; anything else, booleans included, raises
+    error."""
+    if isinstance(v, Fraction):
+        return v
+    if isinstance(v, int) and not isinstance(v, bool):
+        return Fraction(v)
+    if isinstance(v, (str, float)):
+        try:
+            return Fraction(str(v))
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise error(f"bad {what} {v!r}")

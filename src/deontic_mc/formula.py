@@ -10,13 +10,15 @@ Three layers of abstract syntax:
   ``O[a cstit: A / B]``; the agent slot may name a group.
 
 The concrete grammar is documented in docs/grammar.ebnf.  Precedence, from
-tightest to loosest: ``!`` and the unary temporal operators, ``BR[n]``,
-``U``/``R``, ``&``, ``|``, ``->``.  The path quantifiers ``A`` and ``E``
-swallow the longest formula to their right.
+tightest to loosest: ``!`` and the unary temporal operators, then the binary
+operators as the table ``_INFIX`` binds them: ``BR[n]``, ``U``/``R``, ``&``,
+``|``, ``->``.  The path quantifiers ``A`` and ``E`` swallow the longest
+formula to their right.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import GrammarError, ParseError
@@ -266,11 +268,6 @@ def atoms_of(f):
     return {g.name for g in walk(f) if isinstance(g, Atom)}
 
 
-def is_pure_ctls(f):
-    """True iff f is a Formula without stit operators."""
-    return isinstance(f, Formula) and not contains_stit(f)
-
-
 def or_all(parts):
     parts = list(parts)
     if not parts:
@@ -423,6 +420,18 @@ def _tokenize(text):
     return toks
 
 
+# The binary operators, the one binding table of the grammar: text ->
+# (binding power, right-associative, constructor).  Every unary operator
+# binds tighter than all of them.
+_INFIX = {
+    "->": (1, True, Implies),
+    "|": (2, False, Or),
+    "&": (3, False, And),
+    "U": (4, True, Until),
+    "R": (4, True, Release),
+    "BR": (5, True, BoundedRelease),
+}
+
 # "A" and "E" double as path quantifiers and as plain atom names; the parser
 # disambiguates on one token of lookahead.
 _FORMULA_START_SYMS = {"(", "[", "!"}
@@ -514,51 +523,21 @@ class _Parser:
         except GrammarError as exc:
             self.error(str(exc), tok)
 
-    # formula = implied
-    def formula(self):
-        return self._implies()
-
-    def _implies(self):
-        left = self._or()
-        if self.peek().text == "->":
-            self.next()
-            return Implies(left, self._implies())
-        return left
-
-    def _or(self):
-        out = self._and()
-        while self.peek().text == "|":
-            self.next()
-            out = Or(out, self._and())
-        return out
-
-    def _and(self):
-        out = self._until()
-        while self.peek().text == "&":
-            self.next()
-            out = And(out, self._until())
-        return out
-
-    def _until(self):
-        left = self._brelease()
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text in ("U", "R"):
-            self.next()
-            right = self._until()
-            return Until(left, right) if tok.text == "U" else Release(left, right)
-        return left
-
-    def _brelease(self):
+    def formula(self, floor=1):
+        """A formula whose binary operators bind at least as tightly as
+        floor: precedence climbing over _INFIX."""
         left = self._unary()
-        tok = self.peek()
-        if tok.kind == "ident" and tok.text == "BR":
+        while True:
+            op = _INFIX.get(self.peek().text)
+            if op is None or op[0] < floor:
+                return left
+            power, right_assoc, build = op
             self.next()
-            self.expect_sym("[")
-            bound = self.expect_int()
-            self.expect_sym("]")
-            right = self._brelease()
-            return BoundedRelease(bound, left, right)
-        return left
+            if build is BoundedRelease:
+                self.expect_sym("[")
+                build = functools.partial(BoundedRelease, self.expect_int())
+                self.expect_sym("]")
+            left = build(left, self.formula(power if right_assoc else power + 1))
 
     def _unary(self):
         tok = self.peek()
@@ -715,8 +694,9 @@ def obligation_to_formula(ob) -> Formula:
 # Transformations
 # ---------------------------------------------------------------------------
 
-def expand_bounded(f: Formula) -> Formula:
-    """Rewrite X^t, F[n:m] and BR[N] into X / and / or structure.
+def expand_bounded(f):
+    """Rewrite X^t, F[n:m] and BR[N] into X / and / or structure, in a
+    formula or an obligation.
 
     F[n:m] f  =  X^n f | ... | X^m f
     l BR[N] r =  l | (r & X l) | (r & X r & X^2 l) | ...
@@ -740,19 +720,13 @@ def expand_bounded(f: Formula) -> Formula:
         return type(f)(expand_bounded(f.operand))
     if isinstance(f, _BINARY):
         return type(f)(expand_bounded(f.left), expand_bounded(f.right))
-    if isinstance(f, (Cstit, Dstit)):
-        return type(f)(f.agent, expand_bounded_obligation(f.body))
+    if isinstance(f, (Cstit, Dstit, DstitOf)):
+        return type(f)(f.agent, expand_bounded(f.body))
+    if isinstance(f, NegatedObligation):
+        return NegatedObligation(expand_bounded(f.body))
+    if isinstance(f, Plain):
+        return Plain(expand_bounded(f.formula))
     return f
-
-
-def expand_bounded_obligation(ob: Obligation) -> Obligation:
-    if isinstance(ob, Plain):
-        return Plain(expand_bounded(ob.formula))
-    if isinstance(ob, DstitOf):
-        return DstitOf(ob.agent, expand_bounded_obligation(ob.body))
-    if isinstance(ob, NegatedObligation):
-        return NegatedObligation(expand_bounded_obligation(ob.body))
-    raise TypeError(f"not an obligation: {type(ob).__name__}")
 
 
 def nnf(f: Formula, negated: bool = False) -> Formula:

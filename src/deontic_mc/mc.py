@@ -91,35 +91,24 @@ class Verdict:
 
 
 def _obligation_shape(ob: fm.Obligation, agent: str):
-    """Normalize and map an obligation onto the algorithm's three cases."""
-    ob = fm.normalize_obligation(ob)
-    if isinstance(ob, fm.Plain):
-        return CASE_CTLS, ob.formula
-    if isinstance(ob, fm.DstitOf):
-        if ob.agent != agent:
+    """Normalize and map an obligation onto the algorithm's three cases.
+    Normalization folds every negated plain formula into the formula."""
+    match fm.normalize_obligation(ob):
+        case fm.Plain(phi):
+            return CASE_CTLS, phi
+        case (fm.DstitOf(other)
+              | fm.NegatedObligation(fm.DstitOf(other, fm.Plain()))
+              ) if other != agent:
             raise GrammarError(
-                f"dstit agent {ob.agent!r} is not the checked agent {agent!r}",
+                f"dstit agent {other!r} is not the checked agent {agent!r}",
                 production="obligation")
-        if isinstance(ob.body, fm.Plain):
-            return CASE_DSTIT_POSITIVE, ob.body.formula
-        raise GrammarError(
-            "obligation does not normalize to phi, [a dstit: phi] or "
-            "![a dstit: phi]", production="obligation")
-    if isinstance(ob, fm.NegatedObligation):
-        inner = ob.body
-        if isinstance(inner, fm.Plain):
-            return CASE_CTLS, fm.Not(inner.formula)
-        if isinstance(inner, fm.DstitOf) and isinstance(inner.body, fm.Plain):
-            if inner.agent != agent:
-                raise GrammarError(
-                    f"dstit agent {inner.agent!r} is not the checked agent "
-                    f"{agent!r}", production="obligation")
-            return CASE_DSTIT_NEGATED, inner.body.formula
-        raise GrammarError(
-            "obligation does not normalize to phi, [a dstit: phi] or "
-            "![a dstit: phi]", production="obligation")
-    raise GrammarError(f"not an obligation: {type(ob).__name__}",
-                       production="obligation")
+        case fm.DstitOf(_, fm.Plain(phi)):
+            return CASE_DSTIT_POSITIVE, phi
+        case fm.NegatedObligation(fm.DstitOf(_, fm.Plain(phi))):
+            return CASE_DSTIT_NEGATED, phi
+    raise GrammarError(
+        "obligation does not normalize to phi, [a dstit: phi] or "
+        "![a dstit: phi]", production="obligation")
 
 
 def _coerce_obligation(a) -> fm.Obligation:
@@ -192,18 +181,14 @@ class _Pipeline:
         Returns (ok, refuted): refuted when it fails because one of the
         action's executions violates phi, which counterexample() shows."""
         ok_n = self._forall(action, phi)
-        if shape == CASE_CTLS:
-            return ok_n, not ok_n
-        if shape == CASE_DSTIT_POSITIVE:
-            # K guarantees [a dstit: phi] iff phi is not globally forced
-            # and K forces it
-            if self._forall(None, phi):
-                return False, False
-            return ok_n, not ok_n
         if shape == CASE_DSTIT_NEGATED:
             # fails exactly when the dstit is real: avoidable yet K-forced
             return not ok_n or self._forall(None, phi), False
-        raise GrammarError(f"unknown case {shape!r}", production="obligation")
+        if shape == CASE_DSTIT_POSITIVE and self._forall(None, phi):
+            # K guarantees [a dstit: phi] iff phi is not globally forced
+            # and K forces it
+            return False, False
+        return ok_n, not ok_n
 
     def counterexample(self, action: str, phi: fm.Formula) -> Counterexample:
         cx = self._check(phi).counterexample(self.phase.roots[action])

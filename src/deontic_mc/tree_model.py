@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formula as fm
-from .errors import GrammarError, ModelError
+from .errors import GrammarError, ModelError, _as_rational, _require_fields
 from .model_index import ModelIndex, along, spans_dominate
 
 
@@ -92,20 +92,6 @@ class BackgroundStateSet:
     states: tuple[frozenset, ...]
 
 
-def _as_value(v):
-    if isinstance(v, Fraction):
-        return v
-    if isinstance(v, bool):
-        raise ModelError(f"bad utility value {v!r}")
-    if isinstance(v, int):
-        return Fraction(v)
-    if isinstance(v, str):
-        return Fraction(v)
-    if isinstance(v, float):
-        return Fraction(str(v))
-    raise ModelError(f"bad utility value {v!r}")
-
-
 class ExplicitStitModel:
     """Finite utilitarian stit model over explicit moments and histories."""
 
@@ -122,7 +108,8 @@ class ExplicitStitModel:
         for mid, par in parents.items():
             self.moments[mid] = Moment(mid, par, depths[mid])
         self.histories: dict[str, History] = {
-            hid: History(hid, tuple(int(m) for m in ms), _as_value(v))
+            hid: History(hid, tuple(int(m) for m in ms),
+                         _as_rational(v, "utility value", ModelError))
             for hid, ms, v in histories}
         self.choices: dict[tuple[str, int], tuple[frozenset, ...]] = {
             (agent, int(mid)): tuple(frozenset(cell) for cell in cells)
@@ -361,7 +348,7 @@ class ExplicitStitModel:
 
     def satisfies_path(self, mid, hid, f) -> bool:
         """Pure-CTL* entry point; rejects stit operators and oughts."""
-        if not fm.is_pure_ctls(f):
+        if not isinstance(f, fm.Formula) or fm.contains_stit(f):
             raise GrammarError("satisfies_path needs a stit-free formula",
                                production="pure-ctl-star")
         return self.satisfies(mid, hid, f)
@@ -541,13 +528,9 @@ class ExplicitStitModel:
             out.append(Violation("root", None, None,
                                  f"expected a unique root moment 0, found {roots}"))
         for m in self.moments.values():
-            if m.parent is not None:
-                if m.parent not in self.moments:
-                    out.append(Violation("parent", None, m.id,
-                                         f"parent {m.parent} does not exist"))
-                elif self.moments[m.parent].depth != m.depth - 1:
-                    out.append(Violation("parent", None, m.id,
-                                         "parent depth is not depth - 1"))
+            if m.parent is not None and m.parent not in self.moments:
+                out.append(Violation("parent", None, m.id,
+                                     f"parent {m.parent} does not exist"))
         leaves = {m for m in self.moments if self.is_leaf(m)}
         covered = set()
         linked = set()  # histories whose every step goes to a child
@@ -632,9 +615,10 @@ class ExplicitStitModel:
                 for h in cell:
                     cell_of[h] = i
             # only histories that reach a common moment after mid can break
-            # the axiom, so pairs are drawn from those groups alone; when
-            # every step is to a child, two histories share a later moment
-            # iff they share the next one
+            # the axiom, so pairs are drawn from those groups alone, and each
+            # pair drawn across two cells breaks it; when every step is to a
+            # child, two histories share a later moment iff they share the
+            # next one
             next_only = linked.issuperset(cell_of)
             reach: dict[int, set] = {}
             for h in cell_of:
@@ -650,39 +634,27 @@ class ExplicitStitModel:
                         (h1, h2)
                         for h1, h2 in itertools.combinations(sorted(group), 2)
                         if cell_of[h1] != cell_of[h2])
-            for h1, h2 in sorted(pairs):
-                if self._share_later_moment(mid, h1, h2):
-                    out.append(Violation(
-                        "undivided", agent, mid,
-                        f"histories {h1} and {h2} share a later moment but "
-                        f"sit in different actions"))
+            out.extend(Violation(
+                "undivided", agent, mid,
+                f"histories {h1} and {h2} share a later moment but "
+                f"sit in different actions") for h1, h2 in sorted(pairs))
         return out
-
-    def _share_later_moment(self, mid, h1, h2):
-        if h1 not in self.histories or h2 not in self.histories:
-            return False
-        p1, p2 = self._hpos[h1], self._hpos[h2]
-        if mid not in p1 or mid not in p2:
-            return False
-        after1 = set(self.histories[h1].moments[p1[mid] + 1:])
-        after2 = set(self.histories[h2].moments[p2[mid] + 1:])
-        return bool(after1 & after2)
 
     # -- serialization -------------------------------------------------------
 
-    _FIELDS = ("agents", "atoms", "moments", "histories", "choices", "labels")
+    _FIELDS = dict.fromkeys(
+        ("agents", "atoms", "moments", "histories", "choices", "labels"), list)
 
     @classmethod
     def from_json(cls, data: dict) -> "ExplicitStitModel":
-        _require_fields(data, cls._FIELDS, "model")
-        moments = [( _field(e, "id", "moments"), _field(e, "parent", "moments"))
-                   for e in _entries(data, "moments", ("id", "parent"))]
-        histories = [(_field(e, "id", "histories"),
-                      _field(e, "moments", "histories"),
-                      _field(e, "value", "histories"))
-                     for e in _entries(data, "histories", ("id", "moments", "value"))]
+        _require_fields(data, cls._FIELDS, "model", ModelError)
+        moments = [(e["id"], e["parent"]) for e in _entries(
+            data, "moments", {"id": int, "parent": (int, type(None))})]
+        histories = [(e["id"], e["moments"], e["value"]) for e in _entries(
+            data, "histories", {"id": None, "moments": list, "value": None})]
         choices = {}
-        for e in _entries(data, "choices", ("agent", "moment", "actions")):
+        for e in _entries(data, "choices",
+                          {"agent": None, "moment": int, "actions": list}):
             key = (e["agent"], int(e["moment"]))
             if key in choices:
                 raise ModelError(f"duplicate choices entry for {key}")
@@ -690,7 +662,8 @@ class ExplicitStitModel:
         history_ids = [hid for hid, _, _ in histories]
         moment_of_history = {hid: set(ms) for hid, ms, _ in histories}
         labels = {}
-        for e in _entries(data, "labels", ("moment", "history", "atoms")):
+        for e in _entries(data, "labels",
+                          {"moment": int, "history": None, "atoms": list}):
             mid = int(e["moment"])
             hsel = e["history"]
             targets = ([h for h in history_ids if mid in moment_of_history[h]]
@@ -735,27 +708,10 @@ _EVALUATORS = {kind: method for kinds, method in (
 ) for kind in kinds}
 
 
-def _require_fields(data, fields, what):
-    if not isinstance(data, dict):
-        raise ModelError(f"{what}: expected an object")
-    missing = [f for f in fields if f not in data]
-    unknown = [f for f in data if f not in fields]
-    if missing:
-        raise ModelError(f"{what}: missing fields {missing}")
-    if unknown:
-        raise ModelError(f"{what}: unknown fields {unknown}")
-
-
 def _entries(data, name, fields):
     for e in data[name]:
-        _require_fields(e, fields, name)
+        _require_fields(e, fields, name, ModelError)
         yield e
-
-
-def _field(e, key, what):
-    if key not in e:
-        raise ModelError(f"{what}: missing field {key!r}")
-    return e[key]
 
 
 def load_model(path) -> ExplicitStitModel:

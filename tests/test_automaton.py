@@ -104,11 +104,10 @@ class TestProduct:
         p = product([a, b], names=["left", "right"])
         assert p.label(p.initial) == {"left.p", "right.p"}
 
-    def test_weight_policies(self):
+    def test_joint_weight_is_the_least(self):
         a = StitAutomaton(["s0"], "s0", ["x"], [], [("s0", "x", "s0", 2)], {})
         b = StitAutomaton(["t0"], "t0", ["u"], [], [("t0", "u", "t0", 5)], {})
-        assert product([a, b], "min").transitions[0].weight == 2
-        assert product([a, b], "sum").transitions[0].weight == 7
+        assert product([a, b]).transitions[0].weight == 2
 
 
 # ======================== Unrolling ========================

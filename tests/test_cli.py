@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from deontic_mc import formula as fm
 from deontic_mc import rss
 from deontic_mc.automaton import save_automaton
 from deontic_mc.cli import main
@@ -62,6 +63,34 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2
 
+    @pytest.mark.parametrize("kind,path,value", [
+        ("model", ("histories", 0, "value"), "abc"),
+        ("model", ("moments", 1, "id"), "x"),
+        ("model", ("histories",), 3),
+        ("model", ("choices", 0, "moment"), "root"),
+        ("model", ("choices", 0, "actions"), 7),
+        ("model", ("labels", 0, "atoms"), 7),
+        ("automaton", ("states",), 3),
+        ("automaton", ("labels", "q1"), 1),
+        ("automaton", ("transitions",), 4),
+        ("automaton", ("init",), ["q0"]),
+    ], ids=["value-abc", "moment-id-x", "histories-number",
+            "choice-moment-string", "actions-number", "atoms-number",
+            "states-number", "label-number", "transitions-number",
+            "init-list"])
+    def test_malformed_field_exits_two(self, capsys, tmp_path, kind, path,
+                                       value):
+        data = (rss.fig1_model() if kind == "model" else make_t0()).to_json()
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        file = tmp_path / "bad.json"
+        file.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", str(file))
+        assert code == 2 and err.startswith("error: ")
+        assert "internal error" not in err and "valid" not in out
+
     def test_unsupported_accumulation_exits_two(self, capsys, tmp_path):
         data = make_t0().to_json()
         data["accumulation"] = "sum"
@@ -95,6 +124,16 @@ class TestCheck:
         code, _, err = run(capsys, "check", fig1_file, "--at", "42",
                            "--formula", "O[alpha cstit: A]")
         assert code == 2
+
+    @pytest.mark.parametrize("deep", [
+        "(" * 400 + "A" + ")" * 400,
+        fm.render(fm.and_all(fm.Atom("A") for _ in range(400))),
+    ], ids=["parens-400", "conjuncts-400"])
+    def test_deep_nesting_is_checked(self, capsys, fig1_file, deep):
+        code, out, err = run(capsys, "check", fig1_file, "--at", "0",
+                             "--formula", deep)
+        assert code == 1 and err == ""
+        assert out.startswith(f"{fm.render(fm.parse(deep))} at moment 0: FAILS")
 
     def test_parse_error_exits_two(self, capsys, fig1_file):
         code, _, err = run(capsys, "check", fig1_file, "--at", "0",
@@ -152,6 +191,22 @@ class TestMc:
         code, _, err = run(capsys, "mc", t0_file, "--agent", "alpha",
                            "--ought", ought)
         assert code == 2 and message in err
+
+    def test_unreachable_dead_end_gets_a_verdict(self, capsys, tmp_path):
+        """validate accepts a dead end no execution reaches, and mc decides
+        the ought as if the state were not there."""
+        reports = []
+        for extra in ([], ["qd"]):
+            data = make_t0().to_json()
+            data["states"] += extra
+            path = tmp_path / f"t0-{len(extra)}.json"
+            path.write_text(json.dumps(data))
+            code, out, _ = run(capsys, "--format", "machine", "mc", str(path),
+                               "--agent", "alpha",
+                               "--ought", "O[alpha cstit: G p]")
+            assert code == 0
+            reports.append(json.loads(out)["result"])
+        assert reports[0] == reports[1]
 
     def test_base_exceptions_pass_through(self, capsys, t0_file, monkeypatch):
         """Only Exception is mapped to exit 2; an interrupt or an alarm

@@ -392,6 +392,8 @@ class TestCheckUniversal:
         ts = TransitionSystem(["a", "b"], "a", [("a", "b")], {})
         with pytest.raises(ModelError, match="dead ends"):
             check_universal(ts, fm.TRUE)
+        with pytest.raises(ModelError, match="dead ends"):
+            check_ctls(ts, fm.parse_formula("A G p"))
 
 
 # ======================== check_ctls ========================

@@ -9,6 +9,7 @@ from deontic_mc.errors import GrammarError, ParseError
 from deontic_mc.generate import random_model, random_path_formula
 
 import oracle
+import reference_parser
 
 
 # ======================== Parsing ========================
@@ -84,6 +85,82 @@ class TestParse:
             fm.parse("F[2:1] p")
 
 
+# ======================== Parser against its reference ========================
+
+_SOUP = ["(", ")", "[", "]", "!", "&", "|", "->", "U", "R", "BR", "BR[2]",
+         "X", "X^2", "X^", "F", "F[1:2]", "F[2:1]", "G", "A", "E", "p", "q",
+         "true", "false", "O", "O[", "alpha", "beta", "cstit", "dstit", ":",
+         "/", ",", "1", "^", "$", "[alpha dstit:", "O[alpha cstit:", "-"]
+
+
+def _token_soup(rng):
+    sep = rng.choice([" ", ""])
+    return sep.join(rng.choice(_SOUP) for _ in range(rng.randint(1, 14)))
+
+
+def _shaped(rng, depth=0):
+    """Grammar-shaped text with parentheses only where drawn, so operators
+    of every binding power meet unparenthesized."""
+    roll = rng.random()
+    if depth > 4 or roll < 0.25:
+        return rng.choice(["p", "q", "true", "false", "A", "E", "g_alpha"])
+    if roll < 0.45:
+        return rng.choice(["!", "X ", "X^2 ", "F ", "F[0:2] ", "G ", "A ",
+                           "E "]) + _shaped(rng, depth + 1)
+    if roll < 0.8:
+        return (_shaped(rng, depth + 1)
+                + rng.choice([" & ", " | ", " -> ", " U ", " R ", " BR[1] "])
+                + _shaped(rng, depth + 1))
+    if roll < 0.88:
+        return f"({_shaped(rng, depth + 1)})"
+    kind = rng.choice(["dstit", "cstit"])
+    agent = rng.choice(["alpha", "beta"])
+    return f"[{agent} {kind}: {_shaped(rng, depth + 1)}]"
+
+
+def _shaped_statement(rng):
+    if rng.random() < 0.3:
+        cond = f" / {_shaped(rng, 1)}" if rng.random() < 0.4 else ""
+        return f"O[alpha cstit: {_shaped(rng, 1)}{cond}]"
+    text = _shaped(rng)
+    if rng.random() < 0.1:  # a stray or missing token
+        k = rng.randrange(len(text) + 1)
+        text = text[:k] + rng.choice(["", ")", "(", " &", "]"]) + text[k:]
+    return text
+
+
+def _outcome(parse, text):
+    """The rendered parse with its kind, or the error's type and text."""
+    try:
+        node = parse(text)
+    except Exception as exc:  # every error must match, whatever its type
+        return type(exc).__name__, str(exc)
+    return type(node).__name__, fm.render(node)
+
+
+class TestParserReference:
+    @pytest.mark.parametrize("draw", [_token_soup, _shaped_statement],
+                             ids=["token-soup", "grammar-shaped"])
+    def test_same_outcome_as_recursive_descent(self, draw):
+        rng = random.Random(17)
+        kinds = set()
+        for _ in range(3000):
+            text = draw(rng)
+            got = _outcome(fm.parse, text)
+            assert got == _outcome(reference_parser.parse, text), text
+            kinds.add(got[0])
+        # errors and several kinds of parse result are exercised
+        assert "ParseError" in kinds and len(kinds) >= 4
+
+    def test_400_nested_parentheses(self):
+        assert fm.parse("(" * 400 + "p" + ")" * 400) == fm.Atom("p")
+
+    def test_printed_400_conjuncts_read_back(self):
+        text = fm.render(fm.and_all(fm.Atom(f"p{i}") for i in range(400)))
+        # compared as text: dataclass == recurses past the limit here
+        assert fm.render(fm.parse(text)) == text
+
+
 # ======================== Rendering ========================
 
 class TestRender:
@@ -150,12 +227,15 @@ class TestExpandBounded:
                     oracle.scan_eval(expanded, *word)
 
     def test_no_bounded_nodes_remain(self):
+        """Not in a formula, nor in a stit's or an obligation's body."""
         rng = random.Random(3)
         for _ in range(100):
             f = random_path_formula(rng, 4, ["p", "q"])
-            for node in fm.walk(fm.expand_bounded(f)):
-                assert not isinstance(node, (fm.NextPow, fm.EventuallyBounded,
-                                             fm.BoundedRelease))
+            ob = fm.NegatedObligation(fm.DstitOf("a", fm.Plain(f)))
+            for g in (f, ob, fm.Cstit("a", ob)):
+                for node in fm.walk(fm.expand_bounded(g)):
+                    assert not isinstance(node, (
+                        fm.NextPow, fm.EventuallyBounded, fm.BoundedRelease))
 
     def test_expansion_preserves_tree_semantics(self):
         """Expanded and unexpanded formulas agree at every m/h of random

@@ -183,6 +183,43 @@ class TestCheckOught:
         with pytest.raises(AutomatonError):
             check_ought(aut, "alpha", fm.parse_obligation("G p"))
 
+    def test_unreachable_dead_end_gets_a_verdict(self, t0):
+        """A state that no execution reaches may be a dead end (validate
+        accepts it); every verdict equals the one without that state."""
+        data = t0.to_json()
+        data["states"] += ["qu", "qd"]
+        data["transitions"].append(
+            {"from": "qu", "action": "stay", "to": "qd", "weight": "9"})
+        data["labels"]["qd"] = ["p"]
+        with_dead_end = StitAutomaton.from_json(data)
+        assert with_dead_end.validate() == []
+        for text in ("G p", "F p", "A G p", "E F p", "[alpha dstit: G p]",
+                     "![alpha dstit: F p]"):
+            ob = fm.parse_obligation(text)
+            assert check_ought(with_dead_end, "alpha", ob).to_json() == \
+                check_ought(t0, "alpha", ob).to_json(), text
+
+    @pytest.mark.parametrize("obligation,message", [
+        ("[beta dstit: p]", "dstit agent 'beta' is not the checked agent "
+         "'alpha' [production: obligation]"),
+        ("![beta dstit: p]", "dstit agent 'beta' is not the checked agent "
+         "'alpha' [production: obligation]"),
+        # agent and shape both wrong: the agent error wins when positive
+        ("[beta dstit: ![alpha dstit: p]]", "dstit agent 'beta' is not the "
+         "checked agent 'alpha' [production: obligation]"),
+        ("[alpha dstit: ![alpha dstit: p]]", "obligation does not normalize "
+         "to phi, [a dstit: phi] or ![a dstit: phi] [production: obligation]"),
+        ("![alpha dstit: [beta dstit: p]]", "obligation does not normalize "
+         "to phi, [a dstit: phi] or ![a dstit: phi] [production: obligation]"),
+        # and the shape error wins when negated
+        ("![beta dstit: [alpha dstit: p]]", "obligation does not normalize "
+         "to phi, [a dstit: phi] or ![a dstit: phi] [production: obligation]"),
+    ])
+    def test_obligation_shape_errors(self, t0, obligation, message):
+        with pytest.raises(GrammarError) as err:
+            check_ought(t0, "alpha", fm.parse_obligation(obligation))
+        assert str(err.value) == message
+
     def test_unsupported_obligation_shape(self, t0):
         refraining = fm.DstitOf("alpha", fm.NegatedObligation(
             fm.DstitOf("alpha", fm.Plain(fm.Atom("p")))))
