@@ -28,8 +28,6 @@ from dataclasses import dataclass
 from . import formula as fm
 from .errors import GrammarError, ModelError, ResourceLimitError
 
-_MAX_ELEMENTARY = 16
-
 
 class TransitionSystem:
     """Unlabeled-edge Kripke structure with a single initial state."""
@@ -108,19 +106,6 @@ class BuchiAutomaton:
 _TEMPORAL = (fm.Next, fm.Until, fm.Release)
 
 
-def _check_buchi_input(f):
-    for g in fm.walk(f):
-        if isinstance(g, (fm.ForallPaths, fm.ExistsPaths)):
-            raise GrammarError("path quantifier in LTL-to-Buchi input",
-                               production="ltl")
-        if isinstance(g, (fm.Cstit, fm.Dstit)):
-            raise GrammarError("stit operator in LTL-to-Buchi input",
-                               production="ltl")
-        if isinstance(g, (fm.NextPow, fm.EventuallyBounded, fm.BoundedRelease)):
-            raise GrammarError("bounded operator must be expanded first",
-                               production="ltl")
-
-
 def ltl_to_buchi(f: fm.Formula) -> BuchiAutomaton:
     """Tableau construction on the negation normal form: states are full
     valuations of the elementary formulas (the atoms plus one next-step
@@ -135,15 +120,15 @@ def ltl_to_buchi(f: fm.Formula) -> BuchiAutomaton:
     are numbered by size, then lexicographically (``itertools.combinations``
     order over the elementary formulas)."""
     f = fm.nnf(fm.expand_bounded(f))
-    _check_buchi_input(f)
-    atoms = sorted(fm.atoms_of(f))
-    temporals = [g for g in _dedup(fm.walk(f)) if isinstance(g, _TEMPORAL)]
+    nodes = list(dict.fromkeys(fm.walk(f)))  # distinct, in preorder
+    atoms = sorted({g.name for g in nodes if isinstance(g, fm.Atom)})
+    temporals = [g for g in nodes if isinstance(g, _TEMPORAL)]
     elementary = [fm.Atom(a) for a in atoms] + temporals
     n = len(elementary)
-    if n > _MAX_ELEMENTARY:
+    if n > fm.MAX_UNFOLD:
         raise ResourceLimitError(
             f"formula needs {n} elementary bits; "
-            f"the tableau is capped at {_MAX_ELEMENTARY}")
+            f"the tableau is capped at {fm.MAX_UNFOLD}")
 
     size = 1 << n
     every = (1 << size) - 1  # the column true under every valuation
@@ -185,10 +170,6 @@ def ltl_to_buchi(f: fm.Formula) -> BuchiAutomaton:
                           accepting, state_atoms)
 
 
-def _dedup(items):
-    return list(dict.fromkeys(items))
-
-
 def _members(col):
     """Set bit positions of a column, ascending."""
     return [m for m, ch in enumerate(bin(col)[:1:-1]) if ch == "1"]
@@ -217,11 +198,8 @@ def _truth_columns(roots, column, every):
             out = of(g.left) | of(g.right)
         elif isinstance(g, fm.Until):
             out = of(g.right) | (of(g.left) & column[g])
-        elif isinstance(g, fm.Release):
+        else:  # Release: nnf leaves no other node
             out = of(g.right) & (of(g.left) | column[g])
-        else:
-            raise GrammarError(f"cannot compile {type(g).__name__} to Buchi",
-                               production="ltl")
         truth[g] = out
         return out
 
@@ -403,7 +381,6 @@ def buchi_accepts(buchi: BuchiAutomaton, stem_labels, loop_labels) -> bool:
 def eval_on_lasso(f: fm.Formula, stem_labels, loop_labels) -> bool:
     """Truth of a pure path formula on the word stem . loop^omega."""
     f = fm.expand_bounded(f)
-    _check_buchi_input(f)
     stem_labels = [frozenset(x) for x in stem_labels]
     loop_labels = [frozenset(x) for x in loop_labels]
     if not loop_labels:
@@ -470,27 +447,6 @@ def eval_on_lasso(f: fm.Formula, stem_labels, loop_labels) -> bool:
 # State-subformula reduction and the public checks
 # ---------------------------------------------------------------------------
 
-def _expand_bounded(f):
-    """fm.expand_bounded(f), refused first if one bounded operator alone
-    unfolds past the tableau's cap: X^n, F[lo:n] and BR[n] each unfold into
-    at least n next-step obligations, so ltl_to_buchi would refuse them,
-    and the unfolding is as deep as n."""
-    for g in fm.walk(f):
-        if isinstance(g, fm.NextPow):
-            op, n = f"X^{g.steps}", g.steps
-        elif isinstance(g, fm.EventuallyBounded):
-            op, n = f"F[{g.lo}:{g.hi}]", g.hi
-        elif isinstance(g, fm.BoundedRelease):
-            op, n = f"BR[{g.bound}]", g.bound
-        else:
-            continue
-        if n > _MAX_ELEMENTARY:
-            raise ResourceLimitError(
-                f"{op} unfolds into {n} next-step obligations; the tableau "
-                f"is capped at {_MAX_ELEMENTARY} elementary bits")
-    return fm.expand_bounded(f)
-
-
 class _Reducer:
     """Replaces path-quantified subformulas by fresh atoms, innermost first.
 
@@ -551,7 +507,7 @@ class Universality:
     def __init__(self, ts: TransitionSystem, f: fm.Formula):
         self.formula = f
         reducer = _Reducer(ts)
-        self.reduced = reducer.reduce(_expand_bounded(f))
+        self.reduced = reducer.reduce(fm.expand_bounded(f))
         self.labels = reducer.labels
         self.product = _Product(ts, self.labels,
                                 ltl_to_buchi(fm.Not(self.reduced)))
@@ -590,30 +546,13 @@ def check_ctls(ts: TransitionSystem, f: fm.Formula) -> set:
     """States satisfying a CTL* state formula, by recursive labeling."""
     ts.require_total()
     reducer = _Reducer(ts)
-    reduced = reducer.reduce(_expand_bounded(f))
+    reduced = reducer.reduce(fm.expand_bounded(f))
     for g in fm.walk(reduced):
         if isinstance(g, (fm.Next, fm.Until, fm.Release, fm.Eventually,
                           fm.Always)):
             raise GrammarError(
                 "not a state formula: a temporal operator escapes every "
                 "path quantifier", production="state-formula")
-    return {q for q in ts.states if _eval_prop(reduced, reducer.labels[q])}
+    return {q for q in ts.states
+            if eval_on_lasso(reduced, [], [reducer.labels[q]])}
 
-
-def _eval_prop(f, label):
-    if isinstance(f, fm.Atom):
-        return f.name in label
-    if isinstance(f, fm.TrueFormula):
-        return True
-    if isinstance(f, fm.FalseFormula):
-        return False
-    if isinstance(f, fm.Not):
-        return not _eval_prop(f.operand, label)
-    if isinstance(f, fm.And):
-        return _eval_prop(f.left, label) and _eval_prop(f.right, label)
-    if isinstance(f, fm.Or):
-        return _eval_prop(f.left, label) or _eval_prop(f.right, label)
-    if isinstance(f, fm.Implies):
-        return not _eval_prop(f.left, label) or _eval_prop(f.right, label)
-    raise GrammarError(f"not propositional: {type(f).__name__}",
-                       production="state-formula")

@@ -21,8 +21,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .errors import GrammarError, ParseError
+from .errors import GrammarError, ParseError, ResourceLimitError
 
+# X^n, F[lo:n] and BR[n] unfold into n or more next-step obligations, each
+# one elementary bit of ctlstar's tableau: one cap bounds both.
+MAX_UNFOLD = 16
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
@@ -694,32 +697,46 @@ def obligation_to_formula(ob) -> Formula:
 # Transformations
 # ---------------------------------------------------------------------------
 
-def expand_bounded(f):
+def expand_bounded(f, nexts=0):
     """Rewrite X^t, F[n:m] and BR[N] into X / and / or structure, in a
     formula or an obligation.
 
     F[n:m] f  =  X^n f | ... | X^m f
     l BR[N] r =  l | (r & X l) | (r & X r & X^2 l) | ...
                    | (r & ... & X^(N-1) r & X^N l) | (r & X r & ... & X^N r)
+
+    Each unfolds into a chain of t, m or N next-step obligations, nested in
+    the chains of the bounded operators around it up to the nearest path
+    quantifier or stit (nexts of them); past MAX_UNFOLD in all the tableau
+    would refuse them, so the operator is refused before it is unfolded.
     """
     if isinstance(f, NextPow):
-        return next_pow(f.steps, expand_bounded(f.operand))
+        if nexts + f.steps > MAX_UNFOLD:
+            _refuse_unfolding(f"X^{f.steps}", f.steps, nexts)
+        return next_pow(f.steps, expand_bounded(f.operand, nexts + f.steps))
     if isinstance(f, EventuallyBounded):
-        inner = expand_bounded(f.operand)
+        if nexts + f.hi > MAX_UNFOLD:
+            _refuse_unfolding(f"F[{f.lo}:{f.hi}]", f.hi, nexts)
+        inner = expand_bounded(f.operand, nexts + f.hi)
         return or_all(next_pow(t, inner) for t in range(f.lo, f.hi + 1))
     if isinstance(f, BoundedRelease):
-        left = expand_bounded(f.left)
-        right = expand_bounded(f.right)
+        if nexts + f.bound > MAX_UNFOLD:
+            _refuse_unfolding(f"BR[{f.bound}]", f.bound, nexts)
+        left = expand_bounded(f.left, nexts + f.bound)
+        right = expand_bounded(f.right, nexts + f.bound)
         disjuncts = [left]
         for k in range(1, f.bound + 1):
             parts = [next_pow(j, right) for j in range(k)] + [next_pow(k, left)]
             disjuncts.append(and_all(parts))
         disjuncts.append(and_all(next_pow(j, right) for j in range(f.bound + 1)))
         return or_all(disjuncts)
-    if isinstance(f, _UNARY):
+    if isinstance(f, (ForallPaths, ExistsPaths)):
         return type(f)(expand_bounded(f.operand))
+    if isinstance(f, _UNARY):
+        return type(f)(expand_bounded(f.operand, nexts))
     if isinstance(f, _BINARY):
-        return type(f)(expand_bounded(f.left), expand_bounded(f.right))
+        return type(f)(expand_bounded(f.left, nexts),
+                       expand_bounded(f.right, nexts))
     if isinstance(f, (Cstit, Dstit, DstitOf)):
         return type(f)(f.agent, expand_bounded(f.body))
     if isinstance(f, NegatedObligation):
@@ -727,6 +744,13 @@ def expand_bounded(f):
     if isinstance(f, Plain):
         return Plain(expand_bounded(f.formula))
     return f
+
+
+def _refuse_unfolding(op, n, nexts):
+    inside = f" inside {nexts} more" if nexts else ""
+    raise ResourceLimitError(
+        f"{op} unfolds into {n} next-step obligations{inside}; the tableau "
+        f"is capped at {MAX_UNFOLD} elementary bits")
 
 
 def nnf(f: Formula, negated: bool = False) -> Formula:
