@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import AutomatonError, _as_rational, _require_fields
+from .errors import AutomatonError, _as_rational, _is_kind, _require_fields
 from .tree_model import ExplicitStitModel
 
 
@@ -179,9 +179,10 @@ class StitAutomaton:
 
     # -- serialization -------------------------------------------------------
 
-    _FIELDS = {"states": list, "init": str, "final": list, "actions": list,
+    _FIELDS = {"states": [str], "init": str, "final": [str], "actions": [str],
                "transitions": list, "labels": dict, "accumulation": None}
-    _TRANSITION_FIELDS = dict.fromkeys(("from", "action", "to", "weight"))
+    _TRANSITION_FIELDS = {"from": str, "action": str, "to": str,
+                          "weight": None}
 
     @classmethod
     def from_json(cls, data: dict) -> "StitAutomaton":
@@ -199,7 +200,7 @@ class StitAutomaton:
             except TypeError:  # unhashable, so not a weight
                 w = _as_weight(raw)
             transitions.append(Transition(e["from"], e["action"], e["to"], w))
-        if not all(isinstance(v, list) for v in data["labels"].values()):
+        if not all(_is_kind(v, [str]) for v in data["labels"].values()):
             raise AutomatonError("labels: expected a list of atoms per state")
         if data["accumulation"] != "min":
             raise AutomatonError(
@@ -228,9 +229,10 @@ def _violations(aut) -> tuple[AutomatonViolation, ...]:
     if aut.initial not in states:
         out.append(AutomatonViolation("initial", aut.initial,
                                       "initial state not in state set"))
-    for q in aut.final - states:
+    # sorted, so that the list does not change with the hash seed
+    for q in sorted(aut.final - states, key=str):
         out.append(AutomatonViolation("final", q, "final state unknown"))
-    for q in set(aut.labels) - states:
+    for q in sorted(set(aut.labels) - states, key=str):
         out.append(AutomatonViolation("labels", q, "labeled state unknown"))
     by_pair: dict[tuple[str, str], set[str]] = {}
     seen_triples = set()

@@ -44,15 +44,32 @@ class ResourceLimitError(DeonticError):
     """An enumeration exceeded the configured resource cap."""
 
 
-# JSON type -> its name in messages; (int, NoneType) is "an integer or null"
-_JSON_TYPES = {dict: "an object", list: "a list", str: "a string",
-               int: "an integer", (int, type(None)): "an integer or null"}
+# JSON type -> its names in messages, one and several
+_JSON_TYPES = {dict: ("an object", "objects"), list: ("a list", "lists"),
+               str: ("a string", "strings"), int: ("an integer", "integers"),
+               (int, type(None)): ("an integer or null", "integers or nulls")}
+
+
+def _is_kind(value, kind):
+    """Is value of the JSON type kind: a key of _JSON_TYPES, or [k] for a
+    list of values of type k?  A boolean is no integer."""
+    if isinstance(kind, list):
+        return isinstance(value, list) and all(_is_kind(v, kind[0])
+                                               for v in value)
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _kind_name(kind, several=False):
+    if isinstance(kind, list):
+        head = "lists of " if several else "a list of "
+        return head + _kind_name(kind[0], True)
+    return _JSON_TYPES[kind][several]
 
 
 def _require_fields(data, fields, what, error):
     """Raise error unless data is an object with exactly the keys of
-    fields, each holding a value of the JSON type fields maps it to (None:
-    any value)."""
+    fields, each holding a value of the JSON type fields maps it to (see
+    _is_kind; None: any value)."""
     if not isinstance(data, dict):
         raise error(f"{what}: expected an object")
     if data.keys() != fields.keys():
@@ -62,8 +79,8 @@ def _require_fields(data, fields, what, error):
         unknown = [f for f in data if f not in fields]
         raise error(f"{what}: unknown fields {unknown}")
     for name, kind in fields.items():
-        if kind is not None and not isinstance(data[name], kind):
-            raise error(f"{what}: {name!r} must be {_JSON_TYPES[kind]}")
+        if kind is not None and not _is_kind(data[name], kind):
+            raise error(f"{what}: {name!r} must be {_kind_name(kind)}")
 
 
 def _as_rational(v, what, error) -> Fraction:

@@ -26,6 +26,10 @@ from .errors import GrammarError, ParseError, ResourceLimitError
 # X^n, F[lo:n] and BR[n] unfold into n or more next-step obligations, each
 # one elementary bit of ctlstar's tableau: one cap bounds both.
 MAX_UNFOLD = 16
+# A statement nests at most this many operators, brackets and parentheses
+# deep, so that every recursive pass over it stays inside Python's default
+# recursion limit.
+MAX_DEPTH = 400
 
 # ---------------------------------------------------------------------------
 # Abstract syntax
@@ -256,10 +260,12 @@ def children(f):
 
 
 def walk(f):
-    """All nodes of f, preorder."""
-    yield f
-    for c in children(f):
-        yield from walk(c)
+    """All nodes of f, preorder; iterative, so any depth is walked."""
+    todo = [f]
+    while todo:
+        g = todo.pop()
+        yield g
+        todo.extend(reversed(children(g)))
 
 
 def contains_stit(f):
@@ -402,9 +408,9 @@ def _tokenize(text):
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(_Token("int", text[i:j], line, col))
             col += j - i
@@ -485,8 +491,7 @@ class _Parser:
         if self._at_ought():
             node = self.ought()
         else:
-            f = self.formula()
-            node = _classify(f)
+            node = _classify(self.formula()[0])
         tok = self.peek()
         if tok.kind != "eof":
             self.error(f"unexpected trailing input {tok.text!r}", tok)
@@ -520,62 +525,95 @@ class _Parser:
 
     def obligation(self):
         tok = self.peek()
-        f = self.formula()
+        return self._as_obligation(self.formula()[0], tok)
+
+    def _as_obligation(self, f, tok):
+        """f coerced into the obligation grammar; a violation is reported
+        at tok, where f starts."""
         try:
             return formula_to_obligation(f)
         except GrammarError as exc:
             self.error(str(exc), tok)
 
-    def formula(self, floor=1):
+    # MAX_DEPTH bounds two nestings.  `level` counts the constructs and
+    # parentheses open around the token being parsed, and is refused past
+    # the limit before the parser recurses further; each level costs at
+    # most two parser frames.  Each formula parse also returns its node's
+    # depth, the operators and brackets on its longest path to an atom,
+    # refused past the limit as soon as the construct is built.
+
+    def _deepen(self, depth, tok):
+        """The depth of the construct at tok over a part depth deep."""
+        if depth >= MAX_DEPTH:
+            self._too_deep(tok)
+        return depth + 1
+
+    def _too_deep(self, tok):
+        self.error(f"formula nested deeper than {MAX_DEPTH} levels", tok)
+
+    def formula(self, floor=1, level=0):
         """A formula whose binary operators bind at least as tightly as
         floor: precedence climbing over _INFIX."""
-        left = self._unary()
+        left, depth = self._unary(level)
         while True:
-            op = _INFIX.get(self.peek().text)
+            tok = self.peek()
+            op = _INFIX.get(tok.text)
             if op is None or op[0] < floor:
-                return left
+                return left, depth
             power, right_assoc, build = op
             self.next()
             if build is BoundedRelease:
                 self.expect_sym("[")
                 build = functools.partial(BoundedRelease, self.expect_int())
                 self.expect_sym("]")
-            left = build(left, self.formula(power if right_assoc else power + 1))
+            right, right_depth = self.formula(
+                power if right_assoc else power + 1, level + 1)
+            left = build(left, right)
+            depth = self._deepen(max(depth, right_depth), tok)
 
-    def _unary(self):
+    def _unary(self, level):
         tok = self.peek()
+        if level > MAX_DEPTH:
+            self._too_deep(tok)
         if tok.text == "!":
             self.next()
-            return Not(self._unary())
+            f, depth = self._unary(level + 1)
+            return Not(f), self._deepen(depth, tok)
         if tok.text == "(":
             self.next()
-            f = self.formula()
+            f, depth = self.formula(1, level + 1)
             self.expect_sym(")")
-            return f
+            return f, depth
         if tok.text == "[":
-            return self._stit_bracket()
+            self.next()
+            agent = self.expect_ident("agent name").text
+            kw = self.expect_ident("'cstit' or 'dstit'")
+            if kw.text not in ("cstit", "dstit"):
+                self.error(f"expected 'cstit' or 'dstit', found {kw.text!r}",
+                           kw)
+            self.expect_sym(":")
+            start = self.peek()
+            f, depth = self.formula(1, level + 1)
+            body = self._as_obligation(f, start)
+            self.expect_sym("]")
+            stit = Cstit if kw.text == "cstit" else Dstit
+            return stit(agent, body), self._deepen(depth, tok)
         if tok.kind == "ident":
-            return self._ident_formula()
+            if tok.text in ("A", "E") and self._starts_formula(1):
+                self.next()
+                f, depth = self.formula(1, level + 1)
+                path = ForallPaths if tok.text == "A" else ExistsPaths
+                return path(f), self._deepen(depth, tok)
+            return self._ident_formula(level)
         self.error(f"expected a formula, found {tok.text or 'end of input'!r}", tok)
 
-    def _stit_bracket(self):
-        self.expect_sym("[")
-        agent = self.expect_ident("agent name").text
-        kw = self.expect_ident("'cstit' or 'dstit'")
-        if kw.text not in ("cstit", "dstit"):
-            self.error(f"expected 'cstit' or 'dstit', found {kw.text!r}", kw)
-        self.expect_sym(":")
-        body = self.obligation()
-        self.expect_sym("]")
-        return (Cstit if kw.text == "cstit" else Dstit)(agent, body)
-
-    def _ident_formula(self):
+    def _ident_formula(self, level):
         tok = self.next()
         name = tok.text
         if name == "true":
-            return TRUE
+            return TRUE, 0
         if name == "false":
-            return FALSE
+            return FALSE, 0
         if name == "O":
             raise GrammarError(
                 "an ought operator cannot appear inside a formula",
@@ -584,8 +622,10 @@ class _Parser:
             if self.peek().text == "^":
                 self.next()
                 steps = self.expect_int()
-                return NextPow(steps, self._unary())
-            return Next(self._unary())
+                f, depth = self._unary(level + 1)
+                return NextPow(steps, f), self._deepen(depth, tok)
+            f, depth = self._unary(level + 1)
+            return Next(f), self._deepen(depth, tok)
         if name == "F":
             if self.peek().text == "[":
                 self.next()
@@ -595,19 +635,19 @@ class _Parser:
                 self.expect_sym("]")
                 if lo > hi:
                     self.error(f"F[{lo}:{hi}] needs lo <= hi", tok)
-                return EventuallyBounded(lo, hi, self._unary())
-            return Eventually(self._unary())
+                f, depth = self._unary(level + 1)
+                return EventuallyBounded(lo, hi, f), self._deepen(depth, tok)
+            f, depth = self._unary(level + 1)
+            return Eventually(f), self._deepen(depth, tok)
         if name == "G":
-            return Always(self._unary())
-        if name in ("A", "E") and self._starts_formula():
-            inner = self.formula()
-            return ForallPaths(inner) if name == "A" else ExistsPaths(inner)
+            f, depth = self._unary(level + 1)
+            return Always(f), self._deepen(depth, tok)
         if name in ("U", "R", "BR", "cstit", "dstit"):
             self.error(f"{name!r} is an operator, not an atom", tok)
-        return Atom(name)
+        return Atom(name), 0
 
-    def _starts_formula(self):
-        tok = self.peek()
+    def _starts_formula(self, ahead):
+        tok = self.peek(ahead)
         if tok.kind == "ident":
             return tok.text not in ("U", "R", "BR", "cstit", "dstit")
         return tok.kind == "sym" and tok.text in _FORMULA_START_SYMS

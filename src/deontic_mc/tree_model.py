@@ -642,8 +642,8 @@ class ExplicitStitModel:
 
     # -- serialization -------------------------------------------------------
 
-    _FIELDS = dict.fromkeys(
-        ("agents", "atoms", "moments", "histories", "choices", "labels"), list)
+    _FIELDS = {"agents": [str], "atoms": [str], "moments": list,
+               "histories": list, "choices": list, "labels": list}
 
     @classmethod
     def from_json(cls, data: dict) -> "ExplicitStitModel":
@@ -651,10 +651,10 @@ class ExplicitStitModel:
         moments = [(e["id"], e["parent"]) for e in _entries(
             data, "moments", {"id": int, "parent": (int, type(None))})]
         histories = [(e["id"], e["moments"], e["value"]) for e in _entries(
-            data, "histories", {"id": None, "moments": list, "value": None})]
+            data, "histories", {"id": str, "moments": [int], "value": None})]
         choices = {}
         for e in _entries(data, "choices",
-                          {"agent": None, "moment": int, "actions": list}):
+                          {"agent": str, "moment": int, "actions": [[str]]}):
             key = (e["agent"], int(e["moment"]))
             if key in choices:
                 raise ModelError(f"duplicate choices entry for {key}")
@@ -663,7 +663,7 @@ class ExplicitStitModel:
         moment_of_history = {hid: set(ms) for hid, ms, _ in histories}
         labels = {}
         for e in _entries(data, "labels",
-                          {"moment": int, "history": None, "atoms": list}):
+                          {"moment": int, "history": str, "atoms": [str]}):
             mid = int(e["moment"])
             hsel = e["history"]
             targets = ([h for h in history_ids if mid in moment_of_history[h]]

@@ -57,6 +57,38 @@ class TestValidate:
                 "[edge-uniqueness] (state=q2) transitions q2 -> q0 carry distinct "
                 "actions ['a', 'b']"]
 
+    def test_unknown_states_in_sorted_order(self):
+        """[initial], then [final] and [labels] sorted by state, whatever
+        the hash seed orders the sets in."""
+        names = [f"z{i}" for i in (7, 3, 5, 0, 6, 1, 4, 2)]
+        bad = StitAutomaton(["q0"], "qx", ["K"], names + ["q0"],
+                            [("q0", "K", "q0", 1)],
+                            {**{n: {"p"} for n in reversed(names)},
+                             "q0": {"p"}})
+        assert [str(v) for v in bad.validate()] == (
+            ["[initial] (state=qx) initial state not in state set"]
+            + [f"[final] (state=z{i}) final state unknown" for i in range(8)]
+            + [f"[labels] (state=z{i}) labeled state unknown"
+               for i in range(8)])
+
+    def test_transition_violations(self):
+        """Unknown endpoints, undeclared actions and a repeated
+        transition, in transition order, before the shared pairs and the
+        dead ends."""
+        bad = StitAutomaton(
+            ["q0", "q1", "q2", "q3"], "q0", ["K"], [],
+            [("q0", "K", "q1", 1), ("q9", "K", "q0", 1), ("q1", "L", "q2", 1),
+             ("q0", "K", "q1", 2), ("q3", "K", "q8", 1)], {})
+        assert [str(v) for v in bad.validate()] == [
+            "[endpoints] (state=q9) transition Transition(src='q9', "
+            "action='K', dst='q0', weight=Fraction(1, 1)) has unknown endpoint",
+            "[actions] (state=q1) transition action 'L' not declared",
+            "[edge-uniqueness] (state=q0) duplicate transition q0 -K-> q1",
+            "[endpoints] (state=q3) transition Transition(src='q3', "
+            "action='K', dst='q8', weight=Fraction(1, 1)) has unknown endpoint",
+            "[no-dead-end] (state=q2) reachable state has no outgoing "
+            "transition"]
+
     def test_reachable_dead_end(self):
         bad = StitAutomaton(["q0", "q1"], "q0", ["K"], [],
                             [("q0", "K", "q1", 1)], {})

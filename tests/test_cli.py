@@ -33,6 +33,19 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+# Statements over one atom a, nested exactly n levels deep (fm.MAX_DEPTH
+# bounds n), one per construct; "until" alternates U with A, so that each
+# of its tableaux stays small enough for mc to decide.
+NESTED = {
+    "conjuncts": lambda n, a: " & ".join([a] * (n + 1)),
+    "negations": lambda n, a: "!" * n + a,
+    "until": lambda n, a: f"{a} U A " * (n // 2) + (f"{a} U {a}" if n % 2
+                                                     else a),
+    "parens": lambda n, a: "(" * n + a + ")" * n,
+}
+TOO_DEEP = f"formula nested deeper than {fm.MAX_DEPTH} levels"
+
+
 # ======================== validate ========================
 
 class TestValidate:
@@ -74,10 +87,30 @@ class TestValidate:
         ("automaton", ("labels", "q1"), 1),
         ("automaton", ("transitions",), 4),
         ("automaton", ("init",), ["q0"]),
+        ("model", ("histories", 0, "id"), ["h1"]),
+        ("model", ("histories", 5, "id"), 6),
+        ("model", ("histories", 0, "moments", 1), "x"),
+        ("model", ("moments", 1, "id"), True),
+        ("model", ("choices", 0, "agent"), {"name": "alpha"}),
+        ("model", ("choices", 0, "actions", 1), "h5"),
+        ("model", ("choices", 0, "actions", 1, 0), ["h5"]),
+        ("model", ("labels", 0, "history"), ["h1"]),
+        ("model", ("agents", 0), 1),
+        ("automaton", ("states", 1), ["q1"]),
+        ("automaton", ("final",), [{"q": 1}]),
+        ("automaton", ("transitions", 0, "from"), ["q0"]),
+        ("automaton", ("transitions", 0, "to"), {"q": 1}),
+        ("automaton", ("transitions", 0, "action"), 1),
+        ("automaton", ("labels", "q1", 0), ["p"]),
     ], ids=["value-abc", "moment-id-x", "histories-number",
             "choice-moment-string", "actions-number", "atoms-number",
             "states-number", "label-number", "transitions-number",
-            "init-list"])
+            "init-list", "history-id-list", "history-id-number",
+            "history-moment-string", "moment-id-bool", "agent-object",
+            "cell-string", "cell-member-list", "label-history-list",
+            "agent-number", "state-list", "final-object",
+            "transition-from-list", "transition-to-object",
+            "transition-action-number", "label-atom-list"])
     def test_malformed_field_exits_two(self, capsys, tmp_path, kind, path,
                                        value):
         data = (rss.fig1_model() if kind == "model" else make_t0()).to_json()
@@ -135,6 +168,26 @@ class TestCheck:
         assert code == 1 and err == ""
         assert out.startswith(f"{fm.render(fm.parse(deep))} at moment 0: FAILS")
 
+    @pytest.mark.parametrize("kind", sorted(NESTED))
+    def test_nesting_at_the_limit_is_checked(self, capsys, fig1_file, kind):
+        code, _, err = run(capsys, "check", fig1_file, "--at", "0",
+                           "--formula", NESTED[kind](fm.MAX_DEPTH, "A"))
+        assert code in (0, 1) and "error" not in err
+
+    @pytest.mark.parametrize("kind", sorted(NESTED))
+    def test_nesting_past_the_limit_is_a_parse_error(self, capsys, fig1_file,
+                                                     kind):
+        code, _, err = run(capsys, "check", fig1_file, "--at", "0",
+                           "--formula", NESTED[kind](fm.MAX_DEPTH + 1, "A"))
+        assert code == 2 and TOO_DEEP in err and "internal" not in err
+
+    @pytest.mark.parametrize("text", ["X^\u00b2 p", "F[0:\u00b2] p",
+                                      "p BR[\u00b3] q", "X^\u0663 p"])
+    def test_non_ascii_digit_is_a_parse_error(self, capsys, fig1_file, text):
+        code, _, err = run(capsys, "check", fig1_file, "--at", "0",
+                           "--formula", text)
+        assert code == 2 and "unexpected character" in err
+
     def test_parse_error_exits_two(self, capsys, fig1_file):
         code, _, err = run(capsys, "check", fig1_file, "--at", "0",
                            "--formula", "O[alpha cstit: ]")
@@ -181,16 +234,31 @@ class TestMc:
          "X^2000 unfolds into 2000 next-step obligations; the tableau is "
          "capped at 16 elementary bits"),
         ("O[alpha cstit: " + "(" * 3000 + "p" + ")" * 3000 + "]",
-         "internal error"),
+         "1:417: " + TOO_DEEP),
     ], ids=["next-2000", "parens-3000"])
     def test_crash_exits_two_not_one(self, capsys, t0_file, ought, message):
         """A bounded operator past the tableau's cap is refused as a
-        resource limit before it is unfolded, and input that overflows the
-        recursive parser ends as an internal error: both exit 2, never as
-        a check that fails (exit 1)."""
+        resource limit before it is unfolded, and input nested past the
+        parser's limit as a parse error: both exit 2, never as a check
+        that fails (exit 1)."""
         code, _, err = run(capsys, "mc", t0_file, "--agent", "alpha",
                            "--ought", ought)
         assert code == 2 and message in err
+
+    @pytest.mark.parametrize("kind", sorted(NESTED))
+    def test_nesting_at_the_limit_is_checked(self, capsys, t0_file, kind):
+        code, _, err = run(capsys, "mc", t0_file, "--agent", "alpha",
+                           "--ought",
+                           f"O[alpha cstit: {NESTED[kind](fm.MAX_DEPTH, 'p')}]")
+        assert code in (0, 1) and err == ""
+
+    @pytest.mark.parametrize("kind", sorted(NESTED))
+    def test_nesting_past_the_limit_is_a_parse_error(self, capsys, t0_file,
+                                                     kind):
+        code, _, err = run(capsys, "mc", t0_file, "--agent", "alpha",
+                           "--ought",
+                           f"O[alpha cstit: {NESTED[kind](fm.MAX_DEPTH + 1, 'p')}]")
+        assert code == 2 and TOO_DEEP in err and "internal" not in err
 
     def test_unreachable_dead_end_gets_a_verdict(self, capsys, tmp_path):
         """validate accepts a dead end no execution reaches, and mc decides

@@ -306,13 +306,17 @@ class TestCheckUniversal:
             self, t0, text, op):
         """One bounded operator that alone unfolds past the tableau's cap
         is a resource limit, raised before the unfolding (which would
-        overflow the recursive passes), in both checks."""
+        overflow the recursive passes), in every entry point."""
         f = fm.parse_formula(text)
         match = re.escape(op) + " unfolds into .* capped at 16 elementary bits"
         with pytest.raises(ResourceLimitError, match=match):
             Universality(strip_weights(t0), f)
         with pytest.raises(ResourceLimitError, match=match):
             check_ctls(strip_weights(t0), fm.ExistsPaths(f))
+        with pytest.raises(ResourceLimitError, match=match):
+            ltl_to_buchi(f)
+        with pytest.raises(ResourceLimitError, match=match):
+            eval_on_lasso(f, [], [{"p"}])
 
     def test_bound_at_the_cap_reaches_the_tableau(self, t0):
         """X^16 passes the unexpanded test; its 17 elementary bits are then
@@ -447,6 +451,16 @@ class TestCheckCtls:
         with pytest.raises(GrammarError):
             check_ctls(strip_weights(t0),
                        fm.parse_formula("[alpha cstit: p]"))
+
+    def test_propositional_part_has_no_atom_cap(self):
+        """The reduced state formula is evaluated per state, not compiled,
+        so it may name more atoms than the tableau has bits."""
+        ts = TransitionSystem(["s", "t"], "s", [("s", "t"), ("t", "t")],
+                              {"s": {f"p{i}" for i in range(20)}})
+        big = fm.and_all(fm.Atom(f"p{i}") for i in range(20))
+        assert check_ctls(ts, fm.Or(big, fm.ExistsPaths(
+            fm.Next(fm.Atom("p0"))))) == {"s"}
+        assert check_ctls(ts, fm.Not(big)) == {"t"}
 
     def test_bare_temporal_rejected_as_state_formula(self, t0):
         with pytest.raises(GrammarError, match="state formula"):

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from deontic_mc import formula as fm
-from deontic_mc.errors import GrammarError, ParseError
+from deontic_mc.errors import GrammarError, ParseError, ResourceLimitError
 from deontic_mc.generate import random_model, random_path_formula
 
 import oracle
@@ -155,6 +155,38 @@ class TestParserReference:
     def test_400_nested_parentheses(self):
         assert fm.parse("(" * 400 + "p" + ")" * 400) == fm.Atom("p")
 
+    @pytest.mark.parametrize("nest", [
+        lambda n: "(" * n + "p" + ")" * n,
+        lambda n: " & ".join(["p"] * (n + 1)),
+        lambda n: " -> ".join(["p"] * (n + 1)),
+        lambda n: " U ".join(["p"] * (n + 1)),
+        lambda n: " BR[1] ".join(["p"] * (n + 1)),
+        lambda n: "!" * n + "p",
+        lambda n: "X^2 " * n + "p",
+        lambda n: "F[0:1] " * n + "p",
+        lambda n: "A " * n + "p",
+        lambda n: "(E " * (n // 2) + "p" + ")" * (n // 2),
+        lambda n: "[a dstit: " * n + "p" + "]" * n,
+        lambda n: "(!" * (n // 2) + "p" + ")" * (n // 2),
+    ], ids=["parens", "and", "implies", "until", "br", "not", "next-pow",
+            "bounded-f", "forall", "exists-parens", "dstit", "paren-not"])
+    def test_depth_limit(self, nest):
+        """MAX_DEPTH levels of any construct parse, more are a ParseError
+        (the halving constructs nest two levels a step)."""
+        fm.parse(nest(fm.MAX_DEPTH))
+        with pytest.raises(ParseError, match="nested deeper than 400 levels"):
+            fm.parse(nest(fm.MAX_DEPTH + 2))
+        assert fm.MAX_DEPTH == 400
+
+    @pytest.mark.parametrize("text", ["X^\u00b2 p", "F[0:\u00b2] p",
+                                      "F[\u00b9:2] p", "p BR[\u00b3] q",
+                                      "X^\u0663 p", "X^1\uff12 p"])
+    def test_integers_are_ascii_digits(self, text):
+        """Superscripts and other non-ASCII digits are not integers (int()
+        would refuse some and silently read others)."""
+        with pytest.raises(ParseError, match="unexpected character"):
+            fm.parse(text)
+
     def test_printed_400_conjuncts_read_back(self):
         text = fm.render(fm.and_all(fm.Atom(f"p{i}") for i in range(400)))
         # compared as text: dataclass == recurses past the limit here
@@ -225,6 +257,32 @@ class TestExpandBounded:
                 word = ([first], [second])
                 assert oracle.scan_eval(f, *word) == \
                     oracle.scan_eval(expanded, *word)
+
+    @pytest.mark.parametrize("text,message", [
+        ("X^17 p", "X^17 unfolds into 17 next-step obligations; the tableau "
+                   "is capped at 16 elementary bits"),
+        ("F[2:17] p", "F[2:17] unfolds into 17 "),
+        ("p BR[17] q", "BR[17] unfolds into 17 "),
+        ("X^10 (p & F[0:7] q)", "F[0:7] unfolds into 7 next-step "
+                                "obligations inside 10 more"),
+        ("(p BR[9] q) BR[8] r", "BR[9] unfolds into 9 next-step "
+                                "obligations inside 8 more"),
+        ("[a dstit: X^9 X^9 p]", "X^9 unfolds into 9 next-step obligations "
+                                 "inside 9 more"),
+    ])
+    def test_refused_past_the_cap(self, text, message):
+        """One bounded operator past MAX_UNFOLD, or one nested in others
+        with MAX_UNFOLD obligations in all, is refused unexpanded."""
+        with pytest.raises(ResourceLimitError) as err:
+            fm.expand_bounded(fm.parse(text))
+        assert message in str(err.value)
+
+    def test_cap_restarts_under_a_quantifier_or_stit(self):
+        """A path quantifier's or a stit's body is checked on its own, so
+        the obligations around it do not count against it."""
+        for text in ["X^16 A X^16 p", "X^8 (E F[0:16] p) BR[8] q",
+                     "X^16 [a cstit: X^16 p]", "X^16 p & X^16 q"]:
+            fm.expand_bounded(fm.parse_formula(text))
 
     def test_no_bounded_nodes_remain(self):
         """Not in a formula, nor in a stit's or an obligation's body."""

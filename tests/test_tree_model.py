@@ -68,6 +68,25 @@ class TestValidate:
         axioms = {v.axiom for v in bad.validate()}
         assert "undivided" in axioms
 
+    def test_root_parent_and_unknown_partition_violations(self):
+        """Two roots, a parent that is not a moment, and choices for an
+        unknown agent and at an unknown moment."""
+        moments = [(0, None), (1, 0), (5, None), (6, 9)]
+        histories = [("h1", [0, 1], 1)]
+        choices = {("alpha", 0): [["h1"]], ("beta", 0): [["h1"]],
+                   ("alpha", 7): [["h1"]]}
+        bad = ExplicitStitModel(["alpha"], [], moments, histories, choices, {})
+        assert [str(v) for v in bad.validate()
+                if v.axiom in ("root", "parent", "partition")] == [
+            "[root] expected a unique root moment 0, found [0, 5]",
+            "[parent] (moment=6) parent 9 does not exist",
+            "[partition] (agent=alpha, moment=7) unknown moment",
+            "[partition] (agent=beta, moment=0) unknown agent"]
+        single = ExplicitStitModel(["alpha"], [], [(3, None), (4, 3)],
+                                   [("h1", [3, 4], 1)], {}, {})
+        assert [str(v) for v in single.validate() if v.axiom == "root"] == [
+            "[root] expected a unique root moment 0, found [3]"]
+
     def test_depth_counts_declared_ancestors(self):
         model = ExplicitStitModel(["alpha"], [], [(0, None), (1, 0), (2, 1),
                                                   (3, 9), (4, 3)], [], {}, {})
