@@ -92,6 +92,8 @@ def cmd_check(args) -> int:
     lines = []
     result = {"statement": fm.render(statement), "moment": mid}
     if isinstance(statement, fm.OughtStatement):
+        if not (args.history or hm):
+            raise DeonticError(f"no history passes through moment {mid}")
         holds = model.satisfies(mid, args.history or hm[0], statement)
         optimal = model.optimal_actions(statement.agents, mid,
                                         statement.condition)

@@ -188,6 +188,17 @@ class TestCheck:
                            "--formula", text)
         assert code == 2 and "unexpected character" in err
 
+    def test_ought_at_a_moment_without_histories_exits_two(self, capsys,
+                                                           tmp_path):
+        data = rss.fig1_model().to_json()
+        data["moments"].append({"id": 10, "parent": 0})
+        path = tmp_path / "bare.json"
+        path.write_text(json.dumps(data))
+        code, _, err = run(capsys, "check", str(path), "--at", "10",
+                           "--formula", "O[alpha cstit: A]")
+        assert code == 2
+        assert err == "error: no history passes through moment 10\n"
+
     def test_parse_error_exits_two(self, capsys, fig1_file):
         code, _, err = run(capsys, "check", fig1_file, "--at", "0",
                            "--formula", "O[alpha cstit: ]")
