@@ -16,7 +16,15 @@ re-checked by direct lasso evaluation before it leaves this module.
 
 The tableau is built with bitsets: each subformula's truth under all 2^n
 valuations of the n elementary formulas is one Python int, computed once
-with &, | and ^, so no formula is looked up per valuation.
+with &, | and ^, so no formula is looked up per valuation; n is capped at
+formula.MAX_UNFOLD.
+
+Every entry point (Universality, check_universal, check_ctls, ltl_to_buchi,
+eval_on_lasso) unfolds bounded operators through formula.expand_bounded,
+which refuses one past that cap before unfolding it, so none of them
+re-checks its input: nnf rejects what the tableau cannot compile, and the
+lasso evaluator what it cannot evaluate.  check_ctls evaluates the reduced
+state formula at each state as a lasso of one looping position.
 """
 
 from __future__ import annotations

@@ -14,6 +14,13 @@ tightest to loosest: ``!`` and the unary temporal operators, then the binary
 operators as the table ``_INFIX`` binds them: ``BR[n]``, ``U``/``R``, ``&``,
 ``|``, ``->``.  The path quantifiers ``A`` and ``E`` swallow the longest
 formula to their right.
+
+Two limits live here.  MAX_DEPTH bounds how deep a parsed statement nests,
+so that the recursive passes over it stay inside Python's default
+recursion limit; deeper text is a ParseError.  MAX_UNFOLD bounds how far
+expand_bounded unfolds X^t, F[n:m] and BR[N]; past it the tableau would
+refuse the result, so the operator is refused first, as a
+ResourceLimitError.
 """
 
 from __future__ import annotations
