@@ -200,7 +200,7 @@ class StitAutomaton:
             except TypeError:  # unhashable, so not a weight
                 w = _as_weight(raw)
             transitions.append(Transition(e["from"], e["action"], e["to"], w))
-        if not all(_is_kind(v, [str]) for v in data["labels"].values()):
+        if not _is_kind(list(data["labels"].values()), [[str]]):
             raise AutomatonError("labels: expected a list of atoms per state")
         if data["accumulation"] != "min":
             raise AutomatonError(

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the checks on model and
 automaton files that raise them."""
 
+import itertools
 from fractions import Fraction
 
 
@@ -52,11 +53,18 @@ _JSON_TYPES = {dict: ("an object", "objects"), list: ("a list", "lists"),
 
 def _is_kind(value, kind):
     """Is value of the JSON type kind: a key of _JSON_TYPES, or [k] for a
-    list of values of type k?  A boolean is no integer."""
-    if isinstance(kind, list):
-        return isinstance(value, list) and all(_is_kind(v, kind[0])
-                                               for v in value)
-    return isinstance(value, kind) and not isinstance(value, bool)
+    list of values of type k?  Types match exactly, so a boolean is no
+    integer."""
+    if type(kind) is tuple:
+        return type(value) in kind
+    if type(kind) is not list:
+        return type(value) is kind
+    if type(value) is not list:
+        return False
+    if type(kind[0]) is list:  # lists of lists: the inner items at once
+        return set(map(type, value)) <= {list} and _is_kind(
+            list(itertools.chain.from_iterable(value)), kind[0])
+    return set(map(type, value)) <= {kind[0]}
 
 
 def _kind_name(kind, several=False):
@@ -79,7 +87,10 @@ def _require_fields(data, fields, what, error):
         unknown = [f for f in data if f not in fields]
         raise error(f"{what}: unknown fields {unknown}")
     for name, kind in fields.items():
-        if kind is not None and not _is_kind(data[name], kind):
+        value = data[name]
+        # the exact-type test first: it settles every scalar that is right
+        if kind is not None and type(value) is not kind \
+                and not _is_kind(value, kind):
             raise error(f"{what}: {name!r} must be {_kind_name(kind)}")
 
 
