@@ -744,7 +744,7 @@ def obligation_to_formula(ob) -> Formula:
 # Transformations
 # ---------------------------------------------------------------------------
 
-def expand_bounded(f, nexts=0):
+def expand_bounded(f):
     """Rewrite X^t, F[n:m] and BR[N] into X / and / or structure, in a
     formula or an obligation.
 
@@ -757,20 +757,24 @@ def expand_bounded(f, nexts=0):
     quantifier or stit (nexts of them); past MAX_UNFOLD in all the tableau
     would refuse them, so the operator is refused before it is unfolded.
     """
+    return _expand(f, 0)
+
+
+def _expand(f, nexts):
     if isinstance(f, NextPow):
         if nexts + f.steps > MAX_UNFOLD:
             _refuse_unfolding(f"X^{f.steps}", f.steps, nexts)
-        return next_pow(f.steps, expand_bounded(f.operand, nexts + f.steps))
+        return next_pow(f.steps, _expand(f.operand, nexts + f.steps))
     if isinstance(f, EventuallyBounded):
         if nexts + f.hi > MAX_UNFOLD:
             _refuse_unfolding(f"F[{f.lo}:{f.hi}]", f.hi, nexts)
-        inner = expand_bounded(f.operand, nexts + f.hi)
+        inner = _expand(f.operand, nexts + f.hi)
         return or_all(next_pow(t, inner) for t in range(f.lo, f.hi + 1))
     if isinstance(f, BoundedRelease):
         if nexts + f.bound > MAX_UNFOLD:
             _refuse_unfolding(f"BR[{f.bound}]", f.bound, nexts)
-        left = expand_bounded(f.left, nexts + f.bound)
-        right = expand_bounded(f.right, nexts + f.bound)
+        left = _expand(f.left, nexts + f.bound)
+        right = _expand(f.right, nexts + f.bound)
         disjuncts = [left]
         for k in range(1, f.bound + 1):
             parts = [next_pow(j, right) for j in range(k)] + [next_pow(k, left)]
@@ -778,18 +782,17 @@ def expand_bounded(f, nexts=0):
         disjuncts.append(and_all(next_pow(j, right) for j in range(f.bound + 1)))
         return or_all(disjuncts)
     if isinstance(f, (ForallPaths, ExistsPaths)):
-        return type(f)(expand_bounded(f.operand))
+        return type(f)(_expand(f.operand, 0))
     if isinstance(f, _UNARY):
-        return type(f)(expand_bounded(f.operand, nexts))
+        return type(f)(_expand(f.operand, nexts))
     if isinstance(f, _BINARY):
-        return type(f)(expand_bounded(f.left, nexts),
-                       expand_bounded(f.right, nexts))
+        return type(f)(_expand(f.left, nexts), _expand(f.right, nexts))
     if isinstance(f, (Cstit, Dstit, DstitOf)):
-        return type(f)(f.agent, expand_bounded(f.body))
+        return type(f)(f.agent, _expand(f.body, 0))
     if isinstance(f, NegatedObligation):
-        return NegatedObligation(expand_bounded(f.body))
+        return NegatedObligation(_expand(f.body, nexts))
     if isinstance(f, Plain):
-        return Plain(expand_bounded(f.formula))
+        return Plain(_expand(f.formula, nexts))
     return f
 
 
