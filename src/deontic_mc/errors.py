@@ -68,7 +68,7 @@ def _is_kind(value, kind):
 
 
 def _kind_name(kind, several=False):
-    if isinstance(kind, list):
+    if type(kind) is list:
         head = "lists of " if several else "a list of "
         return head + _kind_name(kind[0], True)
     return _JSON_TYPES[kind][several]
