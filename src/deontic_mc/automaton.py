@@ -153,11 +153,11 @@ class StitAutomaton:
 
     def reachable(self) -> list[str]:
         seen = [self.initial]
-        seen_set = {self.initial}
+        unseen = set(self.states) - {self.initial}  # declared states only
         for q in seen:  # breadth-first: the list grows while it is walked
             for t in self._out.get(q, ()):
-                if t.dst not in seen_set:
-                    seen_set.add(t.dst)
+                if t.dst in unseen:
+                    unseen.remove(t.dst)
                     seen.append(t.dst)
         return seen
 

@@ -81,7 +81,9 @@ def cmd_validate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    report = Report(["check", args.path, "--at", str(args.at)], [args.path])
+    history = [] if args.history is None else ["--history", args.history]
+    report = Report(["check", args.path, "--at", str(args.at), *history,
+                     "--formula", args.formula], [args.path])
     model = _load_any(args.path)
     if not isinstance(model, ExplicitStitModel):
         raise DeonticError("check runs on explicit model files; "
@@ -132,7 +134,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_mc(args) -> int:
-    report = Report(["mc", args.path, "--agent", args.agent], [args.path])
+    report = Report(["mc", args.path, "--agent", args.agent,
+                     "--ought", args.ought], [args.path])
     aut = _load_any(args.path)
     if not isinstance(aut, StitAutomaton):
         raise DeonticError("mc runs on automaton files; use `check` for models")

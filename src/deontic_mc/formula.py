@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 from .errors import GrammarError, ParseError, ResourceLimitError
 
-# X^n, F[lo:n] and BR[n] unfold into n or more next-step obligations, each
-# one elementary bit of ctlstar's tableau: one cap bounds both.
+# X^n, F[lo:n] and BR[n] unfold into n next-step obligations, each one
+# elementary bit of ctlstar's tableau: one cap bounds both.
 MAX_UNFOLD = 16
 # A statement nests at most this many operators, brackets and parentheses
 # deep, so that every recursive pass over it stays inside Python's default
@@ -749,8 +749,8 @@ def expand_bounded(f):
     formula or an obligation.
 
     F[n:m] f  =  X^n f | ... | X^m f
-    l BR[N] r =  l | (r & X l) | (r & X r & X^2 l) | ...
-                   | (r & ... & X^(N-1) r & X^N l) | (r & X r & ... & X^N r)
+    l BR[0] r =  l | r
+    l BR[N] r =  l | (r & X (l BR[N-1] r))
 
     Each unfolds into a chain of t, m or N next-step obligations, nested in
     the chains of the bounded operators around it up to the nearest path
@@ -775,12 +775,10 @@ def _expand(f, nexts):
             _refuse_unfolding(f"BR[{f.bound}]", f.bound, nexts)
         left = _expand(f.left, nexts + f.bound)
         right = _expand(f.right, nexts + f.bound)
-        disjuncts = [left]
-        for k in range(1, f.bound + 1):
-            parts = [next_pow(j, right) for j in range(k)] + [next_pow(k, left)]
-            disjuncts.append(and_all(parts))
-        disjuncts.append(and_all(next_pow(j, right) for j in range(f.bound + 1)))
-        return or_all(disjuncts)
+        out = Or(left, right)
+        for _ in range(f.bound):
+            out = Or(left, And(right, Next(out)))
+        return out
     if isinstance(f, (ForallPaths, ExistsPaths)):
         return type(f)(_expand(f.operand, 0))
     if isinstance(f, _UNARY):

@@ -28,18 +28,17 @@ class ModelIndex:
         for i, h in enumerate(order):
             self.rank.append(0 if i == 0 else
                              self.rank[-1] + (h.value != order[i - 1].value))
-        # through[m] is H_m; succ[m] groups H_m by the next moment (step),
-        # with the histories that end at m stuttering there
-        through = dict.fromkeys(moments, 0)
+        # succ[m] groups H_m by the next moment (step), a history that ends
+        # at m stuttering there; the groups are disjoint, so H_m is their sum
         succ = {m: {} for m in moments}
         for h in order:
             b, ms = self.bit[h.id], h.moments
             for m, i in positions[h.id].items():
-                through[m] = through.get(m, 0) | b
                 groups = succ.setdefault(m, {})
                 n = ms[i + 1] if i + 1 < len(ms) else m
                 groups[n] = groups.get(n, 0) | b
-        self.through = through
+        self.through = through = {m: sum(groups.values())
+                                  for m, groups in succ.items()}
         self.succ = {m: tuple(groups.items()) for m, groups in succ.items()}
         self.labelled = {}  # atom -> moment -> histories labelled with it
         for (m, hid), names in labels.items():

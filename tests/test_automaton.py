@@ -74,17 +74,18 @@ class TestValidate:
     def test_transition_violations(self):
         """Unknown endpoints, undeclared actions and a repeated
         transition, in transition order, before the shared pairs and the
-        dead ends."""
+        dead ends.  A reachable transition into an unknown state is one
+        violation: the unknown state is not walked into as a dead end."""
         bad = StitAutomaton(
             ["q0", "q1", "q2", "q3"], "q0", ["K"], [],
             [("q0", "K", "q1", 1), ("q9", "K", "q0", 1), ("q1", "L", "q2", 1),
-             ("q0", "K", "q1", 2), ("q3", "K", "q8", 1)], {})
+             ("q0", "K", "q1", 2), ("q1", "K", "q8", 1)], {})
         assert [str(v) for v in bad.validate()] == [
             "[endpoints] (state=q9) transition Transition(src='q9', "
             "action='K', dst='q0', weight=Fraction(1, 1)) has unknown endpoint",
             "[actions] (state=q1) transition action 'L' not declared",
             "[edge-uniqueness] (state=q0) duplicate transition q0 -K-> q1",
-            "[endpoints] (state=q3) transition Transition(src='q3', "
+            "[endpoints] (state=q1) transition Transition(src='q1', "
             "action='K', dst='q8', weight=Fraction(1, 1)) has unknown endpoint",
             "[no-dead-end] (state=q2) reachable state has no outgoing "
             "transition"]

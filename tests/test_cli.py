@@ -153,6 +153,17 @@ class TestCheck:
                            "--formula", "O[alpha cstit: F[0:2] p]")
         assert code == 0
 
+    @pytest.mark.parametrize("history", [[], ["--history", "h1"]],
+                             ids=["all-histories", "one-history"])
+    def test_machine_report_records_the_command(self, capsys, fig1_file,
+                                                history):
+        """The report's command list carries every argument given to the
+        subcommand, the statement and the history included."""
+        args = ["check", fig1_file, "--at", "0", *history,
+                "--formula", "O[alpha cstit: A]"]
+        code, out, _ = run(capsys, "--format", "machine", *args)
+        assert code == 0 and json.loads(out)["command"] == args
+
     def test_unknown_moment_exits_two(self, capsys, fig1_file):
         code, _, err = run(capsys, "check", fig1_file, "--at", "42",
                            "--formula", "O[alpha cstit: A]")
@@ -314,6 +325,13 @@ class TestMc:
         code, _, err = run(capsys, "mc", t0_file, "--agent", "alpha")
         assert code == 2 and "--ought" in err
         assert cli._parser() is cli._parser()
+
+    def test_machine_report_records_the_command(self, capsys, t0_file):
+        """The report's command list carries the ought statement."""
+        args = ["mc", t0_file, "--agent", "alpha",
+                "--ought", "O[alpha cstit: G p]"]
+        code, out, _ = run(capsys, "--format", "machine", *args)
+        assert code == 0 and json.loads(out)["command"] == args
 
     def test_machine_report_is_deterministic(self, capsys, t0_file):
         _, first, _ = run(capsys, "--format", "machine", "mc", t0_file,

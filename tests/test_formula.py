@@ -245,6 +245,18 @@ class TestExpandBounded:
         got = fm.expand_bounded(fm.parse_formula("p BR[0] q"))
         assert got == fm.Or(fm.Atom("p"), fm.Atom("q"))
 
+    def test_bounded_release_is_one_recurrence(self):
+        """l BR[N] r = l | (r & X (l BR[N-1] r)): N distinct next-steps,
+        and N + 1 copies of each operand in the tree."""
+        p, q = fm.Atom("p"), fm.Atom("q")
+        assert fm.expand_bounded(fm.parse_formula("p BR[1] q")) == \
+            fm.Or(p, fm.And(q, fm.Next(fm.Or(p, q))))
+        for n in range(fm.MAX_UNFOLD + 1):
+            got = fm.expand_bounded(fm.parse_formula(f"(p U q) BR[{n}] q"))
+            nexts = {g for g in fm.walk(got) if isinstance(g, fm.Next)}
+            assert len(nexts) == n
+            assert fm.render(got).count("U") == n + 1
+
     def test_bounded_release_zero_truth_table(self):
         """The bound-0 expansion agrees with direct evaluation on every
         labeling of a one-step trace."""

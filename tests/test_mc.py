@@ -17,7 +17,7 @@ from deontic_mc.automaton import (
     restrict_first_action,
 )
 from deontic_mc.ctlstar import TransitionSystem, check_universal, strip_weights
-from deontic_mc.errors import AutomatonError, GrammarError
+from deontic_mc.errors import AutomatonError, GrammarError, ResourceLimitError
 from deontic_mc.generate import (
     random_automaton,
     random_obligation,
@@ -500,3 +500,27 @@ class TestOracleAgreement:
             ob = random_obligation(rng, "alpha", 3, ["p", "q"])
             assert check_ought(aut, "alpha", ob).holds == \
                 oracle.brute_force_ought(aut, "alpha", ob)
+
+    def test_bounded_release_frontier(self, merge):
+        """BR[n] unfolds into n next-steps, so bounds up to the tableau's
+        cap are decided: rss6 on merge for n in 1..14, and the shape
+        O[a cstit: ![a dstit: !p BR[n] q]] on random automata at n = 8, 11
+        and 14, each as the oracle decides it.  rss6 at 15 needs 17 bits."""
+        from deontic_mc import rss
+        for n in range(1, 15):
+            st = rss.rss6("alpha", n)
+            assert check_ought_statement(merge, st).holds == \
+                oracle.brute_force_ought(merge, "alpha", st.body,
+                                         st.condition), n
+        with pytest.raises(ResourceLimitError, match="17 elementary bits"):
+            check_ought_statement(merge, rss.rss6("alpha", 15))
+        rng = random.Random(4)
+        automata = [random_automaton(rng) for _ in range(4)]
+        for n in (8, 11, 14):
+            st = fm.parse(f"O[alpha cstit: ![alpha dstit: !p BR[{n}] q]]")
+            verdicts = []
+            for aut in automata:
+                verdicts.append(check_ought_statement(aut, st).holds)
+                assert verdicts[-1] == \
+                    oracle.brute_force_ought(aut, "alpha", st.body), n
+            assert set(verdicts) == {True, False}, n
