@@ -97,19 +97,25 @@ def cmd_check(args) -> int:
         if not (args.history or hm):
             raise DeonticError(f"no history passes through moment {mid}")
         holds = model.satisfies(mid, args.history or hm[0], statement)
-        optimal = model.optimal_actions(statement.agents, mid,
-                                        statement.condition)
+        cond = statement.condition
+        # no history satisfies the condition: no action is optimal under it
+        vacuous = cond is not None and not model.extension(mid, cond)
+        optimal = [] if vacuous else model.optimal_actions(
+            statement.agents, mid, cond).actions
         body_ext = model.extension(mid, statement.body)
         table = [{"action": sorted(k), "guarantees": k <= body_ext}
-                 for k in optimal.actions]
+                 for k in optimal]
         result.update({
             "holds": holds,
+            "vacuous": vacuous,
             "extension": sorted(body_ext),
-            "optimal": [sorted(k) for k in optimal.actions],
+            "optimal": [sorted(k) for k in optimal],
             "guarantee_table": table,
         })
         lines.append(f"{fm.render(statement)} at moment {mid}: "
-                     + ("holds" if holds else "FAILS"))
+                     + ("holds" if holds else "FAILS")
+                     + (" (vacuously: no history satisfies the condition)"
+                        if vacuous else ""))
         lines.append(f"  |A|_m = {sorted(body_ext)}")
         for row in table:
             mark = "yes" if row["guarantees"] else "NO"

@@ -14,10 +14,12 @@ accepting SCC as SCCs complete.  The reducer's own E-checks use the same
 exploration.  A counterexample lasso is built only when asked for and is
 re-checked by direct lasso evaluation before it leaves this module.
 
-The tableau is built with bitsets: each subformula's truth under all 2^n
-valuations of the n elementary formulas is one Python int, computed once
-with &, | and ^, so no formula is looked up per valuation; n is capped at
-formula.MAX_UNFOLD.
+The tableau and the lasso evaluator each walk the formula's node table
+(formula.node_table) once, children first, and hash no formula.  Each node's
+truth under all 2^n valuations of the n elementary formulas (n capped at
+formula.MAX_UNFOLD) is one Python int, computed with &, | and ^.  A tableau
+state is the valuation itself, so the product finds a state's successors
+by one list index per system successor.
 
 Every entry point (Universality, check_universal, check_ctls, ltl_to_buchi,
 eval_on_lasso) unfolds bounded operators through formula.expand_bounded,
@@ -84,34 +86,30 @@ class Counterexample:
 
 
 class BuchiAutomaton:
-    """Generalized Buchi automaton over an alphabet of atom sets."""
+    """Generalized Buchi automaton over an alphabet of atom sets.
 
-    def __init__(self, atoms, states, initial, succ, accepting, state_atoms):
-        self.atoms = frozenset(atoms)
-        self.states = states  # list of opaque state ids (ints)
-        self.initial = initial  # list of state ids
-        self.succ = succ  # id -> list of ids
-        self.accepting = accepting  # list of frozensets of ids
-        self.state_atoms = state_atoms  # id -> frozenset of atom names
-        self._by_atoms: dict[frozenset, set] = {}  # atom set -> its states
-        self._reading: dict[frozenset, set] = {}   # label -> states reading it
+    State m is a valuation: its low bits say which atoms hold, one per name
+    in atoms, and the bits above them which next-step promises it makes.
+    step[promises << len(atoms) | letter] lists the states that read the
+    letter (a label's atom bits) and fulfil exactly those promises: the
+    successors, on that letter, of every state making them."""
 
-    def reading(self, label):
-        """The states whose atom set is the label restricted to the
-        automaton's atoms.  Each distinct label is projected once, and the
-        states of each atom set that is asked for are collected once."""
-        hit = self._reading.get(label)
+    def __init__(self, atoms, initial, step, accepting):
+        self.atoms = atoms  # sorted atom names
+        self.states = range(len(step))
+        self.initial = initial  # ascending state ids
+        self.step = step
+        self.accepting = accepting  # list of frozensets of state ids
+        self.low = (1 << len(atoms)) - 1  # the atom bits of a state
+        self._letters: dict[frozenset, int] = {}
+
+    def letter(self, label):
+        """The label's atom bits; each distinct label is projected once."""
+        hit = self._letters.get(label)
         if hit is None:
-            atoms = frozenset(label) & self.atoms
-            hit = self._by_atoms.get(atoms)
-            if hit is None:
-                hit = self._by_atoms[atoms] = {
-                    b for b, own in self.state_atoms.items() if own == atoms}
-            self._reading[label] = hit
+            hit = self._letters[label] = sum(
+                1 << i for i, a in enumerate(self.atoms) if a in label)
         return hit
-
-
-_TEMPORAL = (fm.Next, fm.Until, fm.Release)
 
 
 def ltl_to_buchi(f: fm.Formula) -> BuchiAutomaton:
@@ -121,18 +119,15 @@ def ltl_to_buchi(f: fm.Formula) -> BuchiAutomaton:
     bit agree with the successor's truth, and one acceptance set per Until
     keeps its eventuality from being postponed forever.
 
-    The construction is bit-parallel.  Valuation m is the bitmask of the
-    elementary formulas it makes true, and each subformula is evaluated
-    once, into one int whose bit m is its truth under valuation m; the
-    automaton's parts are read off the set bits of those columns.  States
-    are numbered by size, then lexicographically (``itertools.combinations``
-    order over the elementary formulas)."""
-    f = fm.nnf(fm.expand_bounded(f))
-    nodes = list(dict.fromkeys(fm.walk(f)))  # distinct, in preorder
-    atoms = sorted({g.name for g in nodes if isinstance(g, fm.Atom)})
-    temporals = [g for g in nodes if isinstance(g, _TEMPORAL)]
-    elementary = [fm.Atom(a) for a in atoms] + temporals
-    n = len(elementary)
+    State m is the valuation whose bitmask is m: the sorted atoms take the
+    low bits, the temporal nodes the bits above, in node-table order.  Each
+    node is evaluated once, children first, into one int whose bit m is its
+    truth under valuation m; the automaton is read off those columns."""
+    nodes, kids = fm.node_table(fm.nnf(fm.expand_bounded(f)))
+    atoms = sorted(g.name for g in nodes if type(g) is fm.Atom)
+    n_atoms = len(atoms)
+    n = n_atoms + sum(isinstance(g, (fm.Next, fm.Until, fm.Release))
+                      for g in nodes)
     if n > fm.MAX_UNFOLD:
         raise ResourceLimitError(
             f"formula needs {n} elementary bits; "
@@ -140,80 +135,52 @@ def ltl_to_buchi(f: fm.Formula) -> BuchiAutomaton:
 
     size = 1 << n
     every = (1 << size) - 1  # the column true under every valuation
-    column = {g: (((1 << (1 << i)) - 1) << (1 << i))
-              * (every // ((1 << (1 << (i + 1))) - 1))
-              for i, g in enumerate(elementary)}
-    truth = _truth_columns([f] + [g.operand for g in temporals
-                                  if isinstance(g, fm.Next)], column, every)
-
-    # state id -> valuation mask, and back
-    bits = [1 << i for i in range(n)]
-    order = [sum(c) for r in range(n + 1)
-             for c in itertools.combinations(bits, r)]
-    rank = [0] * size
-    for i, m in enumerate(order):
-        rank[m] = i
+    column = [(((1 << (1 << i)) - 1) << (1 << i))  # elementary bit i
+              * (every // ((1 << (1 << (i + 1))) - 1)) for i in range(n)]
+    truth = [0] * len(nodes)
+    promised = []  # per temporal bit, the column its promise asserts next
+    accepting = []
+    for i, g in enumerate(nodes):
+        kind, x = type(g), [truth[k] for k in kids[i]]
+        if kind is fm.Atom:
+            out = column[atoms.index(g.name)]
+        elif kind is fm.TrueFormula:
+            out = every
+        elif kind is fm.FalseFormula:
+            out = 0
+        elif kind is fm.Not:  # NNF: negation only wraps atoms
+            out = every ^ x[0]
+        elif kind is fm.And:
+            out = x[0] & x[1]
+        elif kind is fm.Or:
+            out = x[0] | x[1]
+        elif kind is fm.Next:
+            out = column[n_atoms + len(promised)]
+            promised.append(x[0])
+        elif kind is fm.Until:
+            out = x[1] | (x[0] & column[n_atoms + len(promised)])
+            promised.append(out)
+            accepting.append(frozenset(_members((every ^ out) | x[1])))
+        else:  # Release: nnf leaves no other node
+            out = x[1] & (x[0] | column[n_atoms + len(promised)])
+            promised.append(out)
+        truth[i] = out
 
     next_vec = [0] * size
-    for j, g in enumerate(temporals):
-        # the value the promise bit of g at the PREVIOUS state asserts
-        col = truth[g.operand] if isinstance(g, fm.Next) else truth[g]
+    for j, col in enumerate(promised):
         bit = 1 << j
         for m in _members(col):
             next_vec[m] |= bit
-    by_vec: dict[int, list[int]] = {}
-    for i, m in enumerate(order):
-        by_vec.setdefault(next_vec[m], []).append(i)
-    n_atoms = len(atoms)
-    succ = {i: by_vec.get(m >> n_atoms, []) for i, m in enumerate(order)}
-    initial = sorted(rank[m] for m in _members(truth[f]))
-    accepting = [frozenset(rank[m] for m in
-                           _members((every ^ truth[g]) | truth[g.right]))
-                 for g in temporals if isinstance(g, fm.Until)]
-    atom_sets = [frozenset(a for i, a in enumerate(atoms) if m >> i & 1)
-                 for m in range(1 << n_atoms)]
+    step = [[] for _ in range(size)]
     low = (1 << n_atoms) - 1
-    state_atoms = {i: atom_sets[m & low] for i, m in enumerate(order)}
-    return BuchiAutomaton(atoms, list(range(size)), initial, succ,
-                          accepting, state_atoms)
+    for m in range(size):
+        step[next_vec[m] << n_atoms | m & low].append(m)
+    return BuchiAutomaton(atoms, _members(truth[-1]), step, accepting)
 
 
 def _members(col):
     """Set bit positions of a column, ascending."""
     return [m for m, ch in enumerate(bin(col)[:1:-1]) if ch == "1"]
-
-
-def _truth_columns(roots, column, every):
-    """Column of every subformula of the NNF roots, each evaluated once."""
-    truth: dict = {}
-
-    def of(g):
-        hit = truth.get(g)
-        if hit is not None:
-            return hit
-        if isinstance(g, (fm.Atom, fm.Next)):
-            out = column[g]
-        elif isinstance(g, fm.TrueFormula):
-            out = every
-        elif isinstance(g, fm.FalseFormula):
-            out = 0
-        elif isinstance(g, fm.Not):
-            # NNF: negation only wraps atoms
-            out = every ^ of(g.operand)
-        elif isinstance(g, fm.And):
-            out = of(g.left) & of(g.right)
-        elif isinstance(g, fm.Or):
-            out = of(g.left) | of(g.right)
-        elif isinstance(g, fm.Until):
-            out = of(g.right) | (of(g.left) & column[g])
-        else:  # Release: nnf leaves no other node
-            out = of(g.right) & (of(g.left) | column[g])
-        truth[g] = out
-        return out
-
-    for g in roots:
-        of(g)
-    return truth
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +207,21 @@ class _Product:
         self.accepting: dict = {}
 
     def starts(self, q):
-        ok = self.buchi.reading(self.labels[q])
-        return [(q, b) for b in self.buchi.initial if b in ok]
+        buchi = self.buchi
+        letter, low = buchi.letter(self.labels[q]), buchi.low
+        return [(q, b) for b in buchi.initial if b & low == letter]
 
     def succ(self, node):
         hit = self._succ.get(node)
         if hit is None:
             q, b = node
             buchi, labels = self.buchi, self.labels
-            after = buchi.succ[b]
+            step, letter = buchi.step, buchi.letter
+            promises = b & ~buchi.low
             hit = []
             for q2 in self.ts.successors(q):
-                ok = buchi.reading(labels[q2])
-                for b2 in after:
-                    if b2 in ok:
-                        hit.append((q2, b2))
+                for b2 in step[promises | letter(labels[q2])]:
+                    hit.append((q2, b2))
             self._succ[node] = hit
         return hit
 
@@ -387,68 +354,62 @@ def buchi_accepts(buchi: BuchiAutomaton, stem_labels, loop_labels) -> bool:
 # ---------------------------------------------------------------------------
 
 def eval_on_lasso(f: fm.Formula, stem_labels, loop_labels) -> bool:
-    """Truth of a pure path formula on the word stem . loop^omega."""
-    f = fm.expand_bounded(f)
-    stem_labels = [frozenset(x) for x in stem_labels]
-    loop_labels = [frozenset(x) for x in loop_labels]
-    if not loop_labels:
+    """Truth of a pure path formula on the word stem . loop^omega.
+
+    Each node of the formula's table is evaluated once, children first,
+    into one int whose bit i is its truth at position i of the word; U and
+    F are least fixpoints, R and G greatest ones."""
+    nodes, kids = fm.node_table(fm.expand_bounded(f))
+    stem, loop = list(stem_labels), list(loop_labels)
+    if not loop:
         raise ModelError("lasso loop must be non-empty")
-    n_stem, n = len(stem_labels), len(stem_labels) + len(loop_labels)
-    labels = stem_labels + loop_labels
-    succ = [i + 1 for i in range(n)]
-    succ[n - 1] = n_stem
-    memo: dict = {}
+    labels, n_stem, last = stem + loop, len(stem), len(stem) + len(loop) - 1
+    every = (1 << len(labels)) - 1
 
-    def sets(g) -> frozenset:
-        if g in memo:
-            return memo[g]
-        if isinstance(g, fm.Atom):
-            out = frozenset(i for i in range(n) if g.name in labels[i])
-        elif isinstance(g, fm.TrueFormula):
-            out = frozenset(range(n))
-        elif isinstance(g, fm.FalseFormula):
-            out = frozenset()
-        elif isinstance(g, fm.Not):
-            out = frozenset(range(n)) - sets(g.operand)
-        elif isinstance(g, fm.And):
-            out = sets(g.left) & sets(g.right)
-        elif isinstance(g, fm.Or):
-            out = sets(g.left) | sets(g.right)
-        elif isinstance(g, fm.Implies):
-            out = (frozenset(range(n)) - sets(g.left)) | sets(g.right)
-        elif isinstance(g, fm.Next):
-            inner = sets(g.operand)
-            out = frozenset(i for i in range(n) if succ[i] in inner)
-        elif isinstance(g, fm.Until):
-            left, right = sets(g.left), sets(g.right)
-            cur = set(right)
-            while True:
-                grown = cur | {i for i in left if succ[i] in cur}
-                if grown == cur:
-                    break
-                cur = grown
-            out = frozenset(cur)
-        elif isinstance(g, fm.Release):
-            left, right = sets(g.left), sets(g.right)
-            cur = set(range(n))
-            while True:
-                shrunk = {i for i in cur
-                          if i in right and (i in left or succ[i] in cur)}
-                if shrunk == cur:
-                    break
-                cur = shrunk
-            out = frozenset(cur)
-        elif isinstance(g, fm.Eventually):
-            out = sets(fm.Until(fm.TRUE, g.operand))
-        elif isinstance(g, fm.Always):
-            out = sets(fm.Release(fm.FALSE, g.operand))
-        else:
-            raise GrammarError(f"cannot evaluate {type(g).__name__} on a lasso",
-                               production="ltl")
-        memo[g] = out
-        return out
+    def after(x):  # the positions whose successor is in x
+        return x >> 1 | (x >> n_stem & 1) << last
 
-    return 0 in sets(f)
+    truth = [0] * len(nodes)
+    cause: dict[int, int] = {}  # node -> the unevaluable node to name
+    for i, g in enumerate(nodes):
+        kind, x = type(g), [truth[k] for k in kids[i]]
+        if kind is fm.Atom:
+            out = sum(1 << j for j, label in enumerate(labels)
+                      if g.name in label)
+        elif kind is fm.TrueFormula:
+            out = every
+        elif kind is fm.FalseFormula:
+            out = 0
+        elif kind is fm.Not:
+            out = every ^ x[0]
+        elif kind is fm.And:
+            out = x[0] & x[1]
+        elif kind is fm.Or:
+            out = x[0] | x[1]
+        elif kind is fm.Implies:
+            out = (every ^ x[0]) | x[1]
+        elif kind is fm.Next:
+            out = after(x[0])
+        elif kind is fm.Until or kind is fm.Eventually:
+            left, out = x if kind is fm.Until else (every, x[0])
+            while (grown := out | (left & after(out))) != out:
+                out = grown
+        elif kind is fm.Release or kind is fm.Always:
+            left, right = x if kind is fm.Release else (0, x[0])
+            out = every
+            while (shrunk := right & (left | after(out))) != out:
+                out = shrunk
+        else:  # not a path formula; its parents are still walked
+            cause[i] = i
+            continue
+        if cause and (below := [cause[k] for k in kids[i] if k in cause]):
+            cause[i] = below[0]  # the leftmost, as a top-down walk meets it
+        truth[i] = out
+    if cause:
+        raise GrammarError(
+            f"cannot evaluate {type(nodes[cause[len(nodes) - 1]]).__name__} "
+            f"on a lasso", production="ltl")
+    return bool(truth[-1] & 1)
 
 
 # ---------------------------------------------------------------------------

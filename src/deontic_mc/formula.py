@@ -275,6 +275,36 @@ def walk(f):
         todo.extend(reversed(children(g)))
 
 
+def node_table(f):
+    """(nodes, kids): f's distinct nodes in post-order, children before
+    parents and f last, and each node's child indices into nodes.
+
+    Iterative, and it hashes no formula: a node equals an earlier one when
+    its kind, its children's indices and its other fields do."""
+    nodes, kids, by_key, placed = [], [], {}, {}  # placed: id -> index
+    todo = [(f, None)]
+    while todo:
+        g, parts = todo.pop()
+        if parts is None:  # first visit: place the children first
+            if id(g) in placed:
+                continue
+            parts = children(g)
+            if parts:
+                todo.append((g, parts))
+                todo += [(c, None) for c in reversed(parts)]
+                continue
+        ks = tuple([placed[id(c)] for c in parts])
+        key = (type(g), ks)
+        if len(vars(g)) != len(parts):
+            key += tuple([v for v in vars(g).values()
+                          if not isinstance(v, (Formula, Obligation))])
+        placed[id(g)] = i = by_key.setdefault(key, len(nodes))
+        if i == len(nodes):
+            nodes.append(g)
+            kids.append(ks)
+    return nodes, kids
+
+
 def contains_stit(f):
     return any(isinstance(g, (Cstit, Dstit, DstitOf)) for g in walk(f))
 
@@ -634,7 +664,9 @@ class _Parser:
             f, depth = self._unary(level + 1)
             return Next(f), self._deepen(depth, tok)
         if name == "F":
-            if self.peek().text == "[":
+            # F[ starts a bound only when an integer follows; otherwise
+            # the bracket is a stit operand, as under X and G
+            if self.peek().text == "[" and self.peek(1).kind == "int":
                 self.next()
                 lo = self.expect_int()
                 self.expect_sym(":")

@@ -212,7 +212,7 @@ class RecursiveDescentParser:
                 return NextPow(steps, self._unary())
             return Next(self._unary())
         if name == "F":
-            if self.peek().text == "[":
+            if self.peek().text == "[" and self.peek(1).kind == "int":
                 self.next()
                 lo = self.expect_int()
                 self.expect_sym(":")

@@ -164,6 +164,27 @@ class TestCheck:
         code, out, _ = run(capsys, "--format", "machine", *args)
         assert code == 0 and json.loads(out)["command"] == args
 
+    def test_vacuous_conditional_ought_holds(self, capsys, fig1_file):
+        """A condition no history satisfies leaves no conditionally optimal
+        action: the ought holds vacuously, as satisfies says, not an
+        error; a satisfiable condition reports vacuous false."""
+        args = ["check", fig1_file, "--at", "0", "--formula"]
+        code, out, err = run(capsys, *args, "O[alpha cstit: A / false]")
+        assert code == 0 and err == ""
+        assert out.startswith("O[alpha cstit: A / false] at moment 0: holds "
+                              "(vacuously")
+        code, out, _ = run(capsys, "--format", "machine", *args,
+                           "O[alpha cstit: A / false]")
+        result = json.loads(out)["result"]
+        assert code == 0 and result["holds"] is True
+        assert result["vacuous"] is True
+        assert result["optimal"] == [] and result["guarantee_table"] == []
+        for text in ("O[alpha cstit: A]", "O[alpha cstit: A / A]"):
+            code, out, _ = run(capsys, "--format", "machine", *args, text)
+            result = json.loads(out)["result"]
+            assert code == 0 and result["vacuous"] is False
+            assert result["optimal"]
+
     def test_unknown_moment_exits_two(self, capsys, fig1_file):
         code, _, err = run(capsys, "check", fig1_file, "--at", "42",
                            "--formula", "O[alpha cstit: A]")

@@ -216,6 +216,19 @@ class TestRender:
                                     allow_quantifiers=True)
             assert fm.parse_formula(fm.render(f)) == f
 
+    @pytest.mark.parametrize("unary", [
+        fm.Not, fm.Next, lambda f: fm.NextPow(2, f), fm.Eventually,
+        lambda f: fm.EventuallyBounded(1, 2, f), fm.Always, fm.ForallPaths,
+        fm.ExistsPaths], ids=["not", "next", "next-pow", "eventually",
+                              "eventually-bounded", "always", "forall",
+                              "exists"])
+    @pytest.mark.parametrize("stit", [fm.Cstit, fm.Dstit])
+    def test_round_trip_stit_operands(self, unary, stit):
+        """A stit bracket right after a unary operator reads back as its
+        operand; after F it is not taken for a bound."""
+        f = unary(stit("a", fm.Plain(fm.Atom("p"))))
+        assert fm.parse_formula(fm.render(f)) == f
+
     def test_round_trip_oughts(self):
         rng = random.Random(7)
         for _ in range(100):
@@ -227,6 +240,48 @@ class TestRender:
                 ("a",) if rng.random() < 0.7 else ("a", "b"), ob,
                 fm.Plain(fm.Atom("w")) if rng.random() < 0.4 else None)
             assert fm.parse(fm.render(st)) == st
+
+
+# ======================== Node table ========================
+
+class TestNodeTable:
+    def test_distinct_subformulas_children_first(self):
+        """One entry per distinct subformula, f last, and each entry's
+        child indices point at earlier entries equal to its children."""
+        rng = random.Random(31)
+        for _ in range(200):
+            f = random_path_formula(rng, rng.randint(0, 5), ["p", "q"],
+                                    allow_quantifiers=True)
+            nodes, kids = fm.node_table(f)
+            assert nodes[-1] is f
+            assert len(nodes) == len(set(fm.walk(f)))
+            for i, (g, ks) in enumerate(zip(nodes, kids)):
+                assert all(k < i for k in ks)
+                assert [nodes[k] for k in ks] == list(fm.children(g))
+
+    def test_equal_subtrees_share_an_index(self):
+        p = fm.Atom("p")
+        f = fm.Or(fm.Next(fm.Atom("p")), fm.And(fm.Next(fm.Atom("p")), p))
+        nodes, kids = fm.node_table(f)
+        assert len(nodes) == 4  # p, X p, X p & p, the disjunction
+        assert kids[-1][0] == kids[kids[-1][1]][0]
+
+    @pytest.mark.parametrize("text", ["[a cstit: p] & [b cstit: p]",
+                                      "X^2 p & X^3 p"])
+    def test_fields_tell_nodes_apart(self, text):
+        """Nodes with equal children but another agent or step count stay
+        two nodes; their shared operand is one."""
+        nodes, kids = fm.node_table(fm.parse_formula(text))
+        left, right = kids[-1]
+        assert left != right
+        assert kids[left] == kids[right]
+
+    def test_deep_chain_without_recursion(self):
+        wide = fm.and_all(fm.Atom(f"p{i}") for i in range(5000))
+        nodes, kids = fm.node_table(wide)
+        assert len(nodes) == 9999 and nodes[-1] is wide
+        narrow = fm.and_all([fm.Atom("p")] * 5000)
+        assert len(fm.node_table(narrow)[0]) == 5000
 
 
 # ======================== Bounded-operator expansion ========================
