@@ -14,24 +14,24 @@ accepting SCC as SCCs complete.  The reducer's own E-checks use the same
 exploration.  A counterexample lasso is built only when asked for and is
 re-checked by direct lasso evaluation before it leaves this module.
 
-The tableau and the lasso evaluator each walk the formula's node table
-(formula.node_table) once, children first, and hash no formula.  Each node's
-truth under all 2^n valuations of the n elementary formulas (n capped at
-formula.MAX_UNFOLD) is one Python int, computed with &, | and ^.  A tableau
-state is the valuation itself, so the product finds a state's successors
-by one list index per system successor.
+Every pass is one loop over the rows of formula.compile, which each entry
+point calls once, at the door; none recurses or hashes a formula.  The
+reduction turns each quantified row into a fresh atom's row, the tableau
+reads formula.nnf_rows of the reduced rows, and the lasso evaluator reads
+them as they are.  Each row's truth under all 2^n valuations of the n
+elementary formulas (n capped at formula.MAX_UNFOLD) is one Python int,
+computed with &, | and ^.  A tableau state is the valuation itself, so the
+product finds a state's successors by one list index per system successor.
 
-Every entry point (Universality, check_universal, check_ctls, ltl_to_buchi,
-eval_on_lasso) unfolds bounded operators through formula.expand_bounded,
-which refuses one past that cap before unfolding it, so none of them
-re-checks its input: nnf rejects what the tableau cannot compile, and the
-lasso evaluator what it cannot evaluate.  check_ctls evaluates the reduced
-state formula at each state as a lasso of one looping position.
+compile refuses a bounded operator past that cap before unfolding it, so
+no entry point re-checks its input: nnf_rows rejects what the tableau
+cannot compile, and the lasso evaluator what it cannot evaluate.
+check_ctls evaluates the reduced state formula at each state as a lasso of
+one looping position.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 
@@ -112,22 +112,23 @@ class BuchiAutomaton:
         return hit
 
 
-def ltl_to_buchi(f: fm.Formula) -> BuchiAutomaton:
+def ltl_to_buchi(f) -> BuchiAutomaton:
     """Tableau construction on the negation normal form: states are full
     valuations of the elementary formulas (the atoms plus one next-step
     obligation bit per X/U/R subformula), transitions make each obligation
     bit agree with the successor's truth, and one acceptance set per Until
     keeps its eventuality from being postponed forever.
 
+    f is a formula, compiled here, or the rows of one (formula.compile).
     State m is the valuation whose bitmask is m: the sorted atoms take the
-    low bits, the temporal nodes the bits above, in node-table order.  Each
-    node is evaluated once, children first, into one int whose bit m is its
-    truth under valuation m; the automaton is read off those columns."""
-    nodes, kids = fm.node_table(fm.nnf(fm.expand_bounded(f)))
-    atoms = sorted(g.name for g in nodes if type(g) is fm.Atom)
+    low bits, the temporal rows the bits above, in formula.nnf_rows order.
+    Each row is evaluated once, children first, into one int whose bit m is
+    its truth under valuation m; the automaton is read off those columns."""
+    rows = fm.nnf_rows(f if type(f) is tuple else fm.compile(f))
+    atoms = sorted(data for kind, data, _ in rows if kind is fm.Atom)
     n_atoms = len(atoms)
-    n = n_atoms + sum(isinstance(g, (fm.Next, fm.Until, fm.Release))
-                      for g in nodes)
+    n = n_atoms + sum(kind in (fm.Next, fm.Until, fm.Release)
+                      for kind, _, _ in rows)
     if n > fm.MAX_UNFOLD:
         raise ResourceLimitError(
             f"formula needs {n} elementary bits; "
@@ -137,13 +138,13 @@ def ltl_to_buchi(f: fm.Formula) -> BuchiAutomaton:
     every = (1 << size) - 1  # the column true under every valuation
     column = [(((1 << (1 << i)) - 1) << (1 << i))  # elementary bit i
               * (every // ((1 << (1 << (i + 1))) - 1)) for i in range(n)]
-    truth = [0] * len(nodes)
+    truth = []
     promised = []  # per temporal bit, the column its promise asserts next
     accepting = []
-    for i, g in enumerate(nodes):
-        kind, x = type(g), [truth[k] for k in kids[i]]
+    for kind, data, kids in rows:
+        x = [truth[k] for k in kids]
         if kind is fm.Atom:
-            out = column[atoms.index(g.name)]
+            out = column[atoms.index(data)]
         elif kind is fm.TrueFormula:
             out = every
         elif kind is fm.FalseFormula:
@@ -161,10 +162,10 @@ def ltl_to_buchi(f: fm.Formula) -> BuchiAutomaton:
             out = x[1] | (x[0] & column[n_atoms + len(promised)])
             promised.append(out)
             accepting.append(frozenset(_members((every ^ out) | x[1])))
-        else:  # Release: nnf leaves no other node
+        else:  # Release: nnf_rows leaves no other row
             out = x[1] & (x[0] | column[n_atoms + len(promised)])
             promised.append(out)
-        truth[i] = out
+        truth.append(out)
 
     next_vec = [0] * size
     for j, col in enumerate(promised):
@@ -353,13 +354,14 @@ def buchi_accepts(buchi: BuchiAutomaton, stem_labels, loop_labels) -> bool:
 # Lasso evaluation (fixpoint over the finite position graph)
 # ---------------------------------------------------------------------------
 
-def eval_on_lasso(f: fm.Formula, stem_labels, loop_labels) -> bool:
+def eval_on_lasso(f, stem_labels, loop_labels) -> bool:
     """Truth of a pure path formula on the word stem . loop^omega.
 
-    Each node of the formula's table is evaluated once, children first,
-    into one int whose bit i is its truth at position i of the word; U and
-    F are least fixpoints, R and G greatest ones."""
-    nodes, kids = fm.node_table(fm.expand_bounded(f))
+    f is a formula, compiled here, or the rows of one (formula.compile).
+    Each row is evaluated once, children first, into one int whose bit i
+    is its truth at position i of the word; U and F are least fixpoints, R
+    and G greatest ones."""
+    rows = f if type(f) is tuple else fm.compile(f)
     stem, loop = list(stem_labels), list(loop_labels)
     if not loop:
         raise ModelError("lasso loop must be non-empty")
@@ -369,13 +371,13 @@ def eval_on_lasso(f: fm.Formula, stem_labels, loop_labels) -> bool:
     def after(x):  # the positions whose successor is in x
         return x >> 1 | (x >> n_stem & 1) << last
 
-    truth = [0] * len(nodes)
-    cause: dict[int, int] = {}  # node -> the unevaluable node to name
-    for i, g in enumerate(nodes):
-        kind, x = type(g), [truth[k] for k in kids[i]]
+    truth = [0] * len(rows)
+    cause: dict[int, int] = {}  # row -> the unevaluable row to name
+    for i, (kind, data, kids) in enumerate(rows):
+        x = [truth[k] for k in kids]
         if kind is fm.Atom:
             out = sum(1 << j for j, label in enumerate(labels)
-                      if g.name in label)
+                      if data in label)
         elif kind is fm.TrueFormula:
             out = every
         elif kind is fm.FalseFormula:
@@ -402,12 +404,12 @@ def eval_on_lasso(f: fm.Formula, stem_labels, loop_labels) -> bool:
         else:  # not a path formula; its parents are still walked
             cause[i] = i
             continue
-        if cause and (below := [cause[k] for k in kids[i] if k in cause]):
+        if cause and (below := [cause[k] for k in kids if k in cause]):
             cause[i] = below[0]  # the leftmost, as a top-down walk meets it
         truth[i] = out
     if cause:
         raise GrammarError(
-            f"cannot evaluate {type(nodes[cause[len(nodes) - 1]]).__name__} "
+            f"cannot evaluate {rows[cause[len(rows) - 1]][0].__name__} "
             f"on a lasso", production="ltl")
     return bool(truth[-1] & 1)
 
@@ -416,51 +418,31 @@ def eval_on_lasso(f: fm.Formula, stem_labels, loop_labels) -> bool:
 # State-subformula reduction and the public checks
 # ---------------------------------------------------------------------------
 
-class _Reducer:
-    """Replaces path-quantified subformulas by fresh atoms, innermost first.
-
-    Input formulas have their bounded operators expanded already."""
-
-    def __init__(self, ts: TransitionSystem):
-        self.ts = ts
-        self.labels = dict(ts.labels)
-        self.counter = itertools.count()
-        self.cache: dict = {}
-
-    def reduce(self, f):
-        if isinstance(f, (fm.Cstit, fm.Dstit)):
+def _reduce(ts: TransitionSystem, rows):
+    """(rows, labels): a formula's rows with each path-quantified row
+    replaced by a fresh atom's row, innermost first, and the system's
+    labels with each fresh atom added to the states that satisfy its row.
+    The quantified rows' operands stay, for their own tableaux, and each
+    distinct quantified subformula is one row, so it is checked once."""
+    rows, labels = list(rows), dict(ts.labels)
+    fresh = 0
+    for i, (kind, _, kids) in enumerate(rows):
+        if kind is fm.Cstit or kind is fm.Dstit:
             raise GrammarError("stit operator is not part of CTL*",
                                production="ctl-star")
-        if isinstance(f, (fm.ForallPaths, fm.ExistsPaths)):
-            inner = self.reduce(f.operand)
-            node = type(f)(inner)
-            if node in self.cache:
-                return self.cache[node]
-            if isinstance(f, fm.ForallPaths):
-                sat = set(self.ts.states) - self._e_sat(fm.Not(inner))
-            else:
-                sat = self._e_sat(inner)
-            name = f"@q{next(self.counter)}"
-            for q in self.ts.states:
-                if q in sat:
-                    self.labels[q] = self.labels[q] | {name}
-            atom = fm.Atom(name)
-            self.cache[node] = atom
-            return atom
-        parts = fm.children(f)
-        if not parts:
-            return f
-        if isinstance(f, (fm.Not, fm.Next, fm.Eventually, fm.Always)):
-            return type(f)(self.reduce(f.operand))
-        if isinstance(f, (fm.And, fm.Or, fm.Implies, fm.Until, fm.Release)):
-            return type(f)(self.reduce(f.left), self.reduce(f.right))
-        raise GrammarError(f"cannot reduce {type(f).__name__}",
-                           production="ctl-star")
-
-    def _e_sat(self, psi):
-        """States from which some path satisfies psi."""
-        product = _Product(self.ts, self.labels, ltl_to_buchi(psi))
-        return {q for q in self.ts.states if product.nonempty_from(q)}
+        if kind is fm.ForallPaths or kind is fm.ExistsPaths:
+            # E psi: some path satisfies psi; A psi: none satisfies !psi
+            k, exists = kids[0], kind is fm.ExistsPaths
+            psi = tuple(rows[:k + 1])
+            if not exists:
+                psi += ((fm.Not, None, (k,)),)
+            product = _Product(ts, labels, ltl_to_buchi(psi))
+            name = f"@q{fresh}"
+            fresh += 1
+            labels.update({q: labels[q] | {name} for q in ts.states
+                           if product.nonempty_from(q) == exists})
+            rows[i] = (fm.Atom, name, ())
+    return tuple(rows), labels
 
 
 class Universality:
@@ -475,11 +457,10 @@ class Universality:
 
     def __init__(self, ts: TransitionSystem, f: fm.Formula):
         self.formula = f
-        reducer = _Reducer(ts)
-        self.reduced = reducer.reduce(fm.expand_bounded(f))
-        self.labels = reducer.labels
+        self.reduced, self.labels = _reduce(ts, fm.compile(f))
+        negation = ((fm.Not, None, (len(self.reduced) - 1,)),)
         self.product = _Product(ts, self.labels,
-                                ltl_to_buchi(fm.Not(self.reduced)))
+                                ltl_to_buchi(self.reduced + negation))
 
     def holds_from(self, q) -> bool:
         return not self.product.nonempty_from(q)
@@ -514,14 +495,13 @@ def check_universal(ts: TransitionSystem, f: fm.Formula):
 def check_ctls(ts: TransitionSystem, f: fm.Formula) -> set:
     """States satisfying a CTL* state formula, by recursive labeling."""
     ts.require_total()
-    reducer = _Reducer(ts)
-    reduced = reducer.reduce(fm.expand_bounded(f))
-    for g in fm.walk(reduced):
-        if isinstance(g, (fm.Next, fm.Until, fm.Release, fm.Eventually,
-                          fm.Always)):
-            raise GrammarError(
-                "not a state formula: a temporal operator escapes every "
-                "path quantifier", production="state-formula")
-    return {q for q in ts.states
-            if eval_on_lasso(reduced, [], [reducer.labels[q]])}
-
+    rows, labels = _reduce(ts, fm.compile(f))
+    temporal = (fm.Next, fm.Until, fm.Release, fm.Eventually, fm.Always)
+    escapes = []  # per row: has it a temporal operator outside quantifiers?
+    for kind, _, kids in rows:
+        escapes.append(kind in temporal or any(escapes[k] for k in kids))
+    if escapes[-1]:
+        raise GrammarError(
+            "not a state formula: a temporal operator escapes every "
+            "path quantifier", production="state-formula")
+    return {q for q in ts.states if eval_on_lasso(rows, [], [labels[q]])}

@@ -16,11 +16,12 @@ operators as the table ``_INFIX`` binds them: ``BR[n]``, ``U``/``R``, ``&``,
 formula to their right.
 
 Two limits live here.  MAX_DEPTH bounds how deep a parsed statement nests,
-so that the recursive passes over it stay inside Python's default
-recursion limit; deeper text is a ParseError.  MAX_UNFOLD bounds how far
-expand_bounded unfolds X^t, F[n:m] and BR[N]; past it the tableau would
-refuse the result, so the operator is refused first, as a
-ResourceLimitError.
+so that the passes that still recurse (the parser, render, obligation
+normalisation, the dataclasses' hash and equality, and tree_model) stay
+inside Python's default recursion limit; deeper text is a ParseError.
+MAX_UNFOLD bounds how far compile unfolds X^t, F[n:m] and BR[N]; past it
+the tableau would refuse the result, so the operator is refused first, as
+a ResourceLimitError.
 """
 
 from __future__ import annotations
@@ -243,8 +244,9 @@ def ought(agent, body, condition=None):
 # Structural helpers
 # ---------------------------------------------------------------------------
 
-_UNARY = (Not, Next, Eventually, Always, ForallPaths, ExistsPaths)
-_BINARY = (And, Or, Implies, Until, Release)
+_UNARY = (Not, Next, NextPow, Eventually, EventuallyBounded, Always,
+          ForallPaths, ExistsPaths)
+_BINARY = (And, Or, Implies, Until, Release, BoundedRelease)
 
 
 def children(f):
@@ -252,10 +254,6 @@ def children(f):
     if isinstance(f, _UNARY):
         return (f.operand,)
     if isinstance(f, _BINARY):
-        return (f.left, f.right)
-    if isinstance(f, (NextPow, EventuallyBounded)):
-        return (f.operand,)
-    if isinstance(f, BoundedRelease):
         return (f.left, f.right)
     if isinstance(f, (Cstit, Dstit, DstitOf, NegatedObligation)):
         return (f.body,)
@@ -275,43 +273,8 @@ def walk(f):
         todo.extend(reversed(children(g)))
 
 
-def node_table(f):
-    """(nodes, kids): f's distinct nodes in post-order, children before
-    parents and f last, and each node's child indices into nodes.
-
-    Iterative, and it hashes no formula: a node equals an earlier one when
-    its kind, its children's indices and its other fields do."""
-    nodes, kids, by_key, placed = [], [], {}, {}  # placed: id -> index
-    todo = [(f, None)]
-    while todo:
-        g, parts = todo.pop()
-        if parts is None:  # first visit: place the children first
-            if id(g) in placed:
-                continue
-            parts = children(g)
-            if parts:
-                todo.append((g, parts))
-                todo += [(c, None) for c in reversed(parts)]
-                continue
-        ks = tuple([placed[id(c)] for c in parts])
-        key = (type(g), ks)
-        if len(vars(g)) != len(parts):
-            key += tuple([v for v in vars(g).values()
-                          if not isinstance(v, (Formula, Obligation))])
-        placed[id(g)] = i = by_key.setdefault(key, len(nodes))
-        if i == len(nodes):
-            nodes.append(g)
-            kids.append(ks)
-    return nodes, kids
-
-
 def contains_stit(f):
     return any(isinstance(g, (Cstit, Dstit, DstitOf)) for g in walk(f))
-
-
-def atoms_of(f):
-    """Names of all atoms occurring in f."""
-    return {g.name for g in walk(f) if isinstance(g, Atom)}
 
 
 def or_all(parts):
@@ -332,13 +295,6 @@ def and_all(parts):
     for p in parts[1:]:
         out = And(out, p)
     return out
-
-
-def next_pow(steps, f):
-    """steps-fold application of Next."""
-    for _ in range(steps):
-        f = Next(f)
-    return f
 
 
 # ---------------------------------------------------------------------------
@@ -776,9 +732,25 @@ def obligation_to_formula(ob) -> Formula:
 # Transformations
 # ---------------------------------------------------------------------------
 
-def expand_bounded(f):
-    """Rewrite X^t, F[n:m] and BR[N] into X / and / or structure, in a
-    formula or an obligation.
+# The bounded operators, each unfolding into n next-step obligations:
+# kind -> (n, the operator as refusals name it)
+_UNFOLDS = {
+    NextPow: lambda g: (g.steps, f"X^{g.steps}"),
+    EventuallyBounded: lambda g: (g.hi, f"F[{g.lo}:{g.hi}]"),
+    BoundedRelease: lambda g: (g.bound, f"BR[{g.bound}]"),
+}
+# the bodies that count their unfolding afresh: quantifiers and stits
+_FRESH = (ForallPaths, ExistsPaths, Cstit, Dstit, DstitOf)
+
+
+def compile(f):
+    """f, a formula or an obligation, as rows (kind, data, kids): one row
+    per distinct subformula, children before parents and f last.  kind is
+    the node's class, data its atom name or agent (else None), and kids
+    its children's row indices.
+
+    X^t, F[n:m] and BR[N] are unfolded in place, and the unfolded chains
+    share rows (X^3 p runs through the rows of X^2 p):
 
     F[n:m] f  =  X^n f | ... | X^m f
     l BR[0] r =  l | r
@@ -787,90 +759,135 @@ def expand_bounded(f):
     Each unfolds into a chain of t, m or N next-step obligations, nested in
     the chains of the bounded operators around it up to the nearest path
     quantifier or stit (nexts of them); past MAX_UNFOLD in all the tableau
-    would refuse them, so the operator is refused before it is unfolded.
-    """
-    return _expand(f, 0)
+    would refuse them, so the first such operator from the root down, left
+    first, is refused before it is unfolded.
+
+    Iterative, and it hashes no formula: a row is found again by its kind,
+    data and kids."""
+    index, done = {}, {}  # index: row -> its place; done: (id, nexts) -> row
+
+    def add(kind, data, *kids):
+        return index.setdefault((kind, data, kids), len(index))
+
+    todo = [(f, 0, None)]
+    while todo:
+        g, nexts, inner = todo.pop()
+        kind, parts = type(g), children(g)
+        if inner is None:  # first visit: refuse, then place the children
+            if (id(g), nexts) in done:
+                continue
+            inner = 0 if kind in _FRESH else nexts
+            if kind in _UNFOLDS:
+                n, op = _UNFOLDS[kind](g)
+                inner += n
+                if inner > MAX_UNFOLD:
+                    raise ResourceLimitError(
+                        f"{op} unfolds into {n} next-step obligations"
+                        f"{f' inside {nexts} more' if nexts else ''}; the "
+                        f"tableau is capped at {MAX_UNFOLD} elementary bits")
+            if parts:
+                todo.append((g, nexts, inner))
+                todo += [(c, inner, None) for c in reversed(parts)]
+                continue
+        kids = [done[id(c), inner] for c in parts]
+        if kind is BoundedRelease:
+            left, right = kids
+            i = add(Or, None, left, right)
+            for _ in range(g.bound):
+                i = add(Or, None, left,
+                        add(And, None, right, add(Next, None, i)))
+        elif kind in _UNFOLDS:  # X^t g is F[t:t] g
+            chain = kids
+            for _ in range(_UNFOLDS[kind](g)[0]):
+                chain.append(add(Next, None, chain[-1]))
+            lo = g.steps if kind is NextPow else g.lo
+            i = chain[lo]
+            for later in chain[lo + 1:]:
+                i = add(Or, None, i, later)
+        else:
+            data = g.name if kind is Atom else getattr(g, "agent", None)
+            i = add(kind, data, *kids)
+        done[id(g), nexts] = i
+    return tuple(index)
 
 
-def _expand(f, nexts):
-    if isinstance(f, NextPow):
-        if nexts + f.steps > MAX_UNFOLD:
-            _refuse_unfolding(f"X^{f.steps}", f.steps, nexts)
-        return next_pow(f.steps, _expand(f.operand, nexts + f.steps))
-    if isinstance(f, EventuallyBounded):
-        if nexts + f.hi > MAX_UNFOLD:
-            _refuse_unfolding(f"F[{f.lo}:{f.hi}]", f.hi, nexts)
-        inner = _expand(f.operand, nexts + f.hi)
-        return or_all(next_pow(t, inner) for t in range(f.lo, f.hi + 1))
-    if isinstance(f, BoundedRelease):
-        if nexts + f.bound > MAX_UNFOLD:
-            _refuse_unfolding(f"BR[{f.bound}]", f.bound, nexts)
-        left = _expand(f.left, nexts + f.bound)
-        right = _expand(f.right, nexts + f.bound)
-        out = Or(left, right)
-        for _ in range(f.bound):
-            out = Or(left, And(right, Next(out)))
-        return out
-    if isinstance(f, (ForallPaths, ExistsPaths)):
-        return type(f)(_expand(f.operand, 0))
-    if isinstance(f, _UNARY):
-        return type(f)(_expand(f.operand, nexts))
-    if isinstance(f, _BINARY):
-        return type(f)(_expand(f.left, nexts), _expand(f.right, nexts))
-    if isinstance(f, (Cstit, Dstit, DstitOf)):
-        return type(f)(f.agent, _expand(f.body, 0))
-    if isinstance(f, NegatedObligation):
-        return NegatedObligation(_expand(f.body, nexts))
-    if isinstance(f, Plain):
-        return Plain(_expand(f.formula, nexts))
-    return f
+def decompile(rows):
+    """The formula or obligation that the rows' last row stands for."""
+    built = []
+    for kind, data, kids in rows:
+        parts = [built[k] for k in kids]
+        built.append(kind(*parts) if data is None else kind(data, *parts))
+    return built[-1]
 
 
-def _refuse_unfolding(op, n, nexts):
-    inside = f" inside {nexts} more" if nexts else ""
-    raise ResourceLimitError(
-        f"{op} unfolds into {n} next-step obligations{inside}; the tableau "
-        f"is capped at {MAX_UNFOLD} elementary bits")
+def expand_bounded(f):
+    """f, a formula or an obligation, with X^t, F[n:m] and BR[N] unfolded
+    into X / and / or structure (see compile)."""
+    return decompile(compile(f))
 
 
-def nnf(f: Formula, negated: bool = False) -> Formula:
-    """Negation normal form over atoms, X, U and R.
+# Negation normal form: each kind as it becomes unnegated and negated.  F
+# and G become U and R over a constant, ``true U .`` and ``false R .``;
+# a negation moves onto its operand.
+_NNF = {
+    Not: (None, None), TrueFormula: (TrueFormula, FalseFormula),
+    FalseFormula: (FalseFormula, TrueFormula),
+    And: (And, Or), Or: (Or, And), Implies: (Or, And), Next: (Next, Next),
+    Until: (Until, Release), Release: (Release, Until),
+    Eventually: (Until, Release), Always: (Release, Until),
+}
 
-    Bounded operators must be expanded first; F and G normalize to
-    ``true U .`` and ``false R .``.  Negation survives only on atoms.
-    """
-    if isinstance(f, Atom):
-        return Not(f) if negated else f
-    if isinstance(f, TrueFormula):
-        return FALSE if negated else TRUE
-    if isinstance(f, FalseFormula):
-        return TRUE if negated else FALSE
-    if isinstance(f, Not):
-        return nnf(f.operand, not negated)
-    if isinstance(f, And):
-        parts = (nnf(f.left, negated), nnf(f.right, negated))
-        return Or(*parts) if negated else And(*parts)
-    if isinstance(f, Or):
-        parts = (nnf(f.left, negated), nnf(f.right, negated))
-        return And(*parts) if negated else Or(*parts)
-    if isinstance(f, Implies):
-        return nnf(Or(Not(f.left), f.right), negated)
-    if isinstance(f, Next):
-        return Next(nnf(f.operand, negated))
-    if isinstance(f, Until):
-        parts = (nnf(f.left, negated), nnf(f.right, negated))
-        return Release(*parts) if negated else Until(*parts)
-    if isinstance(f, Release):
-        parts = (nnf(f.left, negated), nnf(f.right, negated))
-        return Until(*parts) if negated else Release(*parts)
-    if isinstance(f, Eventually):
-        return nnf(Until(TRUE, f.operand), negated)
-    if isinstance(f, Always):
-        return nnf(Release(FALSE, f.operand), negated)
-    raise GrammarError(f"cannot normalize {type(f).__name__}; expand bounded "
-                       f"operators and strip quantifiers first",
-                       production="nnf")
 
+def nnf_rows(rows):
+    """The negation normal form over atoms, X, U and R of the formula that
+    the rows' last row stands for, as rows of its own (see compile).
+
+    Negation survives only on atoms.  Quantified and stit rows cannot be
+    normalized.  Only the rows the last one reaches are walked, and the
+    normal form's rows come children first and left to right, in the
+    order a recursive post-order walk of it meets them.  Iterative: one
+    explicit stack of (row, polarity) keys, each normalized once."""
+    index, at = {}, {}  # row -> its place; 2 * row + negated -> a place
+
+    def add(row):
+        return index.setdefault(row, len(index))
+
+    todo = [2 * len(rows) - 2]
+    while todo:
+        key = todo[-1]
+        if key in at:
+            todo.pop()
+            continue
+        kind, _, kids = row = rows[key >> 1]
+        neg = key & 1
+        if kind is Atom:
+            i = add(row)
+            at[todo.pop()] = add((Not, None, (i,))) if neg else i
+            continue
+        if kind not in _NNF:
+            raise GrammarError(f"cannot normalize {kind.__name__}; strip "
+                               f"quantifiers first", production="nnf")
+        become = _NNF[kind][neg]
+        want = [2 * k + neg for k in kids]
+        if kind is Not or kind is Implies:  # the left operand flips
+            want[0] ^= 1
+        first = ()  # F and G: the constant comes before the operand
+        if kind is Eventually or kind is Always:
+            first = (add((TrueFormula if become is Until else FalseFormula,
+                          None, ())),)
+        missing = [w for w in want if w not in at]
+        if missing:
+            todo += reversed(missing)
+            continue
+        todo.pop()
+        kids = first + tuple([at[w] for w in want])
+        at[key] = kids[0] if become is None else add((become, None, kids))
+    return tuple(index)
+
+
+def nnf(f):
+    """The negation normal form of a formula (see nnf_rows)."""
+    return decompile(nnf_rows(compile(f)))
 
 def rewrite_dstit_idempotent(ob: Obligation) -> Obligation:
     """Collapse stacked same-agent dstits.

@@ -133,9 +133,8 @@ class _FirstPhase:
         self.initial = aut.initial
         self.intervals = tuple(extremal_values(aut, action)
                                for action in aut.first_actions())
-        self.optimal = tuple(
-            iv for iv in self.intervals
-            if not any(other.lo > iv.hi for other in self.intervals))
+        top = max((iv.lo for iv in self.intervals), default=0)
+        self.optimal = tuple(iv for iv in self.intervals if not top > iv.hi)
         # the stripped automaton plus one fresh root per optimal action, with
         # the initial label and the action's initial targets.  Nothing leads
         # to a root, so the executions from K's root are exactly the

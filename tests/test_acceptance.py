@@ -250,29 +250,34 @@ def _family_automaton(m):
                          [], transitions, labels)
 
 
-def _timed_check(aut, ob, repeats=5):
-    best = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        check_ought(aut, "alpha", ob)
-        best.append(time.perf_counter() - t0)
-    best.sort()
-    return best[len(best) // 2]
+def _fastest_checks(sizes, ob, rounds=7):
+    """Per size m, the fastest of several checks, each on a freshly built
+    family automaton, so that every sample includes the first phase (a
+    second check on the same automaton reuses it).  Each round times every
+    size once, so a change in the machine's speed meets all sizes alike."""
+    best = dict.fromkeys(sizes, float("inf"))
+    for _ in range(rounds):
+        for m in sizes:
+            aut = _family_automaton(m)
+            t0 = time.perf_counter()
+            check_ought(aut, "alpha", ob)
+            best[m] = min(best[m], time.perf_counter() - t0)
+    return best
 
 
 def test_criterion_10_linear_complexity_shape():
     started = time.perf_counter()
     ob = fm.parse_obligation("G p")
-    _timed_check(_family_automaton(2), ob)  # warm caches
-    times = {m: _timed_check(_family_automaton(m), ob)
-             for m in range(2, 11)}
-    t2, t3 = times[2], times[3]
-    slope = t3 - t2
-    for m in range(4, 11):
-        predicted = t2 + slope * (m - 2)
-        bound = 2 * max(predicted, t2)
+    sizes = range(8, 65, 8)
+    _fastest_checks(sizes, ob, rounds=1)  # warm caches
+    times = _fastest_checks(sizes, ob)
+    t8, t16 = times[8], times[16]
+    slope = (t16 - t8) / 8
+    for m in sizes[2:]:
+        predicted = t8 + slope * (m - 8)
+        bound = 2 * max(predicted, t8)
         assert times[m] <= bound, (
             f"m={m}: {times[m]:.4f}s exceeds 2x linear extrapolation "
-            f"{bound:.4f}s (t2={t2:.4f}, t3={t3:.4f})")
+            f"{bound:.4f}s (t8={t8:.4f}, t16={t16:.4f})")
     elapsed = time.perf_counter() - started
     report(10, "per-first-action cost stays within 2x linear growth", elapsed)

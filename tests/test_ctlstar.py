@@ -117,7 +117,7 @@ def valuation_tableau(f):
     elementary formulas, the sorted atoms first and then the distinct
     temporal subformulas in post-order, as ltl_to_buchi numbers them."""
     f = fm.nnf(fm.expand_bounded(f))
-    atoms = sorted(fm.atoms_of(f))
+    atoms = sorted({g.name for g in fm.walk(f) if isinstance(g, fm.Atom)})
     temporals = []
 
     def post_order(g):
@@ -434,6 +434,55 @@ class TestCheckUniversal:
             check_universal(ts, fm.TRUE)
         with pytest.raises(ModelError, match="dead ends"):
             check_ctls(ts, fm.parse_formula("A G p"))
+
+
+# ======================== deep formulas ========================
+
+def deep_chain(kind, n=3000):
+    """n levels of & (over one atom), ! or F, built with the constructors:
+    the parser stops at MAX_DEPTH."""
+    p = fm.Atom("p")
+    if kind == "&":
+        return fm.and_all([p] * n)
+    f = p
+    for _ in range(n):
+        f = fm.Not(f) if kind == "!" else fm.Eventually(f)
+    return f
+
+
+class TestDeepFormulas:
+    @pytest.mark.parametrize("kind, same, refused", [
+        ("&", "p", set()), ("!", "p", set()),
+        ("F", "F p", {"universal", "counterexample", "ctls", "tableau"})])
+    def test_decided_or_refused_never_recursing(self, t0, kind, same,
+                                                refused):
+        """A 3,000-level chain is decided as its shallow equivalent, or,
+        where the tableau would need more than 16 bits, refused as a
+        resource limit; no entry point recurses over it."""
+        ts = strip_weights(t0)
+
+        def lasso(cx):
+            return cx and (cx.stem, cx.loop)
+
+        def tableau(buchi):
+            return len(buchi.states), buchi.initial, buchi.accepting
+
+        calls = {
+            "universal": lambda f: check_universal(ts, f)[0],
+            "counterexample": lambda f: lasso(
+                Universality(ts, f).counterexample("q0")),
+            "ctls": lambda f: check_ctls(ts, fm.ExistsPaths(f)),
+            "lasso": lambda f: eval_on_lasso(f, [{"p"}], [set()]),
+            "tableau": lambda f: tableau(ltl_to_buchi(f)),
+        }
+        deep, shallow = deep_chain(kind), fm.parse_formula(same)
+        for name, call in calls.items():
+            if name in refused:
+                with pytest.raises(ResourceLimitError,
+                                   match="3001 elementary bits"):
+                    call(deep)
+            else:
+                assert call(deep) == call(shallow), name
 
 
 # ======================== check_ctls ========================

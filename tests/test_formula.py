@@ -242,46 +242,71 @@ class TestRender:
             assert fm.parse(fm.render(st)) == st
 
 
-# ======================== Node table ========================
+# ======================== Compiled rows ========================
 
-class TestNodeTable:
+def post_order(f):
+    """f's nodes, children first and left to right, without recursion."""
+    out, todo = [], [f]
+    while todo:
+        g = todo.pop()
+        out.append(g)
+        todo.extend(fm.children(g))
+    return out[::-1]
+
+
+def next_rows(rows):
+    return sum(kind is fm.Next for kind, _, _ in rows)
+
+
+class TestCompile:
     def test_distinct_subformulas_children_first(self):
-        """One entry per distinct subformula, f last, and each entry's
-        child indices point at earlier entries equal to its children."""
+        """One row per distinct subformula, f last, and each row's kids
+        point at earlier rows; the rows decompile to f."""
         rng = random.Random(31)
         for _ in range(200):
             f = random_path_formula(rng, rng.randint(0, 5), ["p", "q"],
-                                    allow_quantifiers=True)
-            nodes, kids = fm.node_table(f)
-            assert nodes[-1] is f
-            assert len(nodes) == len(set(fm.walk(f)))
-            for i, (g, ks) in enumerate(zip(nodes, kids)):
-                assert all(k < i for k in ks)
-                assert [nodes[k] for k in ks] == list(fm.children(g))
+                                    allow_quantifiers=True,
+                                    allow_bounded=False)
+            rows = fm.compile(f)
+            assert fm.decompile(rows) == f
+            assert len(rows) == len(set(rows)) == len(set(fm.walk(f)))
+            for i, (_, _, kids) in enumerate(rows):
+                assert all(k < i for k in kids)
 
-    def test_equal_subtrees_share_an_index(self):
+    def test_equal_subtrees_built_apart_share_a_row(self):
         p = fm.Atom("p")
         f = fm.Or(fm.Next(fm.Atom("p")), fm.And(fm.Next(fm.Atom("p")), p))
-        nodes, kids = fm.node_table(f)
-        assert len(nodes) == 4  # p, X p, X p & p, the disjunction
-        assert kids[-1][0] == kids[kids[-1][1]][0]
+        rows = fm.compile(f)
+        assert len(rows) == 4  # p, X p, X p & p, the disjunction
+        left, right = rows[-1][2]
+        assert rows[right][2][0] == left
 
-    @pytest.mark.parametrize("text", ["[a cstit: p] & [b cstit: p]",
-                                      "X^2 p & X^3 p"])
-    def test_fields_tell_nodes_apart(self, text):
-        """Nodes with equal children but another agent or step count stay
-        two nodes; their shared operand is one."""
-        nodes, kids = fm.node_table(fm.parse_formula(text))
-        left, right = kids[-1]
+    def test_stits_of_two_agents_keep_two_rows(self):
+        """Equal bodies, other agents: two stit rows over one body row."""
+        rows = fm.compile(fm.parse_formula("[a cstit: p] & [b cstit: p]"))
+        left, right = rows[-1][2]
         assert left != right
-        assert kids[left] == kids[right]
+        assert [rows[left][1], rows[right][1]] == ["a", "b"]
+        assert rows[left][2] == rows[right][2]
+
+    def test_unfolded_next_chains_share_rows(self):
+        """X^2 p & X^3 p is 5 rows: the X^3 chain runs through X^2 p."""
+        rows = fm.compile(fm.parse_formula("X^2 p & X^3 p"))
+        assert len(rows) == 5
+        left, right = rows[-1][2]
+        assert rows[right] == (fm.Next, None, (left,))
+
+    @pytest.mark.parametrize("n", range(fm.MAX_UNFOLD + 1))
+    def test_bounded_operators_unfold_into_n_next_rows(self, n):
+        assert next_rows(fm.compile(fm.parse_formula(f"F[0:{n}] p"))) == n
+        assert next_rows(fm.compile(fm.parse_formula(f"p BR[{n}] q"))) == n
 
     def test_deep_chain_without_recursion(self):
         wide = fm.and_all(fm.Atom(f"p{i}") for i in range(5000))
-        nodes, kids = fm.node_table(wide)
-        assert len(nodes) == 9999 and nodes[-1] is wide
+        rows = fm.compile(wide)
+        assert len(rows) == 9999 and rows[-1][0] is fm.And
         narrow = fm.and_all([fm.Atom("p")] * 5000)
-        assert len(fm.node_table(narrow)[0]) == 5000
+        assert len(fm.compile(narrow)) == 5000
 
 
 # ======================== Bounded-operator expansion ========================
@@ -343,6 +368,15 @@ class TestExpandBounded:
         with pytest.raises(ResourceLimitError) as err:
             fm.expand_bounded(fm.parse(text))
         assert message in str(err.value)
+
+    def test_shared_operand_refused_where_it_nests_past_the_cap(self):
+        """One operand object in two places is checked in each: here only
+        the copy under X^10 passes the cap."""
+        inner = fm.parse_formula("F[0:7] q")
+        f = fm.Or(inner, fm.NextPow(10, inner))
+        with pytest.raises(ResourceLimitError, match=r"F\[0:7\] unfolds "
+                           r"into 7 next-step obligations inside 10 more"):
+            fm.expand_bounded(f)
 
     def test_cap_restarts_under_a_quantifier_or_stit(self):
         """A path quantifier's or a stit's body is checked on its own, so
@@ -432,7 +466,48 @@ class TestDstitRewrite:
 
 # ======================== NNF ========================
 
+def recursive_nnf(f, negated=False):
+    """The normal form as a recursive rewrite: the reference nnf_rows is
+    compared against."""
+    dual = {fm.And: fm.Or, fm.Or: fm.And, fm.Until: fm.Release,
+            fm.Release: fm.Until}
+    kind = type(f)
+    if kind is fm.Atom:
+        return fm.Not(f) if negated else f
+    if kind in (fm.TrueFormula, fm.FalseFormula):
+        return fm.FALSE if (kind is fm.TrueFormula) == negated else fm.TRUE
+    if kind is fm.Not:
+        return recursive_nnf(f.operand, not negated)
+    if kind is fm.Implies:
+        return recursive_nnf(fm.Or(fm.Not(f.left), f.right), negated)
+    if kind is fm.Eventually:
+        return recursive_nnf(fm.Until(fm.TRUE, f.operand), negated)
+    if kind is fm.Always:
+        return recursive_nnf(fm.Release(fm.FALSE, f.operand), negated)
+    if kind is fm.Next:
+        return fm.Next(recursive_nnf(f.operand, negated))
+    return (dual[kind] if negated else kind)(
+        recursive_nnf(f.left, negated), recursive_nnf(f.right, negated))
+
+
 class TestNnf:
+    def test_matches_the_recursive_rewrite(self):
+        """The same normal form, and its rows in the order a post-order
+        walk of it meets its distinct subformulas."""
+        rng = random.Random(4)
+        for _ in range(200):
+            f = random_path_formula(rng, 4, ["p", "q"])
+            for g in (f, fm.Not(f)):
+                want = recursive_nnf(fm.expand_bounded(g))
+                rows = fm.nnf_rows(fm.compile(g))
+                assert fm.decompile(rows) == want
+                seen = []
+                for node in post_order(want):
+                    if node not in seen:
+                        seen.append(node)
+                assert [fm.decompile(rows[:i + 1])
+                        for i in range(len(rows))] == seen
+
     def test_negations_reach_atoms_only(self):
         rng = random.Random(5)
         for _ in range(100):

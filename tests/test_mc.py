@@ -155,6 +155,24 @@ class TestCheckOught:
                 check_conditional_ought(aut, "alpha", body, cond)
                 assert len(built) == len(set(built)) == n, (body, cond)
 
+    def test_each_formula_compiled_once(self, t0, monkeypatch):
+        """A check compiles each distinct formula once, and every pass after
+        that reads the rows: no formula is unfolded or normalized."""
+        compiled = []
+
+        def counting(f, build=fm.compile):
+            compiled.append(f)
+            return build(f)
+
+        def refuse(*args):
+            raise AssertionError("a pass left the compiled rows")
+
+        monkeypatch.setattr(fm, "compile", counting)
+        monkeypatch.setattr(fm, "expand_bounded", refuse)
+        monkeypatch.setattr(fm, "nnf", refuse)
+        check_conditional_ought(t0, "alpha", "G (E F p)", "G (E F p)")
+        assert compiled == [fm.parse_formula("G (E F p)")]
+
     def test_first_phase_builds_no_copies(self, monkeypatch):
         """check_ought and its conditional variant neither restrict nor
         prime, and strip the user's automaton at most once per check."""
