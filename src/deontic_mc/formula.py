@@ -16,9 +16,9 @@ operators as the table ``_INFIX`` binds them: ``BR[n]``, ``U``/``R``, ``&``,
 formula to their right.
 
 Two limits live here.  MAX_DEPTH bounds how deep a parsed statement nests,
-so that the passes that still recurse (the parser, render, obligation
-normalisation, the dataclasses' hash and equality, and tree_model) stay
-inside Python's default recursion limit; deeper text is a ParseError.
+so that the passes that still recurse (the parser, render, the
+dataclasses' hash and equality, and tree_model) stay inside Python's
+default recursion limit; deeper text is a ParseError.
 MAX_UNFOLD bounds how far compile unfolds X^t, F[n:m] and BR[N]; past it
 the tableau would refuse the result, so the operator is refused first, as
 a ResourceLimitError.
@@ -651,22 +651,25 @@ class _Parser:
 def formula_to_obligation(f) -> Obligation:
     """Coerce a parsed formula into the obligation grammar.
 
-    ``[a dstit: ...]`` maps to a dstit obligation, negation folds into the
-    formula when the body is plain, and anything embedding a stit operator
-    inside boolean/temporal structure is rejected.
+    ``[a dstit: ...]`` under any number of negations maps to a dstit
+    obligation under as many negated obligations; any other formula must be
+    stit-free, and becomes one plain obligation, its negations included.
+    Anything embedding a stit operator inside boolean/temporal structure is
+    rejected.
     """
-    if isinstance(f, Dstit):
-        return DstitOf(f.agent, f.body)
-    if isinstance(f, Not):
-        inner = formula_to_obligation(f.operand)
-        if isinstance(inner, Plain):
-            return Plain(Not(inner.formula))
-        return NegatedObligation(inner)
-    if isinstance(f, Cstit):
+    negations, g = 0, f
+    while isinstance(g, Not):
+        negations, g = negations + 1, g.operand
+    if isinstance(g, Dstit):
+        ob = DstitOf(g.agent, g.body)
+        for _ in range(negations):
+            ob = NegatedObligation(ob)
+        return ob
+    if isinstance(g, Cstit):
         raise GrammarError(
             "cstit is not part of the obligation grammar (phi | [a dstit: A] | !A)",
             production="obligation")
-    if contains_stit(f):
+    if contains_stit(g):
         raise GrammarError(
             "a stit operator may not be embedded in formula structure inside "
             "an obligation (grammar: phi | [a dstit: A] | !A)",
@@ -675,14 +678,12 @@ def formula_to_obligation(f) -> Obligation:
 
 
 def _classify(f):
-    """Most specific reading of a top-level formula parse."""
-    try:
-        ob = formula_to_obligation(f)
-    except GrammarError:
-        return f
-    if isinstance(ob, (DstitOf, NegatedObligation)):
-        return ob
-    return f
+    """Most specific reading of a top-level formula parse: negations over a
+    dstit are an obligation, anything else stays a formula."""
+    g = f
+    while isinstance(g, Not):
+        g = g.operand
+    return formula_to_obligation(f) if isinstance(g, Dstit) else f
 
 
 def parse(text: str):
@@ -719,13 +720,18 @@ def parse_ought(text: str) -> OughtStatement:
 
 def obligation_to_formula(ob) -> Formula:
     """View an obligation as a formula (dstit obligations become Dstit nodes)."""
+    negations = 0
+    while isinstance(ob, NegatedObligation):
+        negations, ob = negations + 1, ob.body
     if isinstance(ob, Plain):
-        return ob.formula
-    if isinstance(ob, DstitOf):
-        return Dstit(ob.agent, ob.body)
-    if isinstance(ob, NegatedObligation):
-        return Not(obligation_to_formula(ob.body))
-    raise TypeError(f"not an obligation: {type(ob).__name__}")
+        f = ob.formula
+    elif isinstance(ob, DstitOf):
+        f = Dstit(ob.agent, ob.body)
+    else:
+        raise TypeError(f"not an obligation: {type(ob).__name__}")
+    for _ in range(negations):
+        f = Not(f)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -889,51 +895,43 @@ def nnf(f):
     """The negation normal form of a formula (see nnf_rows)."""
     return decompile(nnf_rows(compile(f)))
 
-def rewrite_dstit_idempotent(ob: Obligation) -> Obligation:
-    """Collapse stacked same-agent dstits.
-
-    ``[a dstit: [a dstit: A]]`` collapses to ``[a dstit: A]`` and the
-    refrain-from-refraining form ``[a dstit: ![a dstit: ![a dstit: A]]]``
-    collapses to ``[a dstit: A]``; different agents are left alone.
-    """
-    if isinstance(ob, Plain):
-        return ob
-    if isinstance(ob, NegatedObligation):
-        return NegatedObligation(rewrite_dstit_idempotent(ob.body))
-    if isinstance(ob, DstitOf):
-        body = rewrite_dstit_idempotent(ob.body)
-        if isinstance(body, DstitOf) and body.agent == ob.agent:
-            return body
-        if (isinstance(body, NegatedObligation)
-                and isinstance(body.body, DstitOf)
-                and body.body.agent == ob.agent
-                and isinstance(body.body.body, NegatedObligation)
-                and isinstance(body.body.body.body, DstitOf)
-                and body.body.body.body.agent == ob.agent):
-            return body.body.body.body
-        return DstitOf(ob.agent, body)
-    raise TypeError(f"not an obligation: {type(ob).__name__}")
-
 
 def normalize_obligation(ob: Obligation) -> Obligation:
-    """Fold negations (double negation, negated plain formulas) and apply
-    the dstit collapses, to fixpoint."""
-    def strip(a):
-        if isinstance(a, NegatedObligation):
-            inner = strip(a.body)
-            if isinstance(inner, NegatedObligation):
-                return inner.body
-            if isinstance(inner, Plain):
-                if isinstance(inner.formula, Not):
-                    return Plain(inner.formula.operand)
-                return Plain(Not(inner.formula))
-            return NegatedObligation(inner)
-        if isinstance(a, DstitOf):
-            return DstitOf(a.agent, strip(a.body))
-        return a
-
-    previous = None
-    while previous != ob:
-        previous = ob
-        ob = rewrite_dstit_idempotent(strip(ob))
-    return ob
+    """The normal form of an obligation, in one pass over its chain of
+    negations and dstits, innermost first: a negation directly over the
+    formula folds into it (unwrapping one leading ``!``), ``!!A`` is A,
+    ``[a dstit: [a dstit: A]]`` is ``[a dstit: A]``, and so is the
+    refrain-from-refraining ``[a dstit: ![a dstit: ![a dstit: A]]]``;
+    different agents are left alone.  An obligation already in normal form
+    is returned as it is."""
+    chain = []  # the negations and dstits, outermost first
+    leaf = ob
+    while isinstance(leaf, (NegatedObligation, DstitOf)):
+        chain.append(leaf)
+        leaf = leaf.body
+    if not isinstance(leaf, Plain):
+        raise TypeError(f"not an obligation: {type(leaf).__name__}")
+    links = len(chain)
+    phi = leaf.formula
+    while chain and isinstance(chain[-1], NegatedObligation):
+        chain.pop()
+        phi = phi.operand if isinstance(phi, Not) else Not(phi)
+    # the links kept, innermost first: a dstit's agent, or None for a
+    # negation.  They stay in normal form, so the next link can only match
+    # a rule together with the links at the top.
+    kept = []
+    for link in reversed(chain):
+        agent = link.agent if isinstance(link, DstitOf) else None
+        if kept[-1:] == [agent]:  # !! cancels, [a][a] keeps one [a]
+            if agent is None:
+                kept.pop()
+        elif kept[-4:] == [agent, None, agent, None]:  # [a]![a]![a]
+            del kept[-3:]
+        else:
+            kept.append(agent)
+    if len(kept) == links:
+        return ob
+    out = leaf if phi is leaf.formula else Plain(phi)
+    for agent in kept:
+        out = NegatedObligation(out) if agent is None else DstitOf(agent, out)
+    return out

@@ -140,12 +140,9 @@ class _FirstPhase:
         # to a root, so the executions from K's root are exactly the
         # executions that begin with K.
         self.system = strip_weights(aut)
-        self.roots: dict[str, str] = {}  # optimal action -> its root
-        taken, root = set(aut.states), aut.initial
+        self.roots: dict[str, object] = {}  # optimal action -> its root
         for iv in self.optimal:
-            root += "'"
-            while root in taken:
-                root += "'"
+            root = object()  # equal to no state
             self.system.add_root(root, [t.dst for t in aut.out(aut.initial)
                                         if t.action == iv.action],
                                  aut.label(aut.initial))

@@ -536,29 +536,27 @@ class ExplicitStitModel:
         linked = set()  # histories whose every step goes to a child
         for h in self.histories.values():
             ms = h.moments
-            ok = bool(ms) and all(mid in self.moments for mid in ms)
-            if ok and self.moments[ms[0]].parent is not None:
+            if not ms or not all(mid in self.moments for mid in ms):
+                out.append(Violation("history-path", None, None,
+                                     f"history {h.id} mentions unknown moments"))
+                continue
+            if self.moments[ms[0]].parent is not None:
                 out.append(Violation("history-path", None, ms[0],
                                      f"history {h.id} does not start at the root"))
-                ok = False
-            if ok:
-                for a, b in zip(ms, ms[1:]):
-                    if self.moments[b].parent != a:
-                        out.append(Violation(
-                            "history-path", None, b,
-                            f"history {h.id}: {b} is not a child of {a}"))
-                        ok = False
-                        break
-            if ok:
+                continue
+            for a, b in zip(ms, ms[1:]):
+                if self.moments[b].parent != a:
+                    out.append(Violation(
+                        "history-path", None, b,
+                        f"history {h.id}: {b} is not a child of {a}"))
+                    break
+            else:
                 linked.add(h.id)
                 covered.add(ms[-1])
                 if ms[-1] not in leaves:
                     out.append(Violation(
                         "history-path", None, ms[-1],
                         f"history {h.id} ends at a non-leaf moment"))
-            if not ms or not all(mid in self.moments for mid in ms):
-                out.append(Violation("history-path", None, None,
-                                     f"history {h.id} mentions unknown moments"))
         for leaf in sorted(leaves - covered):
             out.append(Violation("leaf-covered", None, leaf,
                                  "no history ends at this leaf"))

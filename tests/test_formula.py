@@ -1,5 +1,6 @@
-"""Parser, printer, bounded-operator expansion, dstit rewrites."""
+"""Parser, printer, bounded-operator expansion, obligation normalisation."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from deontic_mc.errors import GrammarError, ParseError, ResourceLimitError
 from deontic_mc.generate import random_model, random_path_formula
 
 import oracle
+import reference_obligation
 import reference_parser
 
 
@@ -427,17 +429,17 @@ class TestExpandBounded:
 class TestDstitRewrite:
     def test_idempotence(self):
         ob = fm.parse_obligation("[a dstit: [a dstit: p]]")
-        assert fm.rewrite_dstit_idempotent(ob) == \
+        assert fm.normalize_obligation(ob) == \
             fm.parse_obligation("[a dstit: p]")
 
     def test_refrain_refrain(self):
         ob = fm.parse_obligation("[a dstit: ![a dstit: ![a dstit: p]]]")
-        assert fm.rewrite_dstit_idempotent(ob) == \
+        assert fm.normalize_obligation(ob) == \
             fm.parse_obligation("[a dstit: p]")
 
     def test_agent_mismatch_untouched(self):
         ob = fm.parse_obligation("[a dstit: [b dstit: p]]")
-        assert fm.rewrite_dstit_idempotent(ob) == ob
+        assert fm.normalize_obligation(ob) == ob
 
     def test_rewrite_preserves_model_semantics(self):
         """Rewritten obligations agree with the originals at every m/h."""
@@ -451,7 +453,7 @@ class TestDstitRewrite:
                 fm.DstitOf(agent, fm.NegatedObligation(
                     fm.DstitOf(agent, body)))))
             for ob in (stacked, refrained):
-                rewritten = fm.rewrite_dstit_idempotent(ob)
+                rewritten = fm.normalize_obligation(ob)
                 for mid in model.moments:
                     for hid in model.histories_through(mid):
                         assert model.satisfies(mid, hid, ob) == \
@@ -462,6 +464,120 @@ class TestDstitRewrite:
         assert fm.normalize_obligation(ob) == fm.Plain(fm.Atom("p"))
         ob2 = fm.NegatedObligation(fm.Plain(fm.Atom("p")))
         assert fm.normalize_obligation(ob2) == fm.Plain(fm.Not(fm.Atom("p")))
+
+
+def chain(links, leaf):
+    """leaf under the links, outermost first: an agent names a dstit, None
+    a negation."""
+    ob = leaf
+    for agent in reversed(links):
+        ob = fm.NegatedObligation(ob) if agent is None else \
+            fm.DstitOf(agent, ob)
+    return ob
+
+
+def outcome(func, arg):
+    """What func returns for arg, or the text of the GrammarError it raises."""
+    try:
+        return func(arg)
+    except GrammarError as exc:
+        return ("GrammarError", str(exc))
+
+
+class TestObligationReference:
+    """The one-pass normalisation and coercions against the fixpoint and
+    recursions they replace (tests/reference_obligation.py)."""
+
+    P = fm.Atom("p")
+    LEAVES = [fm.Plain(P), fm.Plain(fm.Not(P)), fm.Plain(fm.Not(fm.Not(P))),
+              fm.Plain(fm.Not(fm.Not(fm.Not(P))))]
+
+    @staticmethod
+    def same_normal_form(ob):
+        got = fm.normalize_obligation(ob)
+        expected = reference_obligation.normalize_obligation(ob)
+        assert got == expected, ob
+        if expected == ob:
+            assert got is ob, ob
+
+    def test_every_short_chain(self):
+        """Every chain of at most 8 links over !, [a dstit:] and [b dstit:]
+        on p, !p, !!p and !!!p: 39,364 obligations."""
+        count = 0
+        for n in range(9):
+            for links in itertools.product((None, "a", "b"), repeat=n):
+                for leaf in self.LEAVES:
+                    self.same_normal_form(chain(links, leaf))
+                    count += 1
+        assert count == 39364
+
+    def test_random_obligations(self):
+        rng = random.Random(14)
+        for _ in range(20000):
+            leaf = fm.Plain(random_path_formula(rng, 3, ["p", "q"],
+                                                allow_quantifiers=True))
+            links = [rng.choice((None, None, "a", "b"))
+                     for _ in range(rng.randint(0, 10))]
+            self.same_normal_form(chain(links, leaf))
+
+    def test_random_formulas(self):
+        """Up to four negations over a dstit, a cstit, a formula embedding a
+        stit or a stit-free formula: formula_to_obligation and _classify
+        return what the reference returns, or raise its GrammarError."""
+        rng = random.Random(15)
+        for _ in range(20000):
+            phi = random_path_formula(rng, 2, ["p", "q"],
+                                      allow_quantifiers=True)
+            body = chain([rng.choice((None, "a", "b"))
+                          for _ in range(rng.randint(0, 3))], fm.Plain(phi))
+            stit = rng.choice((fm.Dstit, fm.Cstit))(rng.choice("ab"), body)
+            f = rng.choice((
+                fm.Dstit(rng.choice("ab"), body),
+                fm.Cstit(rng.choice("ab"), body),
+                rng.choice((fm.And(phi, stit), fm.Eventually(stit),
+                            fm.Or(fm.Not(stit), phi))),
+                phi))
+            for _ in range(rng.randint(0, 4)):
+                f = fm.Not(f)
+            assert outcome(fm.formula_to_obligation, f) == \
+                outcome(reference_obligation.formula_to_obligation, f), f
+            assert fm._classify(f) == reference_obligation._classify(f), f
+
+    def test_chains_of_3000_links(self):
+        """No pass recurses along a chain, so 3,000 links fit in Python's
+        default recursion limit; results are compared link by link, as the
+        dataclass equality itself recurses."""
+        dstit = fm.DstitOf("a", fm.Plain(self.P))
+        negated = chain([None] * 3000, dstit)
+        assert fm.normalize_obligation(negated) == dstit
+        assert fm.normalize_obligation(chain([None] * 3001, self.LEAVES[0])) \
+            == self.LEAVES[1]
+        alternating = chain(["a", "b"] * 1500, self.LEAVES[0])
+        assert fm.normalize_obligation(alternating) is alternating
+        refrained = chain(["a", None] * 1500, dstit)
+        assert fm.normalize_obligation(refrained) == dstit
+
+        f = fm.obligation_to_formula(negated)
+        for _ in range(3000):
+            assert type(f) is fm.Not
+            f = f.operand
+        assert f == fm.Dstit("a", self.LEAVES[0])
+        ob = fm.formula_to_obligation(fm.obligation_to_formula(negated))
+        for _ in range(3000):
+            assert type(ob) is fm.NegatedObligation
+            ob = ob.body
+        assert ob == dstit
+
+    def test_negations_over_a_formula_are_scanned_twice(self, monkeypatch):
+        calls = []
+        scan = fm.contains_stit
+        monkeypatch.setattr(fm, "contains_stit",
+                            lambda f: calls.append(f) or scan(f))
+        f = self.P
+        for _ in range(2000):
+            f = fm.Not(f)
+        assert fm.formula_to_obligation(f).formula is f
+        assert len(calls) <= 2
 
 
 # ======================== NNF ========================

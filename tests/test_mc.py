@@ -254,6 +254,22 @@ class TestCheckOught:
         assert check_ought(t0, "alpha", stacked).holds == \
             check_ought(t0, "alpha", direct).holds
 
+    @pytest.mark.parametrize("links", [3000, 3001])
+    def test_deep_negation_chains_are_decided(self, links):
+        """3,000 negated obligations, or 3,000 negations of the formula,
+        over [alpha dstit: G p] get the verdict of their one- or two-link
+        equivalent: no obligation pass recurses along the chain."""
+        dstit = fm.parse_obligation("[alpha dstit: G p]")
+        ob, f = dstit, fm.obligation_to_formula(dstit)
+        for _ in range(links):
+            ob, f = fm.NegatedObligation(ob), fm.Not(f)
+        short = dstit if links % 2 == 0 else fm.NegatedObligation(dstit)
+        expected = check_ought(make_t0(), "alpha", short).to_json()
+        assert expected["optimal"][0]["case"] == (
+            mc.CASE_DSTIT_POSITIVE if links % 2 == 0 else mc.CASE_DSTIT_NEGATED)
+        for deep in (ob, f):
+            assert check_ought(make_t0(), "alpha", deep).to_json() == expected
+
 
 class TestConditionalOught:
     def test_true_condition_matches_plain_check(self, t0):

@@ -104,6 +104,41 @@ class TestValidate:
         bad = ExplicitStitModel(["alpha"], [], moments, histories, {}, {})
         assert any(v.axiom == "history-path" for v in bad.validate())
 
+    @pytest.mark.parametrize("histories,expected", [
+        ([("h1", [], 1)], [
+            "[history-path] history h1 mentions unknown moments", 2, 3, 4]),
+        ([("h1", [0, 1, 9], 1)], [
+            "[history-path] history h1 mentions unknown moments", 2, 3, 4]),
+        ([("h1", [1, 2], 1)], [
+            "[history-path] (moment=1) history h1 does not start at the root",
+            2, 3, 4]),
+        ([("h1", [0, 2, 4], 1)], [
+            "[history-path] (moment=2) history h1: 2 is not a child of 0",
+            2, 3, 4]),
+        ([("h1", [0, 1], 1)], [
+            "[history-path] (moment=1) history h1 ends at a non-leaf moment",
+            2, 3, 4]),
+        ([("h0", [0, 4], 1), ("h1", [], 1), ("h2", [9, 1, 2], 1),
+          ("h3", [1, 3], 1), ("h4", [0, 2], 1), ("h5", [0, 1], 1),
+          ("h6", [0, 1, 3], 1)], [
+            "[history-path] history h1 mentions unknown moments",
+            "[history-path] history h2 mentions unknown moments",
+            "[history-path] (moment=1) history h3 does not start at the root",
+            "[history-path] (moment=2) history h4: 2 is not a child of 0",
+            "[history-path] (moment=1) history h5 ends at a non-leaf moment",
+            2]),
+    ], ids=["empty", "unknown-moment", "not-at-root", "broken-link",
+            "non-leaf-end", "mixed"])
+    def test_history_path_report(self, histories, expected):
+        """The whole list, in order: at most one history-path violation per
+        history, then each leaf (an int in expected) that no valid history
+        ends at."""
+        moments = [(0, None), (1, 0), (2, 1), (3, 1), (4, 0)]
+        bad = ExplicitStitModel(["alpha"], [], moments, histories, {}, {})
+        assert [str(v) for v in bad.validate()] == [
+            f"[leaf-covered] (moment={e}) no history ends at this leaf"
+            if isinstance(e, int) else e for e in expected]
+
     def test_random_models_are_valid(self):
         rng = random.Random(42)
         for _ in range(150):
