@@ -30,7 +30,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from types import MappingProxyType
 
-from .errors import AutomatonError, _as_rational, _is_kind, _require_fields
+from .errors import (
+    AutomatonError, _as_rational, _is_kind, _require_fields, _require_unique)
 from .tree_model import ExplicitStitModel
 
 
@@ -187,6 +188,7 @@ class StitAutomaton:
     @classmethod
     def from_json(cls, data: dict) -> "StitAutomaton":
         _require_fields(data, cls._FIELDS, "automaton", AutomatonError)
+        _require_unique(data["states"], "state", AutomatonError)
         transitions = []
         parsed = {}  # (type, raw weight) -> Fraction: each parsed once
         for e in data["transitions"]:
@@ -422,26 +424,20 @@ def restrict_first_action(aut: StitAutomaton, action: str) -> StitAutomaton:
                          transitions, aut.labels)
 
 
-def fresh_root(aut: StitAutomaton) -> str:
-    """aut's initial state name plus enough primes to name no state."""
-    taken = set(aut.states)
-    root = aut.initial + "'"
-    while root in taken:
-        root += "'"
-    return root
-
-
 def prime_automaton(restricted: StitAutomaton, aut: StitAutomaton) -> StitAutomaton:
     """The original automaton behind one fresh initial state.
 
-    `restricted` is restrict_first_action(aut, K).  The fresh root (named
-    by fresh_root) carries the initial state's label and K's initial
-    transitions, re-sourced to it with their targets unchanged; nothing
-    leads back to it.  So the result's executions are exactly the
-    original's executions that begin with K, and its root is bisimilar to
-    restricted's initial state: every CTL* verdict agrees.
+    `restricted` is restrict_first_action(aut, K).  The fresh root, the
+    initial state's name plus enough primes to name no state, carries the
+    initial state's label and K's initial transitions, re-sourced to it
+    with their targets unchanged; nothing leads back to it.  So the
+    result's executions are exactly the original's executions that begin
+    with K, and its root is bisimilar to restricted's initial state: every
+    CTL* verdict agrees.
     """
-    root = fresh_root(aut)
+    root, taken = aut.initial + "'", set(aut.states)
+    while root in taken:
+        root += "'"
     transitions = [Transition(root, t.action, t.dst, t.weight)
                    for t in restricted.out(restricted.initial)]
     transitions.extend(aut.transitions)

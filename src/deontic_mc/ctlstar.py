@@ -23,9 +23,9 @@ elementary formulas (n capped at formula.MAX_UNFOLD) is one Python int,
 computed with &, | and ^.  A tableau state is the valuation itself, so the
 product finds a state's successors by one list index per system successor.
 
-compile refuses a bounded operator past that cap before unfolding it, so
-no entry point re-checks its input: nnf_rows rejects what the tableau
-cannot compile, and the lasso evaluator what it cannot evaluate.
+compile refuses one bounded operator past that cap, the tableau nested
+ones past it, so no entry point re-checks its input: nnf_rows rejects what
+the tableau cannot compile, and the lasso evaluator what it cannot evaluate.
 check_ctls evaluates the reduced state formula at each state as a lasso of
 one looping position.
 """

@@ -2,6 +2,7 @@
 automaton files that raise them."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 
@@ -92,6 +93,13 @@ def _require_fields(data, fields, what, error):
         if kind is not None and type(value) is not kind \
                 and not _is_kind(value, kind):
             raise error(f"{what}: {name!r} must be {_kind_name(kind)}")
+
+
+def _require_unique(ids, what, error):
+    """Raise error naming the first of ids that occurs twice."""
+    if len(set(ids)) < len(ids):
+        repeated = [i for i, n in Counter(ids).items() if n > 1]
+        raise error(f"duplicate {what} {repeated[0]!r}")
 
 
 def _as_rational(v, what, error) -> Fraction:

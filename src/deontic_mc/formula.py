@@ -19,9 +19,9 @@ Two limits live here.  MAX_DEPTH bounds how deep a parsed statement nests,
 so that the passes that still recurse (the parser, render, the
 dataclasses' hash and equality, and tree_model) stay inside Python's
 default recursion limit; deeper text is a ParseError.
-MAX_UNFOLD bounds how far compile unfolds X^t, F[n:m] and BR[N]; past it
-the tableau would refuse the result, so the operator is refused first, as
-a ResourceLimitError.
+MAX_UNFOLD bounds how far compile unfolds one X^t, F[n:m] or BR[N]; past
+it the tableau would refuse the result, so the operator is refused first,
+as a ResourceLimitError.  Nested ones add up in the tableau's bit count.
 """
 
 from __future__ import annotations
@@ -745,8 +745,6 @@ _UNFOLDS = {
     EventuallyBounded: lambda g: (g.hi, f"F[{g.lo}:{g.hi}]"),
     BoundedRelease: lambda g: (g.bound, f"BR[{g.bound}]"),
 }
-# the bodies that count their unfolding afresh: quantifiers and stits
-_FRESH = (ForallPaths, ExistsPaths, Cstit, Dstit, DstitOf)
 
 
 def compile(f):
@@ -762,40 +760,35 @@ def compile(f):
     l BR[0] r =  l | r
     l BR[N] r =  l | (r & X (l BR[N-1] r))
 
-    Each unfolds into a chain of t, m or N next-step obligations, nested in
-    the chains of the bounded operators around it up to the nearest path
-    quantifier or stit (nexts of them); past MAX_UNFOLD in all the tableau
-    would refuse them, so the first such operator from the root down, left
-    first, is refused before it is unfolded.
+    Each unfolds into a chain of t, m or N next-step rows.  One past
+    MAX_UNFOLD is refused first, as no tableau could hold it; nested ones
+    add up, and the tableau's bit count bounds their sum.
 
     Iterative, and it hashes no formula: a row is found again by its kind,
     data and kids."""
-    index, done = {}, {}  # index: row -> its place; done: (id, nexts) -> row
+    index, done = {}, {}  # index: row -> its place; done: id -> row
 
     def add(kind, data, *kids):
         return index.setdefault((kind, data, kids), len(index))
 
-    todo = [(f, 0, None)]
+    todo = [(f, True)]
     while todo:
-        g, nexts, inner = todo.pop()
+        g, first = todo.pop()
         kind, parts = type(g), children(g)
-        if inner is None:  # first visit: refuse, then place the children
-            if (id(g), nexts) in done:
+        if first:  # refuse, then place the children
+            if id(g) in done:
                 continue
-            inner = 0 if kind in _FRESH else nexts
             if kind in _UNFOLDS:
                 n, op = _UNFOLDS[kind](g)
-                inner += n
-                if inner > MAX_UNFOLD:
+                if n > MAX_UNFOLD:
                     raise ResourceLimitError(
-                        f"{op} unfolds into {n} next-step obligations"
-                        f"{f' inside {nexts} more' if nexts else ''}; the "
+                        f"{op} unfolds into {n} next-step obligations; the "
                         f"tableau is capped at {MAX_UNFOLD} elementary bits")
             if parts:
-                todo.append((g, nexts, inner))
-                todo += [(c, inner, None) for c in reversed(parts)]
+                todo.append((g, False))
+                todo += [(c, True) for c in reversed(parts)]
                 continue
-        kids = [done[id(c), inner] for c in parts]
+        kids = [done[id(c)] for c in parts]
         if kind is BoundedRelease:
             left, right = kids
             i = add(Or, None, left, right)
@@ -813,7 +806,7 @@ def compile(f):
         else:
             data = g.name if kind is Atom else getattr(g, "agent", None)
             i = add(kind, data, *kids)
-        done[id(g), nexts] = i
+        done[id(g)] = i
     return tuple(index)
 
 

@@ -5,8 +5,8 @@ lowest and the highest set bit of a mask carry the least and the greatest
 value among its histories.  Per moment the index keeps H_m as a mask and
 H_m grouped by the moment each history steps to next, a history that ends
 at the moment stuttering there.  From these it unfolds bounded horizons
-(``fronts``), orders the moments below a set of moments successors first
-(``pending``) and fills Until and Release over that order (``sweep``).
+(``fronts``) and fills Until and Release (``sweep``) over one order of all
+the moments, successors first, that the index fixes when it is built.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ class ModelIndex:
 
     histories maps ids to History records, positions maps each id to
     {moment: index on its path} (the last visit, if the path repeats one),
-    moments is the model's moment ids and labels maps (moment, history) to
-    atom names.  The masks are memoised here by the model's evaluators."""
+    moments maps ids to Moment records and labels maps (moment, history)
+    to atom names.  The masks are memoised here by the model's evaluators."""
 
     def __init__(self, histories, positions, moments, labels):
         order = sorted(histories.values(), key=lambda h: (h.value, h.id))
@@ -40,6 +40,12 @@ class ModelIndex:
         self.through = through = {m: sum(groups.values())
                                   for m, groups in succ.items()}
         self.succ = {m: tuple(groups.items()) for m, groups in succ.items()}
+        # deepest first, undeclared last; tangled: a step goes no deeper
+        # (the model fails validate()), so a successor may come later
+        depth = {m: moments[m].depth if m in moments else -1 for m in succ}
+        self.order = sorted(succ, key=depth.__getitem__, reverse=True)
+        self.tangled = any(n != m and depth[n] <= depth[m]
+                           for m, groups in succ.items() for n in groups)
         self.labelled = {}  # atom -> moment -> histories labelled with it
         for (m, hid), names in labels.items():
             b = self.bit.get(hid, 0) & through.get(m, 0)
@@ -95,43 +101,18 @@ class ModelIndex:
             front = nxt
         return out
 
-    def pending(self, ms, t):
-        """The moments reachable from ms that t lacks, each after every
-        moment it steps to, and whether that relation has a cycle."""
-        order, done, cyclic = [], {}, False
-        for root in ms:
-            if root in done:
-                continue
-            done[root] = False
-            stack = [(root, iter(self.succ[root]))]
-            while stack:
-                m, it = stack[-1]
-                for n, _ in it:
-                    if n == m or n in t:
-                        continue
-                    if n not in done:
-                        done[n] = False
-                        stack.append((n, iter(self.succ[n])))
-                        break
-                    cyclic = cyclic or not done[n]
-                else:
-                    stack.pop()
-                    done[m] = True
-                    order.append(m)
-        return order, cyclic
-
-    def sweep(self, order, cyclic, lt, rt, t, release):
-        """Fill t over order, as returned by pending, with l U r, or with
-        l R r if release, from the masks lt of l and rt of r.  A history
-        that stutters at its leaf ends an Until unfulfilled and a Release
-        kept."""
-        if cyclic:
-            # histories disagree on the order of moments (the model fails
-            # validate()).  Each history still only moves forward along its
-            # own path, so the fixpoint is unique: iterate from 0 until no
-            # mask changes.
+    def sweep(self, order, lt, rt, t, release):
+        """Fill t with l U r, or l R r if release, from the masks lt of l
+        and rt of r, over order: moments that t lacks, in self.order, each
+        with its successors in t or order.  A history that stutters at its
+        leaf ends an Until unfulfilled and a Release kept."""
+        if self.tangled:
+            # the order may put a moment before one it steps to.  Each
+            # history still only moves forward along its own path, so the
+            # fixpoint is unique: iterate from 0 until no mask changes.
             t.update(dict.fromkeys(order, 0))
-        while True:
+        changed = True
+        while changed:
             changed = False
             for m in order:
                 later = stay = 0
@@ -146,9 +127,7 @@ class ModelIndex:
                     v = rt[m] | (lt[m] & later)
                 if t.get(m) != v:
                     t[m] = v
-                    changed = True
-            if not (cyclic and changed):
-                return
+                    changed = self.tangled
 
 
 def along(front, t):

@@ -11,14 +11,15 @@ Evaluation is bit-parallel, on the history bit index of ``model_index``
 that the first evaluation builds.  Each formula is evaluated once per moment
 into one int, the mask of the histories of H_m at which it holds.
 Connectives are &, | and ^ within H_m.  X, X^n, F[lo:hi] and BR[n] unfold
-the next-moment groups.  U, R, F and G fill every moment reachable from the
-asked one in a single pass, successors first, with no recursion over
-moments.  A and E are all or nothing over H_m.  cstit, dstit and oughts
-compare choice-cell masks with the body's mask, and dominance compares the
-least and greatest values of each (cell, background state) pair, read off
-its lowest and highest set bit.  ``satisfies`` is then a bit test and
-``extension`` turns a mask back into ids.  The cost is O(moments x
-subformulas) big-int operations, not one truth value per history.
+the next-moment groups.  U, R, F and G fill the moments reachable from the
+asked ones that are not yet filled in one pass over the index's fixed
+order of moments, successors first, with no recursion over moments.  A and
+E are all or nothing over H_m.  cstit, dstit and oughts compare choice-cell
+masks with the body's mask, and dominance compares the least and greatest
+values of each (cell, background state) pair, read off its lowest and
+highest set bit.  ``satisfies`` is then a bit test and ``extension`` turns
+a mask back into ids.  The cost is O(moments x subformulas) big-int
+operations, not one truth value per history.
 
 The index and the masks live on the model instance only.  So evaluation
 writes to the model: one instance must not be evaluated from several
@@ -37,7 +38,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formula as fm
-from .errors import GrammarError, ModelError, _as_rational, _require_fields
+from .errors import (
+    GrammarError, ModelError, _as_rational, _require_fields, _require_unique)
 from .model_index import ModelIndex, along, spans_dominate
 
 
@@ -452,9 +454,9 @@ class ExplicitStitModel:
             t[m] = out | alive
 
     def _unbounded(self, x, ms, t):
-        """U, R, F and G in one pass over the moments reachable from ms,
-        successors first; a history that stutters at its leaf ends an Until
-        unfulfilled and a Release kept."""
+        """U, R, F and G in one pass over the moments reachable from ms
+        that t lacks, successors first; a history that stutters at its
+        leaf ends an Until unfulfilled and a Release kept."""
         op = type(x)
         if op is fm.Eventually:
             left, right = fm.TRUE, x.operand
@@ -462,10 +464,15 @@ class ExplicitStitModel:
             left, right = fm.FALSE, x.operand
         else:
             left, right = x.left, x.right
-        order, cyclic = self._ix.pending(ms, t)
+        ix, reach, todo = self._ix, set(ms), list(ms)
+        while todo:
+            for n, _ in ix.succ[todo.pop()]:
+                if n not in reach and n not in t:
+                    reach.add(n)
+                    todo.append(n)
+        order = [m for m in ix.order if m in reach]
         lt, rt = self._table(left, order), self._table(right, order)
-        self._ix.sweep(order, cyclic, lt, rt, t,
-                       release=op is fm.Release or op is fm.Always)
+        ix.sweep(order, lt, rt, t, release=op is fm.Release or op is fm.Always)
 
     def _path_quantifier(self, x, ms, t):
         o = self._table(x.operand, ms)
@@ -650,6 +657,8 @@ class ExplicitStitModel:
             data, "moments", {"id": int, "parent": (int, type(None))})]
         histories = [(e["id"], e["moments"], e["value"]) for e in _entries(
             data, "histories", {"id": str, "moments": [int], "value": None})]
+        for what, entries in (("moment", moments), ("history", histories)):
+            _require_unique([e[0] for e in entries], what + " id", ModelError)
         choices = {}
         for e in _entries(data, "choices",
                           {"agent": str, "moment": int, "actions": [[str]]}):

@@ -407,6 +407,12 @@ class TestFileFormat:
         with pytest.raises(AutomatonError, match="unknown fields"):
             StitAutomaton.from_json(data)
 
+    def test_duplicate_state_rejected(self, t0):
+        data = t0.to_json()
+        data["states"].insert(1, data["states"][0])
+        with pytest.raises(AutomatonError, match="duplicate state 'q0'"):
+            StitAutomaton.from_json(data)
+
     def test_boolean_weight_rejected_after_equal_integer(self, t0):
         """Each distinct weight is parsed once, yet true is no weight even
         after a weight 1 in the same file."""

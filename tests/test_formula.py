@@ -6,8 +6,11 @@ import random
 import pytest
 
 from deontic_mc import formula as fm
+from deontic_mc.ctlstar import (
+    Universality, eval_on_lasso, ltl_to_buchi, strip_weights)
 from deontic_mc.errors import GrammarError, ParseError, ResourceLimitError
 from deontic_mc.generate import random_model, random_path_formula
+from deontic_mc.mc import check_ought
 
 import oracle
 import reference_obligation
@@ -357,32 +360,70 @@ class TestExpandBounded:
                    "is capped at 16 elementary bits"),
         ("F[2:17] p", "F[2:17] unfolds into 17 "),
         ("p BR[17] q", "BR[17] unfolds into 17 "),
-        ("X^10 (p & F[0:7] q)", "F[0:7] unfolds into 7 next-step "
-                                "obligations inside 10 more"),
-        ("(p BR[9] q) BR[8] r", "BR[9] unfolds into 9 next-step "
-                                "obligations inside 8 more"),
-        ("[a dstit: X^9 X^9 p]", "X^9 unfolds into 9 next-step obligations "
-                                 "inside 9 more"),
     ])
     def test_refused_past_the_cap(self, text, message):
-        """One bounded operator past MAX_UNFOLD, or one nested in others
-        with MAX_UNFOLD obligations in all, is refused unexpanded."""
+        """One bounded operator past MAX_UNFOLD is refused unexpanded."""
         with pytest.raises(ResourceLimitError) as err:
             fm.expand_bounded(fm.parse(text))
         assert message in str(err.value)
 
-    def test_shared_operand_refused_where_it_nests_past_the_cap(self):
-        """One operand object in two places is checked in each: here only
-        the copy under X^10 passes the cap."""
+    @staticmethod
+    def assert_lassos_agree(f, seed):
+        """eval_on_lasso of f's unfolding agrees with oracle.scan_eval on
+        seeded lassos long enough for every bound to reach the loop, each
+        with its own share of true atoms."""
+        rng = random.Random(seed)
+        atoms = sorted({g.name for g in fm.walk(f) if isinstance(g, fm.Atom)})
+        for _ in range(40):
+            density = rng.random()
+            stem, loop = ([frozenset(a for a in atoms
+                                     if rng.random() < density)
+                           for _ in range(rng.randint(lo, 12))]
+                          for lo in (0, 1))
+            assert eval_on_lasso(f, stem, loop) == \
+                oracle.scan_eval(f, stem, loop), (stem, loop)
+
+    @pytest.mark.parametrize("text,bits", [
+        ("X^10 (p & F[0:7] q)", 19), ("(p BR[9] q) BR[8] r", 20),
+        ("[a dstit: X^9 X^9 p]", 19)])
+    def test_nested_bounds_unfold_and_the_tableau_refuses(self, t0, text,
+                                                          bits):
+        """Bounds that nest past MAX_UNFOLD in all are unfolded, each into
+        its own next-step rows; the tableau then refuses them by its count
+        of elementary bits."""
+        ob = fm.parse(text)
+        f = ob.body.formula if isinstance(ob, fm.DstitOf) else ob
+        atoms = {g.name for g in fm.walk(f) if isinstance(g, fm.Atom)}
+        assert next_rows(fm.compile(ob)) == bits - len(atoms)
+        self.assert_lassos_agree(f, 14)
+        match = f"formula needs {bits} elementary bits"
+        if f is ob:
+            with pytest.raises(ResourceLimitError, match=match):
+                ltl_to_buchi(f)
+            with pytest.raises(ResourceLimitError, match=match):
+                Universality(strip_weights(t0), f)
+        else:
+            with pytest.raises(ResourceLimitError, match=match):
+                check_ought(t0, "a", ob)
+
+    def test_shared_operand_unfolds_once_and_the_tableau_refuses(self, t0):
+        """One operand object in two places is unfolded once, its rows
+        shared by both; the tableau refuses the 18 bits of the whole."""
         inner = fm.parse_formula("F[0:7] q")
         f = fm.Or(inner, fm.NextPow(10, inner))
-        with pytest.raises(ResourceLimitError, match=r"F\[0:7\] unfolds "
-                           r"into 7 next-step obligations inside 10 more"):
-            fm.expand_bounded(f)
+        rows, inner_rows = fm.compile(f), fm.compile(inner)
+        assert rows[:len(inner_rows)] == inner_rows
+        assert len(rows) == len(inner_rows) + 10 + 1  # X^10, then the or
+        self.assert_lassos_agree(f, 15)
+        match = "formula needs 18 elementary bits"
+        with pytest.raises(ResourceLimitError, match=match):
+            ltl_to_buchi(f)
+        with pytest.raises(ResourceLimitError, match=match):
+            Universality(strip_weights(t0), f)
 
     def test_cap_restarts_under_a_quantifier_or_stit(self):
-        """A path quantifier's or a stit's body is checked on its own, so
-        the obligations around it do not count against it."""
+        """Bounds under a path quantifier or a stit, or side by side, are
+        unfolded whenever each one is within MAX_UNFOLD."""
         for text in ["X^16 A X^16 p", "X^8 (E F[0:16] p) BR[8] q",
                      "X^16 [a cstit: X^16 p]", "X^16 p & X^16 q"]:
             fm.expand_bounded(fm.parse_formula(text))

@@ -463,6 +463,26 @@ class TestFileFormat:
         with pytest.raises(ModelError, match="missing fields"):
             ExplicitStitModel.from_json(data)
 
+    def test_duplicate_history_id_rejected(self):
+        """Two histories named h1 are a file error, not one history whose
+        other leaf validate() would blame."""
+        data = {
+            "agents": ["alpha"], "atoms": [],
+            "moments": [{"id": 0, "parent": None}, {"id": 1, "parent": 0},
+                        {"id": 2, "parent": 0}],
+            "histories": [{"id": "h1", "moments": [0, 1], "value": "1"},
+                          {"id": "h1", "moments": [0, 2], "value": "2"}],
+            "choices": [], "labels": [],
+        }
+        with pytest.raises(ModelError, match="duplicate history id 'h1'"):
+            ExplicitStitModel.from_json(data)
+
+    def test_duplicate_moment_id_rejected(self, fig1):
+        data = fig1.to_json()
+        data["moments"].append({"id": 1, "parent": 0})
+        with pytest.raises(ModelError, match="duplicate moment id 1"):
+            ExplicitStitModel.from_json(data)
+
     def test_star_label_expands_to_all_histories_through(self, tmp_path):
         data = {
             "agents": ["alpha"], "atoms": ["p"],
@@ -911,6 +931,35 @@ class TestUndividedByGrouping:
                     for h in sorted(model.histories_through(mid)):
                         assert model.satisfies(mid, h, f) == \
                             ref.sat(mid, h, f), (fm.render(f), mid, h)
+
+    @pytest.mark.filterwarnings("ignore:atom")
+    def test_statements_agree_or_refuse_on_scrambled_models(self):
+        """Stit, ought and quantifier bodies, and U, F and G over them, on
+        the same models: wherever satisfies decides, it agrees with the
+        reference, and elsewhere it raises ModelError."""
+        rng = random.Random(47)
+        tally = Counter()
+        for _ in range(300):
+            model = self.scrambled(rng)
+            ref = RecursiveReference(model)
+            a = model.agents[0]
+            statements = random_statements(rng, model) + [
+                fm.parse_formula(t) for t in (
+                    f"G [{a} cstit: p]", "F (A q)", f"p U [{a} dstit: q]")]
+            for st in statements:
+                for mid in model.moments:
+                    for h in sorted(model.histories_through(mid)):
+                        try:
+                            got = model.satisfies(mid, h, st)
+                        except ModelError:
+                            tally["refused"] += 1
+                            continue
+                        assert got == ref.sat(mid, h, st), \
+                            (fm.render(st), mid, h)
+                        tally["decided"] += 1
+        # pinned: an evaluation that swept moments beyond the asked ones'
+        # reach would refuse more of these (an unknown moment out there)
+        assert tally == Counter(decided=25392, refused=573)
 
 
 class TestEvaluationEdges:
