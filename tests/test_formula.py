@@ -386,8 +386,7 @@ class TestExpandBounded:
     @pytest.mark.parametrize("text,bits", [
         ("X^10 (p & F[0:7] q)", 19), ("(p BR[9] q) BR[8] r", 20),
         ("[a dstit: X^9 X^9 p]", 19)])
-    def test_nested_bounds_unfold_and_the_tableau_refuses(self, t0, text,
-                                                          bits):
+    def test_nested_bounds_reach_the_tableau(self, t0, text, bits):
         """Bounds that nest past MAX_UNFOLD in all are unfolded, each into
         its own next-step rows; the tableau then refuses them by its count
         of elementary bits."""
