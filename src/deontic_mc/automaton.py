@@ -31,8 +31,13 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from .errors import (
-    AutomatonError, _as_rational, _is_kind, _require_fields, _require_unique)
+    AutomatonError, ResourceLimitError, _as_rational, _is_kind,
+    _require_fields, _require_unique)
 from .tree_model import ExplicitStitModel
+
+# unroll refuses a model of more moments than this; on a branching
+# automaton the count grows exponentially with the depth
+MAX_MOMENTS = 1 << 16
 
 
 def _as_weight(w) -> Fraction:
@@ -348,10 +353,24 @@ def unroll(aut: StitAutomaton, depth: int, agent: str = "alpha") -> ExplicitStit
     A finite prefix's bottleneck only bounds the infinite history's value
     from above, so value questions go through extremal_values or lasso
     analysis; unrolling answers structural and bounded-horizon questions.
+    Past MAX_MOMENTS moments, counted level by level before any is built,
+    it raises ResourceLimitError.
     """
     if depth <= 0:
         raise AutomatonError("unroll needs depth >= 1")
     aut.require_valid()
+    level, total = {aut.initial: 1}, 1  # moments per state at one depth
+    for _ in range(depth):
+        below: dict[str, int] = {}
+        for q, n in level.items():
+            for t in aut.out(q):
+                below[t.dst] = below.get(t.dst, 0) + n
+        level = below
+        total += sum(level.values())
+        if total > MAX_MOMENTS:
+            raise ResourceLimitError(
+                f"unrolling to depth {depth} builds more than "
+                f"{MAX_MOMENTS} moments, the cap")
     moments = [(0, None)]
     state_of = {0: aut.initial}
     child_action: dict[int, str] = {}

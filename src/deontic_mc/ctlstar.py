@@ -8,9 +8,10 @@ universality is emptiness of the product with the negation.
 
 Universality(ts, f) does this once per formula and system, and answers
 from any number of states: the reduction labels every state once, the
-negation is compiled once, and one incremental Tarjan explores the product,
-continuing from each state asked about and marking the nodes that reach an
-accepting SCC as SCCs complete.  The reducer's own E-checks use the same
+negation is compiled once, and one depth-first search explores the product
+on the fly, continuing from each state asked about and stopping at the
+first cycle through every acceptance set (Couvreur's emptiness check on
+Gabow's path-based SCC search).  The reducer's own E-checks use the same
 exploration.  A counterexample lasso is built only when asked for and is
 re-checked by direct lasso evaluation before it leaves this module.
 
@@ -92,14 +93,17 @@ class BuchiAutomaton:
     in atoms, and the bits above them which next-step promises it makes.
     step[promises << len(atoms) | letter] lists the states that read the
     letter (a label's atom bits) and fulfil exactly those promises: the
-    successors, on that letter, of every state making them."""
+    successors, on that letter, of every state making them.  Bit j of
+    accepting[m] says that state m is in acceptance set j; full has the
+    bit of every set."""
 
-    def __init__(self, atoms, initial, step, accepting):
+    def __init__(self, atoms, initial, step, accepting, full):
         self.atoms = atoms  # sorted atom names
         self.states = range(len(step))
         self.initial = initial  # ascending state ids
         self.step = step
-        self.accepting = accepting  # list of frozensets of state ids
+        self.accepting = accepting
+        self.full = full
         self.low = (1 << len(atoms)) - 1  # the atom bits of a state
         self._letters: dict[frozenset, int] = {}
 
@@ -161,22 +165,24 @@ def ltl_to_buchi(f) -> BuchiAutomaton:
         elif kind is fm.Until:
             out = x[1] | (x[0] & column[n_atoms + len(promised)])
             promised.append(out)
-            accepting.append(frozenset(_members((every ^ out) | x[1])))
+            accepting.append((every ^ out) | x[1])
         else:  # Release: nnf_rows leaves no other row
             out = x[1] & (x[0] | column[n_atoms + len(promised)])
             promised.append(out)
         truth.append(out)
 
-    next_vec = [0] * size
-    for j, col in enumerate(promised):
-        bit = 1 << j
-        for m in _members(col):
-            next_vec[m] |= bit
+    next_vec, acc = [0] * size, [0] * size  # per state: promises, sets
+    for vec, cols in ((next_vec, promised), (acc, accepting)):
+        for j, col in enumerate(cols):
+            bit = 1 << j
+            for m in _members(col):
+                vec[m] |= bit
     step = [[] for _ in range(size)]
     low = (1 << n_atoms) - 1
     for m in range(size):
         step[next_vec[m] << n_atoms | m & low].append(m)
-    return BuchiAutomaton(atoms, _members(truth[-1]), step, accepting)
+    return BuchiAutomaton(atoms, _members(truth[-1]), step, acc,
+                          (1 << len(accepting)) - 1)
 
 
 def _members(col):
@@ -190,21 +196,21 @@ def _members(col):
 
 class _Product:
     """The product of a transition system and a Buchi automaton, explored
-    on demand by one incremental Tarjan.
+    on demand by one depth-first search that stops at the first accepting
+    cycle it closes.
 
     Each call continues the same exploration from new start nodes, so every
     node's successors are computed once however many states are asked
-    about.  SCCs complete sinks first, so when one completes every node it
-    leads to is decided: `good` holds the nodes that reach an accepting
-    SCC, and `accepting` maps each member of an accepting SCC to that SCC's
-    sorted members."""
+    about.  Between calls every explored node is decided: `good` holds
+    nodes that reach a cycle through every acceptance set, `_bad` nodes
+    that reach none, and `accepting` maps each node on such a cycle to the
+    strongly connected nodes it was found among."""
 
     def __init__(self, ts, labels, buchi):
         self.ts, self.labels, self.buchi = ts, labels, buchi
         self._succ: dict = {}
-        self._index: dict = {}
-        self._low: dict = {}
         self.good: set = set()
+        self._bad: set = set()
         self.accepting: dict = {}
 
     def starts(self, q):
@@ -228,64 +234,59 @@ class _Product:
 
     def nonempty_from(self, q) -> bool:
         """Does some accepting run of the product start at state q?"""
-        starts = self.starts(q)
-        self._explore(starts)
-        return any(s in self.good for s in starts)
+        return any(self._search(s) for s in self.starts(q))
 
-    def _explore(self, roots):
-        index, low, succ = self._index, self._low, self.succ
-        stack, on_stack = [], set()
-        for root in roots:
-            if root in index:
+    def _search(self, root):
+        """Is root good?  Depth first from root, with roots holding one
+        [stack position, acceptance bits] per partial SCC on the stack: a
+        back edge merges those above its target, ORing their bits, and bits
+        covering every set close an accepting cycle in that stack segment.
+        Then, or on an edge into a good node, the whole stack is good; an
+        SCC that completes first is popped as not good."""
+        good, bad, succ = self.good, self._bad, self.succ
+        acc, full = self.buchi.accepting, self.buchi.full
+        stack, pos, roots = [], {}, [[-1, 0]]
+        work = [(-1, iter([root]))]  # a frame below root, leading to it
+        while work:
+            i, it = work[-1]
+            for nxt in it:
+                if nxt in good:
+                    break
+                if nxt in bad:
+                    continue
+                j = pos.get(nxt)
+                if j is None:
+                    pos[nxt] = j = len(stack)
+                    stack.append(nxt)
+                    roots.append([j, acc[nxt[1]]])
+                    work.append((j, iter(succ(nxt))))
+                    break
+                while roots[-1][0] > j:
+                    bits = roots.pop()[1]
+                    roots[-1][1] |= bits
+                top = roots[-1]
+                if top[1] == full:
+                    members = stack[top[0]:]
+                    for n in members:
+                        self.accepting[n] = members
+                    good.update(members)
+                    break
+            else:
+                work.pop()
+                if roots[-1][0] == i:
+                    roots.pop()
+                    bad.update(stack[i:])
+                    del stack[i:]
                 continue
-            index[root] = low[root] = len(index)
-            stack.append(root)
-            on_stack.add(root)
-            work = [(root, iter(succ(root)))]
-            while work:
-                node, it = work[-1]
-                for nxt in it:
-                    if nxt not in index:
-                        index[nxt] = low[nxt] = len(index)
-                        stack.append(nxt)
-                        on_stack.add(nxt)
-                        work.append((nxt, iter(succ(nxt))))
-                        break
-                    if nxt in on_stack:
-                        low[node] = min(low[node], index[nxt])
-                else:
-                    work.pop()
-                    if work:
-                        parent = work[-1][0]
-                        low[parent] = min(low[parent], low[node])
-                    if low[node] == index[node]:
-                        comp = []
-                        while True:
-                            w = stack.pop()
-                            on_stack.discard(w)
-                            comp.append(w)
-                            if w == node:
-                                break
-                        self._close(comp)
-
-    def _close(self, comp):
-        """Decide a completed SCC: accepting when it has a cycle through
-        every acceptance set, good when accepting or leading to good."""
-        succ, good = self.succ, self.good
-        if ((len(comp) > 1 or comp[0] in succ(comp[0]))
-                and all(any(n[1] in acc for n in comp)
-                        for acc in self.buchi.accepting)):
-            members = sorted(comp)
-            for n in comp:
-                self.accepting[n] = members
-            good.update(comp)
-        elif any(nxt in good for n in comp for nxt in succ(n)):
-            good.update(comp)
+            if nxt in good:
+                good.update(stack)
+                return True
+        return False
 
     def lasso(self, q):
         """(stem nodes, loop nodes) of an accepting run from state q, or
         None.  The stem is a shortest path through good nodes to an
-        accepting SCC; the loop closes through one member of each
+        accepting cycle's nodes; the loop closes through one member of each
         acceptance set."""
         if not self.nonempty_from(q):
             return None
@@ -300,17 +301,14 @@ class _Product:
         def in_comp(node):
             return [x for x in succ(node) if x in comp]
 
-        targets = []
-        for acc in self.buchi.accepting:
-            hit = next(n for n in members if n[1] in acc)
-            if hit not in targets:
-                targets.append(hit)
-        loop = []
-        cur = anchor
-        for t in targets:
-            if cur != t:
-                loop.extend(_bfs_path([cur], t.__eq__, in_comp)[1:])
-                cur = t
+        acc, need = self.buchi.accepting, self.buchi.full
+        loop, cur = [], anchor
+        for t in members:  # the first member of each set, in stack order
+            if acc[t[1]] & need:
+                need &= ~acc[t[1]]
+                if cur != t:
+                    loop.extend(_bfs_path([cur], t.__eq__, in_comp)[1:])
+                    cur = t
         loop.extend(_bfs_path(in_comp(cur), anchor.__eq__, in_comp))
         return stem[:-1], [anchor] + loop[:-1]
 
@@ -451,9 +449,10 @@ class Universality:
     Built once per formula and system, and asked for any number of states:
     the path quantifiers are reduced to atoms once over the whole system,
     the negation is compiled to one Buchi automaton, and one product
-    exploration continues from each state asked about.  A counterexample
-    is built only when asked for.  A path into a dead end is not a run, so
-    the callers rule out reachable dead ends (check_universal, mc)."""
+    search continues from each state asked about, up to a first violating
+    run.  A counterexample is built only when asked for.  A path into a
+    dead end is not a run, so the callers rule out reachable dead ends
+    (check_universal, mc)."""
 
     def __init__(self, ts: TransitionSystem, f: fm.Formula):
         self.formula = f

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from deontic_mc import automaton
 from deontic_mc.automaton import (
     StitAutomaton,
     ValueInterval,
@@ -17,7 +18,7 @@ from deontic_mc.automaton import (
     save_automaton,
     unroll,
 )
-from deontic_mc.errors import AutomatonError
+from deontic_mc.errors import AutomatonError, ResourceLimitError
 from deontic_mc.generate import random_automaton
 from deontic_mc.tree_model import ExplicitStitModel
 
@@ -181,6 +182,29 @@ class TestUnroll:
                             {})
         model = unroll(aut, 1500)
         assert len(model.histories) == 1 and len(model.moments) == 1501
+
+    def test_moment_cap_counts_before_building(self, monkeypatch):
+        """The cap reads the exact moment count: a model of MAX_MOMENTS
+        moments is built and one of more is refused; a branching automaton
+        at depth 40 (2^41 - 1 moments) is refused before anything is
+        built."""
+        rng = random.Random(3)
+        for _ in range(30):
+            aut = random_automaton(rng, max_states=4)
+            depth = rng.randint(1, 5)
+            n = len(unroll(aut, depth).moments)
+            monkeypatch.setattr(automaton, "MAX_MOMENTS", n)
+            assert len(unroll(aut, depth).moments) == n
+            monkeypatch.setattr(automaton, "MAX_MOMENTS", n - 1)
+            with pytest.raises(ResourceLimitError,
+                               match=f"more than {n - 1} moments"):
+                unroll(aut, depth)
+            monkeypatch.undo()
+        both = StitAutomaton(["q0", "q1"], "q0", ["x", "y"], [],
+                             [(s, a, d, 1) for s in ("q0", "q1")
+                              for a, d in (("x", "q0"), ("y", "q1"))], {})
+        with pytest.raises(ResourceLimitError, match="depth 40"):
+            unroll(both, 40)
 
     def test_matches_recursive_reference(self):
         """Histories keep their depth-first pre-order numbering h1, h2, ...

@@ -6,7 +6,7 @@ import pytest
 
 from deontic_mc import formula as fm
 from deontic_mc import rss
-from deontic_mc.automaton import save_automaton
+from deontic_mc.automaton import StitAutomaton, save_automaton
 from deontic_mc.cli import main
 from deontic_mc.tree_model import ExplicitStitModel, load_model, save_model
 
@@ -382,6 +382,19 @@ class TestUnroll:
         code, _, err = run(capsys, "unroll", t0_file, "--depth", "0",
                            "--out", str(tmp_path / "x.json"))
         assert code == 2 and "depth" in err
+
+    def test_depth_past_the_moment_cap_is_a_limit(self, capsys, tmp_path):
+        """Both states step to both states, so depth 40 would build 2^41 - 1
+        moments: refused before any is built, and no file is written."""
+        path, out_path = tmp_path / "branching.json", tmp_path / "x.json"
+        save_automaton(StitAutomaton(
+            ["q0", "q1"], "q0", ["x", "y"], [],
+            [(s, a, d, 1) for s in ("q0", "q1")
+             for a, d in (("x", "q0"), ("y", "q1"))], {}), path)
+        code, _, err = run(capsys, "unroll", str(path), "--depth", "40",
+                           "--out", str(out_path))
+        assert code == 2 and "65536 moments" in err
+        assert not out_path.exists()
 
 
 # ======================== rss ========================

@@ -9,6 +9,7 @@ from deontic_mc import formula as fm
 from deontic_mc.ctlstar import (
     TransitionSystem,
     Universality,
+    _Product,
     buchi_accepts,
     check_ctls,
     check_universal,
@@ -20,6 +21,7 @@ from deontic_mc.errors import GrammarError, ModelError, ResourceLimitError
 from deontic_mc.generate import random_automaton, random_path_formula
 
 import oracle
+from reference_product import TarjanProduct
 
 
 def rand_word(rng, atoms, stem_max=3, loop_max=3):
@@ -162,6 +164,13 @@ def valuation_tableau(f):
     return atoms, initial, succ, accepting
 
 
+def acceptance_sets(buchi):
+    """The acceptance sets as frozensets of states, read off the states'
+    acceptance bits."""
+    return [frozenset(m for m in buchi.states if buchi.accepting[m] >> j & 1)
+            for j in range(buchi.full.bit_length())]
+
+
 class TestLtlToBuchi:
     # (formula, states, initial states, acceptance-set sizes): the facts
     # that do not depend on how the states are numbered
@@ -180,7 +189,7 @@ class TestLtlToBuchi:
         buchi = ltl_to_buchi(fm.parse_formula(text))
         assert len(buchi.states) == n_states
         assert len(buchi.initial) == n_initial
-        assert [len(a) for a in buchi.accepting] == acc_sizes
+        assert [len(a) for a in acceptance_sets(buchi)] == acc_sizes
 
     def test_matches_valuation_by_valuation_tableau(self):
         """The whole automaton equals the reference: its atoms, initial
@@ -195,7 +204,8 @@ class TestLtlToBuchi:
         for f in formulas:
             atoms, initial, succ, accepting = valuation_tableau(f)
             buchi = ltl_to_buchi(f)
-            assert (list(buchi.atoms), buchi.initial, buchi.accepting) == \
+            assert (list(buchi.atoms), buchi.initial,
+                    acceptance_sets(buchi)) == \
                 (atoms, initial, accepting), fm.render(f)
             low = buchi.low
             for b in buchi.states:
@@ -436,6 +446,57 @@ class TestCheckUniversal:
             check_ctls(ts, fm.parse_formula("A G p"))
 
 
+# ======================== product emptiness ========================
+
+class TestProductSearch:
+    def test_agrees_with_the_tarjan_reference(self):
+        """The early-stopping search answers as a Tarjan over the whole
+        product at every state, asked in random order, for random path
+        formulas and their negations; each lasso is a run of the product
+        from the state whose loop closes and meets every acceptance set."""
+        rng = random.Random(16)
+        lassos = with_sets = 0
+        for _ in range(200):
+            ts = random_system(rng, max_states=8)
+            f = random_path_formula(rng, 3, ["p", "q"])
+            for g in (f, fm.Not(f)):
+                buchi = ltl_to_buchi(g)
+                product = _Product(ts, ts.labels, buchi)
+                reference = TarjanProduct(ts, ts.labels, buchi)
+                for q in rng.sample(ts.states, len(ts.states)):
+                    found = product.nonempty_from(q)
+                    assert found == reference.nonempty_from(q), \
+                        (fm.render(g), q)
+                    if not found:
+                        assert product.lasso(q) is None
+                        continue
+                    stem, loop = product.lasso(q)
+                    run = stem + loop + loop[:1]
+                    assert run[0] in product.starts(q)
+                    for a, b in zip(run, run[1:]):
+                        assert b in product.succ(a)
+                    bits = 0
+                    for n in loop:
+                        bits |= buchi.accepting[n[1]]
+                    assert bits == buchi.full
+                    lassos += 1
+                    with_sets += buchi.full != 0
+        assert lassos > 1000 and with_sets > 400
+
+    def test_stops_at_the_first_accepting_cycle(self):
+        """A cycle at q0 through the acceptance set of the negation,
+        G F p, searched before a 300-state tail, answers without exploring
+        the tail."""
+        tail = [f"t{i}" for i in range(300)]
+        edges = ([("q0", "q0"), ("q0", tail[0])] + list(zip(tail, tail[1:]))
+                 + [(tail[-1], tail[-1])])
+        ts = TransitionSystem(["q0"] + tail, "q0", edges, {"q0": {"p"}})
+        check = Universality(ts, fm.parse_formula("F G !p"))
+        cx = check.counterexample("q0")
+        assert (cx.stem, cx.loop) == ((), ("q0",))
+        assert len(check.product._succ) < len(tail)
+
+
 # ======================== deep formulas ========================
 
 def deep_chain(kind, n=3000):
@@ -465,7 +526,8 @@ class TestDeepFormulas:
             return cx and (cx.stem, cx.loop)
 
         def tableau(buchi):
-            return len(buchi.states), buchi.initial, buchi.accepting
+            return (len(buchi.states), buchi.initial,
+                    acceptance_sets(buchi))
 
         calls = {
             "universal": lambda f: check_universal(ts, f)[0],
