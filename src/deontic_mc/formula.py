@@ -9,11 +9,14 @@ Three layers of abstract syntax:
 * ``OughtStatement`` -- ``O[a cstit: A]`` and the conditional form
   ``O[a cstit: A / B]``; the agent slot may name a group.
 
-The concrete grammar is documented in docs/grammar.ebnf.  Precedence, from
-tightest to loosest: ``!`` and the unary temporal operators, then the binary
-operators as the table ``_INFIX`` binds them: ``BR[n]``, ``U``/``R``, ``&``,
-``|``, ``->``.  The path quantifiers ``A`` and ``E`` swallow the longest
-formula to their right.
+The concrete grammar is documented in docs/grammar.ebnf.  Its spellings
+live in tables that the parser and the printer share.  ``_INFIX`` binds the
+binary operators, from tightest: ``BR[n]``, ``U``/``R``, ``&``, ``|``,
+``->``.  ``!`` and the prefixes of ``_PREFIX`` bind tighter still, and
+``_UNFOLDS`` spells the bounded heads ``X^t``, ``F[lo:hi]`` and ``BR[n]``.
+The path quantifiers ``A`` and ``E`` swallow the longest formula to their
+right.  The tokenizer is one regular expression; ``children`` and
+``render`` look each node's kind up in a table.
 
 Two limits live here.  MAX_DEPTH bounds how deep a parsed statement nests,
 so that the passes that still recurse (the parser, render, the
@@ -27,7 +30,10 @@ as a ResourceLimitError.  Nested ones add up in the tableau's bit count.
 from __future__ import annotations
 
 import functools
+import operator
+import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import GrammarError, ParseError, ResourceLimitError
 
@@ -244,24 +250,24 @@ def ought(agent, body, condition=None):
 # Structural helpers
 # ---------------------------------------------------------------------------
 
-_UNARY = (Not, Next, NextPow, Eventually, EventuallyBounded, Always,
-          ForallPaths, ExistsPaths)
-_BINARY = (And, Or, Implies, Until, Release, BoundedRelease)
+# Each node kind's subterms, in field order; a kind not listed is a leaf.
+_CHILDREN = {
+    **dict.fromkeys((Not, Next, NextPow, Eventually, EventuallyBounded, Always,
+                     ForallPaths, ExistsPaths), lambda f: (f.operand,)),
+    **dict.fromkeys((And, Or, Implies, Until, Release, BoundedRelease),
+                    operator.attrgetter("left", "right")),
+    **dict.fromkeys((Cstit, Dstit, DstitOf, NegatedObligation),
+                    lambda f: (f.body,)),
+    Plain: lambda f: (f.formula,),
+    OughtStatement: lambda f: (
+        (f.body,) if f.condition is None else (f.body, f.condition)),
+}
 
 
 def children(f):
     """Immediate subterms of a formula/obligation node."""
-    if isinstance(f, _UNARY):
-        return (f.operand,)
-    if isinstance(f, _BINARY):
-        return (f.left, f.right)
-    if isinstance(f, (Cstit, Dstit, DstitOf, NegatedObligation)):
-        return (f.body,)
-    if isinstance(f, Plain):
-        return (f.formula,)
-    if isinstance(f, OughtStatement):
-        return (f.body,) + ((f.condition,) if f.condition is not None else ())
-    return ()
+    read = _CHILDREN.get(type(f))
+    return read(f) if read else ()
 
 
 def walk(f):
@@ -279,148 +285,17 @@ def contains_stit(f):
 
 def or_all(parts):
     parts = list(parts)
-    if not parts:
-        return FALSE
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
-    return out
+    return functools.reduce(Or, parts) if parts else FALSE
 
 
 def and_all(parts):
     parts = list(parts)
-    if not parts:
-        return TRUE
-    out = parts[0]
-    for p in parts[1:]:
-        out = And(out, p)
-    return out
+    return functools.reduce(And, parts) if parts else TRUE
 
 
 # ---------------------------------------------------------------------------
-# Printer
+# Syntax tables, read by the parser and the printer alike
 # ---------------------------------------------------------------------------
-
-def render(x) -> str:
-    """Canonical re-parsable text for a formula, obligation, or ought."""
-    if isinstance(x, OughtStatement):
-        head = ",".join(x.agents)
-        if x.condition is None:
-            return f"O[{head} cstit: {render(x.body)}]"
-        return f"O[{head} cstit: {render(x.body)} / {render(x.condition)}]"
-    if isinstance(x, Plain):
-        return render(x.formula)
-    if isinstance(x, DstitOf):
-        return f"[{x.agent} dstit: {render(x.body)}]"
-    if isinstance(x, NegatedObligation):
-        return f"!{render(x.body)}"
-    if isinstance(x, Atom):
-        return x.name
-    if isinstance(x, TrueFormula):
-        return "true"
-    if isinstance(x, FalseFormula):
-        return "false"
-    if isinstance(x, Not):
-        return f"!{_tight(x.operand)}"
-    if isinstance(x, And):
-        return f"({render(x.left)} & {render(x.right)})"
-    if isinstance(x, Or):
-        return f"({render(x.left)} | {render(x.right)})"
-    if isinstance(x, Implies):
-        return f"({render(x.left)} -> {render(x.right)})"
-    if isinstance(x, Next):
-        return f"X {_tight(x.operand)}"
-    if isinstance(x, NextPow):
-        return f"X^{x.steps} {_tight(x.operand)}"
-    if isinstance(x, Until):
-        return f"({render(x.left)} U {render(x.right)})"
-    if isinstance(x, Release):
-        return f"({render(x.left)} R {render(x.right)})"
-    if isinstance(x, Eventually):
-        return f"F {_tight(x.operand)}"
-    if isinstance(x, EventuallyBounded):
-        return f"F[{x.lo}:{x.hi}] {_tight(x.operand)}"
-    if isinstance(x, Always):
-        return f"G {_tight(x.operand)}"
-    if isinstance(x, BoundedRelease):
-        return f"{_tight(x.left)} BR[{x.bound}] {_tight(x.right)}"
-    if isinstance(x, ForallPaths):
-        return f"(A {render(x.operand)})"
-    if isinstance(x, ExistsPaths):
-        return f"(E {render(x.operand)})"
-    if isinstance(x, Cstit):
-        return f"[{x.agent} cstit: {render(x.body)}]"
-    if isinstance(x, Dstit):
-        return f"[{x.agent} dstit: {render(x.body)}]"
-    raise TypeError(f"cannot render {type(x).__name__}")
-
-
-def _tight(f):
-    # operand position of a unary operator: BR is the only construct whose
-    # rendering is not self-delimiting
-    if isinstance(f, BoundedRelease):
-        return f"({render(f)})"
-    return render(f)
-
-
-# ---------------------------------------------------------------------------
-# Tokenizer
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "ident", "int", "sym", "eof"
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text):
-    toks = []
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if text.startswith("->", i):
-            toks.append(_Token("sym", "->", line, col))
-            i += 2
-            col += 2
-            continue
-        if ch in "()[]{},:/!&|^":
-            toks.append(_Token("sym", ch, line, col))
-            i += 1
-            col += 1
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            toks.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_."):
-                j += 1
-            toks.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(_Token("eof", "", line, col))
-    return toks
-
 
 # The binary operators, the one binding table of the grammar: text ->
 # (binding power, right-associative, constructor).  Every unary operator
@@ -433,10 +308,119 @@ _INFIX = {
     "R": (4, True, Release),
     "BR": (5, True, BoundedRelease),
 }
-
+# The prefix operators spelt by one word; X^t and F[lo:hi] extend X and F.
+_PREFIX = {"X": Next, "F": Eventually, "G": Always}
 # "A" and "E" double as path quantifiers and as plain atom names; the parser
 # disambiguates on one token of lookahead.
+_QUANTIFIERS = {"A": ForallPaths, "E": ExistsPaths}
+_STITS = {"cstit": Cstit, "dstit": Dstit}
+# The words that name an operator and so are no atom
+_OPERATOR_WORDS = frozenset(w for w in (*_INFIX, *_STITS) if w.isalpha())
 _FORMULA_START_SYMS = {"(", "[", "!"}
+
+# The bounded operators, each unfolding into n next-step obligations:
+# kind -> (n, the operator's head as printed and as refusals name it)
+_UNFOLDS = {
+    NextPow: lambda g: (g.steps, f"X^{g.steps}"),
+    EventuallyBounded: lambda g: (g.hi, f"F[{g.lo}:{g.hi}]"),
+    BoundedRelease: lambda g: (g.bound, f"BR[{g.bound}]"),
+}
+
+
+# ---------------------------------------------------------------------------
+# Printer
+# ---------------------------------------------------------------------------
+
+# kind -> (its layout, the word it is spelt with), read off the tables
+_SHAPES = {
+    Atom: ("atom", None),
+    TrueFormula: ("word", "true"),
+    FalseFormula: ("word", "false"),
+    Plain: ("plain", None),
+    **dict.fromkeys((Not, NegatedObligation), ("prefix", "!")),
+    **{kind: ("prefix", word + " ") for word, kind in _PREFIX.items()},
+    **dict.fromkeys((NextPow, EventuallyBounded), ("prefix", None)),
+    **{kind: ("infix", word) for word, (_, _, kind) in _INFIX.items()},
+    BoundedRelease: ("bounded", None),  # BR[n], not _INFIX's bare BR
+    **{kind: ("quantifier", word) for word, kind in _QUANTIFIERS.items()},
+    **{kind: ("stit", word) for word, kind in _STITS.items()},
+    DstitOf: ("stit", "dstit"),
+    OughtStatement: ("ought", None),
+}
+
+
+def render(x) -> str:
+    """Canonical re-parsable text for a formula, obligation, or ought.
+    Each level of x costs one frame, a prefix's operand two."""
+    shape, word = _SHAPES.get(type(x), (None, None))
+    if shape == "infix":
+        return f"({render(x.left)} {word} {render(x.right)})"
+    if shape == "prefix":  # X^t and F[lo:hi] take their head from _UNFOLDS
+        return (word or _UNFOLDS[type(x)](x)[1] + " ") + _tight(children(x)[0])
+    if shape == "atom":
+        return x.name
+    if shape == "plain":
+        return render(x.formula)
+    if shape == "word":
+        return word
+    if shape == "bounded":
+        head = _UNFOLDS[type(x)](x)[1]
+        return f"{_tight(x.left)} {head} {_tight(x.right)}"
+    if shape == "stit":
+        return f"[{x.agent} {word}: {render(x.body)}]"
+    if shape == "quantifier":
+        return f"({word} {render(x.operand)})"
+    if shape == "ought":
+        cond = "" if x.condition is None else f" / {render(x.condition)}"
+        return f"O[{','.join(x.agents)} cstit: {render(x.body)}{cond}]"
+    raise TypeError(f"cannot render {type(x).__name__}")
+
+
+def _tight(x):
+    # an operand of a prefix or of BR: a bounded release is the only
+    # construct whose text is not self-delimiting, so it is parenthesised,
+    # also as a plain obligation's formula under !
+    if type(x) is Plain:
+        x = x.formula
+    return f"({render(x)})" if type(x) is BoundedRelease else render(x)
+
+
+# ---------------------------------------------------------------------------
+# Tokenizer
+# ---------------------------------------------------------------------------
+
+class _Token(NamedTuple):
+    kind: str  # "ident", "int", "sym", "eof"
+    text: str
+    line: int
+    column: int
+
+
+# One match per token: a symbol, ASCII digits, a word, whitespace, or any
+# other character, which is an error.  A word's first class also admits
+# numerals that are not letters, such as "\u00b2"; _tokenize refuses those.
+_TOKEN = re.compile(r"(?P<sym>->|[()\[\]{},:/!&|^])|(?P<int>[0-9]+)"
+                    r"|(?P<ident>[^\W\d][\w.]*)|(?P<space>\s+)|(?P<other>.)",
+                    re.S)
+
+
+def _tokenize(text):
+    toks = []
+    line, start = 1, 0  # start: the offset where the line begins
+    for m in _TOKEN.finditer(text):
+        kind, word, at = m.lastgroup, m.group(), m.start()
+        if kind == "space":
+            if "\n" in word:
+                line += word.count("\n")
+                start = at + word.rindex("\n") + 1
+        elif kind == "other" or kind == "ident" and not (
+                word[0].isalpha() or word[0] == "_"):
+            raise ParseError(f"unexpected character {word[0]!r}", line,
+                             at - start + 1)
+        else:
+            toks.append(_Token(kind, word, line, at - start + 1))
+    toks.append(_Token("eof", "", line, len(text) - start + 1))
+    return toks
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +565,7 @@ class _Parser:
             self.next()
             agent = self.expect_ident("agent name").text
             kw = self.expect_ident("'cstit' or 'dstit'")
-            if kw.text not in ("cstit", "dstit"):
+            if kw.text not in _STITS:
                 self.error(f"expected 'cstit' or 'dstit', found {kw.text!r}",
                            kw)
             self.expect_sym(":")
@@ -589,14 +573,12 @@ class _Parser:
             f, depth = self.formula(1, level + 1)
             body = self._as_obligation(f, start)
             self.expect_sym("]")
-            stit = Cstit if kw.text == "cstit" else Dstit
-            return stit(agent, body), self._deepen(depth, tok)
+            return _STITS[kw.text](agent, body), self._deepen(depth, tok)
         if tok.kind == "ident":
-            if tok.text in ("A", "E") and self._starts_formula(1):
+            if tok.text in _QUANTIFIERS and self._starts_formula(1):
                 self.next()
                 f, depth = self.formula(1, level + 1)
-                path = ForallPaths if tok.text == "A" else ExistsPaths
-                return path(f), self._deepen(depth, tok)
+                return _QUANTIFIERS[tok.text](f), self._deepen(depth, tok)
             return self._ident_formula(level)
         self.error(f"expected a formula, found {tok.text or 'end of input'!r}", tok)
 
@@ -611,40 +593,33 @@ class _Parser:
             raise GrammarError(
                 "an ought operator cannot appear inside a formula",
                 production="formula")
-        if name == "X":
-            if self.peek().text == "^":
-                self.next()
-                steps = self.expect_int()
-                f, depth = self._unary(level + 1)
-                return NextPow(steps, f), self._deepen(depth, tok)
-            f, depth = self._unary(level + 1)
-            return Next(f), self._deepen(depth, tok)
-        if name == "F":
-            # F[ starts a bound only when an integer follows; otherwise
-            # the bracket is a stit operand, as under X and G
-            if self.peek().text == "[" and self.peek(1).kind == "int":
-                self.next()
-                lo = self.expect_int()
-                self.expect_sym(":")
-                hi = self.expect_int()
-                self.expect_sym("]")
-                if lo > hi:
-                    self.error(f"F[{lo}:{hi}] needs lo <= hi", tok)
-                f, depth = self._unary(level + 1)
-                return EventuallyBounded(lo, hi, f), self._deepen(depth, tok)
-            f, depth = self._unary(level + 1)
-            return Eventually(f), self._deepen(depth, tok)
-        if name == "G":
-            f, depth = self._unary(level + 1)
-            return Always(f), self._deepen(depth, tok)
-        if name in ("U", "R", "BR", "cstit", "dstit"):
-            self.error(f"{name!r} is an operator, not an atom", tok)
-        return Atom(name), 0
+        build = _PREFIX.get(name)
+        if build is None:
+            if name in _OPERATOR_WORDS:
+                self.error(f"{name!r} is an operator, not an atom", tok)
+            return Atom(name), 0
+        if name == "X" and self.peek().text == "^":
+            self.next()
+            build = functools.partial(NextPow, self.expect_int())
+        # F[ starts a bound only when an integer follows; otherwise the
+        # bracket is a stit operand, as under X and G
+        elif name == "F" and self.peek().text == "[" and \
+                self.peek(1).kind == "int":
+            self.next()
+            lo = self.expect_int()
+            self.expect_sym(":")
+            hi = self.expect_int()
+            self.expect_sym("]")
+            if lo > hi:
+                self.error(f"F[{lo}:{hi}] needs lo <= hi", tok)
+            build = functools.partial(EventuallyBounded, lo, hi)
+        f, depth = self._unary(level + 1)
+        return build(f), self._deepen(depth, tok)
 
     def _starts_formula(self, ahead):
         tok = self.peek(ahead)
         if tok.kind == "ident":
-            return tok.text not in ("U", "R", "BR", "cstit", "dstit")
+            return tok.text not in _OPERATOR_WORDS
         return tok.kind == "sym" and tok.text in _FORMULA_START_SYMS
 
 
@@ -737,15 +712,6 @@ def obligation_to_formula(ob) -> Formula:
 # ---------------------------------------------------------------------------
 # Transformations
 # ---------------------------------------------------------------------------
-
-# The bounded operators, each unfolding into n next-step obligations:
-# kind -> (n, the operator as refusals name it)
-_UNFOLDS = {
-    NextPow: lambda g: (g.steps, f"X^{g.steps}"),
-    EventuallyBounded: lambda g: (g.hi, f"F[{g.lo}:{g.hi}]"),
-    BoundedRelease: lambda g: (g.bound, f"BR[{g.bound}]"),
-}
-
 
 def compile(f):
     """f, a formula or an obligation, as rows (kind, data, kids): one row

@@ -159,15 +159,6 @@ class ExplicitStitModel:
 
     # -- basic structure ----------------------------------------------------
 
-    def root(self) -> int:
-        roots = [m.id for m in self.moments.values() if m.parent is None]
-        if len(roots) != 1:
-            raise ModelError(f"model has {len(roots)} roots")
-        return roots[0]
-
-    def children(self, mid):
-        return self._children[self._check_moment(mid)]
-
     def is_leaf(self, mid):
         return not self._children[self._check_moment(mid)]
 
@@ -177,9 +168,6 @@ class ExplicitStitModel:
 
     def label(self, mid, hid) -> frozenset:
         return self.labels.get((mid, hid), frozenset())
-
-    def value(self, hid) -> Fraction:
-        return self._check_history(hid).value
 
     def step(self, mid, hid) -> int:
         """Next moment of the history after mid; the leaf repeats (stutter)."""

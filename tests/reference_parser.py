@@ -1,8 +1,11 @@
 """The statement parser as recursive descent, one method per precedence
-level: the reference that the precedence-climbing parser in
-deontic_mc.formula is compared against.  Its nesting depth is bounded by
+level, over a tokenizer that scans character by character: the references
+that the precedence-climbing parser and the one-pattern tokenizer in
+deontic_mc.formula are compared against.  Its nesting depth is bounded by
 the Python stack: seven frames per parenthesis level.
 """
+
+from dataclasses import dataclass
 
 from deontic_mc.errors import GrammarError, ParseError
 from deontic_mc.formula import (
@@ -27,11 +30,66 @@ from deontic_mc.formula import (
     Release,
     Until,
     _classify,
-    _tokenize,
     formula_to_obligation,
 )
 
 _FORMULA_START_SYMS = {"(", "[", "!"}
+
+
+@dataclass(frozen=True)
+class Token:
+    kind: str  # "ident", "int", "sym", "eof"
+    text: str
+    line: int
+    column: int
+
+
+def tokenize(text):
+    """What deontic_mc.formula._tokenize returns, or raises, for the text."""
+    toks = []
+    line, col = 1, 1
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if ch.isspace():
+            col += 1
+            i += 1
+            continue
+        if text.startswith("->", i):
+            toks.append(Token("sym", "->", line, col))
+            i += 2
+            col += 2
+            continue
+        if ch in "()[]{},:/!&|^":
+            toks.append(Token("sym", ch, line, col))
+            i += 1
+            col += 1
+            continue
+        if "0" <= ch <= "9":
+            j = i
+            while j < n and "0" <= text[j] <= "9":
+                j += 1
+            toks.append(Token("int", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] in "_."):
+                j += 1
+            toks.append(Token("ident", text[i:j], line, col))
+            col += j - i
+            i = j
+            continue
+        raise ParseError(f"unexpected character {ch!r}", line, col)
+    toks.append(Token("eof", "", line, col))
+    return toks
 
 
 def parse(text):
@@ -41,7 +99,7 @@ def parse(text):
 
 class RecursiveDescentParser:
     def __init__(self, text):
-        self.toks = _tokenize(text)
+        self.toks = tokenize(text)
         self.pos = 0
 
     def peek(self, ahead=0):

@@ -1,5 +1,6 @@
 """Parser, printer, bounded-operator expansion, obligation normalisation."""
 
+import dataclasses
 import itertools
 import random
 
@@ -134,6 +135,31 @@ def _shaped_statement(rng):
     return text
 
 
+# The grammar's lexemes, and characters on which str's predicates and the
+# regular expression classes could disagree: numerals that are no ASCII digit
+# (superscript, Arabic-Indic, fullwidth, fraction, Roman), non-ASCII
+# letters, and whitespace other than a space
+_LEXEMES = ["(", ")", "[", "]", "{", "}", ",", ":", "/", "!", "&", "|", "^",
+            "->", "-", ">", "U", "BR", "X", "p", "_q", "a.b", "g_alpha", "0",
+            "12", "x1", ".", "$", " "]
+_ODD_CHARS = ["\u00b2", "\u0663", "\uff13", "\u00bd", "\u216b", "\u00e9",
+              "\u4e00", "\xa0", "\x85", "\x1c", "\u2028", "\r", "\n",
+              "\r\n", "\t"]
+
+
+def _lexer_soup(rng):
+    return "".join(rng.choice(_ODD_CHARS if rng.random() < 0.2 else _LEXEMES)
+                   for _ in range(rng.randint(0, 12)))
+
+
+def _tokens(tokenize, text):
+    """The tokens as (kind, text, line, column), or the error's text."""
+    try:
+        return [(t.kind, t.text, t.line, t.column) for t in tokenize(text)]
+    except ParseError as exc:
+        return str(exc)
+
+
 def _outcome(parse, text):
     """The rendered parse with its kind, or the error's type and text."""
     try:
@@ -156,6 +182,18 @@ class TestParserReference:
             kinds.add(got[0])
         # errors and several kinds of parse result are exercised
         assert "ParseError" in kinds and len(kinds) >= 4
+
+    def test_same_tokens_as_the_character_scanner(self):
+        rng = random.Random(29)
+        draws = 50_000
+        errors = 0
+        for _ in range(draws):
+            text = _lexer_soup(rng)
+            got = _tokens(fm._tokenize, text)
+            assert got == _tokens(reference_parser.tokenize, text), repr(text)
+            errors += isinstance(got, str)
+        # both outcomes are exercised
+        assert 0.2 * draws < errors < 0.8 * draws
 
     def test_400_nested_parentheses(self):
         assert fm.parse("(" * 400 + "p" + ")" * 400) == fm.Atom("p")
@@ -212,6 +250,19 @@ class TestRender:
         assert fm.render(fm.BoundedRelease(3, fm.Atom("g"), fm.Atom("q"))) == \
             "g BR[3] q"
 
+    @pytest.mark.parametrize("wrap, read", [
+        (lambda ob: ob, fm.parse_obligation),
+        (lambda ob: fm.ought("a", ob), fm.parse_ought),
+        (lambda ob: fm.ought("a", fm.Plain(fm.Atom("w")), ob), fm.parse_ought),
+    ], ids=["obligation", "ought-body", "ought-condition"])
+    def test_negated_bounded_release_is_parenthesised(self, wrap, read):
+        """!A over a plain BR obligation keeps the BR whole under the !;
+        it reads back as the plain obligation of the negated formula."""
+        waiting = fm.BoundedRelease(2, fm.Atom("p"), fm.Atom("q"))
+        text = fm.render(wrap(fm.NegatedObligation(fm.Plain(waiting))))
+        assert "!(p BR[2] q)" in text
+        assert read(text) == wrap(fm.Plain(fm.Not(waiting)))
+
     def test_round_trip_random(self):
         """parse(render(x)) == x structurally, over random formulas."""
         rng = random.Random(20240817)
@@ -245,6 +296,34 @@ class TestRender:
                 ("a",) if rng.random() < 0.7 else ("a", "b"), ob,
                 fm.Plain(fm.Atom("w")) if rng.random() < 0.4 else None)
             assert fm.parse(fm.render(st)) == st
+
+
+# ======================== Subterms ========================
+
+class TestChildren:
+    def test_children_are_the_subterm_fields_in_order(self):
+        """children(x) is x's Formula and Obligation fields, in field order,
+        for one instance of every node kind."""
+        p, q = fm.Atom("p"), fm.Atom("q")
+        ob, cond = fm.Plain(p), fm.Plain(q)
+        nodes = [p, fm.TRUE, fm.FALSE, fm.Not(p), fm.And(p, q), fm.Or(p, q),
+                 fm.Implies(p, q), fm.Next(p), fm.NextPow(2, p),
+                 fm.Until(p, q), fm.Release(p, q), fm.Eventually(p),
+                 fm.EventuallyBounded(1, 2, p), fm.Always(p),
+                 fm.BoundedRelease(3, p, q), fm.ForallPaths(p),
+                 fm.ExistsPaths(p), fm.Cstit("a", ob), fm.Dstit("a", ob), ob,
+                 fm.DstitOf("a", ob), fm.NegatedObligation(ob),
+                 fm.ought("a", ob), fm.ought("a", ob, cond)]
+        assert {type(x) for x in nodes} == {
+            kind for kind in vars(fm).values()
+            if isinstance(kind, type) and dataclasses.is_dataclass(kind)
+            and issubclass(kind, (fm.Formula, fm.Obligation,
+                                  fm.OughtStatement))}
+        for x in nodes:
+            fields = [getattr(x, f.name) for f in dataclasses.fields(x)]
+            assert fm.children(x) == tuple(
+                v for v in fields
+                if isinstance(v, (fm.Formula, fm.Obligation))), x
 
 
 # ======================== Compiled rows ========================
