@@ -11,6 +11,8 @@ the moments, successors first, that the index fixes when it is built.
 
 from __future__ import annotations
 
+import math
+
 
 class ModelIndex:
     """A model's histories as the bits of an int, and the memos kept on them.
@@ -18,33 +20,53 @@ class ModelIndex:
     histories maps ids to History records, positions maps each id to
     {moment: index on its path} (the last visit, if the path repeats one),
     moments maps ids to Moment records and labels maps (moment, history)
-    to atom names.  The masks are memoised here by the model's evaluators."""
+    to atom names.  The masks are memoised here by the model's evaluators.
+
+    Values rank by exact int keys over their common denominator.  A linked
+    path, from a root to a leaf with each step to a child, only marks its
+    leaf, and the moments are then filled deepest first.  broken maps every
+    other history to the moment and the text of its history-path violation,
+    and such a path is grouped moment by moment."""
 
     def __init__(self, histories, positions, moments, labels):
-        order = sorted(histories.values(), key=lambda h: (h.value, h.id))
-        self.ids = [h.id for h in order]
+        lcm = math.lcm(*(h.value.denominator for h in histories.values()))
+        value = {h.id: h.value.numerator * (lcm // h.value.denominator)
+                 for h in histories.values()}
+        self.ids = sorted(value, key=lambda hid: (value[hid], hid))
         self.bit = {hid: 1 << i for i, hid in enumerate(self.ids)}
-        self.rank = []  # the rank of bit i's value among the distinct values
-        for i, h in enumerate(order):
-            self.rank.append(0 if i == 0 else
-                             self.rank[-1] + (h.value != order[i - 1].value))
+        rank = {v: i for i, v in enumerate(sorted(set(value.values())))}
+        self.rank = [rank[value[hid]] for hid in self.ids]  # bit i's rank
         # succ[m] groups H_m by the next moment (step), a history that ends
         # at m stuttering there; the groups are disjoint, so H_m is their sum
         succ = {m: {} for m in moments}
-        for h in order:
-            b, ms = self.bit[h.id], h.moments
-            for m, i in positions[h.id].items():
+        parent = {m: x.parent for m, x in moments.items()}
+        inner = set(parent.values())  # the moments that are not leaves
+        self.broken = {}  # history -> (moment, detail) of its broken path
+        for hid, b in self.bit.items():
+            ms = histories[hid].moments
+            if ms and parent.get(ms[0], 0) is None and ms[-1] not in inner \
+                    and tuple(map(parent.get, ms[1:])) == ms[:-1]:
+                succ[ms[-1]][ms[-1]] = b | succ[ms[-1]].get(ms[-1], 0)
+            else:
+                self.broken[hid] = _path_fault(hid, ms, parent)
+        depth = {m: x.depth for m, x in moments.items()}
+        self.order = sorted(moments, key=depth.get, reverse=True)
+        for m in self.order:  # deepest first; only linked ones grouped yet
+            if succ[m] and parent[m] is not None:
+                succ[parent[m]][m] = sum(succ[m].values())
+        for hid in self.broken:
+            b, ms = self.bit[hid], histories[hid].moments
+            for m, i in positions[hid].items():
                 groups = succ.setdefault(m, {})
                 n = ms[i + 1] if i + 1 < len(ms) else m
                 groups[n] = groups.get(n, 0) | b
+        self.order += [m for m in succ if m not in moments]  # undeclared last
         self.through = through = {m: sum(groups.values())
                                   for m, groups in succ.items()}
         self.succ = {m: tuple(groups.items()) for m, groups in succ.items()}
-        # deepest first, undeclared last; tangled: a step goes no deeper
-        # (the model fails validate()), so a successor may come later
-        depth = {m: moments[m].depth if m in moments else -1 for m in succ}
-        self.order = sorted(succ, key=depth.__getitem__, reverse=True)
-        self.tangled = any(n != m and depth[n] <= depth[m]
+        # a step that goes no deeper (the model fails validate()) tangles
+        # the order: a successor may come later
+        self.tangled = any(n != m and depth.get(n, -1) <= depth.get(m, -1)
                            for m, groups in succ.items() for n in groups)
         self.labelled = {}  # atom -> moment -> histories labelled with it
         for (m, hid), names in labels.items():
@@ -128,6 +150,18 @@ class ModelIndex:
                 if t.get(m) != v:
                     t[m] = v
                     changed = self.tangled
+
+
+def _path_fault(hid, ms, parent):
+    """The moment and the text of a path's history-path violation."""
+    if not ms or not all(m in parent for m in ms):
+        return None, f"history {hid} mentions unknown moments"
+    if parent[ms[0]] is not None:
+        return ms[0], f"history {hid} does not start at the root"
+    for a, b in zip(ms, ms[1:]):
+        if parent[b] != a:
+            return b, f"history {hid}: {b} is not a child of {a}"
+    return ms[-1], f"history {hid} ends at a non-leaf moment"
 
 
 def along(front, t):

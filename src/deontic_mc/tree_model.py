@@ -7,9 +7,9 @@ partition of the histories through each moment, and a labeling of
 the leaf's label repeats, so temporal operators are decided on the
 ultimately-constant extension.
 
-Evaluation is bit-parallel, on the history bit index of ``model_index``
-that the first evaluation builds.  Each formula is evaluated once per moment
-into one int, the mask of the histories of H_m at which it holds.
+Evaluation is bit-parallel, on the bit index of ``model_index`` that
+``validate`` or the first evaluation builds.  Each formula is evaluated once
+per moment into one int, the mask of the histories of H_m at which it holds.
 Connectives are &, | and ^ within H_m.  X, X^n, F[lo:hi] and BR[n] unfold
 the next-moment groups.  U, R, F and G fill the moments reachable from the
 asked ones that are not yet filled in one pass over the index's fixed
@@ -21,12 +21,12 @@ highest set bit.  ``satisfies`` is then a bit test and ``extension`` turns
 a mask back into ids.  The cost is O(moments x subformulas) big-int
 operations, not one truth value per history.
 
-The index and the masks live on the model instance only.  So evaluation
-writes to the model: one instance must not be evaluated from several
-threads at once (give each thread its own ``copy.deepcopy``, cheap before
-the first evaluation, or hold a lock), and a model must not be changed
-after its first evaluation, or its masks go stale.  ``validate`` and the
-structural accessors only read.
+The index and the masks live on the model instance only.  So validation
+and evaluation write to the model: one instance must not be validated or
+evaluated from several threads at once (give each thread its own
+``copy.deepcopy``, cheap before the index is built, or hold a lock), and a
+model must not be changed once its index is built, or the index and its
+masks go stale.  The structural accessors only read.
 """
 
 from __future__ import annotations
@@ -119,10 +119,6 @@ class ExplicitStitModel:
         self.labels: dict[tuple[int, str], frozenset] = {
             (int(mid), hid): frozenset(av)
             for (mid, hid), av in dict(labels).items()}
-        self._children: dict[int, list[int]] = {m: [] for m in self.moments}
-        for m in self.moments.values():
-            if m.parent is not None and m.parent in self.moments:
-                self._children[m.parent].append(m.id)
         grouped: dict[int, set] = {m: set() for m in self.moments}
         for h in self.histories.values():
             for mid in h.moments:
@@ -158,9 +154,6 @@ class ExplicitStitModel:
         return depths
 
     # -- basic structure ----------------------------------------------------
-
-    def is_leaf(self, mid):
-        return not self._children[self._check_moment(mid)]
 
     def histories_through(self, mid) -> frozenset:
         """H_m: ids of the histories passing through the moment."""
@@ -526,35 +519,15 @@ class ExplicitStitModel:
             if m.parent is not None and m.parent not in self.moments:
                 out.append(Violation("parent", None, m.id,
                                      f"parent {m.parent} does not exist"))
-        leaves = {m for m in self.moments if self.is_leaf(m)}
-        covered = set()
-        linked = set()  # histories whose every step goes to a child
-        for h in self.histories.values():
-            ms = h.moments
-            if not ms or not all(mid in self.moments for mid in ms):
-                out.append(Violation("history-path", None, None,
-                                     f"history {h.id} mentions unknown moments"))
-                continue
-            if self.moments[ms[0]].parent is not None:
-                out.append(Violation("history-path", None, ms[0],
-                                     f"history {h.id} does not start at the root"))
-                continue
-            for a, b in zip(ms, ms[1:]):
-                if self.moments[b].parent != a:
-                    out.append(Violation(
-                        "history-path", None, b,
-                        f"history {h.id}: {b} is not a child of {a}"))
-                    break
-            else:
-                linked.add(h.id)
-                covered.add(ms[-1])
-                if ms[-1] not in leaves:
-                    out.append(Violation(
-                        "history-path", None, ms[-1],
-                        f"history {h.id} ends at a non-leaf moment"))
-        for leaf in sorted(leaves - covered):
-            out.append(Violation("leaf-covered", None, leaf,
-                                 "no history ends at this leaf"))
+        ix = self._index()
+        broken = ix.mask(ix.broken)
+        out.extend(Violation("history-path", None, *ix.broken[h])
+                   for h in self.histories if h in ix.broken)
+        leaves = set(self.moments) - {m.parent for m in self.moments.values()}
+        for leaf in sorted(leaves):  # a linked history through it ends there
+            if not ix.through[leaf] & ~broken:
+                out.append(Violation("leaf-covered", None, leaf,
+                                     "no history ends at this leaf"))
         for (agent, mid), cells in sorted(self.choices.items()):
             if agent not in self.agents:
                 out.append(Violation("partition", agent, mid, "unknown agent"))
@@ -579,12 +552,13 @@ class ExplicitStitModel:
                     f"actions do not partition H_m: union {sorted(seen)} "
                     f"vs H_m {sorted(hm)}"))
         out.extend(self._validate_independence())
-        out.extend(self._validate_undivided(linked))
+        out.extend(self._validate_undivided(ix, broken))
         return out
 
     def _validate_independence(self):
         out = []
-        for mid in self.moments:
+        declared = {mid for _, mid in self.choices}
+        for mid in filter(declared.__contains__, self.moments):
             per_agent = [self.actions_at(a, mid) for a in self.agents]
             if any(len(cells) > 1 for cells in per_agent):
                 for pick in itertools.product(*per_agent):
@@ -598,27 +572,27 @@ class ExplicitStitModel:
                             + " x ".join(str(sorted(c)) for c in pick)))
         return out
 
-    def _validate_undivided(self, linked):
+    def _validate_undivided(self, ix, broken):
         out = []
         for (agent, mid), cells in sorted(self.choices.items()):
             if mid not in self.moments:
                 continue
-            cell_of = {}
-            for i, cell in enumerate(cells):
-                for h in cell:
-                    cell_of[h] = i
+            # when no cell holds a history with a broken path, two of its
+            # histories share a later moment iff they share the next one
+            masks = [ix.mask(cell) for cell in cells]
+            if not any(m & broken for m in masks) and all(
+                    sum(1 for m in masks if m & g) <= 1
+                    for n, g in ix.succ[mid] if n != mid):
+                continue
+            cell_of = {h: i for i, cell in enumerate(cells) for h in cell}
             # only histories that reach a common moment after mid can break
             # the axiom, so pairs are drawn from those groups alone, and each
-            # pair drawn across two cells breaks it; when every step is to a
-            # child, two histories share a later moment iff they share the
-            # next one
-            next_only = linked.issuperset(cell_of)
+            # pair drawn across two cells breaks it
             reach: dict[int, set] = {}
             for h in cell_of:
                 pos = self._hpos[h].get(mid) if h in self._hpos else None
                 if pos is not None:
-                    end = pos + 2 if next_only else None
-                    for m in self.histories[h].moments[pos + 1:end]:
+                    for m in self.histories[h].moments[pos + 1:]:
                         reach.setdefault(m, set()).add(h)
             pairs = set()
             for group in reach.values():
@@ -654,15 +628,16 @@ class ExplicitStitModel:
             if key in choices:
                 raise ModelError(f"duplicate choices entry for {key}")
             choices[key] = [list(cell) for cell in e["actions"]]
-        history_ids = [hid for hid, _, _ in histories]
-        moment_of_history = {hid: set(ms) for hid, ms, _ in histories}
+        through = {}  # moment -> the ids of the histories through it
+        for hid, ms, _ in histories:
+            for mid in set(ms):
+                through.setdefault(mid, []).append(hid)
         labels = {}
         for e in _entries(data, "labels",
                           {"moment": int, "history": str, "atoms": [str]}):
             mid = int(e["moment"])
             hsel = e["history"]
-            targets = ([h for h in history_ids if mid in moment_of_history[h]]
-                       if hsel == "*" else [hsel])
+            targets = through.get(mid, []) if hsel == "*" else [hsel]
             for h in targets:
                 key = (mid, h)
                 labels[key] = sorted(set(labels.get(key, [])) | set(e["atoms"]))

@@ -1,5 +1,6 @@
 """Explicit stit models: axioms, satisfaction, dominance, file format."""
 
+import copy
 import itertools
 import json
 import random
@@ -18,6 +19,7 @@ from deontic_mc.generate import (
     random_obligation,
     random_path_formula,
 )
+from deontic_mc.model_index import ModelIndex
 from deontic_mc.tree_model import (
     ExplicitStitModel,
     Violation,
@@ -25,6 +27,7 @@ from deontic_mc.tree_model import (
     load_model,
     save_model,
 )
+from reference_validate import reference_validate
 
 
 def tiny_two_agent(values=(5, 5, 1, 1), labels=None):
@@ -39,6 +42,36 @@ def tiny_two_agent(values=(5, 5, 1, 1), labels=None):
 
 
 # ======================== Validation ========================
+
+# history-path cases on the moments 0 -> {1 -> {2, 3}, 4}: the histories
+# and the whole expected report, each uncovered leaf as an int
+HISTORY_PATH_CASES = [
+    ([("h1", [], 1)], [
+        "[history-path] history h1 mentions unknown moments", 2, 3, 4]),
+    ([("h1", [0, 1, 9], 1)], [
+        "[history-path] history h1 mentions unknown moments", 2, 3, 4]),
+    ([("h1", [1, 2], 1)], [
+        "[history-path] (moment=1) history h1 does not start at the root",
+        2, 3, 4]),
+    ([("h1", [0, 2, 4], 1)], [
+        "[history-path] (moment=2) history h1: 2 is not a child of 0",
+        2, 3, 4]),
+    ([("h1", [0, 1], 1)], [
+        "[history-path] (moment=1) history h1 ends at a non-leaf moment",
+        2, 3, 4]),
+    ([("h0", [0, 4], 1), ("h1", [], 1), ("h2", [9, 1, 2], 1),
+      ("h3", [1, 3], 1), ("h4", [0, 2], 1), ("h5", [0, 1], 1),
+      ("h6", [0, 1, 3], 1)], [
+        "[history-path] history h1 mentions unknown moments",
+        "[history-path] history h2 mentions unknown moments",
+        "[history-path] (moment=1) history h3 does not start at the root",
+        "[history-path] (moment=2) history h4: 2 is not a child of 0",
+        "[history-path] (moment=1) history h5 ends at a non-leaf moment",
+        2]),
+]
+HISTORY_PATH_IDS = ["empty", "unknown-moment", "not-at-root", "broken-link",
+                    "non-leaf-end", "mixed"]
+
 
 class TestValidate:
     def test_fig1_is_clean(self, fig1):
@@ -104,31 +137,8 @@ class TestValidate:
         bad = ExplicitStitModel(["alpha"], [], moments, histories, {}, {})
         assert any(v.axiom == "history-path" for v in bad.validate())
 
-    @pytest.mark.parametrize("histories,expected", [
-        ([("h1", [], 1)], [
-            "[history-path] history h1 mentions unknown moments", 2, 3, 4]),
-        ([("h1", [0, 1, 9], 1)], [
-            "[history-path] history h1 mentions unknown moments", 2, 3, 4]),
-        ([("h1", [1, 2], 1)], [
-            "[history-path] (moment=1) history h1 does not start at the root",
-            2, 3, 4]),
-        ([("h1", [0, 2, 4], 1)], [
-            "[history-path] (moment=2) history h1: 2 is not a child of 0",
-            2, 3, 4]),
-        ([("h1", [0, 1], 1)], [
-            "[history-path] (moment=1) history h1 ends at a non-leaf moment",
-            2, 3, 4]),
-        ([("h0", [0, 4], 1), ("h1", [], 1), ("h2", [9, 1, 2], 1),
-          ("h3", [1, 3], 1), ("h4", [0, 2], 1), ("h5", [0, 1], 1),
-          ("h6", [0, 1, 3], 1)], [
-            "[history-path] history h1 mentions unknown moments",
-            "[history-path] history h2 mentions unknown moments",
-            "[history-path] (moment=1) history h3 does not start at the root",
-            "[history-path] (moment=2) history h4: 2 is not a child of 0",
-            "[history-path] (moment=1) history h5 ends at a non-leaf moment",
-            2]),
-    ], ids=["empty", "unknown-moment", "not-at-root", "broken-link",
-            "non-leaf-end", "mixed"])
+    @pytest.mark.parametrize("histories,expected", HISTORY_PATH_CASES,
+                             ids=HISTORY_PATH_IDS)
     def test_history_path_report(self, histories, expected):
         """The whole list, in order: at most one history-path violation per
         history, then each leaf (an int in expected) that no valid history
@@ -1016,3 +1026,211 @@ class TestEvaluationEdges:
                                ("G q", False), ("F !p", False),
                                ("p R q", False), ("X^1499 q", True)):
             assert model.satisfies(0, h, fm.parse_formula(text)) is expected
+
+
+# ======================== Validation on the index ========================
+
+def _mutated_fixtures():
+    """The invalid models of TestValidate, built the same way, by name."""
+    out = {}
+    data = rss.fig1_model().to_json()
+    data["choices"][0]["actions"] = [["h1", "h2", "h3", "h4", "h5"],
+                                     ["h5", "h6"]]
+    out["fig1-shared-history"] = ExplicitStitModel.from_json(data)
+    model = tiny_two_agent()
+    model.choices[("beta", 0)] = (frozenset({"h1", "h2"}),
+                                  frozenset({"h3", "h4"}))
+    out["independence"] = model
+    out["undivided"] = ExplicitStitModel(
+        ["alpha"], [], [(0, None), (1, 0), (2, 1), (3, 1)],
+        [("h1", [0, 1, 2], 1), ("h2", [0, 1, 3], 2)],
+        {("alpha", 0): [["h1"], ["h2"]]}, {})
+    out["roots-and-unknowns"] = ExplicitStitModel(
+        ["alpha"], [], [(0, None), (1, 0), (5, None), (6, 9)],
+        [("h1", [0, 1], 1)],
+        {("alpha", 0): [["h1"]], ("beta", 0): [["h1"]],
+         ("alpha", 7): [["h1"]]}, {})
+    out["root-not-0"] = ExplicitStitModel(
+        ["alpha"], [], [(3, None), (4, 3)], [("h1", [3, 4], 1)], {}, {})
+    out["non-leaf-end"] = ExplicitStitModel(
+        ["alpha"], [], [(0, None), (1, 0), (2, 1)],
+        [("h1", [0, 1], 1), ("h2", [0, 1, 2], 1)], {}, {})
+    for name, (histories, _) in zip(HISTORY_PATH_IDS, HISTORY_PATH_CASES):
+        out[f"history-path-{name}"] = ExplicitStitModel(
+            ["alpha"], [], [(0, None), (1, 0), (2, 1), (3, 1), (4, 0)],
+            histories, {}, {})
+    return out
+
+
+def _unrolled_workload_models(seed=45):
+    """Eight automata shaped like the benchmark's explicit workload (16
+    states, two actions), unrolled to 256 histories each."""
+    rng = random.Random(seed)
+    return [unroll(binary_automaton(rng, n_states=16), 8) for _ in range(8)]
+
+
+def _spoiled(model, rng):
+    """A copy of a valid unrolled model in which two cells of one choice
+    swap a history each (linked histories, so undivided breaks at the next
+    moment) and one history is cut short or made to end elsewhere."""
+    data = model.to_json()
+    entry = rng.choice([e for e in data["choices"]
+                        if all(len(c) > 1 for c in e["actions"])])
+    a, b = entry["actions"][0], entry["actions"][1]
+    a[0], b[0] = b[0], a[0]
+    h = rng.choice(data["histories"])
+    if rng.random() < .5:
+        h["moments"] = h["moments"][:-1]
+    else:
+        h["moments"][-1] = rng.choice([m["id"] for m in data["moments"][1:]
+                                       if m["id"] != h["moments"][-1]])
+    return ExplicitStitModel.from_json(data)
+
+
+INDEX_FIELDS = ("ids", "rank", "through", "succ", "order", "tangled",
+                "labelled")
+
+
+class TestValidateOnTheIndex:
+    """validate() reads the paths off the evaluation index; it must report
+    what the path-by-path reference reports, in the same order."""
+
+    def test_same_violations_on_scrambled_models(self):
+        rng = random.Random(44)
+        found = Counter()
+        for _ in range(1000):
+            model = TestUndividedByGrouping.scrambled(rng)
+            got = model.validate()
+            assert got == reference_validate(model)
+            found.update({v.axiom for v in got})
+        # each axiom that reads the paths or the cells breaks on 50+ models
+        for axiom in ("history-path", "leaf-covered", "undivided",
+                      "partition", "independence"):
+            assert found[axiom] > 50, found
+
+    @pytest.mark.parametrize("name", list(_mutated_fixtures()))
+    def test_same_violations_on_the_mutated_fixtures(self, name):
+        model = _mutated_fixtures()[name]
+        got = model.validate()
+        assert got and got == reference_validate(model)
+
+    def test_same_violations_on_unrolled_workload_models(self):
+        rng = random.Random(46)
+        for model in _unrolled_workload_models():
+            assert model.validate() == reference_validate(model) == []
+            spoiled = _spoiled(model, rng)
+            got = spoiled.validate()
+            assert {"undivided", "history-path"} <= {v.axiom for v in got}
+            assert got == reference_validate(spoiled)
+
+
+class _CountingIndex(ModelIndex):
+    built = 0
+
+    def __init__(self, *args):
+        type(self).built += 1
+        super().__init__(*args)
+
+
+class TestIndexBuild:
+    @staticmethod
+    def _both_ways(model):
+        """The index of the model built by validate() and that of a copy
+        built by a first evaluation."""
+        copy_ = copy.deepcopy(model)
+        model.validate()
+        copy_.extension(next(iter(copy_.moments)), fm.TRUE)
+        return model._ix, copy_._ix
+
+    def test_same_index_whichever_call_builds_it(self):
+        scrambled, drawn = random.Random(44), random.Random(42)
+        models = [TestUndividedByGrouping.scrambled(scrambled)
+                  for _ in range(1000)]
+        models += [random_model(drawn, n_agents=drawn.randint(1, 2))
+                   for _ in range(150)]
+        for model in models:
+            validated, evaluated = self._both_ways(model)
+            for field in INDEX_FIELDS:
+                assert getattr(validated, field) == \
+                    getattr(evaluated, field), field
+
+    def test_validate_then_satisfies_builds_the_index_once(
+            self, monkeypatch, tmp_path):
+        monkeypatch.setattr("deontic_mc.tree_model.ModelIndex", _CountingIndex)
+        monkeypatch.setattr(_CountingIndex, "built", 0)
+        model = unroll(binary_automaton(random.Random(48)), 5)
+        save_model(model, tmp_path / "m.json")
+        model = load_model(tmp_path / "m.json")
+        mid = max(model.moments)
+        h = sorted(model.histories_through(mid))[0]
+        agent = model.agents[0]
+        cells = model.actions_at(agent, 0)
+        model.label(mid, h), model.step(0, h), model.moments_from(0, h)
+        model.choice_of(agent, 0, h), model.group_actions(agent, 0)
+        model.background_states(agent, 0), model.to_json()
+        assert _CountingIndex.built == 0  # the structural accessors
+        assert model.validate() == []
+        assert _CountingIndex.built == 1
+        model.satisfies(0, h, fm.parse(f"O[{agent} cstit: F p]"))
+        model.optimal_actions(agent, 0), model.extension(0, fm.TRUE)
+        model.dominates(agent, 0, cells[0], cells[-1])
+        assert _CountingIndex.built == 1
+
+
+class TestValueOrder:
+    def test_exact_order_and_shared_ranks(self):
+        """Equal values share a rank whatever their spelling, ties go by
+        id, and a value a hair below 1 stays below it."""
+        big = 10 ** 30
+        values = {"h21": "2/6", "h12": "1/3", "h3": "-1/2", "h4": "0",
+                  "h5": f"{big}/{big + 1}", "h6": "1", "h7": "0.5"}
+        moments = [(0, None)] + [(i + 1, 0) for i in range(len(values))]
+        histories = [(hid, [0, i + 1], v)
+                     for i, (hid, v) in enumerate(values.items())]
+        ix = ExplicitStitModel(["alpha"], [], moments, histories, {},
+                               {})._index()
+        assert ix.ids == ["h3", "h4", "h12", "h21", "h7", "h5", "h6"]
+        assert ix.rank == [0, 1, 2, 2, 3, 4, 5]
+
+    def test_order_is_the_fraction_order(self):
+        rng = random.Random(49)
+        for _ in range(200):
+            drawn = random_model(rng, max_histories=rng.randint(2, 10),
+                                 n_agents=rng.randint(1, 2))
+            # revalue: signs, shared values and large, unequal denominators
+            pool = [Fraction(rng.randint(-10 ** 12, 10 ** 12),
+                             rng.choice([1, 2, 3, 7, 10 ** 9 + 7, 2 ** 61 - 1]))
+                    for _ in range(4)]
+            model = ExplicitStitModel(
+                drawn.agents, drawn.atoms,
+                [(m.id, m.parent) for m in drawn.moments.values()],
+                [(h.id, h.moments, rng.choice(pool))
+                 for h in drawn.histories.values()],
+                drawn.choices, drawn.labels)
+            ix = model._index()
+            expected = sorted(model.histories.values(),
+                              key=lambda h: (h.value, h.id))
+            assert ix.ids == [h.id for h in expected]
+            distinct = sorted({h.value for h in expected})
+            assert ix.rank == [distinct.index(h.value) for h in expected]
+
+
+def test_wildcard_labels_load_like_spelled_out_entries():
+    rng = random.Random(50)
+    for _ in range(50):
+        data = random_model(rng, max_depth=rng.randint(1, 4),
+                            max_histories=rng.randint(2, 10)).to_json()
+        wild, spelled = [], []
+        for m in data["moments"]:
+            atoms = sorted(rng.sample(data["atoms"], rng.randint(1, 2)))
+            wild.append({"moment": m["id"], "history": "*", "atoms": atoms})
+            spelled += [{"moment": m["id"], "history": h["id"],
+                         "atoms": atoms} for h in data["histories"]
+                        if m["id"] in h["moments"]]
+        explicit = data["labels"]
+        a = ExplicitStitModel.from_json({**data, "labels": explicit + wild})
+        b = ExplicitStitModel.from_json({**data,
+                                         "labels": explicit + spelled})
+        assert list(a.labels.items()) == list(b.labels.items())
+        assert all(set(w["atoms"]) <= a.label(w["moment"], h)
+                   for w in wild for h in a.histories_through(w["moment"]))
