@@ -1,10 +1,9 @@
 """CTL*/LTL model checking over the unweighted view of a stit automaton.
 
 The pipeline is the classical one: path formulas compile to a generalized
-Buchi automaton through the declarative tableau construction (states are
-consistent valuations of the formula's atoms and next-step obligations),
-state subformulas reduce to fresh atoms by recursive labeling, and
-universality is emptiness of the product with the negation.
+Buchi automaton by GPVW node expansion (Gerth, Peled, Vardi and Wolper,
+PSTV 1995), state subformulas reduce to fresh atoms by recursive labeling,
+and universality is emptiness of the product with the negation.
 
 Universality(ts, f) does this once per formula and system, and answers
 from any number of states: the reduction labels every state once, the
@@ -19,16 +18,17 @@ Every pass is one loop over the rows of formula.compile, which each entry
 point calls once, at the door; none recurses or hashes a formula.  The
 reduction turns each quantified row into a fresh atom's row, the tableau
 reads formula.nnf_rows of the reduced rows, and the lasso evaluator reads
-them as they are.  Each row's truth under all 2^n valuations of the n
-elementary formulas (n capped at formula.MAX_UNFOLD) is one Python int,
-computed with &, | and ^.  A tableau state is the valuation itself, so the
-product finds a state's successors by one list index per system successor.
+them as they are.  The tableau is expanded as the product meets it: a
+node's sets of rows are int bitmasks over the rows, and the successors of
+a node on a letter are expanded once and then found by one dict lookup on
+an int key.  Its work is bounded by MAX_TABLEAU_STEPS rows taken per
+automaton, past which a check raises ResourceLimitError.
 
-compile refuses one bounded operator past that cap, the tableau nested
-ones past it, so no entry point re-checks its input: nnf_rows rejects what
-the tableau cannot compile, and the lasso evaluator what it cannot evaluate.
-check_ctls evaluates the reduced state formula at each state as a lasso of
-one looping position.
+compile refuses one bounded operator past formula.MAX_UNFOLD, so no entry
+point re-checks its input: nnf_rows rejects what the tableau cannot
+compile, and the lasso evaluator what it cannot evaluate.  check_ctls
+evaluates the reduced state formula at each state as a lasso of one
+looping position.
 """
 
 from __future__ import annotations
@@ -38,6 +38,10 @@ from dataclasses import dataclass
 
 from . import formula as fm
 from .errors import GrammarError, ModelError, ResourceLimitError
+
+# The most rows the partial nodes of one Buchi automaton may take in all;
+# past it a check raises ResourceLimitError.
+MAX_TABLEAU_STEPS = 1 << 17
 
 
 class TransitionSystem:
@@ -87,24 +91,32 @@ class Counterexample:
 
 
 class BuchiAutomaton:
-    """Generalized Buchi automaton over an alphabet of atom sets.
+    """Generalized Buchi automaton over an alphabet of atom sets, built on
+    demand by GPVW node expansion (Gerth, Peled, Vardi and Wolper, PSTV
+    1995) over the rows of formula.nnf_rows.
 
-    State m is a valuation: its low bits say which atoms hold, one per name
-    in atoms, and the bits above them which next-step promises it makes.
-    step[promises << len(atoms) | letter] lists the states that read the
-    letter (a label's atom bits) and fulfil exactly those promises: the
-    successors, on that letter, of every state making them.  Bit j of
-    accepting[m] says that state m is in acceptance set j; full has the
-    bit of every set."""
+    Node b, numbered by states, is (positive atom bits, negative atom bits,
+    next mask number, acceptance bits).  It reads the letters (a label's
+    atom bits, one per name in atoms) with its positive atoms and none of
+    its negative ones.  masks[number] holds the rows that must be true at
+    the next position; mask 0, the first position's, the formula's own row.
+    Bit i of accepting[b] puts b in the set of the Until in row i; full
+    has every set's bit.  expand(key), key = mask number << len(atoms) |
+    letter, lists the nodes that expand the mask and read the letter, filed
+    under step[key]; nexts[b] is b's mask number so shifted, initial 0's."""
 
-    def __init__(self, atoms, initial, step, accepting, full):
-        self.atoms = atoms  # sorted atom names
-        self.states = range(len(step))
-        self.initial = initial  # ascending state ids
-        self.step = step
-        self.accepting = accepting
-        self.full = full
-        self.low = (1 << len(atoms)) - 1  # the atom bits of a state
+    def __init__(self, rows):
+        self.rows = rows
+        self.atoms = sorted(data for kind, data, _ in rows if kind is fm.Atom)
+        self._bit = {a: 1 << i for i, a in enumerate(self.atoms)}
+        self.full = sum(1 << i for i, r in enumerate(rows) if r[0] is fm.Until)
+        self.initial, self.masks = 0, [1 << len(rows) - 1]
+        self._numbers = {self.masks[0]: 0}  # mask -> its number
+        self.states: dict[tuple, int] = {}
+        self.accepting, self.nexts = [], []  # per node
+        self.step: dict[int, list[int]] = {}
+        self._expanded: dict[int, dict] = {}  # number -> {node: (pos, neg)}
+        self._steps = 0
         self._letters: dict[frozenset, int] = {}
 
     def letter(self, label):
@@ -115,79 +127,89 @@ class BuchiAutomaton:
                 1 << i for i, a in enumerate(self.atoms) if a in label)
         return hit
 
+    def expand(self, key):
+        """The nodes that expand key's next mask and read its letter."""
+        hit = self.step.get(key)
+        if hit is None:
+            m, letter = divmod(key, 1 << len(self.atoms))
+            if m not in self._expanded:
+                self._expanded[m] = self._expand(self.masks[m])
+            hit = self.step[key] = [b for b, (pos, neg) in
+                                    self._expanded[m].items()
+                                    if not (pos & ~letter or neg & letter)]
+        return hit
+
+    def _expand(self, todo):
+        """GPVW on one mask: a partial node takes the lowest row left to
+        do, one step, skipping rows already in old; And adds both children,
+        Or, U and R branch, and a literal clash or false drops the node.
+        Lowest first, the false of G's false R g drops a branch before g
+        branches.  An Until waits for its set while it is in old without
+        its right operand."""
+        rows, bit, found, steps = self.rows, self._bit, {}, self._steps
+        work = [(todo, 0, 0, 0, 0, 0)]  # todo, old, next, pos, neg, waiting
+        while work:
+            if steps > MAX_TABLEAU_STEPS:
+                raise ResourceLimitError(
+                    f"the tableau takes more than {MAX_TABLEAU_STEPS} "
+                    f"expansion steps, the limit")
+            todo, old, nxt, pos, neg, wait = work.pop()
+            while todo:
+                i = (todo & -todo).bit_length() - 1
+                todo ^= 1 << i
+                if old >> i & 1:
+                    continue
+                old |= 1 << i
+                steps += 1
+                kind, data, kids = rows[i]
+                if kind is fm.Atom:
+                    pos |= bit[data]
+                elif kind is fm.Not:  # NNF: negation only wraps atoms
+                    neg |= bit[rows[kids[0]][1]]
+                elif kind is fm.And:
+                    todo |= 1 << kids[0] | 1 << kids[1]
+                elif kind is fm.Or:
+                    work.append((todo | 1 << kids[1], old, nxt, pos, neg,
+                                 wait))
+                    todo |= 1 << kids[0]
+                elif kind is fm.Next:
+                    nxt |= 1 << kids[0]
+                elif kind is fm.Until:
+                    work.append((todo | 1 << kids[0], old, nxt | 1 << i,
+                                 pos, neg, wait | 1 << i))
+                    todo |= 1 << kids[1]
+                elif kind is fm.Release:
+                    work.append((todo | 1 << kids[1], old, nxt | 1 << i,
+                                 pos, neg, wait))
+                    todo |= 1 << kids[0] | 1 << kids[1]
+                elif kind is fm.FalseFormula:
+                    break
+                if pos & neg:
+                    break
+            else:
+                acc = self.full
+                while wait:
+                    i = wait.bit_length() - 1
+                    wait ^= 1 << i
+                    if not old >> rows[i][2][1] & 1:
+                        acc ^= 1 << i
+                m = self._numbers.setdefault(nxt, len(self.masks))
+                if m == len(self.masks):
+                    self.masks.append(nxt)
+                b = self.states.setdefault((pos, neg, m, acc),
+                                           len(self.states))
+                if b == len(self.accepting):
+                    self.accepting.append(acc)
+                    self.nexts.append(m << len(self.atoms))
+                found[b] = pos, neg
+        self._steps = steps
+        return found
+
 
 def ltl_to_buchi(f) -> BuchiAutomaton:
-    """Tableau construction on the negation normal form: states are full
-    valuations of the elementary formulas (the atoms plus one next-step
-    obligation bit per X/U/R subformula), transitions make each obligation
-    bit agree with the successor's truth, and one acceptance set per Until
-    keeps its eventuality from being postponed forever.
-
-    f is a formula, compiled here, or the rows of one (formula.compile).
-    State m is the valuation whose bitmask is m: the sorted atoms take the
-    low bits, the temporal rows the bits above, in formula.nnf_rows order.
-    Each row is evaluated once, children first, into one int whose bit m is
-    its truth under valuation m; the automaton is read off those columns."""
-    rows = fm.nnf_rows(f if type(f) is tuple else fm.compile(f))
-    atoms = sorted(data for kind, data, _ in rows if kind is fm.Atom)
-    n_atoms = len(atoms)
-    n = n_atoms + sum(kind in (fm.Next, fm.Until, fm.Release)
-                      for kind, _, _ in rows)
-    if n > fm.MAX_UNFOLD:
-        raise ResourceLimitError(
-            f"formula needs {n} elementary bits; "
-            f"the tableau is capped at {fm.MAX_UNFOLD}")
-
-    size = 1 << n
-    every = (1 << size) - 1  # the column true under every valuation
-    column = [(((1 << (1 << i)) - 1) << (1 << i))  # elementary bit i
-              * (every // ((1 << (1 << (i + 1))) - 1)) for i in range(n)]
-    truth = []
-    promised = []  # per temporal bit, the column its promise asserts next
-    accepting = []
-    for kind, data, kids in rows:
-        x = [truth[k] for k in kids]
-        if kind is fm.Atom:
-            out = column[atoms.index(data)]
-        elif kind is fm.TrueFormula:
-            out = every
-        elif kind is fm.FalseFormula:
-            out = 0
-        elif kind is fm.Not:  # NNF: negation only wraps atoms
-            out = every ^ x[0]
-        elif kind is fm.And:
-            out = x[0] & x[1]
-        elif kind is fm.Or:
-            out = x[0] | x[1]
-        elif kind is fm.Next:
-            out = column[n_atoms + len(promised)]
-            promised.append(x[0])
-        elif kind is fm.Until:
-            out = x[1] | (x[0] & column[n_atoms + len(promised)])
-            promised.append(out)
-            accepting.append((every ^ out) | x[1])
-        else:  # Release: nnf_rows leaves no other row
-            out = x[1] & (x[0] | column[n_atoms + len(promised)])
-            promised.append(out)
-        truth.append(out)
-
-    next_vec, acc = [0] * size, [0] * size  # per state: promises, sets
-    for vec, cols in ((next_vec, promised), (acc, accepting)):
-        for j, col in enumerate(cols):
-            bit = 1 << j
-            for m in _members(col):
-                vec[m] |= bit
-    step = [[] for _ in range(size)]
-    low = (1 << n_atoms) - 1
-    for m in range(size):
-        step[next_vec[m] << n_atoms | m & low].append(m)
-    return BuchiAutomaton(atoms, _members(truth[-1]), step, acc,
-                          (1 << len(accepting)) - 1)
-
-
-def _members(col):
-    """Set bit positions of a column, ascending."""
-    return [m for m, ch in enumerate(bin(col)[:1:-1]) if ch == "1"]
+    """The Buchi automaton of a path formula, or of the rows of one
+    (formula.compile); its nodes are built as the product meets them."""
+    return BuchiAutomaton(fm.nnf_rows(f if type(f) is tuple else fm.compile(f)))
 
 
 # ---------------------------------------------------------------------------
@@ -215,8 +237,8 @@ class _Product:
 
     def starts(self, q):
         buchi = self.buchi
-        letter, low = buchi.letter(self.labels[q]), buchi.low
-        return [(q, b) for b in buchi.initial if b & low == letter]
+        return [(q, b) for b in buchi.expand(
+            buchi.initial | buchi.letter(self.labels[q]))]
 
     def succ(self, node):
         hit = self._succ.get(node)
@@ -224,10 +246,13 @@ class _Product:
             q, b = node
             buchi, labels = self.buchi, self.labels
             step, letter = buchi.step, buchi.letter
-            promises = b & ~buchi.low
+            promises = buchi.nexts[b]
             hit = []
             for q2 in self.ts.successors(q):
-                for b2 in step[promises | letter(labels[q2])]:
+                nodes = step.get(key := promises | letter(labels[q2]))
+                if nodes is None:
+                    nodes = buchi.expand(key)
+                for b2 in nodes:
                     hit.append((q2, b2))
             self._succ[node] = hit
         return hit
@@ -417,12 +442,12 @@ def eval_on_lasso(f, stem_labels, loop_labels) -> bool:
 # ---------------------------------------------------------------------------
 
 def _reduce(ts: TransitionSystem, rows):
-    """(rows, labels): a formula's rows with each path-quantified row
-    replaced by a fresh atom's row, innermost first, and the system's
-    labels with each fresh atom added to the states that satisfy its row.
-    The quantified rows' operands stay, for their own tableaux, and each
-    distinct quantified subformula is one row, so it is checked once."""
-    rows, labels = list(rows), dict(ts.labels)
+    """(rows, labels, products): a formula's rows with each path-quantified
+    row replaced by a fresh atom's row, innermost first, the system's
+    labels with each fresh atom added to the states that satisfy its row,
+    and the products that decided those.  The quantified rows' operands
+    stay, and each distinct quantified subformula is checked once."""
+    rows, labels, products = list(rows), dict(ts.labels), []
     fresh = 0
     for i, (kind, _, kids) in enumerate(rows):
         if kind is fm.Cstit or kind is fm.Dstit:
@@ -435,12 +460,13 @@ def _reduce(ts: TransitionSystem, rows):
             if not exists:
                 psi += ((fm.Not, None, (k,)),)
             product = _Product(ts, labels, ltl_to_buchi(psi))
+            products.append(product)
             name = f"@q{fresh}"
             fresh += 1
             labels.update({q: labels[q] | {name} for q in ts.states
                            if product.nonempty_from(q) == exists})
             rows[i] = (fm.Atom, name, ())
-    return tuple(rows), labels
+    return tuple(rows), labels, products
 
 
 class Universality:
@@ -456,10 +482,11 @@ class Universality:
 
     def __init__(self, ts: TransitionSystem, f: fm.Formula):
         self.formula = f
-        self.reduced, self.labels = _reduce(ts, fm.compile(f))
+        self.reduced, self.labels, self.products = _reduce(ts, fm.compile(f))
         negation = ((fm.Not, None, (len(self.reduced) - 1,)),)
         self.product = _Product(ts, self.labels,
                                 ltl_to_buchi(self.reduced + negation))
+        self.products.append(self.product)
 
     def holds_from(self, q) -> bool:
         return not self.product.nonempty_from(q)
@@ -479,6 +506,11 @@ class Universality:
                                  "violate the formula")
         return Counterexample(stem, loop, self.formula)
 
+    def stats(self):
+        """(Buchi states built, product nodes explored) by its products."""
+        return (sum(len(p.buchi.states) for p in self.products),
+                sum(len(p._succ) for p in self.products))
+
 
 def check_universal(ts: TransitionSystem, f: fm.Formula):
     """Does every infinite path from the initial state satisfy f?
@@ -494,7 +526,7 @@ def check_universal(ts: TransitionSystem, f: fm.Formula):
 def check_ctls(ts: TransitionSystem, f: fm.Formula) -> set:
     """States satisfying a CTL* state formula, by recursive labeling."""
     ts.require_total()
-    rows, labels = _reduce(ts, fm.compile(f))
+    rows, labels, _ = _reduce(ts, fm.compile(f))
     temporal = (fm.Next, fm.Until, fm.Release, fm.Eventually, fm.Always)
     escapes = []  # per row: has it a temporal operator outside quantifiers?
     for kind, _, kids in rows:

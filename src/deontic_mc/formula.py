@@ -23,8 +23,8 @@ so that the passes that still recurse (the parser, render, the
 dataclasses' hash and equality, and tree_model) stay inside Python's
 default recursion limit; deeper text is a ParseError.
 MAX_UNFOLD bounds how far compile unfolds one X^t, F[n:m] or BR[N]; past
-it the tableau would refuse the result, so the operator is refused first,
-as a ResourceLimitError.  Nested ones add up in the tableau's bit count.
+it the operator is refused before it is unfolded, as a ResourceLimitError.
+Nested ones add rows, and only ctlstar.MAX_TABLEAU_STEPS bounds their work.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from typing import NamedTuple
 
 from .errors import GrammarError, ParseError, ResourceLimitError
 
-# X^n, F[lo:n] and BR[n] unfold into n next-step obligations, each one
-# elementary bit of ctlstar's tableau: one cap bounds both.
-MAX_UNFOLD = 16
+# X^n, F[lo:n] and BR[n] unfold into n next-step rows; compile refuses one
+# that would unfold into more.
+MAX_UNFOLD = 64
 # A statement nests at most this many operators, brackets and parentheses
 # deep, so that every recursive pass over it stays inside Python's default
 # recursion limit.
@@ -727,8 +727,7 @@ def compile(f):
     l BR[N] r =  l | (r & X (l BR[N-1] r))
 
     Each unfolds into a chain of t, m or N next-step rows.  One past
-    MAX_UNFOLD is refused first, as no tableau could hold it; nested ones
-    add up, and the tableau's bit count bounds their sum.
+    MAX_UNFOLD is refused before it is unfolded; nested ones add up.
 
     Iterative, and it hashes no formula: a row is found again by its kind,
     data and kids."""
@@ -748,8 +747,8 @@ def compile(f):
                 n, op = _UNFOLDS[kind](g)
                 if n > MAX_UNFOLD:
                     raise ResourceLimitError(
-                        f"{op} unfolds into {n} next-step obligations; the "
-                        f"tableau is capped at {MAX_UNFOLD} elementary bits")
+                        f"{op} unfolds into {n} next-step obligations; "
+                        f"compile unfolds at most {MAX_UNFOLD}")
             if parts:
                 todo.append((g, False))
                 todo += [(c, True) for c in reversed(parts)]

@@ -71,6 +71,7 @@ class Verdict:
     failing_action: str | None = None
     counterexample: Counterexample | None = None
     vacuous: bool = False
+    stats: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -87,6 +88,7 @@ class Verdict:
                 "loop": list(self.counterexample.loop),
                 "violates": fm.render(self.counterexample.formula),
             },
+            "stats": dict(self.stats),
         }
 
 
@@ -192,6 +194,11 @@ class _Pipeline:
         # step is K's edge out of the user's initial state
         return replace(cx, stem=(self.phase.initial,) + cx.stem[1:])
 
+    def stats(self) -> dict:
+        """Buchi states built and product nodes explored by the check."""
+        built, explored = zip(*(c.stats() for c in self._checks.values()))
+        return {"buchi_states": sum(built), "product_nodes": sum(explored)}
+
 
 def check_ought(aut: StitAutomaton, agent: str, obligation) -> Verdict:
     """Does the model generated by the automaton satisfy the dominance ought
@@ -227,6 +234,7 @@ def check_conditional_ought(aut: StitAutomaton, agent: str, obligation,
             if refuted:
                 verdict.counterexample = pipe.counterexample(iv.action, phi)
             break
+    verdict.stats = pipe.stats()
     return verdict
 
 

@@ -274,16 +274,19 @@ class TestMc:
 
     @pytest.mark.parametrize("ought,message", [
         ("O[alpha cstit: X^2000 p]",
-         "X^2000 unfolds into 2000 next-step obligations; the tableau is "
-         "capped at 16 elementary bits"),
+         "X^2000 unfolds into 2000 next-step obligations; compile unfolds "
+         "at most 64"),
         ("O[alpha cstit: " + "(" * 3000 + "p" + ")" * 3000 + "]",
          "1:417: " + TOO_DEEP),
-    ], ids=["next-2000", "parens-3000"])
+        ("O[alpha cstit: " + "G F " * 12 + "p]",
+         "the tableau takes more than 131072 expansion steps, the limit"),
+    ], ids=["next-2000", "parens-3000", "gf-12"])
     def test_crash_exits_two_not_one(self, capsys, t0_file, ought, message):
-        """A bounded operator past the tableau's cap is refused as a
-        resource limit before it is unfolded, and input nested past the
-        parser's limit as a parse error: both exit 2, never as a check
-        that fails (exit 1)."""
+        """A bounded operator past compile's cap is refused as a resource
+        limit before it is unfolded, input nested past the parser's limit
+        as a parse error, and a formula whose tableau outgrows its work
+        limit as a resource limit: all exit 2, never as a check that
+        fails (exit 1)."""
         code, _, err = run(capsys, "mc", t0_file, "--agent", "alpha",
                            "--ought", ought)
         assert code == 2 and message in err

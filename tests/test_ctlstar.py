@@ -2,11 +2,13 @@
 
 import random
 import re
+import time
 
 import pytest
 
 from deontic_mc import formula as fm
 from deontic_mc.ctlstar import (
+    MAX_TABLEAU_STEPS,
     TransitionSystem,
     Universality,
     _Product,
@@ -22,6 +24,7 @@ from deontic_mc.generate import random_automaton, random_path_formula
 
 import oracle
 from reference_product import TarjanProduct
+from reference_tableau import eager_ltl_to_buchi
 
 
 def rand_word(rng, atoms, stem_max=3, loop_max=3):
@@ -117,7 +120,8 @@ def valuation_tableau(f):
     """The tableau built valuation by valuation: (atoms, initial, succ,
     accepting).  State m is the valuation whose bitmask is m over the
     elementary formulas, the sorted atoms first and then the distinct
-    temporal subformulas in post-order, as ltl_to_buchi numbers them."""
+    temporal subformulas in post-order, as the eager reference numbers
+    them."""
     f = fm.nnf(fm.expand_bounded(f))
     atoms = sorted({g.name for g in fm.walk(f) if isinstance(g, fm.Atom)})
     temporals = []
@@ -171,9 +175,23 @@ def acceptance_sets(buchi):
             for j in range(buchi.full.bit_length())]
 
 
+def assert_same_language(f, rng, words=100):
+    """ltl_to_buchi(f) and the eager reference accept exactly the seeded
+    lassos on which oracle.scan_eval finds f true; each automaton reads
+    every lasso, so the nodes built for one serve the next."""
+    buchi, reference = ltl_to_buchi(f), eager_ltl_to_buchi(f)
+    for _ in range(words):
+        stem, loop = rand_word(rng, ["p", "q", "r"], 4, 4)
+        want = oracle.scan_eval(f, stem, loop)
+        assert buchi_accepts(buchi, stem, loop) == want, \
+            (fm.render(f), stem, loop)
+        assert buchi_accepts(reference, stem, loop) == want, \
+            (fm.render(f), stem, loop)
+
+
 class TestLtlToBuchi:
-    # (formula, states, initial states, acceptance-set sizes): the facts
-    # that do not depend on how the states are numbered
+    # (formula, states, initial states, acceptance-set sizes) of the eager
+    # reference: the facts that do not depend on how the states are numbered
     PINNED = [
         ("G p", 4, 1, []),
         ("p U q", 8, 5, [7]),
@@ -186,15 +204,20 @@ class TestLtlToBuchi:
 
     @pytest.mark.parametrize("text, n_states, n_initial, acc_sizes", PINNED)
     def test_sizes_are_pinned(self, text, n_states, n_initial, acc_sizes):
-        buchi = ltl_to_buchi(fm.parse_formula(text))
-        assert len(buchi.states) == n_states
-        assert len(buchi.initial) == n_initial
-        assert [len(a) for a in acceptance_sets(buchi)] == acc_sizes
+        """The eager reference keeps its sizes, and the automaton built on
+        demand accepts its language."""
+        f = fm.parse_formula(text)
+        reference = eager_ltl_to_buchi(f)
+        assert len(reference.states) == n_states
+        assert len(reference.initial_states) == n_initial
+        assert [len(a) for a in acceptance_sets(reference)] == acc_sizes
+        assert_same_language(f, random.Random(text))
 
     def test_matches_valuation_by_valuation_tableau(self):
-        """The whole automaton equals the reference: its atoms, initial
-        states and acceptance sets, and the successors that step lists for
-        every state and every letter."""
+        """The eager reference equals the tableau built valuation by
+        valuation: its atoms, initial states and acceptance sets, and the
+        successors that step lists for every state and every letter.  The
+        automaton built on demand accepts the same language."""
         rng = random.Random(15)
         formulas = [random_path_formula(rng, 3, ["p", "q"]) for _ in range(40)]
         formulas += [fm.parse_formula(t)
@@ -203,16 +226,17 @@ class TestLtlToBuchi:
         formulas += [fm.parse_formula(p[0]) for p in self.PINNED]
         for f in formulas:
             atoms, initial, succ, accepting = valuation_tableau(f)
-            buchi = ltl_to_buchi(f)
-            assert (list(buchi.atoms), buchi.initial,
-                    acceptance_sets(buchi)) == \
+            reference = eager_ltl_to_buchi(f)
+            assert (list(reference.atoms), reference.initial_states,
+                    acceptance_sets(reference)) == \
                 (atoms, initial, accepting), fm.render(f)
-            low = buchi.low
-            for b in buchi.states:
+            low = reference.low
+            for b in reference.states:
                 for letter in range(low + 1):
-                    assert buchi.step[b & ~low | letter] == \
+                    assert reference.expand(b & ~low | letter) == \
                         [c for c in succ[b] if c & low == letter], \
                         (fm.render(f), b, letter)
+            assert_same_language(f, rng)
 
     def test_reading_projects_each_label_onto_the_atoms(self):
         """A state reads a label through its letter: letter(label) is the
@@ -229,10 +253,46 @@ class TestLtlToBuchi:
                 assert buchi.letter(label) == want
                 assert buchi.letter(label) == want
 
-    def test_cap_is_sixteen_elementary_bits(self):
-        assert len(ltl_to_buchi(fm.parse_formula("X^15 p")).states) == 65536
-        with pytest.raises(ResourceLimitError, match="17 elementary bits"):
-            ltl_to_buchi(fm.parse_formula("X^16 p"))
+    def test_builds_only_the_nodes_a_word_meets(self):
+        """X^64 p, past the eager reference's 16 bits, has no node before a
+        word is read, and one per position up to p's after it."""
+        f = fm.parse_formula("X^64 p")
+        with pytest.raises(ResourceLimitError, match="65 elementary bits"):
+            eager_ltl_to_buchi(f)
+        buchi = ltl_to_buchi(f)
+        assert len(buchi.states) == 0
+        stem = [frozenset()] * 64 + [frozenset({"p"})]
+        assert buchi_accepts(buchi, stem, [frozenset()])
+        assert len(buchi.states) == 65 + 1  # and one for true after p
+        assert not buchi_accepts(buchi, stem[1:], [frozenset()])
+
+    def test_work_limit_refuses_nested_eventualities(self):
+        """(G F)^k p means G F p, but its tableau grows about fourfold per
+        G F: k = 6 stays under MAX_TABLEAU_STEPS expansion steps over 100
+        lassos and accepts G F p's language; k = 12 is refused as a
+        resource limit, by the automaton and by every check that reads
+        it."""
+        def nested(k):
+            f = fm.parse_formula("p")
+            for _ in range(k):
+                f = fm.Always(fm.Eventually(f))
+            return f
+
+        rng = random.Random(19)
+        buchi, shallow = ltl_to_buchi(nested(6)), fm.parse_formula("G F p")
+        for _ in range(100):
+            stem, loop = rand_word(rng, ["p", "q"], 4, 4)
+            assert buchi_accepts(buchi, stem, loop) == \
+                oracle.scan_eval(shallow, stem, loop), (stem, loop)
+        match = f"more than {MAX_TABLEAU_STEPS} expansion steps"
+        ts = random_system(random.Random(20), max_states=5)
+        deep = nested(12)
+        with pytest.raises(ResourceLimitError, match=match):
+            buchi_accepts(ltl_to_buchi(deep), [], [frozenset()])
+        with pytest.raises(ResourceLimitError, match=match):
+            check_universal(ts, fm.Not(deep))
+        with pytest.raises(ResourceLimitError, match=match):
+            check_ctls(ts, fm.ExistsPaths(deep))
 
     @pytest.mark.parametrize("text", ["!p BR[2] q", "F[0:3] p", "X^3 p"])
     def test_bounded_operators_language(self, text):
@@ -250,19 +310,20 @@ class TestLtlToBuchi:
         """l BR[N] r, unfolded as l | (r & X (l BR[N-1] r)), means what the
         scan evaluates, in the lasso evaluator and in the tableau, on
         lassos long enough to tell the bounds apart.  l is any unbounded
-        formula and r a literal, so the tableau has at most 2^(N + 3)
-        states; operands are drawn again until the formula takes both
-        truth values on the lassos.  The tableau reads the first lassos
-        and the first of each truth value."""
+        formula and r a literal; operands are drawn again until the
+        formula takes both truth values on the first 40 lassos.  Both
+        read those and 60 more."""
         rng = random.Random(100 + bound)
         literals = [fm.parse_formula(t) for t in ("p", "!p", "q", "!q")]
-        words = []
-        for _ in range(40):
+
+        def word():
             stem, loop = rand_word(rng, ["p", "q"], bound + 2, 3)
             while len(stem) + len(loop) < bound + 2:
                 stem.append(frozenset(a for a in ("p", "q")
                                       if rng.random() < .5))
-            words.append((stem, loop))
+            return stem, loop
+
+        words = [word() for _ in range(40)]
         for _ in range(20):
             f = fm.BoundedRelease(
                 bound, random_path_formula(rng, 1, ["p", "q"],
@@ -272,13 +333,12 @@ class TestLtlToBuchi:
             if set(truth) == {True, False}:
                 break
         assert set(truth) == {True, False}
+        words += [word() for _ in range(60)]
         buchi = ltl_to_buchi(f)
-        seen = set()
-        for i, (w, want) in enumerate(zip(words, truth)):
+        for w in words:
+            want = oracle.scan_eval(f, *w)
             assert eval_on_lasso(f, *w) == want, (fm.render(f), w)
-            if i < 4 or want not in seen:
-                assert buchi_accepts(buchi, *w) == want, (fm.render(f), w)
-                seen.add(want)
+            assert buchi_accepts(buchi, *w) == want, (fm.render(f), w)
 
     def test_always_p_language(self):
         buchi = ltl_to_buchi(fm.parse_formula("G p"))
@@ -347,14 +407,14 @@ class TestCheckUniversal:
 
     @pytest.mark.parametrize("text,op", [
         ("X^2000 p", "X^2000"), ("F[3:2000] p", "F[3:2000]"),
-        ("p BR[2000] q", "BR[2000]"), ("G (q -> X^17 p)", "X^17")])
+        ("p BR[2000] q", "BR[2000]"), ("G (q -> X^65 p)", "X^65")])
     def test_bounded_operator_past_the_cap_refused_unexpanded(
             self, t0, text, op):
-        """One bounded operator that alone unfolds past the tableau's cap
-        is a resource limit, raised before the unfolding (which would
-        overflow the recursive passes), in every entry point."""
+        """One bounded operator that alone unfolds past compile's cap is a
+        resource limit, raised before the unfolding, in every entry
+        point."""
         f = fm.parse_formula(text)
-        match = re.escape(op) + " unfolds into .* capped at 16 elementary bits"
+        match = re.escape(op) + " unfolds into .* compile unfolds at most 64"
         with pytest.raises(ResourceLimitError, match=match):
             Universality(strip_weights(t0), f)
         with pytest.raises(ResourceLimitError, match=match):
@@ -365,10 +425,24 @@ class TestCheckUniversal:
             eval_on_lasso(f, [], [{"p"}])
 
     def test_bound_at_the_cap_reaches_the_tableau(self, t0):
-        """X^16 passes the unexpanded test; its 17 elementary bits are then
-        refused by the tableau itself."""
-        with pytest.raises(ResourceLimitError, match="17 elementary bits"):
-            Universality(strip_weights(t0), fm.parse_formula("X^16 p"))
+        """Bounds at MAX_UNFOLD pass compile's test, and the tableau decides
+        them: on t0, X^64 p and F[0:64] !p fail through the unlabeled
+        branch and the labeled one, each with a violating lasso, and
+        p BR[64] q holds, as the lasso enumeration finds."""
+        ts = strip_weights(t0)
+        n = fm.MAX_UNFOLD
+        for text, want in ((f"X^{n} p", False), (f"F[0:{n}] !p", False),
+                           (f"p BR[{n}] q", True)):
+            f = fm.parse_formula(text)
+            ok, cx = check_universal(ts, f)
+            assert ok == want == all(
+                oracle.scan_eval(f, [ts.labels[q] for q in stem],
+                                 [ts.labels[q] for q in loop])
+                for stem, loop in oracle.enumerate_ts_lassos(ts, 3, 3)), text
+            if cx is not None:
+                assert not oracle.scan_eval(
+                    f, [ts.labels[q] for q in cx.stem],
+                    [ts.labels[q] for q in cx.loop]), text
 
     def test_restricted_branch_satisfies_gp(self, t0):
         from deontic_mc.automaton import prime_automaton, restrict_first_action
@@ -500,34 +574,34 @@ class TestProductSearch:
 # ======================== deep formulas ========================
 
 def deep_chain(kind, n=3000):
-    """n levels of & (over one atom), ! or F, built with the constructors:
-    the parser stops at MAX_DEPTH."""
+    """n levels of & (over one atom), ! or F, or n / 250 = 12 pairs G F,
+    built with the constructors: the parser stops at MAX_DEPTH."""
     p = fm.Atom("p")
     if kind == "&":
         return fm.and_all([p] * n)
     f = p
-    for _ in range(n):
-        f = fm.Not(f) if kind == "!" else fm.Eventually(f)
+    for _ in range(n // 250 if kind == "GF" else n):
+        f = (fm.Not(f) if kind == "!" else fm.Eventually(f) if kind == "F"
+             else fm.Always(fm.Eventually(f)))
     return f
 
 
 class TestDeepFormulas:
     @pytest.mark.parametrize("kind, same, refused", [
-        ("&", "p", set()), ("!", "p", set()),
-        ("F", "F p", {"universal", "counterexample", "ctls", "tableau"})])
+        ("&", "p", set()), ("!", "p", set()), ("F", "F p", {"ctls"}),
+        ("GF", "G F p", {"universal", "counterexample", "ctls", "tableau"})])
     def test_decided_or_refused_never_recursing(self, t0, kind, same,
                                                 refused):
-        """A 3,000-level chain is decided as its shallow equivalent, or,
-        where the tableau would need more than 16 bits, refused as a
-        resource limit; no entry point recurses over it."""
+        """A 3,000-level chain, or (G F)^12 p, is decided as its shallow
+        equivalent within a second, or, where its tableau would need more
+        than MAX_TABLEAU_STEPS expansion steps, refused as a resource limit
+        within a second; no entry point recurses over it.  The 3,001 rows
+        of F^3000 p meet the limit only where the search explores the
+        formula itself: its negation's tableau is one node per position."""
         ts = strip_weights(t0)
 
         def lasso(cx):
             return cx and (cx.stem, cx.loop)
-
-        def tableau(buchi):
-            return (len(buchi.states), buchi.initial,
-                    acceptance_sets(buchi))
 
         calls = {
             "universal": lambda f: check_universal(ts, f)[0],
@@ -535,16 +609,19 @@ class TestDeepFormulas:
                 Universality(ts, f).counterexample("q0")),
             "ctls": lambda f: check_ctls(ts, fm.ExistsPaths(f)),
             "lasso": lambda f: eval_on_lasso(f, [{"p"}], [set()]),
-            "tableau": lambda f: tableau(ltl_to_buchi(f)),
+            "tableau": lambda f: buchi_accepts(ltl_to_buchi(f), [{"p"}],
+                                               [set()]),
         }
         deep, shallow = deep_chain(kind), fm.parse_formula(same)
         for name, call in calls.items():
+            started = time.perf_counter()
             if name in refused:
                 with pytest.raises(ResourceLimitError,
-                                   match="3001 elementary bits"):
+                                   match="expansion steps, the limit"):
                     call(deep)
             else:
                 assert call(deep) == call(shallow), name
+            assert time.perf_counter() - started < 1.0, name
 
 
 # ======================== check_ctls ========================

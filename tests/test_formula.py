@@ -8,7 +8,7 @@ import pytest
 
 from deontic_mc import formula as fm
 from deontic_mc.ctlstar import (
-    Universality, eval_on_lasso, ltl_to_buchi, strip_weights)
+    Universality, buchi_accepts, eval_on_lasso, ltl_to_buchi, strip_weights)
 from deontic_mc.errors import GrammarError, ParseError, ResourceLimitError
 from deontic_mc.generate import random_model, random_path_formula
 from deontic_mc.mc import check_ought
@@ -16,6 +16,7 @@ from deontic_mc.mc import check_ought
 import oracle
 import reference_obligation
 import reference_parser
+from conftest import make_t0
 
 
 # ======================== Parsing ========================
@@ -435,75 +436,80 @@ class TestExpandBounded:
                     oracle.scan_eval(expanded, *word)
 
     @pytest.mark.parametrize("text,message", [
-        ("X^17 p", "X^17 unfolds into 17 next-step obligations; the tableau "
-                   "is capped at 16 elementary bits"),
-        ("F[2:17] p", "F[2:17] unfolds into 17 "),
-        ("p BR[17] q", "BR[17] unfolds into 17 "),
+        ("X^65 p", "X^65 unfolds into 65 next-step obligations; compile "
+                   "unfolds at most 64"),
+        ("F[2:65] p", "F[2:65] unfolds into 65 "),
+        ("p BR[65] q", "BR[65] unfolds into 65 "),
     ])
-    def test_refused_past_the_cap(self, text, message):
+    def test_refused_one_past_the_cap(self, text, message):
         """One bounded operator past MAX_UNFOLD is refused unexpanded."""
         with pytest.raises(ResourceLimitError) as err:
             fm.expand_bounded(fm.parse(text))
         assert message in str(err.value)
 
     @staticmethod
-    def assert_lassos_agree(f, seed):
-        """eval_on_lasso of f's unfolding agrees with oracle.scan_eval on
-        seeded lassos long enough for every bound to reach the loop, each
-        with its own share of true atoms."""
+    def assert_lassos_agree(f, seed, words=40, tableau=False):
+        """eval_on_lasso of f's unfolding, and with tableau also the Buchi
+        automaton of f, agree with oracle.scan_eval on seeded lassos long
+        enough for every bound to reach the loop, each with its own share
+        of true atoms."""
         rng = random.Random(seed)
         atoms = sorted({g.name for g in fm.walk(f) if isinstance(g, fm.Atom)})
-        for _ in range(40):
+        buchi = ltl_to_buchi(f)
+        for _ in range(words):
             density = rng.random()
             stem, loop = ([frozenset(a for a in atoms
                                      if rng.random() < density)
                            for _ in range(rng.randint(lo, 12))]
                           for lo in (0, 1))
-            assert eval_on_lasso(f, stem, loop) == \
-                oracle.scan_eval(f, stem, loop), (stem, loop)
+            want = oracle.scan_eval(f, stem, loop)
+            assert eval_on_lasso(f, stem, loop) == want, (stem, loop)
+            if tableau:
+                assert buchi_accepts(buchi, stem, loop) == want, (stem, loop)
 
     @pytest.mark.parametrize("text,bits", [
         ("X^10 (p & F[0:7] q)", 19), ("(p BR[9] q) BR[8] r", 20),
         ("[a dstit: X^9 X^9 p]", 19)])
     def test_nested_bounds_reach_the_tableau(self, t0, text, bits):
         """Bounds that nest past MAX_UNFOLD in all are unfolded, each into
-        its own next-step rows; the tableau then refuses them by its count
-        of elementary bits."""
+        its own next-step rows, bits elementary formulas with the atoms,
+        more than the eager tableau's 16.  The tableau built on demand
+        accepts their language and decides them as the oracle does."""
         ob = fm.parse(text)
         f = ob.body.formula if isinstance(ob, fm.DstitOf) else ob
         atoms = {g.name for g in fm.walk(f) if isinstance(g, fm.Atom)}
         assert next_rows(fm.compile(ob)) == bits - len(atoms)
-        self.assert_lassos_agree(f, 14)
-        match = f"formula needs {bits} elementary bits"
+        self.assert_lassos_agree(f, 14, words=100, tableau=True)
         if f is ob:
-            with pytest.raises(ResourceLimitError, match=match):
-                ltl_to_buchi(f)
-            with pytest.raises(ResourceLimitError, match=match):
-                Universality(strip_weights(t0), f)
+            ts = strip_weights(t0)
+            assert Universality(ts, f).holds_from("q0") == all(
+                oracle.scan_eval(f, [ts.labels[q] for q in stem],
+                                 [ts.labels[q] for q in loop])
+                for stem, loop in oracle.enumerate_ts_lassos(ts, 3, 3))
         else:
-            with pytest.raises(ResourceLimitError, match=match):
-                check_ought(t0, "a", ob)
+            assert check_ought(t0, "a", ob).holds == \
+                oracle.brute_force_ought(t0, "a", ob)
 
-    def test_shared_operand_unfolds_once_and_the_tableau_refuses(self, t0):
+    def test_shared_operand_unfolds_once_and_the_tableau_decides(self, t0):
         """One operand object in two places is unfolded once, its rows
-        shared by both; the tableau refuses the 18 bits of the whole."""
+        shared by both; the tableau built on demand accepts the language
+        of the whole, 18 elementary formulas, and decides it on t0."""
         inner = fm.parse_formula("F[0:7] q")
         f = fm.Or(inner, fm.NextPow(10, inner))
         rows, inner_rows = fm.compile(f), fm.compile(inner)
         assert rows[:len(inner_rows)] == inner_rows
         assert len(rows) == len(inner_rows) + 10 + 1  # X^10, then the or
-        self.assert_lassos_agree(f, 15)
-        match = "formula needs 18 elementary bits"
-        with pytest.raises(ResourceLimitError, match=match):
-            ltl_to_buchi(f)
-        with pytest.raises(ResourceLimitError, match=match):
-            Universality(strip_weights(t0), f)
+        self.assert_lassos_agree(f, 15, words=100, tableau=True)
+        t0q = make_t0(root_label=("q",))
+        assert check_ought(t0q, "alpha", fm.Plain(f)).holds
+        assert not check_ought(t0, "alpha", fm.Plain(f)).holds
 
     def test_cap_restarts_under_a_quantifier_or_stit(self):
         """Bounds under a path quantifier or a stit, or side by side, are
         unfolded whenever each one is within MAX_UNFOLD."""
-        for text in ["X^16 A X^16 p", "X^8 (E F[0:16] p) BR[8] q",
-                     "X^16 [a cstit: X^16 p]", "X^16 p & X^16 q"]:
+        n = fm.MAX_UNFOLD
+        for text in [f"X^{n} A X^{n} p", f"X^{n} (E F[0:{n}] p) BR[{n}] q",
+                     f"X^{n} [a cstit: X^{n} p]", f"X^{n} p & X^{n} q"]:
             fm.expand_bounded(fm.parse_formula(text))
 
     def test_no_bounded_nodes_remain(self):

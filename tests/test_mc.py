@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import random
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from deontic_mc.automaton import (
     restrict_first_action,
 )
 from deontic_mc.ctlstar import TransitionSystem, check_universal, strip_weights
-from deontic_mc.errors import AutomatonError, GrammarError, ResourceLimitError
+from deontic_mc.errors import AutomatonError, GrammarError
 from deontic_mc.generate import (
     random_automaton,
     random_obligation,
@@ -203,7 +204,9 @@ class TestCheckOught:
 
     def test_unreachable_dead_end_gets_a_verdict(self, t0):
         """A state that no execution reaches may be a dead end (validate
-        accepts it); every verdict equals the one without that state."""
+        accepts it); every verdict equals the one without that state.  Only
+        the work counts may differ: a path quantifier's reduction labels
+        every state, reached or not."""
         data = t0.to_json()
         data["states"] += ["qu", "qd"]
         data["transitions"].append(
@@ -214,8 +217,10 @@ class TestCheckOught:
         for text in ("G p", "F p", "A G p", "E F p", "[alpha dstit: G p]",
                      "![alpha dstit: F p]"):
             ob = fm.parse_obligation(text)
-            assert check_ought(with_dead_end, "alpha", ob).to_json() == \
-                check_ought(t0, "alpha", ob).to_json(), text
+            got, want = (check_ought(aut, "alpha", ob).to_json()
+                         for aut in (with_dead_end, t0))
+            del got["stats"], want["stats"]
+            assert got == want, text
 
     @pytest.mark.parametrize("obligation,message", [
         ("[beta dstit: p]", "dstit agent 'beta' is not the checked agent "
@@ -327,6 +332,51 @@ class TestCounterexamples:
                                         [aut.label(q) for q in cx.stem],
                                         [aut.label(q) for q in cx.loop])
         assert found >= 30
+
+
+# ======================== Stats ========================
+
+class TestStats:
+    def test_counts_are_pinned(self, merge):
+        """stats holds the Buchi nodes built and the product nodes explored.
+        rss6 BR[3] holds on merge without exploring the product: at the
+        root !p_alpha is true, so the negation has no start node there.
+        F[0:3] g_alpha fails, its negation's chain one node and one product
+        node per step."""
+        from deontic_mc import rss
+        v = check_ought_statement(merge, rss.rss6("alpha", 3))
+        assert v.holds
+        assert v.to_json()["stats"] == {"buchi_states": 3, "product_nodes": 0}
+        v = check_ought_statement(
+            merge, fm.parse("O[alpha cstit: F[0:3] g_alpha]"))
+        assert not v.holds
+        assert v.to_json()["stats"] == {"buchi_states": 5, "product_nodes": 5}
+
+    def test_counts_sum_every_product_of_the_check(self, monkeypatch):
+        """The counts are the nodes and explored nodes of every product
+        that the check built, the reduction's included, and a fresh copy
+        of the automaton reads the same counts."""
+        from deontic_mc import ctlstar
+        built = []
+
+        class Recorded(ctlstar._Product):
+            def __init__(self, *args):
+                super().__init__(*args)
+                built.append(self)
+
+        monkeypatch.setattr(ctlstar, "_Product", Recorded)
+        rng = random.Random(32)
+        for _ in range(60):
+            aut = random_automaton(rng)
+            ob = random_obligation(rng, "alpha", 3, ["p", "q"],
+                                   allow_quantifiers=True)
+            built.clear()
+            stats = check_ought(aut, "alpha", ob).to_json()["stats"]
+            assert stats == {
+                "buchi_states": sum(len(p.buchi.states) for p in built),
+                "product_nodes": sum(len(p._succ) for p in built)}
+            fresh = StitAutomaton.from_json(aut.to_json())
+            assert check_ought(fresh, "alpha", ob).to_json()["stats"] == stats
 
 
 # ======================== Shared checks ========================
@@ -536,18 +586,25 @@ class TestOracleAgreement:
                 oracle.brute_force_ought(aut, "alpha", ob)
 
     def test_bounded_release_frontier(self, merge):
-        """BR[n] unfolds into n next-steps, so bounds up to the tableau's
-        cap are decided: rss6 on merge for n in 1..14, and the shape
-        O[a cstit: ![a dstit: !p BR[n] q]] on random automata at n = 8, 11
-        and 14, each as the oracle decides it.  rss6 at 15 needs 17 bits."""
+        """BR[n] unfolds into n next-steps, and the tableau is built only as
+        far as the product needs it: rss6 on merge for n in 1..14, and the
+        shape O[a cstit: ![a dstit: !p BR[n] q]] on random automata at
+        n = 8, 11 and 14, are each decided as the oracle decides them.
+        Past the eager tableau's 16 bits, rss6 up to BR[30], F[0:20],
+        X^64 and X^8 X^7 are each decided within 0.1 s."""
         from deontic_mc import rss
         for n in range(1, 15):
             st = rss.rss6("alpha", n)
             assert check_ought_statement(merge, st).holds == \
                 oracle.brute_force_ought(merge, "alpha", st.body,
                                          st.condition), n
-        with pytest.raises(ResourceLimitError, match="17 elementary bits"):
-            check_ought_statement(merge, rss.rss6("alpha", 15))
+        frontier = [rss.rss6("alpha", n) for n in range(8, 31)]
+        frontier += [fm.parse(f"O[alpha cstit: {t}]") for t in (
+            "F[0:20] p_alpha", "X^64 p_alpha", "X^8 X^7 p_alpha")]
+        for st in frontier:
+            started = time.perf_counter()
+            check_ought_statement(merge, st)
+            assert time.perf_counter() - started < 0.1, fm.render(st)
         rng = random.Random(4)
         automata = [random_automaton(rng) for _ in range(4)]
         for n in (8, 11, 14):
