@@ -2,8 +2,9 @@
 
 Subcommands: validate, check, mc, unroll, rss.  Exit codes are a stable
 contract: 0 when the input is valid / the checked statement holds, 1 when a
-check fails, 2 for usage, parse, or lookup errors and for internal errors.
-``--format machine`` emits a JSON report with deterministic key ordering.
+check fails, 2 for usage, parse, lookup, read and internal errors.
+``--format machine`` prints each report as one JSON line with sorted keys,
+holding the sha256 of each input file's bytes; a file is read once.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import argparse
 import functools
 import hashlib
 import json
+import pathlib
 import random
 import sys
 import time
@@ -29,35 +31,32 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 
 
-def _digest(path) -> str:
-    with open(path, "rb") as fp:
-        return hashlib.sha256(fp.read()).hexdigest()
-
-
-def _load_any(path):
-    with open(path, "r", encoding="utf-8") as fp:
-        data = json.load(fp, parse_float=Fraction)
-    if isinstance(data, dict) and "moments" in data:
-        return ExplicitStitModel.from_json(data)
-    if isinstance(data, dict) and "states" in data:
-        return StitAutomaton.from_json(data)
-    raise DeonticError(f"{path}: neither a model nor an automaton file")
-
-
 class Report:
     def __init__(self, command, inputs):
         self.started = time.perf_counter()
+        self.raw = {p: pathlib.Path(p).read_bytes() for p in inputs}
         self.data = {
             "command": command,
-            "inputs": {p: _digest(p) for p in inputs},
+            "inputs": {p: hashlib.sha256(b).hexdigest()
+                       for p, b in self.raw.items()},
             "result": {},
         }
+
+    def load(self, path):
+        """The model or automaton in the input file at path, read as UTF-8."""
+        data = json.loads(self.raw[path].decode("utf-8"),
+                          parse_float=Fraction)
+        if isinstance(data, dict) and "moments" in data:
+            return ExplicitStitModel.from_json(data)
+        if isinstance(data, dict) and "states" in data:
+            return StitAutomaton.from_json(data)
+        raise DeonticError(f"{path}: neither a model nor an automaton file")
 
     def finish(self, fmt, lines):
         self.data["elapsed_ms"] = round(
             (time.perf_counter() - self.started) * 1000, 3)
         if fmt == "machine":
-            print(json.dumps(self.data, indent=2, sort_keys=True))
+            print(json.dumps(self.data, sort_keys=True))
         else:
             for line in lines:
                 print(line)
@@ -65,7 +64,7 @@ class Report:
 
 def cmd_validate(args) -> int:
     report = Report(["validate", args.path], [args.path])
-    obj = _load_any(args.path)
+    obj = report.load(args.path)
     violations = obj.validate()
     kind = "automaton" if isinstance(obj, StitAutomaton) else "model"
     report.data["result"] = {
@@ -80,18 +79,32 @@ def cmd_validate(args) -> int:
     return EXIT_OK if not violations else EXIT_FAIL
 
 
+def _check_lines(result):
+    yield (f"{result['statement']} at moment {result['moment']}: "
+           + ("holds" if result["holds"] else "FAILS")
+           + (" (vacuously: no history satisfies the condition)"
+              if result.get("vacuous") else ""))
+    if "per_history" in result:
+        for h, v in result["per_history"].items():
+            yield f"  {h}: {'true' if v else 'false'}"
+        return
+    yield f"  |A|_m = {result['extension']}"
+    for row in result["guarantee_table"]:
+        mark = "yes" if row["guarantees"] else "NO"
+        yield f"  optimal action {row['action']}: guarantees {mark}"
+
+
 def cmd_check(args) -> int:
     history = [] if args.history is None else ["--history", args.history]
     report = Report(["check", args.path, "--at", str(args.at), *history,
                      "--formula", args.formula], [args.path])
-    model = _load_any(args.path)
+    model = report.load(args.path)
     if not isinstance(model, ExplicitStitModel):
         raise DeonticError("check runs on explicit model files; "
                            "use `mc` for automata")
     statement = fm.parse(args.formula)
     mid = args.at
     hm = sorted(model.histories_through(mid))
-    lines = []
     result = {"statement": fm.render(statement), "moment": mid}
     if isinstance(statement, fm.OughtStatement):
         if not (args.history or hm):
@@ -103,46 +116,50 @@ def cmd_check(args) -> int:
         optimal = [] if vacuous else model.optimal_actions(
             statement.agents, mid, cond).actions
         body_ext = model.extension(mid, statement.body)
-        table = [{"action": sorted(k), "guarantees": k <= body_ext}
-                 for k in optimal]
         result.update({
             "holds": holds,
             "vacuous": vacuous,
             "extension": sorted(body_ext),
             "optimal": [sorted(k) for k in optimal],
-            "guarantee_table": table,
+            "guarantee_table": [{"action": sorted(k),
+                                 "guarantees": k <= body_ext}
+                                for k in optimal],
         })
-        lines.append(f"{fm.render(statement)} at moment {mid}: "
-                     + ("holds" if holds else "FAILS")
-                     + (" (vacuously: no history satisfies the condition)"
-                        if vacuous else ""))
-        lines.append(f"  |A|_m = {sorted(body_ext)}")
-        for row in table:
-            mark = "yes" if row["guarantees"] else "NO"
-            lines.append(f"  optimal action {row['action']}: guarantees {mark}")
     else:
         per_history = {h: model.satisfies(mid, h, statement)
                        for h in ([args.history] if args.history else hm)}
         holds = all(per_history.values())
-        ext = model.extension(mid, statement)
         result.update({
             "holds": holds,
             "per_history": {h: v for h, v in sorted(per_history.items())},
-            "extension": sorted(ext),
+            "extension": sorted(model.extension(mid, statement)),
         })
-        lines.append(f"{fm.render(statement)} at moment {mid}: "
-                     + ("holds" if holds else "FAILS"))
-        for h, v in sorted(per_history.items()):
-            lines.append(f"  {h}: {'true' if v else 'false'}")
     report.data["result"] = result
-    report.finish(args.format, lines)
+    report.finish(args.format, _check_lines(result))
     return EXIT_OK if holds else EXIT_FAIL
+
+
+def _mc_lines(result, verdict):
+    yield (f"{result['statement']}: "
+           + ("holds" if verdict.holds else "FAILS")
+           + (" (vacuously: no optimal action guarantees the condition)"
+              if verdict.vacuous else ""))
+    for iv in verdict.intervals:
+        tag = ""
+        if any(a == iv.action for a, _ in verdict.optimal_actions):
+            tag = f"  optimal, case={verdict.case_taken.get(iv.action, '-')}"
+        yield f"  {iv.action}: [{iv.lo}, {iv.hi}]{tag}"
+    if verdict.failing_action:
+        yield f"  failing action: {verdict.failing_action}"
+    if verdict.counterexample:
+        cx = verdict.counterexample
+        yield f"  counterexample: stem {list(cx.stem)} loop {list(cx.loop)}"
 
 
 def cmd_mc(args) -> int:
     report = Report(["mc", args.path, "--agent", args.agent,
                      "--ought", args.ought], [args.path])
-    aut = _load_any(args.path)
+    aut = report.load(args.path)
     if not isinstance(aut, StitAutomaton):
         raise DeonticError("mc runs on automaton files; use `check` for models")
     statement = fm.parse_ought(args.ought)
@@ -151,24 +168,9 @@ def cmd_mc(args) -> int:
             f"--agent {args.agent!r} does not match the statement's agent "
             f"{','.join(statement.agents)!r}")
     verdict = check_ought_statement(aut, statement)
-    report.data["result"] = {"statement": fm.render(statement),
-                             **verdict.to_json()}
-    lines = [f"{fm.render(statement)}: "
-             + ("holds" if verdict.holds else "FAILS")
-             + (" (vacuously: no optimal action guarantees the condition)"
-                if verdict.vacuous else "")]
-    for iv in verdict.intervals:
-        tag = ""
-        if any(a == iv.action for a, _ in verdict.optimal_actions):
-            tag = f"  optimal, case={verdict.case_taken.get(iv.action, '-')}"
-        lines.append(f"  {iv.action}: [{iv.lo}, {iv.hi}]{tag}")
-    if verdict.failing_action:
-        lines.append(f"  failing action: {verdict.failing_action}")
-    if verdict.counterexample:
-        cx = verdict.counterexample
-        lines.append(f"  counterexample: stem {list(cx.stem)} "
-                     f"loop {list(cx.loop)}")
-    report.finish(args.format, lines)
+    result = report.data["result"] = {"statement": fm.render(statement),
+                                      **verdict.to_json()}
+    report.finish(args.format, _mc_lines(result, verdict))
     return EXIT_OK if verdict.holds else EXIT_FAIL
 
 
@@ -177,7 +179,7 @@ def cmd_unroll(args) -> int:
                     [args.path])
     if args.depth < 1:
         raise DeonticError("--depth must be at least 1")
-    aut = _load_any(args.path)
+    aut = report.load(args.path)
     if not isinstance(aut, StitAutomaton):
         raise DeonticError("unroll runs on automaton files")
     model = unroll(aut, args.depth, agent=args.agent)
@@ -291,9 +293,10 @@ _DEMOS = {
 
 def cmd_rss(args) -> int:
     if args.export:
+        report = Report(["rss", "--export", args.export], [])
         written = rss.export_fixtures(args.export)
-        for path in written:
-            print(f"wrote {path}")
+        report.data["result"] = {"exported": written}
+        report.finish(args.format, (f"wrote {path}" for path in written))
         return EXIT_OK
     if args.name is None:
         raise DeonticError("give a demonstration name or --export DIR; "
@@ -369,10 +372,10 @@ def main(argv=None) -> int:
     except DeonticError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: malformed file: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Exception as exc:  # a crash must not read as exit 1, "fails"

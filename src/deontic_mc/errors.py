@@ -112,8 +112,9 @@ def _as_rational(v, what, error) -> Fraction:
     if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     if isinstance(v, (str, float)):
-        try:
-            return Fraction(str(v))
+        try:  # a digit-only string, the usual weight, skips Fraction's regex
+            return Fraction(int(v) if isinstance(v, str) and v.isdecimal()
+                            else str(v))
         except (ValueError, ZeroDivisionError):
             pass
     raise error(f"bad {what} {v!r}")

@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import json
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -528,6 +529,7 @@ class ExplicitStitModel:
             if not ix.through[leaf] & ~broken:
                 out.append(Violation("leaf-covered", None, leaf,
                                      "no history ends at this leaf"))
+        empty = Counter()  # moment -> empty cells in choices of 2+ cells
         for (agent, mid), cells in sorted(self.choices.items()):
             if agent not in self.agents:
                 out.append(Violation("partition", agent, mid, "unknown agent"))
@@ -540,6 +542,7 @@ class ExplicitStitModel:
             for cell in cells:
                 if not cell:
                     out.append(Violation("partition", agent, mid, "empty action"))
+                    empty[mid] += len(cells) > 1
                 overlap = cell & seen
                 if overlap:
                     out.append(Violation(
@@ -551,25 +554,27 @@ class ExplicitStitModel:
                     "partition", agent, mid,
                     f"actions do not partition H_m: union {sorted(seen)} "
                     f"vs H_m {sorted(hm)}"))
-        out.extend(self._validate_independence())
+        out.extend(self._validate_independence(empty))
         out.extend(self._validate_undivided(ix, broken))
         return out
 
-    def _validate_independence(self):
+    def _validate_independence(self, empty):
         out = []
         declared = {mid for _, mid in self.choices}
         for mid in filter(declared.__contains__, self.moments):
-            per_agent = [self.actions_at(a, mid) for a in self.agents]
-            if any(len(cells) > 1 for cells in per_agent):
-                for pick in itertools.product(*per_agent):
-                    # one agent: the pick's intersection is its one cell
-                    if not (pick[0] if len(pick) == 1
-                            else frozenset.intersection(*pick)):
-                        out.append(Violation(
-                            "independence", None, mid,
-                            "a selection of one action per agent has empty "
-                            "intersection: "
-                            + " x ".join(str(sorted(c)) for c in pick)))
+            if len(self.agents) == 1:  # only its empty cells break it
+                picks = [(frozenset(),)] * empty[mid]
+            else:
+                per_agent = [self.actions_at(a, mid) for a in self.agents]
+                picks = itertools.product(*per_agent) if any(
+                    len(cells) > 1 for cells in per_agent) else ()
+            for pick in picks:
+                if not frozenset.intersection(*pick):
+                    out.append(Violation(
+                        "independence", None, mid,
+                        "a selection of one action per agent has empty "
+                        "intersection: "
+                        + " x ".join(str(sorted(c)) for c in pick)))
         return out
 
     def _validate_undivided(self, ix, broken):

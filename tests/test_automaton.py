@@ -18,7 +18,7 @@ from deontic_mc.automaton import (
     save_automaton,
     unroll,
 )
-from deontic_mc.errors import AutomatonError, ResourceLimitError
+from deontic_mc.errors import AutomatonError, ResourceLimitError, _as_rational
 from deontic_mc.generate import random_automaton
 from deontic_mc.tree_model import ExplicitStitModel
 
@@ -462,6 +462,21 @@ class TestFileFormat:
         data["transitions"][0]["weight"] = raw
         with pytest.raises(AutomatonError, match="bad weight"):
             StitAutomaton.from_json(data)
+
+    @pytest.mark.parametrize("raw", ["5", "007", "\u0663", "\u00b2",
+                                     "\u00bd", " 5", "+5", "5_0", "1e3", "",
+                                     "1" * 30])
+    def test_string_weight_reads_as_fraction_reads_it(self, raw):
+        """Digit-only strings skip Fraction's pattern; every string still
+        gives Fraction's value, or is refused where Fraction refuses it."""
+        try:
+            expected = Fraction(raw)
+        except ValueError:
+            with pytest.raises(AutomatonError, match="bad weight"):
+                _as_rational(raw, "weight", AutomatonError)
+        else:
+            got = _as_rational(raw, "weight", AutomatonError)
+            assert type(got) is Fraction and got == expected
 
     def test_only_min_accumulation_loads(self, t0):
         data = t0.to_json()

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, reports, round trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -123,6 +124,19 @@ class TestValidate:
         code, out, err = run(capsys, "validate", str(file))
         assert code == 2 and err.startswith("error: ")
         assert "internal error" not in err and "valid" not in out
+
+    @pytest.mark.parametrize("make", [
+        lambda p: p.write_bytes(b"\xff\xfe{}"), lambda p: p.mkdir()],
+        ids=["not-utf-8", "directory"])
+    def test_unreadable_input_exits_two(self, capsys, tmp_path, make):
+        """Bytes that are not UTF-8 are a malformed file, and a path that
+        cannot be read is an error of its own; neither is a crash."""
+        path = tmp_path / "in.json"
+        make(path)
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and err.startswith("error: ") and not out
+        assert "internal error" not in err
+        assert ("malformed file" in err) == path.is_file()
 
     def test_unsupported_accumulation_exits_two(self, capsys, tmp_path):
         data = make_t0().to_json()
@@ -357,6 +371,15 @@ class TestMc:
         code, out, _ = run(capsys, "--format", "machine", *args)
         assert code == 0 and json.loads(out)["command"] == args
 
+    def test_machine_report_is_one_line_with_the_input_digest(self, capsys,
+                                                              t0_file):
+        code, out, _ = run(capsys, "--format", "machine", "mc", t0_file,
+                           "--agent", "alpha", "--ought", "O[alpha cstit: G p]")
+        assert code == 0 and out.count("\n") == 1 and out.endswith("\n")
+        with open(t0_file, "rb") as fp:
+            digest = hashlib.sha256(fp.read()).hexdigest()
+        assert json.loads(out)["inputs"] == {t0_file: digest}
+
     def test_machine_report_is_deterministic(self, capsys, t0_file):
         _, first, _ = run(capsys, "--format", "machine", "mc", t0_file,
                           "--agent", "alpha", "--ought", "O[alpha cstit: G p]")
@@ -421,3 +444,12 @@ class TestRssCommand:
     def test_export_writes_all_fixtures(self, capsys, tmp_path):
         code, out, _ = run(capsys, "rss", "--export", str(tmp_path / "fx"))
         assert code == 0 and out.count("wrote") == 5
+
+    def test_machine_export_is_a_report(self, capsys, tmp_path):
+        directory = str(tmp_path / "fx")
+        code, out, _ = run(capsys, "--format", "machine", "rss", "--export",
+                           directory)
+        report = json.loads(out)
+        assert code == 0 and out.count("\n") == 1
+        assert report["command"] == ["rss", "--export", directory]
+        assert report["result"] == {"exported": rss.export_fixtures(directory)}

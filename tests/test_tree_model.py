@@ -1031,7 +1031,8 @@ class TestEvaluationEdges:
 # ======================== Validation on the index ========================
 
 def _mutated_fixtures():
-    """The invalid models of TestValidate, built the same way, by name."""
+    """The invalid models of TestValidate, built the same way, and two
+    one-agent models with an empty cell, by name."""
     out = {}
     data = rss.fig1_model().to_json()
     data["choices"][0]["actions"] = [["h1", "h2", "h3", "h4", "h5"],
@@ -1045,6 +1046,11 @@ def _mutated_fixtures():
         ["alpha"], [], [(0, None), (1, 0), (2, 1), (3, 1)],
         [("h1", [0, 1, 2], 1), ("h2", [0, 1, 3], 2)],
         {("alpha", 0): [["h1"], ["h2"]]}, {})
+    # one agent: an empty cell breaks independence only beside another cell
+    for name, cells in (("two-cells", [["h1", "h2"], []]), ("one-cell", [[]])):
+        out[f"one-agent-empty-cell-of-{name}"] = ExplicitStitModel(
+            ["alpha"], [], [(0, None), (1, 0), (2, 0)],
+            [("h1", [0, 1], 1), ("h2", [0, 2], 2)], {("alpha", 0): cells}, {})
     out["roots-and-unknowns"] = ExplicitStitModel(
         ["alpha"], [], [(0, None), (1, 0), (5, None), (6, 9)],
         [("h1", [0, 1], 1)],
@@ -1113,6 +1119,9 @@ class TestValidateOnTheIndex:
         model = _mutated_fixtures()[name]
         got = model.validate()
         assert got and got == reference_validate(model)
+        if name.startswith("one-agent-empty-cell"):
+            assert ("independence" in {v.axiom for v in got}) \
+                == name.endswith("two-cells")
 
     def test_same_violations_on_unrolled_workload_models(self):
         rng = random.Random(46)
