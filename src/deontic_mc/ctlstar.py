@@ -6,29 +6,29 @@ PSTV 1995), state subformulas reduce to fresh atoms by recursive labeling,
 and universality is emptiness of the product with the negation.
 
 Universality(ts, f) does this once per formula and system, and answers
-from any number of states: the reduction labels every state once, the
-negation is compiled once, and one depth-first search explores the product
+from any number of states: the negation is compiled once, the reduction
+labels every state once, and one depth-first search explores the product
 on the fly, continuing from each state asked about and stopping at the
 first cycle through every acceptance set (Couvreur's emptiness check on
 Gabow's path-based SCC search).  The reducer's own E-checks use the same
 exploration.  A counterexample lasso is built only when asked for and is
 re-checked by direct lasso evaluation before it leaves this module.
 
-Every pass is one loop over the rows of formula.compile, which each entry
-point calls once, at the door; none recurses or hashes a formula.  The
-reduction turns each quantified row into a fresh atom's row, the tableau
-reads formula.nnf_rows of the reduced rows, and the lasso evaluator reads
-them as they are.  The tableau is expanded as the product meets it: a
-node's sets of rows are int bitmasks over the rows, and the successors of
-a node on a letter are expanded once and then found by one dict lookup on
-an int key.  Its work is bounded by MAX_TABLEAU_STEPS rows taken per
-automaton, past which a check raises ResourceLimitError.
+Every pass is one loop over the normal-form rows of formula.compile, which
+each entry point calls once, at the door; none recurses or hashes a
+formula.  The reduction turns each E row into a fresh atom's row, and the
+tableau and the lasso evaluator read the reduced rows as they are.  The
+tableau is expanded as the product meets it: a node's sets of rows are
+int bitmasks over the rows, and the successors of a node on a letter are
+expanded once and then found by one dict lookup on an int key.  Its work
+is bounded by MAX_TABLEAU_STEPS rows taken per automaton, past which a
+check raises ResourceLimitError.
 
 compile refuses one bounded operator past formula.MAX_UNFOLD, so no entry
-point re-checks its input: nnf_rows rejects what the tableau cannot
-compile, and the lasso evaluator what it cannot evaluate.  check_ctls
-evaluates the reduced state formula at each state as a lasso of one
-looping position.
+point re-checks its input: the tableau rejects a row it cannot expand, a
+quantifier or a stit, and the lasso evaluator a row it cannot evaluate.
+check_ctls evaluates the reduced state formula at each state as a lasso
+of one looping position.
 """
 
 from __future__ import annotations
@@ -39,6 +39,9 @@ from dataclasses import dataclass
 from . import formula as fm
 from .errors import GrammarError, ModelError, ResourceLimitError
 
+# The kinds of the rows a tableau expands: a normal form's, quantifier-free
+_EXPANDED = frozenset((fm.Atom, fm.Not, fm.TrueFormula, fm.FalseFormula,
+                       fm.And, fm.Or, fm.Next, fm.Until, fm.Release))
 # The most rows the partial nodes of one Buchi automaton may take in all;
 # past it a check raises ResourceLimitError.
 MAX_TABLEAU_STEPS = 1 << 17
@@ -93,7 +96,8 @@ class Counterexample:
 class BuchiAutomaton:
     """Generalized Buchi automaton over an alphabet of atom sets, built on
     demand by GPVW node expansion (Gerth, Peled, Vardi and Wolper, PSTV
-    1995) over the rows of formula.nnf_rows.
+    1995) over the rows of a negation normal form (formula.compile(f,
+    False)), of which it reads those that the last row reaches.
 
     Node b, numbered by states, is (positive atom bits, negative atom bits,
     next mask number, acceptance bits).  It reads the letters (a label's
@@ -107,7 +111,16 @@ class BuchiAutomaton:
 
     def __init__(self, rows):
         self.rows = rows
-        self.atoms = sorted(data for kind, data, _ in rows if kind is fm.Atom)
+        reached = {len(rows) - 1}  # the rows the last one reaches
+        for i in range(len(rows) - 1, -1, -1):
+            if i in reached:
+                kind, _, kids = rows[i]
+                if kind not in _EXPANDED:
+                    raise GrammarError(f"the tableau cannot expand "
+                                       f"{kind.__name__}", production="ltl")
+                reached.update(kids)
+        self.atoms = sorted(rows[i][1] for i in reached
+                            if rows[i][0] is fm.Atom)
         self._bit = {a: 1 << i for i, a in enumerate(self.atoms)}
         self.full = sum(1 << i for i, r in enumerate(rows) if r[0] is fm.Until)
         self.initial, self.masks = 0, [1 << len(rows) - 1]
@@ -207,9 +220,9 @@ class BuchiAutomaton:
 
 
 def ltl_to_buchi(f) -> BuchiAutomaton:
-    """The Buchi automaton of a path formula, or of the rows of one
+    """The Buchi automaton of a path formula, or of its normal form's rows
     (formula.compile); its nodes are built as the product meets them."""
-    return BuchiAutomaton(fm.nnf_rows(f if type(f) is tuple else fm.compile(f)))
+    return BuchiAutomaton(f if type(f) is tuple else fm.compile(f, False))
 
 
 # ---------------------------------------------------------------------------
@@ -380,11 +393,11 @@ def buchi_accepts(buchi: BuchiAutomaton, stem_labels, loop_labels) -> bool:
 def eval_on_lasso(f, stem_labels, loop_labels) -> bool:
     """Truth of a pure path formula on the word stem . loop^omega.
 
-    f is a formula, compiled here, or the rows of one (formula.compile).
-    Each row is evaluated once, children first, into one int whose bit i
-    is its truth at position i of the word; U and F are least fixpoints, R
-    and G greatest ones."""
-    rows = f if type(f) is tuple else fm.compile(f)
+    f is a formula, compiled here, or its normal form's rows
+    (formula.compile).  Each row is evaluated once, children first, into
+    one int whose bit i is its truth at position i of the word; U is a
+    least fixpoint and R a greatest one."""
+    rows = f if type(f) is tuple else fm.compile(f, False)
     stem, loop = list(stem_labels), list(loop_labels)
     if not loop:
         raise ModelError("lasso loop must be non-empty")
@@ -411,18 +424,15 @@ def eval_on_lasso(f, stem_labels, loop_labels) -> bool:
             out = x[0] & x[1]
         elif kind is fm.Or:
             out = x[0] | x[1]
-        elif kind is fm.Implies:
-            out = (every ^ x[0]) | x[1]
         elif kind is fm.Next:
             out = after(x[0])
-        elif kind is fm.Until or kind is fm.Eventually:
-            left, out = x if kind is fm.Until else (every, x[0])
-            while (grown := out | (left & after(out))) != out:
+        elif kind is fm.Until:
+            out = x[1]
+            while (grown := out | (x[0] & after(out))) != out:
                 out = grown
-        elif kind is fm.Release or kind is fm.Always:
-            left, right = x if kind is fm.Release else (0, x[0])
+        elif kind is fm.Release:
             out = every
-            while (shrunk := right & (left | after(out))) != out:
+            while (shrunk := x[1] & (x[0] | after(out))) != out:
                 out = shrunk
         else:  # not a path formula; its parents are still walked
             cause[i] = i
@@ -442,50 +452,42 @@ def eval_on_lasso(f, stem_labels, loop_labels) -> bool:
 # ---------------------------------------------------------------------------
 
 def _reduce(ts: TransitionSystem, rows):
-    """(rows, labels, products): a formula's rows with each path-quantified
-    row replaced by a fresh atom's row, innermost first, the system's
-    labels with each fresh atom added to the states that satisfy its row,
-    and the products that decided those.  The quantified rows' operands
-    stay, and each distinct quantified subformula is checked once."""
-    rows, labels, products = list(rows), dict(ts.labels), []
-    fresh = 0
+    """(rows, labels, products): normal-form rows (formula.compile) with
+    each E row replaced by a fresh atom's row, innermost first; ts.labels,
+    or a copy with each fresh atom added to the states its row holds at;
+    and the products that decided those.  The operands' rows stay, and
+    each distinct E subformula is checked once."""
+    reduced, labels, products = rows, ts.labels, []
     for i, (kind, _, kids) in enumerate(rows):
-        if kind is fm.Cstit or kind is fm.Dstit:
-            raise GrammarError("stit operator is not part of CTL*",
-                               production="ctl-star")
-        if kind is fm.ForallPaths or kind is fm.ExistsPaths:
-            # E psi: some path satisfies psi; A psi: none satisfies !psi
-            k, exists = kids[0], kind is fm.ExistsPaths
-            psi = tuple(rows[:k + 1])
-            if not exists:
-                psi += ((fm.Not, None, (k,)),)
+        if kind is fm.ExistsPaths:
+            if not products:  # the first: copy the rows and the labels
+                reduced, labels = list(rows), dict(labels)
+            psi = tuple(reduced[:kids[0] + 1])
             product = _Product(ts, labels, ltl_to_buchi(psi))
             products.append(product)
-            name = f"@q{fresh}"
-            fresh += 1
+            name = f"@q{len(products) - 1}"
             labels.update({q: labels[q] | {name} for q in ts.states
-                           if product.nonempty_from(q) == exists})
-            rows[i] = (fm.Atom, name, ())
-    return tuple(rows), labels, products
+                           if product.nonempty_from(q)})
+            reduced[i] = (fm.Atom, name, ())
+    return tuple(reduced), labels, products
 
 
 class Universality:
     """Does every infinite path from a state satisfy one formula?
 
     Built once per formula and system, and asked for any number of states:
-    the path quantifiers are reduced to atoms once over the whole system,
-    the negation is compiled to one Buchi automaton, and one product
-    search continues from each state asked about, up to a first violating
-    run.  A counterexample is built only when asked for.  A path into a
-    dead end is not a run, so the callers rule out reachable dead ends
-    (check_universal, mc)."""
+    the negation is compiled once, straight to normal form, its path
+    quantifiers are reduced to atoms once over the whole system, its rows
+    make one Buchi automaton, and one product search continues from each
+    state asked about, up to a first violating run.  A counterexample is
+    built only when asked for.  A path into a dead end is not a run, so the
+    callers rule out reachable dead ends (check_universal, mc)."""
 
     def __init__(self, ts: TransitionSystem, f: fm.Formula):
         self.formula = f
-        self.reduced, self.labels, self.products = _reduce(ts, fm.compile(f))
-        negation = ((fm.Not, None, (len(self.reduced) - 1,)),)
-        self.product = _Product(ts, self.labels,
-                                ltl_to_buchi(self.reduced + negation))
+        self.reduced, self.labels, self.products = _reduce(
+            ts, fm.compile(f, True))
+        self.product = _Product(ts, self.labels, ltl_to_buchi(self.reduced))
         self.products.append(self.product)
 
     def holds_from(self, q) -> bool:
@@ -493,15 +495,15 @@ class Universality:
 
     def counterexample(self, q) -> Counterexample | None:
         """A lasso from q violating the formula, or None if it holds at q.
-        The lasso is re-validated by direct evaluation before it is
-        returned."""
+        The lasso is re-validated before it is returned: the compiled
+        negation must evaluate true on it."""
         found = self.product.lasso(q)
         if found is None:
             return None
         stem = tuple(n[0] for n in found[0])
         loop = tuple(n[0] for n in found[1])
-        if eval_on_lasso(self.reduced, [self.labels[s] for s in stem],
-                         [self.labels[s] for s in loop]):
+        if not eval_on_lasso(self.reduced, [self.labels[s] for s in stem],
+                             [self.labels[s] for s in loop]):
             raise AssertionError("internal error: counterexample does not "
                                  "violate the formula")
         return Counterexample(stem, loop, self.formula)
@@ -526,8 +528,8 @@ def check_universal(ts: TransitionSystem, f: fm.Formula):
 def check_ctls(ts: TransitionSystem, f: fm.Formula) -> set:
     """States satisfying a CTL* state formula, by recursive labeling."""
     ts.require_total()
-    rows, labels, _ = _reduce(ts, fm.compile(f))
-    temporal = (fm.Next, fm.Until, fm.Release, fm.Eventually, fm.Always)
+    rows, labels, _ = _reduce(ts, fm.compile(f, False))
+    temporal = (fm.Next, fm.Until, fm.Release)
     escapes = []  # per row: has it a temporal operator outside quantifiers?
     for kind, _, kids in rows:
         escapes.append(kind in temporal or any(escapes[k] for k in kids))

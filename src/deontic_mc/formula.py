@@ -713,35 +713,57 @@ def obligation_to_formula(ob) -> Formula:
 # Transformations
 # ---------------------------------------------------------------------------
 
-def compile(f):
+# Negation normal form, per path kind: the kind it becomes unnegated and
+# negated.  ! leaves no row of its own, -> flips its left operand, F g is
+# true U g, G g is false R g, and a bounded operator unfolds into | and &
+# unnegated, & and | negated.
+_DUALS = {
+    Not: (None, None), TrueFormula: (TrueFormula, FalseFormula),
+    FalseFormula: (FalseFormula, TrueFormula),
+    And: (And, Or), Or: (Or, And), Implies: (Or, And), Next: (Next, Next),
+    Until: (Until, Release), Release: (Release, Until),
+    Eventually: (Until, Release), Always: (Release, Until),
+    **dict.fromkeys(_UNFOLDS, (Or, And)),
+}
+_CONSTANTS = {Eventually: TRUE, Always: FALSE}
+_QUANTIFIED = {ExistsPaths: 0, ForallPaths: 1}  # the operand's polarity
+
+
+def compile(f, negated=None):
     """f, a formula or an obligation, as rows (kind, data, kids): one row
     per distinct subformula, children before parents and f last.  kind is
     the node's class, data its atom name or agent (else None), and kids
     its children's row indices.
 
-    X^t, F[n:m] and BR[N] are unfolded in place, and the unfolded chains
-    share rows (X^3 p runs through the rows of X^2 p):
+    negated=None compiles f as written; False compiles its negation normal
+    form, and True that of !f, with negation on atoms only (see _DUALS),
+    E psi one row over psi's normal form, A psi as !E !psi, and each stit
+    or obligation row opaque: as written, under a negation when negated.
 
-    F[n:m] f  =  X^n f | ... | X^m f
-    l BR[0] r =  l | r
-    l BR[N] r =  l | (r & X (l BR[N-1] r))
+    X^t, F[n:m] and BR[N] are unfolded, negated, in place, into chains of
+    t, m or N next-step rows that share rows (X^3 p runs through X^2 p's);
+    one past MAX_UNFOLD is refused before it is unfolded:
 
-    Each unfolds into a chain of t, m or N next-step rows.  One past
-    MAX_UNFOLD is refused before it is unfolded; nested ones add up.
+    F[n:m] f     =  X^n f | ... | X^m f,  !F[n:m] f = X^n !f & ... & X^m !f
+    l BR[0] r    =  l | r
+    l BR[N] r    =  l | (r & X (l BR[N-1] r))
+    !(l BR[N] r) =  !l & (!r | X !(l BR[N-1] r))
 
-    Iterative, and it hashes no formula: a row is found again by its kind,
-    data and kids."""
-    index, done = {}, {}  # index: row -> its place; done: id -> row
+    Iterative, walking each node once per polarity, and it hashes no
+    formula: a row is found again by its kind, data and kids.  The rows
+    come in the order a recursive post-order walk of the result meets
+    them, so F's and G's constant comes before their operand."""
+    index, done = {}, {}  # index: row -> its place; done: node key -> place
+    add = index.setdefault  # add(row, len(index)): the row's place
 
-    def add(kind, data, *kids):
-        return index.setdefault((kind, data, kids), len(index))
-
-    todo = [(f, True)]
+    # a node's polarity is 0 for its normal form, 1 for its negation's and
+    # 2 as written, and its key id << 2 | polarity
+    todo = [(f, 2 if negated is None else int(negated), None)]
     while todo:
-        g, first = todo.pop()
-        kind, parts = type(g), children(g)
-        if first:  # refuse, then place the children
-            if id(g) in done:
+        g, pol, wants = todo.pop()
+        kind = type(g)
+        if wants is None:  # refuse, then place the operands
+            if id(g) << 2 | pol in done:
                 continue
             if kind in _UNFOLDS:
                 n, op = _UNFOLDS[kind](g)
@@ -749,29 +771,52 @@ def compile(f):
                     raise ResourceLimitError(
                         f"{op} unfolds into {n} next-step obligations; "
                         f"compile unfolds at most {MAX_UNFOLD}")
-            if parts:
-                todo.append((g, False))
-                todo += [(c, True) for c in reversed(parts)]
+            read = _CHILDREN.get(kind)
+            if read is not None:
+                parts = read(g)
+                if pol == 2:
+                    sides = 2, 2
+                elif kind in _DUALS:  # ! and ->'s left operand flip
+                    sides = (pol ^ 1, pol) if kind is Not or kind is Implies \
+                        else (pol, pol)
+                    if kind in _CONSTANTS:
+                        parts = (_CONSTANTS[kind], *parts)
+                else:  # stits and obligations are compiled as written
+                    sides = (_QUANTIFIED.get(kind, 2),) * 2
+                wants = tuple(zip(parts, sides))
+                todo.append((g, pol, wants))
+                todo += [(c, side, None) for c, side in reversed(wants)]
                 continue
-        kids = [done[id(c)] for c in parts]
-        if kind is BoundedRelease:
-            left, right = kids
-            i = add(Or, None, left, right)
-            for _ in range(g.bound):
-                i = add(Or, None, left,
-                        add(And, None, right, add(Next, None, i)))
-        elif kind in _UNFOLDS:  # X^t g is F[t:t] g
-            chain = kids
-            for _ in range(_UNFOLDS[kind](g)[0]):
-                chain.append(add(Next, None, chain[-1]))
-            lo = g.steps if kind is NextPow else g.lo
-            i = chain[lo]
-            for later in chain[lo + 1:]:
-                i = add(Or, None, i, later)
-        else:
+        kids = tuple([done[id(c) << 2 | side] for c, side in wants or ()])
+        key = id(g) << 2 | pol
+        if kind in _UNFOLDS:
+            join, meet = _DUALS[kind][::-1] if pol == 1 else _DUALS[kind]
+            if kind is BoundedRelease:
+                left, right = kids
+                i = add((join, None, kids), len(index))
+                for _ in range(g.bound):
+                    i = add((Next, None, (i,)), len(index))
+                    i = add((meet, None, (right, i)), len(index))
+                    i = add((join, None, (left, i)), len(index))
+            else:  # X^t g is F[t:t] g
+                lo = g.steps if kind is NextPow else g.lo
+                i = last = kids[0]
+                for t in range(1, _UNFOLDS[kind](g)[0] + 1):
+                    last = add((Next, None, (last,)), len(index))
+                    i = last if t <= lo else \
+                        add((join, None, (i, last)), len(index))
+        elif pol < 2 and kind in _DUALS:
+            become = _DUALS[kind][pol]
+            i = kids[0] if become is None else \
+                add((become, None, kids), len(index))
+        else:  # as written, or an opaque row
+            if kind is ForallPaths and pol < 2:
+                kind, pol = ExistsPaths, pol ^ 1
             data = g.name if kind is Atom else getattr(g, "agent", None)
-            i = add(kind, data, *kids)
-        done[id(g)] = i
+            i = add((kind, data, kids), len(index))
+            if pol == 1:
+                i = add((Not, None, (i,)), len(index))
+        done[key] = i
     return tuple(index)
 
 
@@ -790,68 +835,9 @@ def expand_bounded(f):
     return decompile(compile(f))
 
 
-# Negation normal form: each kind as it becomes unnegated and negated.  F
-# and G become U and R over a constant, ``true U .`` and ``false R .``;
-# a negation moves onto its operand.
-_NNF = {
-    Not: (None, None), TrueFormula: (TrueFormula, FalseFormula),
-    FalseFormula: (FalseFormula, TrueFormula),
-    And: (And, Or), Or: (Or, And), Implies: (Or, And), Next: (Next, Next),
-    Until: (Until, Release), Release: (Release, Until),
-    Eventually: (Until, Release), Always: (Release, Until),
-}
-
-
-def nnf_rows(rows):
-    """The negation normal form over atoms, X, U and R of the formula that
-    the rows' last row stands for, as rows of its own (see compile).
-
-    Negation survives only on atoms.  Quantified and stit rows cannot be
-    normalized.  Only the rows the last one reaches are walked, and the
-    normal form's rows come children first and left to right, in the
-    order a recursive post-order walk of it meets them.  Iterative: one
-    explicit stack of (row, polarity) keys, each normalized once."""
-    index, at = {}, {}  # row -> its place; 2 * row + negated -> a place
-
-    def add(row):
-        return index.setdefault(row, len(index))
-
-    todo = [2 * len(rows) - 2]
-    while todo:
-        key = todo[-1]
-        if key in at:
-            todo.pop()
-            continue
-        kind, _, kids = row = rows[key >> 1]
-        neg = key & 1
-        if kind is Atom:
-            i = add(row)
-            at[todo.pop()] = add((Not, None, (i,))) if neg else i
-            continue
-        if kind not in _NNF:
-            raise GrammarError(f"cannot normalize {kind.__name__}; strip "
-                               f"quantifiers first", production="nnf")
-        become = _NNF[kind][neg]
-        want = [2 * k + neg for k in kids]
-        if kind is Not or kind is Implies:  # the left operand flips
-            want[0] ^= 1
-        first = ()  # F and G: the constant comes before the operand
-        if kind is Eventually or kind is Always:
-            first = (add((TrueFormula if become is Until else FalseFormula,
-                          None, ())),)
-        missing = [w for w in want if w not in at]
-        if missing:
-            todo += reversed(missing)
-            continue
-        todo.pop()
-        kids = first + tuple([at[w] for w in want])
-        at[key] = kids[0] if become is None else add((become, None, kids))
-    return tuple(index)
-
-
 def nnf(f):
-    """The negation normal form of a formula (see nnf_rows)."""
-    return decompile(nnf_rows(compile(f)))
+    """The negation normal form of a formula (see compile)."""
+    return decompile(compile(f, False))
 
 
 def normalize_obligation(ob: Obligation) -> Obligation:

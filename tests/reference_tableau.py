@@ -4,8 +4,8 @@ against, by the language each automaton accepts.
 
 State m is the valuation whose bitmask is m over the n elementary formulas:
 the sorted atoms take the low bits, the Next, Until and Release rows of
-formula.nnf_rows the bits above, in row order.  Each row is evaluated once,
-children first, into one int whose bit m is its truth under valuation m,
+reference_nnf.nnf_rows the bits above, in row order.  Each row is evaluated
+once, children first, into one int whose bit m is its truth under valuation m,
 and the automaton is read off those columns: transitions make each
 next-step bit agree with the successor's truth, and one acceptance set per
 Until keeps its eventuality from being postponed forever.  It has 2^n
@@ -20,6 +20,7 @@ fulfil the promises and read the letter.
 from deontic_mc import formula as fm
 from deontic_mc.ctlstar import BuchiAutomaton
 from deontic_mc.errors import ResourceLimitError
+from reference_nnf import nnf_rows
 
 CAP = 16
 
@@ -45,8 +46,9 @@ class EagerBuchi:
 
 
 def eager_ltl_to_buchi(f) -> EagerBuchi:
-    """The eager tableau of a path formula, or of the rows of one."""
-    rows = fm.nnf_rows(f if type(f) is tuple else fm.compile(f))
+    """The eager tableau of a path formula, or of its rows as written
+    (formula.compile(f))."""
+    rows = nnf_rows(f if type(f) is tuple else fm.compile(f))
     atoms = sorted(data for kind, data, _ in rows if kind is fm.Atom)
     n_atoms = len(atoms)
     n = n_atoms + sum(kind in (fm.Next, fm.Until, fm.Release)

@@ -391,6 +391,20 @@ class TestLtlToBuchi:
         with pytest.raises(GrammarError):
             ltl_to_buchi(fm.parse_formula("(A p)"))
 
+    def test_reads_only_the_rows_the_formula_reaches(self):
+        """A quantified row's sub-automaton has the atoms of its operand
+        alone, and the automaton over the reduced rows those of the rows
+        its last one reaches, the fresh atom's included."""
+        ts = TransitionSystem(["s"], "s", [("s", "s")], {"s": {"p", "q"}})
+        check = Universality(ts, fm.parse_formula("(E F p) & G q"))
+        inner, outer = check.products
+        assert inner.buchi.atoms == ["p"]
+        assert outer.buchi.atoms == ["@q0", "q"]
+        assert check.holds_from("s")
+        stit = fm.compile(fm.parse_formula("X [a cstit: p]"), False)
+        with pytest.raises(GrammarError, match="cannot expand Cstit"):
+            ltl_to_buchi(stit)
+
 
 # ======================== check_universal ========================
 
@@ -512,6 +526,21 @@ class TestCheckUniversal:
                         f, [ts.labels[s] for s in cx.stem],
                         [ts.labels[s] for s in cx.loop])
 
+    def test_labels_are_copied_only_for_a_quantified_row(self):
+        """A check without a path quantifier reads the system's labels
+        themselves; one with a quantifier labels a copy, and the system's
+        stay as they were."""
+        rng = random.Random(18)
+        ts = random_system(rng)
+        before = dict(ts.labels)
+        assert Universality(ts, fm.parse_formula("G (p -> F q)")).labels \
+            is ts.labels
+        check = Universality(ts, fm.parse_formula("G (E F p) | A X q"))
+        assert check.labels is not ts.labels
+        assert ts.labels == before
+        assert all(check.labels[q] - {"@q0", "@q1"} == before[q]
+                   for q in ts.states)
+
     def test_requires_total_system(self):
         ts = TransitionSystem(["a", "b"], "a", [("a", "b")], {})
         with pytest.raises(ModelError, match="dead ends"):
@@ -623,6 +652,18 @@ class TestDeepFormulas:
                 assert call(deep) == call(shallow), name
             assert time.perf_counter() - started < 1.0, name
 
+    def test_negated_f_chain_is_one_partial_node_per_level(self, t0):
+        """F^3000 p is compiled negated straight to G^3000 !p, whose rows
+        put G's false below its operand: each of the two masks the search
+        meets from q2 expands one partial node per level, 6,001 rows
+        taken each, into one Buchi state, and the counterexample is q2's
+        loop."""
+        check = Universality(strip_weights(t0), deep_chain("F"))
+        cx = check.counterexample("q2")
+        assert (cx.stem, cx.loop) == ((), ("q2",))
+        assert check.stats() == (1, 1)
+        assert check.product.buchi._steps == 2 * 6001
+
 
 # ======================== check_ctls ========================
 
@@ -708,12 +749,13 @@ class TestEvalOnLasso:
 
     @pytest.mark.parametrize("text, kind", [
         ("X [a cstit: p]", "Cstit"),
-        ("X (A [a cstit: p])", "ForallPaths"),
+        ("X (A [a cstit: p])", "ExistsPaths"),
         ("[a cstit: p] & [b dstit: X (E q)]", "Cstit"),
         ("p U ((E q) | [a dstit: p])", "ExistsPaths")])
     def test_names_the_outermost_node_it_cannot_evaluate(self, text, kind):
         """The error names the first node, from the root down and left
-        first, that is not a path formula, not a node inside it."""
+        first, that is not a path formula, not a node inside it.  A psi
+        is compiled as !E !psi, so it is named as the E it becomes."""
         with pytest.raises(GrammarError,
                            match=f"cannot evaluate {kind} on a lasso"):
             eval_on_lasso(fm.parse_formula(text), [], [{"p"}])

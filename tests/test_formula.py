@@ -17,6 +17,7 @@ import oracle
 import reference_obligation
 import reference_parser
 from conftest import make_t0
+from reference_nnf import nnf_rows, reference_rows
 
 
 # ======================== Parsing ========================
@@ -708,8 +709,8 @@ class TestObligationReference:
 # ======================== NNF ========================
 
 def recursive_nnf(f, negated=False):
-    """The normal form as a recursive rewrite: the reference nnf_rows is
-    compared against."""
+    """The normal form as a recursive rewrite: the reference nnf_rows and
+    compile's normal-form modes are compared against."""
     dual = {fm.And: fm.Or, fm.Or: fm.And, fm.Until: fm.Release,
             fm.Release: fm.Until}
     kind = type(f)
@@ -733,21 +734,73 @@ def recursive_nnf(f, negated=False):
 
 class TestNnf:
     def test_matches_the_recursive_rewrite(self):
-        """The same normal form, and its rows in the order a post-order
-        walk of it meets its distinct subformulas."""
+        """The same normal form, from the reference's second pass over the
+        rows as written and from compile in one walk, and its rows in the
+        order a post-order walk of it meets its distinct subformulas;
+        compiling f negated is compiling !f."""
         rng = random.Random(4)
         for _ in range(200):
             f = random_path_formula(rng, 4, ["p", "q"])
+            assert fm.compile(f, True) == fm.compile(fm.Not(f), False)
             for g in (f, fm.Not(f)):
                 want = recursive_nnf(fm.expand_bounded(g))
-                rows = fm.nnf_rows(fm.compile(g))
-                assert fm.decompile(rows) == want
                 seen = []
                 for node in post_order(want):
                     if node not in seen:
                         seen.append(node)
-                assert [fm.decompile(rows[:i + 1])
-                        for i in range(len(rows))] == seen
+                for rows in (nnf_rows(fm.compile(g)), fm.compile(g, False)):
+                    assert fm.decompile(rows) == want
+                    assert [fm.decompile(rows[:i + 1])
+                            for i in range(len(rows))] == seen
+
+    def test_compiles_straight_to_the_reference_normal_form(self):
+        """On 2,000 seeded path formulas, bounded operators included, in
+        both polarities, compile(f, negated) gives the reference's rows, so
+        its language and the order the tableau meets its rows in, and no
+        Implies, Eventually or Always row; negation wraps atoms only.  On
+        the first 200, both polarities also mean on 100 seeded lassos each
+        what the independent scan finds for f and !f."""
+        rng = random.Random(21)
+        atoms = ["p", "q", "r"]
+        for n in range(2000):
+            f = random_path_formula(rng, rng.randint(0, 5), atoms)
+            for negated in (False, True):
+                rows = fm.compile(f, negated)
+                assert rows == reference_rows(f, negated), \
+                    (fm.render(f), negated)
+                for kind, _, kids in rows:
+                    assert kind not in (fm.Implies, fm.Eventually, fm.Always)
+                    assert kind is not fm.Not or rows[kids[0]][0] is fm.Atom
+            if n < 200:
+                for _ in range(100):
+                    stem, loop = ([frozenset(a for a in atoms
+                                             if rng.random() < .5)
+                                   for _ in range(rng.randint(lo, 4))]
+                                  for lo in (0, 1))
+                    want = oracle.scan_eval(f, stem, loop)
+                    assert eval_on_lasso(fm.compile(f, False), stem,
+                                         loop) == want
+                    assert eval_on_lasso(fm.compile(f, True), stem,
+                                         loop) != want
+
+    def test_quantifiers_and_stits_stay_rows(self):
+        """E psi is one row over psi's normal form and A psi is !E !psi;
+        a stit row keeps its body as written, under a negation when
+        negated."""
+        def rows_of(text, negated):
+            return fm.compile(fm.parse_formula(text), negated)
+
+        assert rows_of("!E F p", False) == rows_of("E F p", True) == (
+            (fm.TrueFormula, None, ()), (fm.Atom, "p", ()),
+            (fm.Until, None, (0, 1)), (fm.ExistsPaths, None, (2,)),
+            (fm.Not, None, (3,)))
+        assert rows_of("A G p", False) == rows_of("!E F !p", False)
+        assert rows_of("A G p", True) == rows_of("E F !p", False)
+        stit = fm.parse_formula("[a cstit: G p]")
+        written = fm.compile(stit)
+        assert fm.compile(stit, True) == written + (
+            (fm.Not, None, (len(written) - 1,)),)
+        assert fm.compile(stit, False) == written
 
     def test_negations_reach_atoms_only(self):
         rng = random.Random(5)

@@ -157,13 +157,14 @@ class TestCheckOught:
                 assert len(built) == len(set(built)) == n, (body, cond)
 
     def test_each_formula_compiled_once(self, t0, monkeypatch):
-        """A check compiles each distinct formula once, and every pass after
-        that reads the rows: no formula is unfolded or normalized."""
+        """A check compiles each distinct formula once, negated straight to
+        normal form, and every pass after that reads the rows: no formula
+        is unfolded or normalized."""
         compiled = []
 
-        def counting(f, build=fm.compile):
-            compiled.append(f)
-            return build(f)
+        def counting(f, negated=None, build=fm.compile):
+            compiled.append((f, negated))
+            return build(f, negated)
 
         def refuse(*args):
             raise AssertionError("a pass left the compiled rows")
@@ -172,7 +173,7 @@ class TestCheckOught:
         monkeypatch.setattr(fm, "expand_bounded", refuse)
         monkeypatch.setattr(fm, "nnf", refuse)
         check_conditional_ought(t0, "alpha", "G (E F p)", "G (E F p)")
-        assert compiled == [fm.parse_formula("G (E F p)")]
+        assert compiled == [(fm.parse_formula("G (E F p)"), True)]
 
     def test_first_phase_builds_no_copies(self, monkeypatch):
         """check_ought and its conditional variant neither restrict nor
@@ -420,9 +421,13 @@ class TestSharedChecks:
         """One system and one check per formula give, for every optimal
         action and for the full automaton, the verdict of check_universal
         on that action's stripped primed copy; the oughts built from them
-        match the per-action decision and, where it applies, the oracle."""
+        match the per-action decision and, where it applies, the oracle.
+        The quantified draws build the Buchi states and explore the product
+        nodes that they did when the normal form was a second pass over the
+        compiled rows."""
         rng = random.Random(2024)
         quantified = conditional = oracle_checked = 0
+        quantified_stats = [0, 0]
         for i in range(420):
             aut = random_automaton(rng)
             quant = i % 3 == 0
@@ -448,11 +453,15 @@ class TestSharedChecks:
             assert (v.holds, v.failing_action, v.vacuous,
                     v.counterexample is not None) == \
                 per_action_verdict(aut, "alpha", ob, cond)
+            if quant:
+                quantified_stats[0] += v.stats["buchi_states"]
+                quantified_stats[1] += v.stats["product_nodes"]
             if cond is None and not quant:
                 assert v.holds == oracle.brute_force_ought(aut, "alpha", ob)
                 oracle_checked += 1
         assert quantified >= 140 and conditional >= 210
         assert oracle_checked >= 100
+        assert quantified_stats == [521, 708]
 
 
 # ======================== First-phase memo ========================
