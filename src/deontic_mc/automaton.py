@@ -346,9 +346,9 @@ def unroll(aut: StitAutomaton, depth: int, agent: str = "alpha") -> ExplicitStit
     """Execute the automaton for `depth` steps and build the stit model.
 
     Moments mirror (state, path) pairs, the choice at each non-leaf moment
-    mirrors the actions enabled at its state, labels copy the state labeling,
-    and each history's value accumulates the weights along its path (for the
-    min accumulation: the bottleneck of the finite prefix).
+    mirrors the actions enabled at its state, one "*" label entry per moment
+    copies its state's labeling, and each history's value accumulates the
+    weights along its path (under min, the bottleneck of the finite prefix).
 
     A finite prefix's bottleneck only bounds the infinite history's value
     from above, so value questions go through extremal_values or lasso
@@ -419,11 +419,7 @@ def unroll(aut: StitAutomaton, depth: int, agent: str = "alpha") -> ExplicitStit
         ordered = [sorted(cells[a]) for a in aut.enabled_actions(state_of[mid])
                    if a in cells]
         choices[(agent, mid)] = ordered
-    labels = {}
-    for mid, _ in moments:
-        atoms = aut.label(state_of[mid])
-        for hid in through.get(mid, ()):
-            labels[(mid, hid)] = atoms
+    labels = {(mid, "*"): aut.label(state_of[mid]) for mid, _ in moments}
     return ExplicitStitModel([agent], aut.atoms(), moments, histories,
                              choices, labels)
 

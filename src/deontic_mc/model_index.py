@@ -17,60 +17,63 @@ import math
 class ModelIndex:
     """A model's histories as the bits of an int, and the memos kept on them.
 
-    histories maps ids to History records, positions maps each id to
-    {moment: index on its path} (the last visit, if the path repeats one),
-    moments maps ids to Moment records and labels maps (moment, history)
-    to atom names.  The masks are memoised here by the model's evaluators.
+    histories maps ids to History records, moments maps ids to Moment
+    records and labels maps (moment, history) to atom names, the history
+    "*" naming all of H_m.  The masks are memoised here by the evaluators.
 
     Values rank by exact int keys over their common denominator.  A linked
-    path, from a root to a leaf with each step to a child, only marks its
-    leaf, and the moments are then filled deepest first.  broken maps every
-    other history to the moment and the text of its history-path violation,
-    and such a path is grouped moment by moment."""
+    path is its leaf's path from the root, so it only marks its leaf, and
+    the moments are then filled deepest first.  broken maps every other
+    history to the moment and the text of its history-path violation, and
+    such a path is grouped at each moment's last visit on it."""
 
-    def __init__(self, histories, positions, moments, labels):
-        lcm = math.lcm(*(h.value.denominator for h in histories.values()))
-        value = {h.id: h.value.numerator * (lcm // h.value.denominator)
-                 for h in histories.values()}
-        self.ids = sorted(value, key=lambda hid: (value[hid], hid))
+    def __init__(self, histories, moments, labels):
+        ratio = [h.value.as_integer_ratio() for h in histories.values()]
+        lcm = math.lcm(*(d for _, d in ratio))
+        keyed = sorted(zip([n * (lcm // d) for n, d in ratio], histories))
+        self.ids = [hid for _, hid in keyed]  # in (value, id) order
         self.bit = {hid: 1 << i for i, hid in enumerate(self.ids)}
-        rank = {v: i for i, v in enumerate(sorted(set(value.values())))}
-        self.rank = [rank[value[hid]] for hid in self.ids]  # bit i's rank
+        rank = {v: i for i, v in enumerate(sorted({v for v, _ in keyed}))}
+        self.rank = [rank[v] for v, _ in keyed]  # bit i's rank
         # succ[m] groups H_m by the next moment (step), a history that ends
         # at m stuttering there; the groups are disjoint, so H_m is their sum
         succ = {m: {} for m in moments}
         parent = {m: x.parent for m, x in moments.items()}
+        depth = {m: x.depth for m, x in moments.items()}
+        self.order = sorted(moments, key=depth.get, reverse=True)
+        rooted = {None: ()}  # moment -> its path from a root, in order
+        for m in reversed(self.order):  # shallowest first
+            if parent[m] in rooted:
+                rooted[m] = rooted[parent[m]] + (m,)
         inner = set(parent.values())  # the moments that are not leaves
         self.broken = {}  # history -> (moment, detail) of its broken path
         for hid, b in self.bit.items():
             ms = histories[hid].moments
-            if ms and parent.get(ms[0], 0) is None and ms[-1] not in inner \
-                    and tuple(map(parent.get, ms[1:])) == ms[:-1]:
+            if ms and ms[-1] not in inner and rooted.get(ms[-1]) == ms:
                 succ[ms[-1]][ms[-1]] = b | succ[ms[-1]].get(ms[-1], 0)
             else:
                 self.broken[hid] = _path_fault(hid, ms, parent)
-        depth = {m: x.depth for m, x in moments.items()}
-        self.order = sorted(moments, key=depth.get, reverse=True)
+        self.through = through = {}
         for m in self.order:  # deepest first; only linked ones grouped yet
-            if succ[m] and parent[m] is not None:
-                succ[parent[m]][m] = sum(succ[m].values())
+            through[m] = t = sum(succ[m].values())
+            if t and parent[m] is not None:
+                succ[parent[m]][m] = t
+        # a step that goes no deeper (the model fails validate()) tangles
+        # the order: a successor may come later.  Only a broken path can.
+        self.tangled = False
         for hid in self.broken:
             b, ms = self.bit[hid], histories[hid].moments
-            for m, i in positions[hid].items():
+            for m, i in {m: i for i, m in enumerate(ms)}.items():
                 groups = succ.setdefault(m, {})
                 n = ms[i + 1] if i + 1 < len(ms) else m
                 groups[n] = groups.get(n, 0) | b
+                through[m] = through.get(m, 0) | b
+                self.tangled |= n != m and depth.get(n, -1) <= depth.get(m, -1)
         self.order += [m for m in succ if m not in moments]  # undeclared last
-        self.through = through = {m: sum(groups.values())
-                                  for m, groups in succ.items()}
         self.succ = {m: tuple(groups.items()) for m, groups in succ.items()}
-        # a step that goes no deeper (the model fails validate()) tangles
-        # the order: a successor may come later
-        self.tangled = any(n != m and depth.get(n, -1) <= depth.get(m, -1)
-                           for m, groups in succ.items() for n in groups)
         self.labelled = {}  # atom -> moment -> histories labelled with it
-        for (m, hid), names in labels.items():
-            b = self.bit.get(hid, 0) & through.get(m, 0)
+        for (m, h), names in labels.items():  # "*" labels all of H_m
+            b = (-1 if h == "*" else self.bit.get(h, 0)) & through.get(m, 0)
             if b:
                 for name in names:
                     col = self.labelled.setdefault(name, {})

@@ -31,6 +31,7 @@ masks go stale.  The structural accessors only read.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import warnings
@@ -101,7 +102,8 @@ class ExplicitStitModel:
     def __init__(self, agents, atoms, moments, histories, choices, labels):
         """moments: iterable of (id, parent); histories: (id, moment ids, value);
         choices: mapping (agent, moment id) -> iterable of actions (iterables of
-        history ids); labels: mapping (moment id, history id) -> atoms."""
+        history ids); labels: mapping (moment id, history id) -> atoms, "*"
+        standing for every history through the moment."""
         self.agents = list(agents)
         self.atoms = list(atoms)
         self.moments: dict[int, Moment] = {}
@@ -117,7 +119,7 @@ class ExplicitStitModel:
         self.choices: dict[tuple[str, int], tuple[frozenset, ...]] = {
             (agent, int(mid)): tuple(frozenset(cell) for cell in cells)
             for (agent, mid), cells in dict(choices).items()}
-        self.labels: dict[tuple[int, str], frozenset] = {
+        self._labels: dict[tuple[int, str], frozenset] = {
             (int(mid), hid): frozenset(av)
             for (mid, hid), av in dict(labels).items()}
         grouped: dict[int, set] = {m: set() for m in self.moments}
@@ -126,8 +128,6 @@ class ExplicitStitModel:
                 if mid in grouped:
                     grouped[mid].add(h.id)
         self._through = {m: frozenset(hs) for m, hs in grouped.items()}
-        self._hpos = {h.id: {mid: i for i, mid in enumerate(h.moments)}
-                      for h in self.histories.values()}
         self._ix = None  # evaluation index, built on first use
         self._warned_atoms: set = set()
 
@@ -160,18 +160,33 @@ class ExplicitStitModel:
         """H_m: ids of the histories passing through the moment."""
         return self._through[self._check_moment(mid)]
 
+    @functools.cached_property
+    def labels(self) -> dict[tuple[int, str], frozenset]:
+        """labels, each "*" entry spelled out in history order, as loaded."""
+        through: dict[int, list] = {}
+        for h in self.histories.values():
+            for mid in h.moments:  # a repeat adds nothing below
+                through.setdefault(mid, []).append(h.id)
+        out = {}
+        for (mid, hid), atoms in self._labels.items():
+            for h in through.get(mid, ()) if hid == "*" else (hid,):
+                out[mid, h] = out.get((mid, h), frozenset()) | atoms
+        return out
+
     def label(self, mid, hid) -> frozenset:
-        return self.labels.get((mid, hid), frozenset())
+        on = hid in self.histories and mid in self.histories[hid].moments
+        return self._labels.get((mid, hid), frozenset()) | self._labels.get(
+            (mid, "*") if on else None, frozenset())
+
+    @functools.cached_property
+    def _hpos(self):  # per history, {moment: its last index on the path}
+        return {h.id: {mid: i for i, mid in enumerate(h.moments)}
+                for h in self.histories.values()}
 
     def step(self, mid, hid) -> int:
         """Next moment of the history after mid; the leaf repeats (stutter)."""
-        h = self._check_history(hid)
-        pos = self._hpos[hid].get(mid)
-        if pos is None:
-            raise ModelError(f"moment {mid} is not on history {hid}")
-        if pos + 1 < len(h.moments):
-            return h.moments[pos + 1]
-        return mid
+        rest = self.moments_from(mid, hid)
+        return rest[1] if len(rest) > 1 else mid
 
     def moments_from(self, mid, hid):
         """Moments of the history from mid to its leaf (no stuttering)."""
@@ -344,8 +359,7 @@ class ExplicitStitModel:
 
     def _index(self):
         if self._ix is None:
-            self._ix = ModelIndex(self.histories, self._hpos, self.moments,
-                                  self.labels)
+            self._ix = ModelIndex(self.histories, self.moments, self._labels)
         return self._ix
 
     def _mask(self, mid, x):
@@ -555,7 +569,7 @@ class ExplicitStitModel:
                     f"actions do not partition H_m: union {sorted(seen)} "
                     f"vs H_m {sorted(hm)}"))
         out.extend(self._validate_independence(empty))
-        out.extend(self._validate_undivided(ix, broken))
+        out.extend(self._validate_undivided(ix))
         return out
 
     def _validate_independence(self, empty):
@@ -577,17 +591,17 @@ class ExplicitStitModel:
                         + " x ".join(str(sorted(c)) for c in pick)))
         return out
 
-    def _validate_undivided(self, ix, broken):
-        out = []
+    def _validate_undivided(self, ix):
+        out, th, bad = [], self._through, ix.broken
         for (agent, mid), cells in sorted(self.choices.items()):
             if mid not in self.moments:
                 continue
             # when no cell holds a history with a broken path, two of its
-            # histories share a later moment iff they share the next one
-            masks = [ix.mask(cell) for cell in cells]
-            if not any(m & broken for m in masks) and all(
-                    sum(1 for m in masks if m & g) <= 1
-                    for n, g in ix.succ[mid] if n != mid):
+            # histories share a later moment iff they pass the same child,
+            # and the histories through a child n of mid are th[n]
+            if not (bad and any(not c.isdisjoint(bad) for c in cells)) and all(
+                    sum(not c.isdisjoint(th.get(n, ())) for c in cells) <= 1
+                    for n, _ in ix.succ[mid] if n != mid):
                 continue
             cell_of = {h: i for i, cell in enumerate(cells) for h in cell}
             # only histories that reach a common moment after mid can break
@@ -633,19 +647,11 @@ class ExplicitStitModel:
             if key in choices:
                 raise ModelError(f"duplicate choices entry for {key}")
             choices[key] = [list(cell) for cell in e["actions"]]
-        through = {}  # moment -> the ids of the histories through it
-        for hid, ms, _ in histories:
-            for mid in set(ms):
-                through.setdefault(mid, []).append(hid)
-        labels = {}
+        labels = {}  # a "*" entry stays one entry, per moment
         for e in _entries(data, "labels",
                           {"moment": int, "history": str, "atoms": [str]}):
-            mid = int(e["moment"])
-            hsel = e["history"]
-            targets = through.get(mid, []) if hsel == "*" else [hsel]
-            for h in targets:
-                key = (mid, h)
-                labels[key] = sorted(set(labels.get(key, [])) | set(e["atoms"]))
+            key = (int(e["moment"]), e["history"])
+            labels[key] = labels.get(key, frozenset()).union(e["atoms"])
         return cls(data["agents"], data["atoms"], moments, histories,
                    choices, labels)
 

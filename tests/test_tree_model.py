@@ -149,6 +149,36 @@ class TestValidate:
             f"[leaf-covered] (moment={e}) no history ends at this leaf"
             if isinstance(e, int) else e for e in expected]
 
+    @pytest.mark.parametrize("path,expected", [
+        ([9], "history h1 mentions unknown moments"),
+        ([0, 1, 0, 4], "(moment=0) history h1: 0 is not a child of 1"),
+        ([0], "(moment=0) history h1 ends at a non-leaf moment"),
+        ([5, 6], "(moment=5) history h1 does not start at the root"),
+        ([], "history h1 mentions unknown moments"),
+    ], ids=["undeclared-moment-alone", "back-to-the-root", "inner-end",
+            "through-an-orphan", "no-moments"])
+    def test_path_checked_by_its_leaf(self, path, expected):
+        """A linked path is its leaf's path from the root: each of these is
+        not, and is reported, grouped and evaluated as the path-by-path
+        reference has it.  Moment 5's parent 9 is not declared."""
+        moments = [(0, None), (1, 0), (2, 1), (3, 1), (4, 0), (5, 9), (6, 5)]
+        histories = [("h0", [0, 1, 2], 1), ("h1", path, 2), ("h2", [0, 4], 3)]
+        labels = {(0, "*"): {"q"}, (1, "h0"): {"p"}, (4, "*"): {"p"},
+                  (6, "*"): {"p"}, (9, "*"): {"q"}}
+        model = ExplicitStitModel(["alpha"], ["p", "q"], moments, histories,
+                                  {}, labels)
+        got = model.validate()
+        assert got == reference_validate(model)
+        assert [str(v) for v in got if v.axiom == "history-path"] == [
+            f"[history-path] {expected}"]
+        assert list(model._index().broken) == ["h1"]
+        ref = RecursiveReference(model)
+        for f in map(fm.parse_formula, ("F p", "G q", "X p", "q U p")):
+            for mid in model.moments:
+                for h in sorted(model.histories_through(mid)):
+                    assert model.satisfies(mid, h, f) == ref.sat(mid, h, f), \
+                        (fm.render(f), mid, h)
+
     def test_random_models_are_valid(self):
         rng = random.Random(42)
         for _ in range(150):
@@ -1222,6 +1252,57 @@ class TestValueOrder:
             assert ix.ids == [h.id for h in expected]
             distinct = sorted({h.value for h in expected})
             assert ix.rank == [distinct.index(h.value) for h in expected]
+
+
+LABEL_FORM_STATEMENTS = tuple(map(fm.parse, (
+    "p", "q & !g", "X p", "F q", "G (p -> X q)", "p U q", "q R g",
+    "p BR[2] q", "F[1:2] g", "A F p", "E G q", "[alpha cstit: F p]",
+    "[alpha dstit: q]", "O[alpha cstit: F p]", "O[alpha cstit: G q / p]")))
+
+
+def _verdict(model, mid, hid, statement):
+    try:
+        return model.satisfies(mid, hid, statement)
+    except ModelError:
+        return "refused"
+
+
+def test_moment_labels_read_like_labels_spelled_out():
+    """A "*" entry is kept once per moment, and the index reads it as H_m.
+    The same model with each such entry spelled out per history has the
+    same labelled columns, labels, label(), file and verdicts, also where
+    paths are broken or pass undeclared moments."""
+    rng = random.Random(51)
+    for i in range(200):
+        drawn = TestUndividedByGrouping.scrambled(rng) if i % 2 else \
+            random_model(rng, max_depth=rng.randint(1, 4),
+                         max_histories=rng.randint(2, 10),
+                         n_agents=rng.randint(1, 2))
+        paths = {h.id: h.moments for h in drawn.histories.values()}
+        moments = sorted(set(drawn.moments).union(*paths.values()))
+        stars = {m: frozenset(rng.sample(drawn.atoms, rng.randint(0, 2)))
+                 for m in moments if rng.random() < .7}
+        wild = {**drawn.labels, **{(m, "*"): a for m, a in stars.items()}}
+        spelled = dict(drawn.labels)
+        for m, atoms in stars.items():
+            for hid, ms in paths.items():
+                if m in ms:
+                    spelled[m, hid] = spelled.get((m, hid), frozenset()) | atoms
+        a, b = (ExplicitStitModel(
+            drawn.agents, drawn.atoms,
+            [(m.id, m.parent) for m in drawn.moments.values()],
+            [(h.id, h.moments, h.value) for h in drawn.histories.values()],
+            drawn.choices, labels) for labels in (wild, spelled))
+        assert list(a.labels.items()) == list(b.labels.items()), i
+        assert all(a.label(m, h) == b.label(m, h)
+                   for m in moments for h in paths), i
+        assert a.to_json() == b.to_json(), i
+        assert a._index().labelled == b._index().labelled, i
+        for st in LABEL_FORM_STATEMENTS:
+            for mid in drawn.moments:
+                for h in sorted(drawn.histories_through(mid)):
+                    assert _verdict(a, mid, h, st) == _verdict(b, mid, h, st), \
+                        (i, fm.render(st), mid, h)
 
 
 def test_wildcard_labels_load_like_spelled_out_entries():
