@@ -345,10 +345,12 @@ def product(automata, names=None) -> StitAutomaton:
 def unroll(aut: StitAutomaton, depth: int, agent: str = "alpha") -> ExplicitStitModel:
     """Execute the automaton for `depth` steps and build the stit model.
 
-    Moments mirror (state, path) pairs, the choice at each non-leaf moment
-    mirrors the actions enabled at its state, one "*" label entry per moment
-    copies its state's labeling, and each history's value accumulates the
-    weights along its path (under min, the bottleneck of the finite prefix).
+    Moments mirror (state, path) pairs, built and numbered level by level;
+    the histories are read off the last level, each walked up from its
+    leaf.  The choice at each non-leaf moment mirrors the actions enabled at
+    its state, one "*" label entry per moment copies its state's labeling,
+    and each history's value accumulates the weights along its path (under
+    min, the bottleneck of the finite prefix).
 
     A finite prefix's bottleneck only bounds the infinite history's value
     from above, so value questions go through extremal_values or lasso
@@ -376,13 +378,11 @@ def unroll(aut: StitAutomaton, depth: int, agent: str = "alpha") -> ExplicitStit
     child_action: dict[int, str] = {}
     bottleneck: dict[int, Fraction] = {}  # the least weight from the root
     frontier = [0]
-    next_id = 1
     for _ in range(depth):
         new_frontier = []
         for m in frontier:
             for t in aut.out(state_of[m]):
-                mid = next_id
-                next_id += 1
+                mid = len(moments)  # a moment's id is its index in moments
                 moments.append((mid, m))
                 state_of[mid] = t.dst
                 child_action[mid] = t.action
@@ -390,35 +390,23 @@ def unroll(aut: StitAutomaton, depth: int, agent: str = "alpha") -> ExplicitStit
                                    else min(bottleneck[m], t.weight))
                 new_frontier.append(mid)
         frontier = new_frontier
-    children: dict[int, list[int]] = {}
-    for mid, parent in moments:
-        if parent is not None:
-            children.setdefault(parent, []).append(mid)
+    # no reachable state is a dead end, so every leaf is on the last level,
+    # which lists the leaves in the depth-first pre-order that numbers the
+    # histories h1, h2, ...
     histories = []
-    stack = [[0]]  # root-to-moment paths; histories are numbered h1, h2, ...
-    while stack:   # in depth-first pre-order, first child first
-        path = stack.pop()
-        kids = children.get(path[-1])
-        if kids:
-            stack.extend(path + [kid] for kid in reversed(kids))
-            continue
-        value = bottleneck.get(path[-1], Fraction(0))
-        histories.append((f"h{len(histories) + 1}", path, value))
-    through: dict[int, list[str]] = {}
-    for hid, ms, _ in histories:
-        for m in ms:
-            through.setdefault(m, []).append(hid)
+    cells: dict[tuple[int, str], list[str]] = {}  # (moment, action) -> ids
+    for leaf in frontier:
+        hid, path, m = f"h{len(histories) + 1}", [], leaf
+        while m != 0:  # up to the root
+            cells.setdefault((moments[m][1], child_action[m]), []).append(hid)
+            path.append(m)
+            m = moments[m][1]
+        histories.append((hid, [0] + path[::-1], bottleneck[leaf]))
     choices = {}
-    for mid, _ in moments:
-        kids = children.get(mid)
-        if not kids:
-            continue
-        cells = {}
-        for kid in kids:
-            cells.setdefault(child_action[kid], set()).update(through.get(kid, ()))
-        ordered = [sorted(cells[a]) for a in aut.enabled_actions(state_of[mid])
-                   if a in cells]
-        choices[(agent, mid)] = ordered
+    for mid, _ in moments[:len(moments) - len(frontier)]:
+        choices[(agent, mid)] = [
+            sorted(cells[mid, a]) for a in aut.enabled_actions(state_of[mid])
+            if (mid, a) in cells]
     labels = {(mid, "*"): aut.label(state_of[mid]) for mid, _ in moments}
     return ExplicitStitModel([agent], aut.atoms(), moments, histories,
                              choices, labels)

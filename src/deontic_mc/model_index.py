@@ -4,9 +4,9 @@ Bit i of a mask stands for the i-th history in (value, id) order, so the
 lowest and the highest set bit of a mask carry the least and the greatest
 value among its histories.  Per moment the index keeps H_m as a mask and
 H_m grouped by the moment each history steps to next, a history that ends
-at the moment stuttering there.  From these it unfolds bounded horizons
-(``fronts``) and fills Until and Release (``sweep``) over one order of all
-the moments, successors first, that the index fixes when it is built.
+at the moment stuttering there.  The evaluators step bounded operators
+along these groups, and ``sweep`` fills Until and Release over one order of
+all the moments, successors first, that the index fixes when it is built.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class ModelIndex:
         self.states = {}   # (agents, moment) -> background state masks
         self.optimal = {}  # (agents, moment, condition) -> cell indices
 
-    def mask(self, hids):
+    def mask(self, hids):  # hids are distinct: the bits are summed
         bit = self.bit
         return sum(bit.get(h, 0) for h in hids)
 
@@ -100,30 +100,6 @@ class ModelIndex:
             m = k & s
             out.append((rank[(m & -m).bit_length() - 1],
                         rank[m.bit_length() - 1]) if m else None)
-        return out
-
-    def fronts(self, mid, lo, hi):
-        """Where H_mid's histories are after lo..hi steps, as moment ->
-        histories.  Once every history stutters at its leaf the front
-        repeats, so it is listed once: X^n, F[lo:hi] and BR[n] read the
-        same truth from one copy as from many."""
-        out = []
-        front = {mid: self.through[mid]}
-        for k in range(hi + 1):
-            if k >= lo:
-                out.append(front)
-            if k == hi:
-                break
-            nxt = {}
-            for c, g in front.items():
-                for n, g2 in self.succ[c]:
-                    if g & g2:
-                        nxt[n] = nxt.get(n, 0) | (g & g2)
-            if nxt == front:
-                if k < lo:
-                    out.append(front)
-                break
-            front = nxt
         return out
 
     def sweep(self, order, lt, rt, t, release):
@@ -167,10 +143,11 @@ def _path_fault(hid, ms, parent):
     return ms[-1], f"history {hid} ends at a non-leaf moment"
 
 
-def along(front, t):
-    """The histories of a front at whose moment t's formula holds."""
+def along(groups, t):
+    """The histories of (moment, histories) groups at whose moment t's
+    formula holds."""
     out = 0
-    for c, g in front.items():
+    for c, g in groups:
         out |= t[c] & g
     return out
 

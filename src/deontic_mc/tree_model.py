@@ -10,8 +10,9 @@ ultimately-constant extension.
 Evaluation is bit-parallel, on the bit index of ``model_index`` that
 ``validate`` or the first evaluation builds.  Each formula is evaluated once
 per moment into one int, the mask of the histories of H_m at which it holds.
-Connectives are &, | and ^ within H_m.  X, X^n, F[lo:hi] and BR[n] unfold
-the next-moment groups.  U, R, F and G fill the moments reachable from the
+Connectives are &, | and ^ within H_m.  X, X^n, F[lo:hi] and BR[n] run
+their unfolding backwards over levels of next moments that all the asked
+moments share.  U, R, F and G fill the moments reachable from the
 asked ones that are not yet filled in one pass over the index's fixed
 order of moments, successors first, with no recursion over moments.  A and
 E are all or nothing over H_m.  cstit, dstit and oughts compare choice-cell
@@ -134,24 +135,20 @@ class ExplicitStitModel:
     @staticmethod
     def _depths(parents):
         """Each moment's depth: the number of its ancestors that are
-        declared moments.  Each moment is walked over once."""
-        depths = {}
+        declared moments, numbered level by level down from the moments
+        whose parent is not declared.  A moment never reached is on or
+        below a cycle; the first such one in declaration order is named."""
+        children = {}
+        for mid, p in parents.items():
+            children.setdefault(p if p in parents else None, []).append(mid)
+        depths, level, depth = {}, children.get(None, []), 0
+        while level:
+            depths.update(dict.fromkeys(level, depth))
+            level = [c for m in level for c in children.get(m, ())]
+            depth += 1
         for mid in parents:
-            path, on_path, cur = [], set(), mid
-            while cur not in depths:
-                par = parents[cur]
-                if par is None or par not in parents:
-                    depths[cur] = 0
-                    break
-                if cur in on_path:
-                    raise ModelError(f"cyclic parent chain at moment {mid}")
-                on_path.add(cur)
-                path.append(cur)
-                cur = par
-            depth = depths[cur]
-            for m in reversed(path):
-                depth += 1
-                depths[m] = depth
+            if mid not in depths:
+                raise ModelError(f"cyclic parent chain at moment {mid}")
         return depths
 
     # -- basic structure ----------------------------------------------------
@@ -271,9 +268,9 @@ class ExplicitStitModel:
         preferable within every background state and strictly so in one."""
         states = self._background(self._as_group(agents), mid)
         restrict = -1 if condition is None else self._mask(mid, condition)
-        ix = self._index()
-        return spans_dominate(ix.spans(ix.mask(k_low) & restrict, states),
-                              ix.spans(ix.mask(k_high) & restrict, states))
+        ix = self._index()  # an id named twice in a cell counts once
+        low, high = (ix.mask(set(k)) & restrict for k in (k_low, k_high))
+        return spans_dominate(ix.spans(low, states), ix.spans(high, states))
 
     def optimal_actions(self, agents, mid, condition=None) -> ActionSet:
         """Un-dominated actions of the agent (or group) at the moment.
@@ -417,8 +414,12 @@ class ExplicitStitModel:
                 t[m] = (th[m] ^ lt[m]) | rt[m]
 
     def _bounded(self, x, ms, t):
-        """X, X^n, F[lo:hi] and l BR[n] r: the next-moment groups are
-        unfolded from each moment for the operator's bounded horizon."""
+        """X, X^n, F[lo:hi] and l BR[n] r by compile's recurrences, run
+        backwards over levels (level 0 is ms, level k + 1 the next moments
+        of level k): F[lo:hi] o = X^lo (o | X (o | ...)) and
+        l BR[n] r = l | (r & X (l BR[n-1] r)).  The levels stop after hi
+        steps or once no history moves, where X^j o = F[a:b] o = o and
+        l BR[j] r = l | r; o is read from level min(lo, last) on."""
         op = type(x)
         if op is fm.Next:
             lo = hi = 1
@@ -428,26 +429,30 @@ class ExplicitStitModel:
             lo, hi = x.lo, x.hi
         else:
             lo, hi = 0, x.bound
-        fronts = {m: self._ix.fronts(m, lo, hi) for m in ms}
-        reached = list(dict.fromkeys(
-            c for fs in fronts.values() for front in fs for c in front))
-        if op is not fm.BoundedRelease:
+        succ = self._ix.succ
+        levels = [ms]
+        while len(levels) <= hi:
+            nxt = list(dict.fromkeys(n for m in levels[-1] for n, _ in succ[m]))
+            # a level where no history moves is its own next level
+            if nxt == levels[-1] and all(n == m for m in nxt
+                                         for n, _ in succ[m]):
+                break
+            levels.append(nxt)
+        last = len(levels) - 1
+        reached = dict.fromkeys(itertools.chain(
+            *levels[0 if op is fm.BoundedRelease else min(lo, last):]))
+        if op is fm.BoundedRelease:
+            lt, rt = self._table(x.left, reached), self._table(x.right, reached)
+            e = {m: lt[m] | rt[m] for m in levels[last]}
+            for level in reversed(levels[:last]):
+                e = {m: lt[m] | (rt[m] & along(succ[m], e)) for m in level}
+        else:
             o = self._table(x.operand, reached)
-            for m, fs in fronts.items():
-                out = 0
-                for front in fs:
-                    out |= along(front, o)
-                t[m] = out
-            return
-        # l BR[N] r = l | (r & X l) | ... | (r & ... & X^(N-1) r & X^N l)
-        #               | (r & X r & ... & X^N r)
-        lt, rt = self._table(x.left, reached), self._table(x.right, reached)
-        for m, fs in fronts.items():
-            out, alive = 0, self._ix.through[m]  # alive: r held at every step
-            for front in fs:
-                out |= alive & along(front, lt)
-                alive &= along(front, rt)
-            t[m] = out | alive
+            e = {m: o[m] for m in levels[last]}
+            for k in range(last - 1, -1, -1):
+                e = {m: along(succ[m], e) | (o[m] if k >= lo else 0)
+                     for m in levels[k]}
+        t.update(e)
 
     def _unbounded(self, x, ms, t):
         """U, R, F and G in one pass over the moments reachable from ms
@@ -570,6 +575,11 @@ class ExplicitStitModel:
                     f"vs H_m {sorted(hm)}"))
         out.extend(self._validate_independence(empty))
         out.extend(self._validate_undivided(ix))
+        out.extend(Violation("labels", None, mid, f"label entry for {hid} "
+                             "names no history through a declared moment")
+                   for mid, hid in self._labels  # in entry order
+                   if mid not in self.moments
+                   or hid != "*" and hid not in self._through[mid])
         return out
 
     def _validate_independence(self, empty):

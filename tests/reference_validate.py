@@ -1,7 +1,7 @@
 """Every model axiom checked path by path and set by set: the reference that
 ExplicitStitModel.validate, which reads the paths off the evaluation index,
-is compared against.  It reads only the model's public structure and never
-builds the index.
+is compared against.  It reads only the model's public structure and its
+label entries as loaded, and never builds the index.
 """
 
 import itertools
@@ -12,7 +12,7 @@ from deontic_mc.tree_model import Violation
 def reference_validate(model):
     """The violations of every structural axiom, in validate's order: root,
     parent, history-path (one at most per history), leaf-covered,
-    partition, independence, undivided."""
+    partition, independence, undivided, labels."""
     out = []
     roots = [m.id for m in model.moments.values() if m.parent is None]
     if len(roots) != 1 or (roots and roots[0] != 0):
@@ -77,6 +77,13 @@ def reference_validate(model):
                 f"vs H_m {sorted(hm)}"))
     out.extend(_independence(model))
     out.extend(_undivided(model, linked))
+    for mid, hid in model._labels:  # the entries as loaded, in order
+        if mid not in model.moments or hid != "*" and (
+                hid not in model.histories
+                or mid not in model.histories[hid].moments):
+            out.append(Violation(
+                "labels", None, mid, f"label entry for {hid} names no "
+                f"history through a declared moment"))
     return out
 
 

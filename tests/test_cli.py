@@ -65,6 +65,16 @@ class TestValidate:
         code, out, _ = run(capsys, "validate", str(path))
         assert code == 1 and "partition" in out
 
+    def test_label_entry_matching_no_history_exits_one(self, capsys,
+                                                      tmp_path):
+        data = rss.fig1_model().to_json()
+        data["labels"].append({"moment": 0, "history": "h99", "atoms": ["A"]})
+        path = tmp_path / "typo.json"
+        path.write_text(json.dumps(data))
+        code, out, _ = run(capsys, "validate", str(path))
+        assert code == 1
+        assert "[labels] (moment=0) label entry for h99" in out
+
     def test_malformed_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text("{ not json")

@@ -131,6 +131,69 @@ class TestValidate:
             ExplicitStitModel(["alpha"], [], [(0, None), (1, 2), (2, 3),
                                               (3, 2)], [], {}, {})
 
+    @pytest.mark.parametrize("moments", [
+        [(0, None), (1, 0), (2, 2), (3, 2), (4, 1)],
+        [(0, None), (4, 5), (5, 6), (1, 0), (6, 7), (7, 6)],
+        [(0, None), (2, 1), (1, 0), (3, 9), (4, 3), (5, 8), (6, 5), (7, 6)],
+        [(0, None), (3, 9), (10, 11), (11, 10), (12, 3)],
+    ], ids=["self-parent", "chain-into-a-cycle", "orphans",
+            "orphan-and-cycle"])
+    def test_depths_match_an_upward_walk(self, moments):
+        """Depths, or the moment a cycle is named at, as a walk up each
+        moment's parent chain finds them."""
+        self._same_depths(moments)
+
+    def test_depths_match_an_upward_walk_on_random_parents(self):
+        rng = random.Random(52)
+        for _ in range(300):
+            ids = rng.sample(range(12), rng.randint(1, 8))
+            self._same_depths([(m, rng.choice(ids + [None, 99]))
+                               for m in ids])
+
+    @staticmethod
+    def _upward_depths(parents):
+        """Each moment's depth by a walk up its parent chain to an
+        undeclared parent, or the error naming the first moment whose walk
+        comes back on itself."""
+        depths = {}
+        for mid in parents:
+            seen, cur = {mid}, mid
+            while parents[cur] in parents:
+                cur = parents[cur]
+                if cur in seen:
+                    return f"cyclic parent chain at moment {mid}"
+                seen.add(cur)
+            depths[mid] = len(seen) - 1
+        return depths
+
+    def _same_depths(self, moments):
+        try:
+            model = ExplicitStitModel(["alpha"], [], moments, [], {}, {})
+        except ModelError as e:
+            got = str(e)
+        else:
+            got = {m.id: m.depth for m in model.moments.values()}
+        assert got == self._upward_depths(dict(moments)), moments
+
+    def test_label_entries_that_match_nothing(self, fig1):
+        """An entry at an undeclared moment, or for a history that is not
+        declared or does not pass through its moment, is reported in entry
+        order; a "*" entry at a declared moment is not."""
+        data = fig1.to_json()
+        data["labels"] += [
+            {"moment": 0, "history": "h99", "atoms": ["A"]},
+            {"moment": 77, "history": "h1", "atoms": ["A"]},
+            {"moment": 77, "history": "*", "atoms": ["A"]},
+            {"moment": 3, "history": "h1", "atoms": ["A"]},
+            {"moment": 1, "history": "*", "atoms": ["A"]}]
+        model = ExplicitStitModel.from_json(data)
+        got = model.validate()
+        assert [str(v) for v in got] == [
+            f"[labels] (moment={m}) label entry for {h} names no history "
+            f"through a declared moment"
+            for m, h in ((0, "h99"), (77, "h1"), (77, "*"), (3, "h1"))]
+        assert got == reference_validate(model)
+
     def test_history_must_end_at_leaf(self):
         moments = [(0, None), (1, 0), (2, 1)]
         histories = [("h1", [0, 1], 1), ("h2", [0, 1, 2], 1)]
@@ -869,6 +932,53 @@ class TestBitmaskEvaluation:
                 model, statements + random_statements(rng, model), tally)
         assert tally["OughtStatement", True] and \
             tally["OughtStatement", False]
+
+    @pytest.mark.filterwarnings("ignore:atom")
+    def test_bounds_past_the_leaves(self):
+        """X^7, F[3:9] and BR[12] reach past the leaves, or start beyond
+        them: alone, under G and F and under a stit, at every moment of
+        fig2, of random models and of depth-5 unrollings."""
+        rng = random.Random(53)
+        models = [rss.fig2_model()]
+        models += [random_model(rng, max_depth=rng.randint(1, 4),
+                                max_histories=rng.randint(2, 8),
+                                n_agents=rng.randint(1, 2)) for _ in range(40)]
+        models += [unroll(binary_automaton(rng), 5) for _ in range(3)]
+        tally = Counter()
+        for model in models:
+            ref = RecursiveReference(model)
+            a, p, q = model.agents[0], model.atoms[0], model.atoms[-1]
+            for body in (f"X^7 {p}", f"F[3:9] {q}", f"{p} BR[12] {q}"):
+                for text in (body, f"G ({body})", f"F ({body})",
+                             f"[{a} cstit: {body}]"):
+                    f = fm.parse_formula(text)
+                    for mid in model.moments:
+                        for h in sorted(model.histories_through(mid)):
+                            got = model.satisfies(mid, h, f)
+                            assert got == ref.sat(mid, h, f), (text, mid, h)
+                            tally[got] += 1
+        assert tally[True] > 1000 and tally[False] > 1000, tally
+
+    def test_repeated_ids_in_a_cell_count_once(self, fig1):
+        """A cell given to dominates with an id named twice is the same
+        cell, with and without a condition."""
+        k, k2 = (sorted(c) for c in fig1.actions_at("alpha", 0))
+        assert fig1.dominates("alpha", 0, k, k2)
+        assert fig1.dominates("alpha", 0, k + k, k2)
+        seen = Counter()
+        for model in (fig1, rss.fig2_model(), rss.fig3_model(),
+                      tiny_two_agent(values=(5, 5, 5, 1))):
+            ref, agent = RecursiveReference(model), model.agents[0]
+            cells = [sorted(c) for c in model.actions_at(agent, 0)]
+            for lo, hi in itertools.product(cells, repeat=2):
+                for cond in (None, fm.parse_formula(f"!{model.atoms[0]}")):
+                    want = ref.dominates((agent,), 0, frozenset(lo),
+                                         frozenset(hi), cond)
+                    for args in ((lo + lo, hi), (lo, hi[::-1] + hi),
+                                 (lo + lo[:1], hi + hi)):
+                        assert model.dominates(agent, 0, *args, cond) == want
+                    seen[want] += 1
+        assert seen[True] and seen[False], seen
 
     @pytest.mark.filterwarnings("ignore:atom")
     @pytest.mark.parametrize("name", ["fig1", "fig2", "fig3"])
