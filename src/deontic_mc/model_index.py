@@ -5,8 +5,8 @@ lowest and the highest set bit of a mask carry the least and the greatest
 value among its histories.  Per moment the index keeps H_m as a mask and
 H_m grouped by the moment each history steps to next, a history that ends
 at the moment stuttering there.  The evaluators step bounded operators
-along these groups, and ``sweep`` fills Until and Release over one order of
-all the moments, successors first, that the index fixes when it is built.
+along these groups.  ``sweep`` fills Until and Release over the moments that
+``reach`` reads off the model's reversed depth-first pre-order, as blocks.
 """
 
 from __future__ import annotations
@@ -19,15 +19,16 @@ class ModelIndex:
 
     histories maps ids to History records, moments maps ids to Moment
     records and labels maps (moment, history) to atom names, the history
-    "*" naming all of H_m.  The masks are memoised here by the evaluators.
+    "*" naming all of H_m.  order, block and paths are the model's walk of
+    its moments.  The masks are memoised here by the evaluators.
 
     Values rank by exact int keys over their common denominator.  A linked
     path is its leaf's path from the root, so it only marks its leaf, and
-    the moments are then filled deepest first.  broken maps every other
+    the moments are then filled successors first.  broken maps every other
     history to the moment and the text of its history-path violation, and
     such a path is grouped at each moment's last visit on it."""
 
-    def __init__(self, histories, moments, labels):
+    def __init__(self, histories, moments, labels, order, block, paths):
         ratio = [h.value.as_integer_ratio() for h in histories.values()]
         lcm = math.lcm(*(d for _, d in ratio))
         keyed = sorted(zip([n * (lcm // d) for n, d in ratio], histories))
@@ -39,28 +40,19 @@ class ModelIndex:
         # at m stuttering there; the groups are disjoint, so H_m is their sum
         succ = {m: {} for m in moments}
         parent = {m: x.parent for m, x in moments.items()}
-        depth = {m: x.depth for m, x in moments.items()}
-        self.order = sorted(moments, key=depth.get, reverse=True)
-        rooted = {None: ()}  # moment -> its path from a root, in order
-        for m in reversed(self.order):  # shallowest first
-            if parent[m] in rooted:
-                rooted[m] = rooted[parent[m]] + (m,)
-        inner = set(parent.values())  # the moments that are not leaves
         self.broken = {}  # history -> (moment, detail) of its broken path
         for hid, b in self.bit.items():
-            ms = histories[hid].moments
-            if ms and ms[-1] not in inner and rooted.get(ms[-1]) == ms:
+            ms = histories[hid].moments  # linked: a leaf's path from a root
+            if ms and paths.get(ms[-1]) == ms and block[ms[-1]][1] == 1 \
+                    and parent[ms[0]] is None:
                 succ[ms[-1]][ms[-1]] = b | succ[ms[-1]].get(ms[-1], 0)
             else:
                 self.broken[hid] = _path_fault(hid, ms, parent)
         self.through = through = {}
-        for m in self.order:  # deepest first; only linked ones grouped yet
+        for m in order:  # successors first; only linked ones grouped yet
             through[m] = t = sum(succ[m].values())
             if t and parent[m] is not None:
                 succ[parent[m]][m] = t
-        # a step that goes no deeper (the model fails validate()) tangles
-        # the order: a successor may come later.  Only a broken path can.
-        self.tangled = False
         for hid in self.broken:
             b, ms = self.bit[hid], histories[hid].moments
             for m, i in {m: i for i, m in enumerate(ms)}.items():
@@ -68,8 +60,8 @@ class ModelIndex:
                 n = ms[i + 1] if i + 1 < len(ms) else m
                 groups[n] = groups.get(n, 0) | b
                 through[m] = through.get(m, 0) | b
-                self.tangled |= n != m and depth.get(n, -1) <= depth.get(m, -1)
-        self.order += [m for m in succ if m not in moments]  # undeclared last
+        self.order = order + [m for m in succ if m not in moments]
+        self.block = block  # moment -> (position in order, subtree size)
         self.succ = {m: tuple(groups.items()) for m, groups in succ.items()}
         self.labelled = {}  # atom -> moment -> histories labelled with it
         for (m, h), names in labels.items():  # "*" labels all of H_m
@@ -102,33 +94,50 @@ class ModelIndex:
                         rank[m.bit_length() - 1]) if m else None)
         return out
 
+    def reach(self, ms, t):
+        """The moments reachable from ms that t lacks, in self.order.  With
+        every path linked, a step stays in its moment's subtree, so these
+        are the blocks of ms less the moments in t (t holds whole blocks).
+        A broken path may step out of a subtree: then they are walked."""
+        if self.broken:
+            reach, todo = set(ms), list(ms)
+            while todo:
+                for n, _ in self.succ[todo.pop()]:
+                    if n not in reach and n not in t:
+                        reach.add(n)
+                        todo.append(n)
+            return [m for m in self.order if m in reach]
+        out, start = [], len(self.order)
+        for pos, size in sorted(map(self.block.__getitem__, ms), reverse=True):
+            if pos < start:  # not inside the last block taken
+                start = pos + 1 - size
+                out += [m for m in self.order[start:pos + 1] if m not in t]
+        return out
+
     def sweep(self, order, lt, rt, t, release):
         """Fill t with l U r, or l R r if release, from the masks lt of l
         and rt of r, over order: moments that t lacks, in self.order, each
-        with its successors in t or order.  A history that stutters at its
-        leaf ends an Until unfulfilled and a Release kept."""
-        if self.tangled:
-            # the order may put a moment before one it steps to.  Each
-            # history still only moves forward along its own path, so the
-            # fixpoint is unique: iterate from 0 until no mask changes.
-            t.update(dict.fromkeys(order, 0))
-        changed = True
-        while changed:
-            changed = False
+        with its successors in t or order.  lt None is true under Until
+        (F r) and false under Release (G r); the groups lie in H_m, so
+        F r = r | later and G r = r & later.  A history that stutters at
+        its leaf reads the preset: an Until unfulfilled, a Release kept."""
+        succ, broken = self.succ, self.broken
+        # a broken path may step to a moment later in the order.  Each
+        # history still only moves forward along its own path, so the
+        # fixpoint is unique: repeat from the preset until no mask changes.
+        t.update(dict.fromkeys(order, -1 if release else 0))
+        while True:
+            before = broken and dict(t)
             for m in order:
-                later = stay = 0
-                for n, g in self.succ[m]:
-                    if n == m:
-                        stay = g
-                    else:
-                        later |= t[n] & g
+                later = 0
+                for n, g in succ[m]:
+                    later |= t[n] & g
                 if release:
-                    v = rt[m] & (lt[m] | stay | later)
+                    t[m] = rt[m] & (later if lt is None else lt[m] | later)
                 else:
-                    v = rt[m] | (lt[m] & later)
-                if t.get(m) != v:
-                    t[m] = v
-                    changed = self.tangled
+                    t[m] = rt[m] | (later if lt is None else lt[m] & later)
+            if not broken or before == t:
+                return
 
 
 def _path_fault(hid, ms, parent):

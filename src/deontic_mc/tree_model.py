@@ -12,9 +12,9 @@ Evaluation is bit-parallel, on the bit index of ``model_index`` that
 per moment into one int, the mask of the histories of H_m at which it holds.
 Connectives are &, | and ^ within H_m.  X, X^n, F[lo:hi] and BR[n] run
 their unfolding backwards over levels of next moments that all the asked
-moments share.  U, R, F and G fill the moments reachable from the
-asked ones that are not yet filled in one pass over the index's fixed
-order of moments, successors first, with no recursion over moments.  A and
+moments share.  U, R, F and G fill the subtree blocks of the asked moments
+that are not yet filled, in one pass over the moments' depth-first order,
+successors first, that the model fixes when it is built.  A and
 E are all or nothing over H_m.  cstit, dstit and oughts compare choice-cell
 masks with the body's mask, and dominance compares the least and greatest
 values of each (cell, background state) pair, read off its lowest and
@@ -110,9 +110,9 @@ class ExplicitStitModel:
         self.moments: dict[int, Moment] = {}
         parents = {int(mid): (None if par is None else int(par))
                    for mid, par in moments}
-        depths = self._depths(parents)
+        *_, paths = self._tree = self._walk(parents)
         for mid, par in parents.items():
-            self.moments[mid] = Moment(mid, par, depths[mid])
+            self.moments[mid] = Moment(mid, par, len(paths[mid]) - 1)
         self.histories: dict[str, History] = {
             hid: History(hid, tuple(int(m) for m in ms),
                          _as_rational(v, "utility value", ModelError))
@@ -133,23 +133,31 @@ class ExplicitStitModel:
         self._warned_atoms: set = set()
 
     @staticmethod
-    def _depths(parents):
-        """Each moment's depth: the number of its ancestors that are
-        declared moments, numbered level by level down from the moments
-        whose parent is not declared.  A moment never reached is on or
-        below a cycle; the first such one in declaration order is named."""
+    def _walk(parents):
+        """A depth-first walk down from the moments whose parent is not
+        declared: the reversed pre-order (successors first), each moment's
+        block (its position there and its subtree's size) and its path from
+        its first declared ancestor.  A moment never reached is on or below
+        a cycle; the first one in declaration order is named."""
         children = {}
         for mid, p in parents.items():
             children.setdefault(p if p in parents else None, []).append(mid)
-        depths, level, depth = {}, children.get(None, []), 0
-        while level:
-            depths.update(dict.fromkeys(level, depth))
-            level = [c for m in level for c in children.get(m, ())]
-            depth += 1
+        order, stack, paths = [], list(children.get(None, ())), {}
+        while stack:
+            mid = stack.pop()
+            order.append(mid)
+            stack += children.get(mid, ())
+            paths[mid] = paths.get(parents[mid], ()) + (mid,)
         for mid in parents:
-            if mid not in depths:
+            if mid not in paths:
                 raise ModelError(f"cyclic parent chain at moment {mid}")
-        return depths
+        order.reverse()
+        size, block = dict.fromkeys(order, 1), {}
+        for i, mid in enumerate(order):
+            block[mid] = (i, size[mid])
+            if parents[mid] in size:
+                size[parents[mid]] += size[mid]
+        return order, block, paths
 
     # -- basic structure ----------------------------------------------------
 
@@ -327,9 +335,10 @@ class ExplicitStitModel:
     def _background(self, agents, mid):
         ix = self._index()
         hit = ix.states.get((agents, mid))
-        if hit is None:
-            hit = ix.states[agents, mid] = [
-                ix.mask(s) for s in self.background_states(agents, mid).states]
+        if hit is None:  # no agent outside the group: one state, H_m
+            s = self.background_states(agents, mid).states
+            hit = ix.states[agents, mid] = [ix.through[mid]] if s == (
+                self._through[mid],) else list(map(ix.mask, s))
         return hit
 
     # -- satisfaction --------------------------------------------------------
@@ -356,7 +365,8 @@ class ExplicitStitModel:
 
     def _index(self):
         if self._ix is None:
-            self._ix = ModelIndex(self.histories, self.moments, self._labels)
+            self._ix = ModelIndex(self.histories, self.moments, self._labels,
+                                  *self._tree)
         return self._ix
 
     def _mask(self, mid, x):
@@ -455,24 +465,15 @@ class ExplicitStitModel:
         t.update(e)
 
     def _unbounded(self, x, ms, t):
-        """U, R, F and G in one pass over the moments reachable from ms
-        that t lacks, successors first; a history that stutters at its
-        leaf ends an Until unfulfilled and a Release kept."""
-        op = type(x)
-        if op is fm.Eventually:
-            left, right = fm.TRUE, x.operand
-        elif op is fm.Always:
-            left, right = fm.FALSE, x.operand
+        """U, R, F and G in one pass, successors first, over the moments
+        that ms reach and t lacks, read off the index (ModelIndex.reach);
+        F and G evaluate only their operand (ModelIndex.sweep)."""
+        op, ix = type(x), self._ix
+        order = ix.reach(ms, t)
+        if op is fm.Eventually or op is fm.Always:
+            lt, rt = None, self._table(x.operand, order)
         else:
-            left, right = x.left, x.right
-        ix, reach, todo = self._ix, set(ms), list(ms)
-        while todo:
-            for n, _ in ix.succ[todo.pop()]:
-                if n not in reach and n not in t:
-                    reach.add(n)
-                    todo.append(n)
-        order = [m for m in ix.order if m in reach]
-        lt, rt = self._table(left, order), self._table(right, order)
+            lt, rt = self._table(x.left, order), self._table(x.right, order)
         ix.sweep(order, lt, rt, t, release=op is fm.Release or op is fm.Always)
 
     def _path_quantifier(self, x, ms, t):

@@ -1156,16 +1156,89 @@ class TestEvaluationEdges:
             "everywhere"]
 
     def test_deep_unroll_evaluates_without_recursion(self):
+        """A 1,501-moment chain, asked at the root and, on a fresh
+        unrolling, at moment 700, whose block starts inside the order."""
         aut = StitAutomaton(["q0", "q1"], "q0", ["a"], [],
                             [("q0", "a", "q1", 1), ("q1", "a", "q1", 1)],
                             {"q0": {"p"}, "q1": {"p", "q"}})
-        model = unroll(aut, 1500)
-        assert len(model.moments) == 1501
-        h = next(iter(model.histories))
-        for text, expected in (("G p", True), ("F p", True), ("p U q", True),
-                               ("G q", False), ("F !p", False),
-                               ("p R q", False), ("X^1499 q", True)):
-            assert model.satisfies(0, h, fm.parse_formula(text)) is expected
+        for mid, cases in (
+                (0, (("G p", True), ("F p", True), ("p U q", True),
+                     ("G q", False), ("F !p", False), ("p R q", False),
+                     ("X^1499 q", True))),
+                (700, (("F p", True), ("G p", True), ("p U q", True)))):
+            model = unroll(aut, 1500)
+            assert len(model.moments) == 1501
+            assert model.moments[mid].depth == mid
+            h = next(iter(model.histories))
+            for text, expected in cases:
+                assert model.satisfies(mid, h, fm.parse_formula(text)) \
+                    is expected, (mid, text)
+
+
+def walked(ix, ms, t):
+    """The moments reachable from ms that t lacks, by a walk along the
+    next-moment groups: the reference for ModelIndex.reach's blocks."""
+    reach, todo = set(ms), [m for m in ms if m not in t]
+    while todo:
+        for n, _ in ix.succ[todo.pop()]:
+            if n not in reach and n not in t:
+                reach.add(n)
+                todo.append(n)
+    return reach
+
+
+class TestReachByBlocks:
+    """U, R, F and G fill the subtree blocks of the asked moments, read off
+    the index's order: exactly the moments a walk reaches, and never a
+    moment outside them."""
+
+    @pytest.mark.filterwarnings("ignore:atom")
+    def test_blocks_fill_what_the_walk_reaches(self):
+        rng = random.Random(54)
+        models = [random_model(rng, max_depth=rng.randint(1, 4),
+                               max_histories=rng.randint(2, 8),
+                               n_agents=rng.randint(1, 2))
+                  for _ in range(300)]
+        models += _unrolled_workload_models()
+        models += [getattr(rss, f"fig{i}_model")() for i in (1, 2, 3)]
+        seen = Counter()
+        for model in models:
+            for text in ("F p", "G q", "q U p", "F (G q)"):
+                f = fm.parse_formula(text)
+                fresh = copy.deepcopy(model)
+                ix, filled = fresh._index(), set()
+                for mid in rng.sample(list(model.moments), len(model.moments)):
+                    filled |= walked(ix, [mid], filled)
+                    fresh.extension(mid, f)
+                    # the formula and each operand, on the same moments
+                    for g in (f, *vars(f).values()):
+                        assert set(ix.masks[g]) == filled, (text, mid, g)
+                    seen[len(filled) < len(model.moments)] += 1
+        assert seen[True] > 1000 and seen[False] > 1000, seen
+
+    def test_operands_stay_inside_the_asked_subtree(self):
+        """alpha's cells at moment 2 leave out h4, so [alpha cstit: p] is
+        refused there.  Asked under moment 1, F of it never reaches moment
+        2 and is decided; asked at 2 or at the root, it is refused."""
+        model = ExplicitStitModel(
+            ["alpha"], ["p"],
+            [(0, None), (1, 0), (2, 0), (3, 1), (4, 1), (5, 2), (6, 2)],
+            [("h1", [0, 1, 3], 1), ("h2", [0, 1, 4], 2),
+             ("h3", [0, 2, 5], 3), ("h4", [0, 2, 6], 4)],
+            {("alpha", 1): [["h1"], ["h2"]], ("alpha", 2): [["h3"]]},
+            {(3, "*"): {"p"}, (5, "*"): {"p"}})
+        assert {v.axiom for v in model.validate()} == {"partition"}
+        f = fm.parse_formula("F [alpha cstit: p]")
+        ref, tally = RecursiveReference(model), Counter()
+        for mid in (3, 1, 4):
+            for h in sorted(model.histories_through(mid)):
+                got = model.satisfies(mid, h, f)
+                assert got == ref.sat(mid, h, f), (mid, h)
+                tally[got] += 1
+        assert tally[True] and tally[False], tally
+        for mid in (2, 0):
+            with pytest.raises(ModelError, match="do not cover 'h4'"):
+                model.satisfies(mid, "h3", f)
 
 
 # ======================== Validation on the index ========================
@@ -1233,7 +1306,7 @@ def _spoiled(model, rng):
     return ExplicitStitModel.from_json(data)
 
 
-INDEX_FIELDS = ("ids", "rank", "through", "succ", "order", "tangled",
+INDEX_FIELDS = ("ids", "rank", "through", "succ", "order", "block",
                 "labelled")
 
 
