@@ -10,9 +10,12 @@ from any number of states: the negation is compiled once, the reduction
 labels every state once, and one depth-first search explores the product
 on the fly, continuing from each state asked about and stopping at the
 first cycle through every acceptance set (Couvreur's emptiness check on
-Gabow's path-based SCC search).  The reducer's own E-checks use the same
-exploration.  A counterexample lasso is built only when asked for and is
-re-checked by direct lasso evaluation before it leaves this module.
+Gabow's path-based SCC search), or at the first node whose tableau node
+promises nothing, decided by whether its state starts an infinite path;
+one mark per product node holds its stack position or verdict.  The
+reducer's own E-checks use the same exploration.  A counterexample lasso
+is built only when asked for and is re-checked by direct lasso
+evaluation before it leaves this module.
 
 Every pass is one loop over the normal-form rows of formula.compile, which
 each entry point calls once, at the door; none recurses or hashes a
@@ -45,10 +48,12 @@ _EXPANDED = frozenset((fm.Atom, fm.Not, fm.TrueFormula, fm.FalseFormula,
 # The most rows the partial nodes of one Buchi automaton may take in all;
 # past it a check raises ResourceLimitError.
 MAX_TABLEAU_STEPS = 1 << 17
+GOOD, BAD = -1, -2  # a decided product node's mark; no stack position
 
 
 class TransitionSystem:
-    """Unlabeled-edge Kripke structure with a single initial state."""
+    """Unlabeled-edge Kripke structure with a single initial state; live
+    holds the states that start an infinite path, all in a total one."""
 
     def __init__(self, states, initial, edges, labels):
         self.states = list(states)
@@ -58,6 +63,10 @@ class TransitionSystem:
             if dst not in self.succ[src]:
                 self.succ[src].append(dst)
         self.labels = {q: frozenset(labels.get(q, ())) for q in self.states}
+        self.live = set(self.states)
+        while dead := {q for q in self.live
+                       if self.live.isdisjoint(self.succ[q])}:
+            self.live -= dead
 
     def successors(self, state):
         return self.succ[state]
@@ -67,9 +76,8 @@ class TransitionSystem:
         self.states.append(state)
         self.succ[state] = list(dict.fromkeys(targets))
         self.labels[state] = frozenset(label)
-
-    def is_total(self):
-        return all(self.succ[q] for q in self.states)
+        if not self.live.isdisjoint(self.succ[state]):
+            self.live.add(state)
 
     def require_total(self):
         dead = [q for q in self.states if not self.succ[q]]
@@ -107,7 +115,9 @@ class BuchiAutomaton:
     Bit i of accepting[b] puts b in the set of the Until in row i; full
     has every set's bit.  expand(key), key = mask number << len(atoms) |
     letter, lists the nodes that expand the mask and read the letter, filed
-    under step[key]; nexts[b] is b's mask number so shifted, initial 0's."""
+    under step[key]; nexts[b] is b's mask number so shifted, initial 0's.
+    free[b] says b's next mask is empty, so its one successor on every
+    letter is T = (0, 0, that mask, full), which loops on itself."""
 
     def __init__(self, rows):
         self.rows = rows
@@ -126,7 +136,7 @@ class BuchiAutomaton:
         self.initial, self.masks = 0, [1 << len(rows) - 1]
         self._numbers = {self.masks[0]: 0}  # mask -> its number
         self.states: dict[tuple, int] = {}
-        self.accepting, self.nexts = [], []  # per node
+        self.accepting, self.nexts, self.free = [], [], []  # per node
         self.step: dict[int, list[int]] = {}
         self._expanded: dict[int, dict] = {}  # number -> {node: (pos, neg)}
         self._steps = 0
@@ -214,6 +224,7 @@ class BuchiAutomaton:
                 if b == len(self.accepting):
                     self.accepting.append(acc)
                     self.nexts.append(m << len(self.atoms))
+                    self.free.append(not nxt)
                 found[b] = pos, neg
         self._steps = steps
         return found
@@ -232,20 +243,20 @@ def ltl_to_buchi(f) -> BuchiAutomaton:
 class _Product:
     """The product of a transition system and a Buchi automaton, explored
     on demand by one depth-first search that stops at the first accepting
-    cycle it closes.
+    cycle it closes, or at a node (q, b) with b free, which is good iff q
+    is live: it is decided on sight, and neither it nor T is expanded.
 
     Each call continues the same exploration from new start nodes, so every
     node's successors are computed once however many states are asked
-    about.  Between calls every explored node is decided: `good` holds
-    nodes that reach a cycle through every acceptance set, `_bad` nodes
-    that reach none, and `accepting` maps each node on such a cycle to the
-    strongly connected nodes it was found among."""
+    about.  `mark` maps a node to its stack position while a search runs,
+    and to GOOD or BAD once it is decided, as every explored node is when
+    a search returns; `accepting` maps each node on an accepting cycle
+    found to the strongly connected nodes it was found among."""
 
     def __init__(self, ts, labels, buchi):
         self.ts, self.labels, self.buchi = ts, labels, buchi
         self._succ: dict = {}
-        self.good: set = set()
-        self._bad: set = set()
+        self.mark: dict = {}
         self.accepting: dict = {}
 
     def starts(self, q):
@@ -258,11 +269,14 @@ class _Product:
         if hit is None:
             q, b = node
             buchi, labels = self.buchi, self.labels
-            step, letter = buchi.step, buchi.letter
+            step, letters = buchi.step, buchi._letters
             promises = buchi.nexts[b]
             hit = []
-            for q2 in self.ts.successors(q):
-                nodes = step.get(key := promises | letter(labels[q2]))
+            for q2 in self.ts.succ[q]:
+                letter = letters.get(label := labels[q2])
+                if letter is None:
+                    letter = buchi.letter(label)
+                nodes = step.get(key := promises | letter)
                 if nodes is None:
                     nodes = buchi.expand(key)
                 for b2 in nodes:
@@ -280,66 +294,75 @@ class _Product:
         back edge merges those above its target, ORing their bits, and bits
         covering every set close an accepting cycle in that stack segment.
         Then, or on an edge into a good node, the whole stack is good; an
-        SCC that completes first is popped as not good."""
-        good, bad, succ = self.good, self._bad, self.succ
-        acc, full = self.buchi.accepting, self.buchi.full
-        stack, pos, roots = [], {}, [[-1, 0]]
+        SCC that completes first is popped as bad."""
+        mark, succ, buchi = self.mark, self.succ, self.buchi
+        acc, full, free = buchi.accepting, buchi.full, buchi.free
+        stack, roots = [], [[-1, 0]]
         work = [(-1, iter([root]))]  # a frame below root, leading to it
         while work:
             i, it = work[-1]
             for nxt in it:
-                if nxt in good:
-                    break
-                if nxt in bad:
-                    continue
-                j = pos.get(nxt)
+                j = mark.get(nxt)
                 if j is None:
-                    pos[nxt] = j = len(stack)
-                    stack.append(nxt)
-                    roots.append([j, acc[nxt[1]]])
-                    work.append((j, iter(succ(nxt))))
-                    break
-                while roots[-1][0] > j:
-                    bits = roots.pop()[1]
-                    roots[-1][1] |= bits
-                top = roots[-1]
-                if top[1] == full:
+                    if not free[nxt[1]]:
+                        mark[nxt] = j = len(stack)
+                        stack.append(nxt)
+                        roots.append([j, acc[nxt[1]]])
+                        work.append((j, iter(succ(nxt))))
+                        break
+                    j = mark[nxt] = GOOD if nxt[0] in self.ts.live else BAD
+                if j == BAD:
+                    continue
+                if j != GOOD:
+                    while roots[-1][0] > j:
+                        bits = roots.pop()[1]
+                        roots[-1][1] |= bits
+                    top = roots[-1]
+                    if top[1] != full:
+                        continue
                     members = stack[top[0]:]
                     for n in members:
                         self.accepting[n] = members
-                    good.update(members)
-                    break
+                mark.update(dict.fromkeys(stack, GOOD))
+                return True
             else:
                 work.pop()
                 if roots[-1][0] == i:
                     roots.pop()
-                    bad.update(stack[i:])
+                    mark.update(dict.fromkeys(stack[i:], BAD))
                     del stack[i:]
-                continue
-            if nxt in good:
-                good.update(stack)
-                return True
         return False
 
     def lasso(self, q):
         """(stem nodes, loop nodes) of an accepting run from state q, or
-        None.  The stem is a shortest path through good nodes to an
-        accepting cycle's nodes; the loop closes through one member of each
-        acceptance set."""
+        None.  The stem is a shortest path through good nodes to a free
+        node or to an accepting cycle, whose loop closes through one member
+        of each acceptance set.  After a free node the run reads T along a
+        shortest path of live states into the cycle that a walk along
+        first live successors closes, and round it."""
         if not self.nonempty_from(q):
             return None
-        good, succ = self.good, self.succ
-        stem = _bfs_path([s for s in self.starts(q) if s in good],
-                         self.accepting.__contains__,
-                         lambda n: [x for x in succ(n) if x in good])
+        mark, succ, buchi = self.mark, self.succ, self.buchi
+        stem = _bfs_path([s for s in self.starts(q) if mark.get(s) == GOOD],
+                         lambda n: buchi.free[n[1]] or n in self.accepting,
+                         lambda n: [x for x in succ(n)
+                                    if mark.get(x) == GOOD])
         anchor = stem[-1]
+        if buchi.free[anchor[1]]:
+            live = _within(self.ts.succ.__getitem__, self.ts.live)
+            seen, cur = {}, anchor[0]
+            while (cur := next(live(cur))) not in seen:
+                seen[cur] = len(seen)
+            ring = set(list(seen)[seen[cur]:])
+            path = _bfs_path(live(anchor[0]), ring.__contains__, live)
+            in_ring = _within(self.ts.succ.__getitem__, ring)
+            loop = _bfs_path(in_ring(path[-1]), path[-1].__eq__, in_ring)
+            t = buchi.expand(buchi.nexts[anchor[1]])[0]
+            return ([*stem, *((s, t) for s in path[:-1])],
+                    [(s, t) for s in path[-1:] + loop[:-1]])
         members = self.accepting[anchor]
-        comp = set(members)
-
-        def in_comp(node):
-            return [x for x in succ(node) if x in comp]
-
-        acc, need = self.buchi.accepting, self.buchi.full
+        in_comp = _within(succ, set(members))
+        acc, need = buchi.accepting, buchi.full
         loop, cur = [], anchor
         for t in members:  # the first member of each set, in stack order
             if acc[t[1]] & need:
@@ -349,6 +372,11 @@ class _Product:
                     cur = t
         loop.extend(_bfs_path(in_comp(cur), anchor.__eq__, in_comp))
         return stem[:-1], [anchor] + loop[:-1]
+
+
+def _within(succ, keep):
+    """succ, keeping only the nodes in keep."""
+    return lambda node: filter(keep.__contains__, succ(node))
 
 
 def _bfs_path(starts, goal_test, succ):
@@ -378,6 +406,8 @@ def buchi_accepts(buchi: BuchiAutomaton, stem_labels, loop_labels) -> bool:
     """Does the automaton accept the ultimately periodic word stem.loop^omega?"""
     stem = [frozenset(x) for x in stem_labels]
     word = stem + [frozenset(x) for x in loop_labels]
+    if len(word) == len(stem):
+        raise ModelError("lasso loop must be non-empty")
     n_stem, n = len(stem), len(word)
     # the word's positions as a transition system: the last closes the loop
     ts = TransitionSystem(range(n), 0,

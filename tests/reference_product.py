@@ -16,6 +16,7 @@ from deontic_mc.ctlstar import _Product
 class TarjanProduct(_Product):
     def __init__(self, ts, labels, buchi):
         super().__init__(ts, labels, buchi)
+        self.good: set = set()
         self._index: dict = {}
         self._low: dict = {}
 

@@ -35,6 +35,7 @@ class EagerBuchi:
         self.initial_states = initial_states  # ascending
         self.step = step
         self.nexts = [m & ~self.low for m in states]
+        self.free = [False] * len(states)  # so the search expands every node
         self.accepting = accepting
         self.full = full
         self._letters: dict = {}

@@ -46,7 +46,7 @@ class TestStripWeights:
     def test_t0_becomes_three_state_system(self, t0):
         ts = strip_weights(t0)
         assert sorted(ts.states) == ["q0", "q1", "q2"]
-        assert ts.is_total()
+        assert ts.live == set(ts.states)
 
     def test_nondeterministic_edges_kept(self):
         from deontic_mc.automaton import StitAutomaton
@@ -104,12 +104,12 @@ class TestAddRoot:
                            for q in aut.states)
                 assert check.holds_from(root) == \
                     check_universal(primed, f)[0]
-            assert ts.is_total()
+            assert ts.live == set(ts.states)
 
     def test_dead_root_is_reported(self, t0):
         ts = strip_weights(t0)
         ts.add_root("q0'", [], {"p"})
-        assert not ts.is_total()
+        assert ts.live != set(ts.states)
         with pytest.raises(ModelError, match="q0'"):
             ts.require_total()
 
@@ -255,7 +255,10 @@ class TestLtlToBuchi:
 
     def test_builds_only_the_nodes_a_word_meets(self):
         """X^64 p, past the eager reference's 16 bits, has no node before a
-        word is read, and one per position up to p's after it."""
+        word is read, and one per position up to p's after it: 64 for the
+        X's and one reading p.  That last one promises nothing, so the
+        search decides it on sight and never builds T, the node for true
+        after p."""
         f = fm.parse_formula("X^64 p")
         with pytest.raises(ResourceLimitError, match="65 elementary bits"):
             eager_ltl_to_buchi(f)
@@ -263,7 +266,7 @@ class TestLtlToBuchi:
         assert len(buchi.states) == 0
         stem = [frozenset()] * 64 + [frozenset({"p"})]
         assert buchi_accepts(buchi, stem, [frozenset()])
-        assert len(buchi.states) == 65 + 1  # and one for true after p
+        assert len(buchi.states) == 64 + 1
         assert not buchi_accepts(buchi, stem[1:], [frozenset()])
 
     def test_work_limit_refuses_nested_eventualities(self):
@@ -556,9 +559,10 @@ class TestProductSearch:
         """The early-stopping search answers as a Tarjan over the whole
         product at every state, asked in random order, for random path
         formulas and their negations; each lasso is a run of the product
-        from the state whose loop closes and meets every acceptance set."""
+        from the state whose loop closes and meets every acceptance set,
+        the runs that end in T after a free node included."""
         rng = random.Random(16)
-        lassos = with_sets = 0
+        lassos = with_sets = free_ends = 0
         for _ in range(200):
             ts = random_system(rng, max_states=8)
             f = random_path_formula(rng, 3, ["p", "q"])
@@ -584,7 +588,8 @@ class TestProductSearch:
                     assert bits == buchi.full
                     lassos += 1
                     with_sets += buchi.full != 0
-        assert lassos > 1000 and with_sets > 400
+                    free_ends += buchi.free[loop[0][1]]
+        assert lassos > 1000 and with_sets > 400 and free_ends >= 100
 
     def test_stops_at_the_first_accepting_cycle(self):
         """A cycle at q0 through the acceptance set of the negation,
@@ -598,6 +603,76 @@ class TestProductSearch:
         cx = check.counterexample("q0")
         assert (cx.stem, cx.loop) == ((), ("q0",))
         assert len(check.product._succ) < len(tail)
+
+    def test_stops_at_a_node_that_promises_nothing(self):
+        """G p on a 300-state cycle where p is false only k steps from s0:
+        the negation's node that reads !p there promises nothing, so the
+        search decides it on sight, having expanded the k nodes before it,
+        and does not walk the cycle to close a loop.  The counterexample
+        reaches that state and then goes round the cycle, and violates G p
+        under direct evaluation."""
+        n, k = 300, 7
+        states = [f"s{i}" for i in range(n)]
+        ts = TransitionSystem(states, "s0",
+                              [(states[i], states[(i + 1) % n])
+                               for i in range(n)],
+                              {q: {"p"} for q in states if q != states[k]})
+        check = Universality(ts, fm.parse_formula("G p"))
+        cx = check.counterexample("s0")
+        assert check.stats()[1] <= k + 2
+        assert cx.stem == tuple(states[:k + 1])
+        assert sorted(cx.loop) == sorted(states)
+        run = cx.stem + cx.loop + cx.loop[:1]
+        assert all(b in ts.successors(a) for a, b in zip(run, run[1:]))
+        assert not eval_on_lasso(fm.parse_formula("G p"),
+                                 [ts.labels[q] for q in cx.stem],
+                                 [ts.labels[q] for q in cx.loop])
+
+    def test_dead_ends_start_no_run(self):
+        """A path into a dead end is not a run, so it violates nothing: G p
+        holds at a, whose one path ends at b where p is false.  In a chain
+        c -> d -> e of two dead ends, d has a successor but is not live
+        either, so the node that reads !p at d promises nothing and is
+        still bad; f, which also reaches g's loop without p, fails, with
+        the lasso through g."""
+        ts = TransitionSystem(["a", "b"], "a", [("a", "b")], {"a": {"p"}})
+        assert ts.live == set()
+        assert Universality(ts, fm.parse_formula("G p")).holds_from("a")
+        ts = TransitionSystem("cdefg", "c",
+                              [("c", "d"), ("d", "e"), ("f", "d"),
+                               ("f", "g"), ("g", "g")],
+                              {"c": {"p"}, "f": {"p"}})
+        assert ts.live == {"f", "g"}
+        check = Universality(ts, fm.parse_formula("G p"))
+        assert [check.holds_from(q) for q in "cdefg"] == \
+            [True, True, True, False, False]
+        cx = check.counterexample("f")
+        assert (cx.stem, cx.loop) == (("f", "g"), ("g",))
+
+    def test_agrees_with_the_tarjan_reference_past_dead_ends(self):
+        """On 300 random systems with one state's out-edges stripped, the
+        search answers as the Tarjan reference at every state: a free node
+        at a state that starts no infinite path is bad."""
+        rng = random.Random(26)
+        dead_free = 0
+        for _ in range(300):
+            total = random_system(rng, max_states=8)
+            cut = rng.choice(total.states)
+            ts = TransitionSystem(total.states, total.initial,
+                                  [(a, b) for a in total.states if a != cut
+                                   for b in total.successors(a)],
+                                  total.labels)
+            f = random_path_formula(rng, 3, ["p", "q"])
+            for g in (f, fm.Not(f)):
+                buchi = ltl_to_buchi(g)
+                product = _Product(ts, ts.labels, buchi)
+                reference = TarjanProduct(ts, ts.labels, buchi)
+                for q in ts.states:
+                    assert product.nonempty_from(q) == \
+                        reference.nonempty_from(q), (fm.render(g), q)
+                dead_free += sum(buchi.free[b] and q not in ts.live
+                                 for q, b in product.mark)
+        assert dead_free >= 100
 
 
 # ======================== deep formulas ========================
@@ -744,8 +819,11 @@ class TestEvalOnLasso:
                 oracle.scan_eval(f, stem, loop)
 
     def test_rejects_empty_loop(self):
-        with pytest.raises(ModelError):
+        """An empty loop is no lasso, to the evaluator and the automaton."""
+        with pytest.raises(ModelError, match="loop must be non-empty"):
             eval_on_lasso(fm.TRUE, [frozenset()], [])
+        with pytest.raises(ModelError, match="loop must be non-empty"):
+            buchi_accepts(ltl_to_buchi(fm.TRUE), [frozenset()], [])
 
     @pytest.mark.parametrize("text, kind", [
         ("X [a cstit: p]", "Cstit"),

@@ -342,8 +342,11 @@ class TestStats:
         """stats holds the Buchi nodes built and the product nodes explored.
         rss6 BR[3] holds on merge without exploring the product: at the
         root !p_alpha is true, so the negation has no start node there.
-        F[0:3] g_alpha fails, its negation's chain one node and one product
-        node per step."""
+        F[0:3] g_alpha fails.  Its negation's chain has one node per
+        position 0 to 3, and the last promises nothing, so the search
+        explores the product nodes of positions 0 to 2 and decides the
+        third's successor on sight: 3 product nodes.  The counterexample's
+        walk after it reads T, the fifth Buchi node."""
         from deontic_mc import rss
         v = check_ought_statement(merge, rss.rss6("alpha", 3))
         assert v.holds
@@ -351,7 +354,7 @@ class TestStats:
         v = check_ought_statement(
             merge, fm.parse("O[alpha cstit: F[0:3] g_alpha]"))
         assert not v.holds
-        assert v.to_json()["stats"] == {"buchi_states": 5, "product_nodes": 5}
+        assert v.to_json()["stats"] == {"buchi_states": 5, "product_nodes": 3}
 
     def test_counts_sum_every_product_of_the_check(self, monkeypatch):
         """The counts are the nodes and explored nodes of every product
@@ -422,9 +425,13 @@ class TestSharedChecks:
         action and for the full automaton, the verdict of check_universal
         on that action's stripped primed copy; the oughts built from them
         match the per-action decision and, where it applies, the oracle.
-        The quantified draws build the Buchi states and explore the product
-        nodes that they did when the normal form was a second pass over the
-        compiled rows."""
+        The quantified draws built 521 Buchi states and explored 708
+        product nodes when every node was expanded.  461 of those nodes had
+        a free Buchi node, T's included.  Now a free one is decided on
+        sight, unexpanded, and the T's past it are never met: 247 are left.  118 of the states were T.  As no free node is
+        expanded now, T is built only where a mask that is not empty
+        expands to it (7 times) or a counterexample's walk reads it (37
+        times), which leaves 521 - 118 + 44 = 447."""
         rng = random.Random(2024)
         quantified = conditional = oracle_checked = 0
         quantified_stats = [0, 0]
@@ -461,7 +468,7 @@ class TestSharedChecks:
                 oracle_checked += 1
         assert quantified >= 140 and conditional >= 210
         assert oracle_checked >= 100
-        assert quantified_stats == [521, 708]
+        assert quantified_stats == [447, 247]
 
 
 # ======================== First-phase memo ========================
