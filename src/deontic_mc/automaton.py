@@ -32,7 +32,7 @@ from types import MappingProxyType
 
 from .errors import (
     AutomatonError, ResourceLimitError, _as_rational, _is_kind,
-    _require_fields, _require_unique)
+    _require_fields, _require_unique, read_json)
 from .tree_model import ExplicitStitModel
 
 # unroll refuses a model of more moments than this; on a branching
@@ -144,11 +144,7 @@ class StitAutomaton:
 
     def enabled_actions(self, state) -> list[str]:
         """Actions labeling outgoing transitions, in declaration order."""
-        seen = []
-        for t in self.out(state):
-            if t.action not in seen:
-                seen.append(t.action)
-        return seen
+        return list(dict.fromkeys(t.action for t in self.out(state)))
 
     def label(self, state) -> frozenset:
         return self.labels.get(state, frozenset())
@@ -277,7 +273,7 @@ def _violations(aut) -> tuple[AutomatonViolation, ...]:
 
 def load_automaton(path) -> StitAutomaton:
     with open(path, "r", encoding="utf-8") as fp:
-        data = json.load(fp, parse_float=Fraction)
+        data = read_json(fp.read())
     return StitAutomaton.from_json(data)
 
 
@@ -292,7 +288,9 @@ def save_automaton(aut: StitAutomaton, path):
 # ---------------------------------------------------------------------------
 
 def product(automata, names=None) -> StitAutomaton:
-    """Synchronous product: states and actions are tuples of the components'.
+    """Synchronous product: a joint state or action is its components' ids
+    joined by "|", the states in the order of their product, the actions as
+    first met.
 
     Labels are unioned; with more than one component each atom is qualified
     by its component's name ("a0.p").  A joint transition weighs the least
@@ -304,37 +302,22 @@ def product(automata, names=None) -> StitAutomaton:
     if len(names) != len(automata):
         raise AutomatonError("need one name per component")
     qualify = len(automata) > 1
-
-    def state_id(qs):
-        return "|".join(qs)
-
-    def action_id(ks):
-        return "|".join(ks)
-
-    states = [state_id(qs) for qs in
-              itertools.product(*[a.states for a in automata])]
-    initial = state_id(tuple(a.initial for a in automata))
-    final = {state_id(qs) for qs in
-             itertools.product(*[sorted(a.final) for a in automata])}
-    labels = {}
+    states, labels, transitions = [], {}, []
     for qs in itertools.product(*[a.states for a in automata]):
-        atoms = set()
-        for name, q, a in zip(names, qs, automata):
-            for atom in a.label(q):
-                atoms.add(f"{name}.{atom}" if qualify else atom)
-        labels[state_id(qs)] = atoms
-    transitions = []
-    actions = []
-    for srcs in itertools.product(*[a.states for a in automata]):
+        src = "|".join(qs)
+        states.append(src)
+        labels[src] = {f"{name}.{atom}" if qualify else atom
+                       for name, q, a in zip(names, qs, automata)
+                       for atom in a.label(q)}
         for ts in itertools.product(*[a._out.get(q, ()) for q, a in
-                                      zip(srcs, automata)]):
-            act = action_id(tuple(t.action for t in ts))
-            if act not in actions:
-                actions.append(act)
+                                      zip(qs, automata)]):
             transitions.append(Transition(
-                state_id(srcs), act,
-                state_id(tuple(t.dst for t in ts)),
-                min(t.weight for t in ts)))
+                src, "|".join(t.action for t in ts),
+                "|".join(t.dst for t in ts), min(t.weight for t in ts)))
+    initial = "|".join(a.initial for a in automata)
+    final = {"|".join(qs) for qs in
+             itertools.product(*[sorted(a.final) for a in automata])}
+    actions = dict.fromkeys(t.action for t in transitions)
     return StitAutomaton(states, initial, actions, final, transitions, labels)
 
 

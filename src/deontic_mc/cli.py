@@ -17,12 +17,11 @@ import pathlib
 import random
 import sys
 import time
-from fractions import Fraction
 
 from . import formula as fm
 from . import generate, rss
 from .automaton import StitAutomaton, unroll
-from .errors import DeonticError
+from .errors import DeonticError, read_json
 from .mc import check_ought_statement
 from .tree_model import ExplicitStitModel, check_inference_condition, save_model
 
@@ -44,8 +43,7 @@ class Report:
 
     def load(self, path):
         """The model or automaton in the input file at path, read as UTF-8."""
-        data = json.loads(self.raw[path].decode("utf-8"),
-                          parse_float=Fraction)
+        data = read_json(self.raw[path].decode("utf-8"))
         if isinstance(data, dict) and "moments" in data:
             return ExplicitStitModel.from_json(data)
         if isinstance(data, dict) and "states" in data:
@@ -369,10 +367,7 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except DeonticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (DeonticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:

@@ -339,7 +339,8 @@ class _Product:
         node or to an accepting cycle, whose loop closes through one member
         of each acceptance set.  After a free node the run reads T along a
         shortest path of live states into the cycle that a walk along
-        first live successors closes, and round it."""
+        first live successors closes, and round it; a free node that is T
+        itself leaves the stem, and that path starts at its own state."""
         if not self.nonempty_from(q):
             return None
         mark, succ, buchi = self.mark, self.succ, self.buchi
@@ -354,10 +355,13 @@ class _Product:
             while (cur := next(live(cur))) not in seen:
                 seen[cur] = len(seen)
             ring = set(list(seen)[seen[cur]:])
-            path = _bfs_path(live(anchor[0]), ring.__contains__, live)
+            t = buchi.expand(buchi.nexts[anchor[1]])[0]
+            starts = live(anchor[0])
+            if anchor[1] == t:  # T itself: the path starts at its state
+                stem, starts = stem[:-1], [anchor[0]]
+            path = _bfs_path(starts, ring.__contains__, live)
             in_ring = _within(self.ts.succ.__getitem__, ring)
             loop = _bfs_path(in_ring(path[-1]), path[-1].__eq__, in_ring)
-            t = buchi.expand(buchi.nexts[anchor[1]])[0]
             return ([*stem, *((s, t) for s in path[:-1])],
                     [(s, t) for s in path[-1:] + loop[:-1]])
         members = self.accepting[anchor]

@@ -2,6 +2,7 @@
 automaton files that raise them."""
 
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -44,6 +45,15 @@ class AutomatonError(DeonticError):
 
 class ResourceLimitError(DeonticError):
     """An enumeration exceeded the configured resource cap."""
+
+
+def read_json(text):
+    """The JSON document text, its floats read as exact Fractions.  One
+    nested past the parser's recursion limit is a ParseError, not a crash."""
+    try:
+        return json.loads(text, parse_float=Fraction)
+    except RecursionError:
+        raise ParseError("malformed file: JSON nested too deeply") from None
 
 
 # JSON type -> its names in messages, one and several

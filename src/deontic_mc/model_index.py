@@ -72,7 +72,6 @@ class ModelIndex:
                     col[m] = col.get(m, 0) | b
         self.masks = {}    # formula -> moment -> mask where it holds
         self.cells = {}    # (agents, moment) -> (cells, [(mask, named)])
-        self.states = {}   # (agents, moment) -> background state masks
         self.optimal = {}  # (agents, moment, condition) -> cell indices
 
     def mask(self, hids):  # hids are distinct: the bits are summed

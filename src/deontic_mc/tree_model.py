@@ -42,7 +42,8 @@ from fractions import Fraction
 
 from . import formula as fm
 from .errors import (
-    GrammarError, ModelError, _as_rational, _require_fields, _require_unique)
+    GrammarError, ModelError, _as_rational, _require_fields, _require_unique,
+    read_json)
 from .model_index import ModelIndex, along, spans_dominate
 
 
@@ -242,12 +243,9 @@ class ExplicitStitModel:
         action per member (well-defined by independence of agents)."""
         agents = self._as_group(agents)
         per_agent = [self.actions_at(a, mid) for a in agents]
-        out = []
-        for pick in itertools.product(*per_agent):
-            cell = frozenset.intersection(*pick)
-            if cell and cell not in out:
-                out.append(cell)
-        return tuple(out)
+        cells = (frozenset.intersection(*pick)
+                 for pick in itertools.product(*per_agent))
+        return tuple(cell for cell in dict.fromkeys(cells) if cell)
 
     def background_states(self, agents, mid) -> BackgroundStateSet:
         """Background states: joint choices of all the non-focal agents."""
@@ -333,13 +331,12 @@ class ExplicitStitModel:
         return hit
 
     def _background(self, agents, mid):
-        ix = self._index()
-        hit = ix.states.get((agents, mid))
-        if hit is None:  # no agent outside the group: one state, H_m
-            s = self.background_states(agents, mid).states
-            hit = ix.states[agents, mid] = [ix.through[mid]] if s == (
-                self._through[mid],) else list(map(ix.mask, s))
-        return hit
+        """The background states' masks: the joint cells of the agents
+        outside the group, or H_m alone when there are none."""
+        others = tuple(a for a in self.agents if a not in agents)
+        if others:
+            return [mask for mask, _ in self._cells(others, mid)[1]]
+        return [self._index().through[self._check_moment(mid)]]
 
     # -- satisfaction --------------------------------------------------------
 
@@ -708,7 +705,7 @@ def _entries(data, name, fields):
 
 def load_model(path) -> ExplicitStitModel:
     with open(path, "r", encoding="utf-8") as fp:
-        data = json.load(fp, parse_float=Fraction)
+        data = read_json(fp.read())
     return ExplicitStitModel.from_json(data)
 
 

@@ -18,7 +18,8 @@ from deontic_mc.automaton import (
     save_automaton,
     unroll,
 )
-from deontic_mc.errors import AutomatonError, ResourceLimitError, _as_rational
+from deontic_mc.errors import (
+    AutomatonError, ParseError, ResourceLimitError, _as_rational)
 from deontic_mc.generate import random_automaton
 from deontic_mc.tree_model import ExplicitStitModel
 
@@ -142,6 +143,78 @@ class TestProduct:
         a = StitAutomaton(["s0"], "s0", ["x"], [], [("s0", "x", "s0", 2)], {})
         b = StitAutomaton(["t0"], "t0", ["u"], [], [("t0", "u", "t0", 5)], {})
         assert product([a, b]).transitions[0].weight == 2
+
+    @pytest.mark.parametrize("names", [None, ["car", "ped", "van"]])
+    def test_output_is_pinned(self, names):
+        """The whole file of a two- and a three-component product, in order:
+        states by the components' state order, the last fastest; per
+        joint state its joint transitions by the components' transition
+        order; actions as first met; labels qualified by name."""
+        a = StitAutomaton(["s0", "s1"], "s0", ["go", "stay"], ["s1"],
+                          [("s0", "go", "s1", 2), ("s0", "stay", "s0", 1),
+                           ("s1", "go", "s0", 3)], {"s0": {"p"}})
+        b = StitAutomaton(["t0", "t1"], "t0", ["go", "wait"], ["t0"],
+                          [("t0", "wait", "t0", 4), ("t0", "go", "t1", 1),
+                           ("t1", "wait", "t0", "1/2")], {"t1": {"q", "p"}})
+        c = StitAutomaton(["u0", "u1"], "u0", ["go"], ["u1"],
+                          [("u0", "go", "u1", 5), ("u1", "go", "u0", 2)],
+                          {"u1": {"p"}})
+        x, y, z = names or ["a0", "a1", "a2"]  # sorted, as labels are
+
+        def edges(*rows):
+            return [dict(zip(("from", "action", "to", "weight"), r.split()))
+                    for r in rows]
+
+        assert product([a, b], names and names[:2]).to_json() == {
+            "states": ["s0|t0", "s0|t1", "s1|t0", "s1|t1"],
+            "init": "s0|t0",
+            "final": ["s1|t0"],
+            "actions": ["go|wait", "go|go", "stay|wait", "stay|go"],
+            "transitions": edges(
+                "s0|t0 go|wait s1|t0 2", "s0|t0 go|go s1|t1 1",
+                "s0|t0 stay|wait s0|t0 1", "s0|t0 stay|go s0|t1 1",
+                "s0|t1 go|wait s1|t0 0.5", "s0|t1 stay|wait s0|t0 0.5",
+                "s1|t0 go|wait s0|t0 3", "s1|t0 go|go s0|t1 1",
+                "s1|t1 go|wait s0|t0 0.5"),
+            "labels": {"s0|t0": [f"{x}.p"],
+                       "s0|t1": [f"{x}.p", f"{y}.p", f"{y}.q"],
+                       "s1|t1": [f"{y}.p", f"{y}.q"]},
+            "accumulation": "min"}
+        assert product([a, b, c], names).to_json() == {
+            "states": ["s0|t0|u0", "s0|t0|u1", "s0|t1|u0", "s0|t1|u1",
+                       "s1|t0|u0", "s1|t0|u1", "s1|t1|u0", "s1|t1|u1"],
+            "init": "s0|t0|u0",
+            "final": ["s1|t0|u1"],
+            "actions": ["go|wait|go", "go|go|go", "stay|wait|go",
+                        "stay|go|go"],
+            "transitions": edges(
+                "s0|t0|u0 go|wait|go s1|t0|u1 2",
+                "s0|t0|u0 go|go|go s1|t1|u1 1",
+                "s0|t0|u0 stay|wait|go s0|t0|u1 1",
+                "s0|t0|u0 stay|go|go s0|t1|u1 1",
+                "s0|t0|u1 go|wait|go s1|t0|u0 2",
+                "s0|t0|u1 go|go|go s1|t1|u0 1",
+                "s0|t0|u1 stay|wait|go s0|t0|u0 1",
+                "s0|t0|u1 stay|go|go s0|t1|u0 1",
+                "s0|t1|u0 go|wait|go s1|t0|u1 0.5",
+                "s0|t1|u0 stay|wait|go s0|t0|u1 0.5",
+                "s0|t1|u1 go|wait|go s1|t0|u0 0.5",
+                "s0|t1|u1 stay|wait|go s0|t0|u0 0.5",
+                "s1|t0|u0 go|wait|go s0|t0|u1 3",
+                "s1|t0|u0 go|go|go s0|t1|u1 1",
+                "s1|t0|u1 go|wait|go s0|t0|u0 2",
+                "s1|t0|u1 go|go|go s0|t1|u0 1",
+                "s1|t1|u0 go|wait|go s0|t0|u1 0.5",
+                "s1|t1|u1 go|wait|go s0|t0|u0 0.5"),
+            "labels": {
+                "s0|t0|u0": [f"{x}.p"],
+                "s0|t0|u1": [f"{x}.p", f"{z}.p"],
+                "s0|t1|u0": [f"{x}.p", f"{y}.p", f"{y}.q"],
+                "s0|t1|u1": [f"{x}.p", f"{y}.p", f"{y}.q", f"{z}.p"],
+                "s1|t0|u1": [f"{z}.p"],
+                "s1|t1|u0": [f"{y}.p", f"{y}.q"],
+                "s1|t1|u1": [f"{y}.p", f"{y}.q", f"{z}.p"]},
+            "accumulation": "min"}
 
 
 # ======================== Unrolling ========================
@@ -410,6 +483,14 @@ class TestFileFormat:
         again = load_automaton(path)
         assert again.to_json() == t0.to_json()
         assert again.validate() == []
+
+    @pytest.mark.parametrize("opener", ["[", '{"states":'])
+    def test_deeply_nested_file_is_a_parse_error(self, tmp_path, opener):
+        """A file nested past the parser's recursion limit is malformed."""
+        path = tmp_path / "deep.json"
+        path.write_text(opener * 100_000)
+        with pytest.raises(ParseError, match="malformed file: .*nested too"):
+            load_automaton(path)
 
     def test_decimal_weights_exact(self, tmp_path):
         aut = StitAutomaton(["q0"], "q0", ["K"], [],

@@ -433,6 +433,33 @@ class TestUnroll:
         assert not out_path.exists()
 
 
+# ======================== malformed files ========================
+
+class TestNestedFiles:
+    COMMANDS = {
+        "validate": [],
+        "check": ["--at", "0", "--formula", "p"],
+        "mc": ["--agent", "alpha", "--ought", "O[alpha cstit: p]"],
+        "unroll": ["--depth", "2", "--out", "OUT"],
+    }
+
+    @pytest.mark.parametrize("opener", ["[", '{"a":'],
+                             ids=["lists", "objects"])
+    @pytest.mark.parametrize("command", list(COMMANDS))
+    def test_deeply_nested_file_is_malformed(self, capsys, tmp_path, command,
+                                             opener):
+        """100,000 nested lists or objects pass the JSON parser's recursion
+        limit: a malformed file (exit 2), not an internal error."""
+        path, out_path = tmp_path / "deep.json", tmp_path / "out.json"
+        path.write_text(opener * 100_000)
+        args = [str(out_path) if a == "OUT" else a
+                for a in self.COMMANDS[command]]
+        code, out, err = run(capsys, command, str(path), *args)
+        assert code == 2 and not out and not out_path.exists()
+        assert err.startswith("error: malformed file: ")
+        assert "nested too deeply" in err and "internal error" not in err
+
+
 # ======================== rss ========================
 
 class TestRssCommand:

@@ -432,16 +432,10 @@ class TestSharedChecks:
         expanded now, T is built only where a mask that is not empty
         expands to it (7 times) or a counterexample's walk reads it (37
         times), which leaves 521 - 118 + 44 = 447."""
-        rng = random.Random(2024)
         quantified = conditional = oracle_checked = 0
         quantified_stats = [0, 0]
-        for i in range(420):
-            aut = random_automaton(rng)
+        for i, aut, ob, cond in shared_draws():
             quant = i % 3 == 0
-            ob = random_obligation(rng, "alpha", 3, ["p", "q"], quant)
-            cond = None
-            if i % 2 == 0:
-                cond = random_obligation(rng, "alpha", 2, ["p", "q"], quant)
             quantified += quant
             conditional += cond is not None
 
@@ -469,6 +463,41 @@ class TestSharedChecks:
         assert quantified >= 140 and conditional >= 210
         assert oracle_checked >= 100
         assert quantified_stats == [447, 247]
+
+    def test_lassos_from_a_start_at_t(self):
+        """Three draws whose stem reaches a start node at T, the tableau
+        node that promises nothing: the walk of live states starts at that
+        node's own state, so the run closes its loop through it and the
+        stem does not repeat it.  Each lasso is an automaton path (the
+        check re-validates that it violates its formula), and the search's
+        counts are as before."""
+        want = {129: (("q0", "q1"), ("q2", "q0", "q1"), 8, 3),
+                289: (("q0",), ("q0",), 3, 1),
+                397: (("q0",), ("q1",), 3, 2)}
+        for i, aut, ob, cond in shared_draws():
+            if i not in want:
+                continue
+            v = check_conditional_ought(aut, "alpha", ob, cond)
+            cx = v.counterexample
+            assert (cx.stem, cx.loop, v.stats["buchi_states"],
+                    v.stats["product_nodes"]) == want[i]
+            path = cx.stem + cx.loop + cx.loop[:1]
+            edges = {(t.src, t.dst) for t in aut.transitions}
+            assert all((a, b) in edges for a, b in zip(path, path[1:]))
+
+
+def shared_draws():
+    """TestSharedChecks' 420 draws: (index, automaton, obligation, condition
+    or None), every third obligation quantified, every second conditional."""
+    rng = random.Random(2024)
+    for i in range(420):
+        aut = random_automaton(rng)
+        quant = i % 3 == 0
+        ob = random_obligation(rng, "alpha", 3, ["p", "q"], quant)
+        cond = None
+        if i % 2 == 0:
+            cond = random_obligation(rng, "alpha", 2, ["p", "q"], quant)
+        yield i, aut, ob, cond
 
 
 # ======================== First-phase memo ========================

@@ -13,7 +13,7 @@ import pytest
 from deontic_mc import formula as fm
 from deontic_mc import rss
 from deontic_mc.automaton import StitAutomaton, unroll
-from deontic_mc.errors import ModelError
+from deontic_mc.errors import ModelError, ParseError
 from deontic_mc.generate import (
     random_model,
     random_obligation,
@@ -39,6 +39,27 @@ def tiny_two_agent(values=(5, 5, 1, 1), labels=None):
                ("beta", 0): [["h1", "h3"], ["h2", "h4"]]}
     return ExplicitStitModel(["alpha", "beta"], ["p", "g"], moments, histories,
                              choices, labels or {})
+
+
+def three_agent_grid(rng):
+    """An independent three-agent model: at the root alpha splits the
+    histories two ways, beta three ways and gamma two ways, and each of the
+    12 joint cells holds one or two histories, each ending at a leaf of its
+    own.  Values are random with ties, and p labels about half of them."""
+    cells = {"alpha": [[], []], "beta": [[], [], []], "gamma": [[], []]}
+    histories = []
+    for pick in itertools.product(range(2), range(3), range(2)):
+        for _ in range(rng.randint(1, 2)):
+            hid = f"h{len(histories)}"
+            histories.append((hid, [0, len(histories) + 1], rng.randint(0, 6)))
+            for agent, i in zip(cells, pick):
+                cells[agent][i].append(hid)
+    moments = [(0, None)] + [(m, 0) for m in range(1, len(histories) + 1)]
+    labels = {(0, hid): {"p"} for hid, _, _ in histories if rng.random() < .5}
+    labels[0, "h0"] = {"p"}
+    return ExplicitStitModel(list(cells), ["p"], moments, histories,
+                             {(agent, 0): c for agent, c in cells.items()},
+                             labels)
 
 
 # ======================== Validation ========================
@@ -382,6 +403,33 @@ class TestOptimal:
                 for mid in model.moments:
                     assert model.optimal_actions(agent, mid).actions
 
+    def test_three_agents_match_the_reference(self):
+        """Background states of a group with one or two agents outside it
+        (random_model draws at most two agents): optimal actions, with and
+        without a condition, and dominance on every pair of the group's
+        cells, against the all-pairs reference."""
+        rng = random.Random(61)
+        cond = fm.parse_formula("p")
+        seen = Counter()
+        for _ in range(15):
+            model = three_agent_grid(rng)
+            assert model.validate() == []
+            ref = RecursiveReference(model)
+            for size in (1, 2, 3):
+                for group in itertools.combinations(model.agents, size):
+                    for c in (None, cond):
+                        got = model.optimal_actions(group, 0, c).actions
+                        assert got == ref.optimal(group, 0, c)
+                        seen["optimal", size] += len(got) < len(
+                            model.group_actions(group, 0))
+                        cells = model.group_actions(group, 0)
+                        for lo, hi in itertools.product(cells, repeat=2):
+                            want = ref.dominates(group, 0, lo, hi, c)
+                            assert model.dominates(group, 0, lo, hi, c) == want
+                            seen[want, size] += 1
+        assert all(seen[key] for key in itertools.product(
+            ("optimal", True, False), (1, 2, 3))), seen
+
     def test_group_actions_are_intersections(self):
         model = tiny_two_agent()
         cells = model.group_actions(("alpha", "beta"), 0)
@@ -547,6 +595,14 @@ class TestFileFormat:
         assert again.to_json() == fig1.to_json()
         assert again.validate() == []
         assert again.histories["h1"].value == Fraction(3)
+
+    @pytest.mark.parametrize("opener", ["[", '{"moments":'])
+    def test_deeply_nested_file_is_a_parse_error(self, tmp_path, opener):
+        """A file nested past the parser's recursion limit is malformed."""
+        path = tmp_path / "deep.json"
+        path.write_text(opener * 100_000)
+        with pytest.raises(ParseError, match="malformed file: .*nested too"):
+            load_model(path)
 
     def test_unknown_fields_rejected(self, fig1, tmp_path):
         data = fig1.to_json()
