@@ -290,7 +290,7 @@ def save_automaton(aut: StitAutomaton, path):
 def product(automata, names=None) -> StitAutomaton:
     """Synchronous product: a joint state or action is its components' ids
     joined by "|", the states in the order of their product, the actions as
-    first met.
+    first met; two joints with one id (ids holding "|") raise AutomatonError.
 
     Labels are unioned; with more than one component each atom is qualified
     by its component's name ("a0.p").  A joint transition weighs the least
@@ -302,7 +302,7 @@ def product(automata, names=None) -> StitAutomaton:
     if len(names) != len(automata):
         raise AutomatonError("need one name per component")
     qualify = len(automata) > 1
-    states, labels, transitions = [], {}, []
+    states, labels, transitions, actions = [], {}, [], {}
     for qs in itertools.product(*[a.states for a in automata]):
         src = "|".join(qs)
         states.append(src)
@@ -311,13 +311,16 @@ def product(automata, names=None) -> StitAutomaton:
                        for atom in a.label(q)}
         for ts in itertools.product(*[a._out.get(q, ()) for q, a in
                                       zip(qs, automata)]):
+            act = tuple(t.action for t in ts)
+            if actions.setdefault(aid := "|".join(act), act) != act:
+                raise AutomatonError(f"duplicate joint action {aid!r}")
             transitions.append(Transition(
-                src, "|".join(t.action for t in ts),
-                "|".join(t.dst for t in ts), min(t.weight for t in ts)))
+                src, aid, "|".join(t.dst for t in ts),
+                min(t.weight for t in ts)))
+    _require_unique(states, "joint state", AutomatonError)
     initial = "|".join(a.initial for a in automata)
     final = {"|".join(qs) for qs in
              itertools.product(*[sorted(a.final) for a in automata])}
-    actions = dict.fromkeys(t.action for t in transitions)
     return StitAutomaton(states, initial, actions, final, transitions, labels)
 
 

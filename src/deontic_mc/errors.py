@@ -3,6 +3,7 @@ automaton files that raise them."""
 
 import itertools
 import json
+import reprlib
 from collections import Counter
 from fractions import Fraction
 
@@ -116,7 +117,7 @@ def _as_rational(v, what, error) -> Fraction:
     """v as an exact rational: an int, a Fraction (JSON floats load as
     Fractions), a decimal or fraction string, or a float read through its
     shortest decimal text; anything else, booleans included, raises
-    error."""
+    error, which shows v abbreviated (reprlib)."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int) and not isinstance(v, bool):
@@ -127,4 +128,4 @@ def _as_rational(v, what, error) -> Fraction:
                             else str(v))
         except (ValueError, ZeroDivisionError):
             pass
-    raise error(f"bad {what} {v!r}")
+    raise error(f"bad {what} {reprlib.repr(v)}")

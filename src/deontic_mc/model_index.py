@@ -5,12 +5,14 @@ lowest and the highest set bit of a mask carry the least and the greatest
 value among its histories.  Per moment the index keeps H_m as a mask and
 H_m grouped by the moment each history steps to next, a history that ends
 at the moment stuttering there.  The evaluators step bounded operators
-along these groups.  ``sweep`` fills Until and Release over the moments that
-``reach`` reads off the model's reversed depth-first pre-order, as blocks.
+along these groups.  With every path linked the H_m of one depth are
+disjoint: ``fill`` keeps Until and Release as one mask per depth, as the
+index keeps atoms; else ``sweep`` fills them by moment over ``reach``'s walk.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 
@@ -41,11 +43,14 @@ class ModelIndex:
         succ = {m: {} for m in moments}
         parent = {m: x.parent for m, x in moments.items()}
         self.broken = {}  # history -> (moment, detail) of its broken path
+        self.depth = depth = {m: x.depth for m, x in moments.items()}
+        self.ends = ends = [0] * (1 + max(depth.values(), default=0))
         for hid, b in self.bit.items():
             ms = histories[hid].moments  # linked: a leaf's path from a root
             if ms and paths.get(ms[-1]) == ms and block[ms[-1]][1] == 1 \
                     and parent[ms[0]] is None:
                 succ[ms[-1]][ms[-1]] = b | succ[ms[-1]].get(ms[-1], 0)
+                ends[len(ms) - 1] |= b  # the linked ones ending at depth d
             else:
                 self.broken[hid] = _path_fault(hid, ms, parent)
         self.through = through = {}
@@ -61,15 +66,17 @@ class ModelIndex:
                 groups[n] = groups.get(n, 0) | b
                 through[m] = through.get(m, 0) | b
         self.order = order + [m for m in succ if m not in moments]
-        self.block = block  # moment -> (position in order, subtree size)
         self.succ = {m: tuple(groups.items()) for m, groups in succ.items()}
         self.labelled = {}  # atom -> moment -> histories labelled with it
+        self.atoms = lvs = {}  # atom -> mask per depth (if none is broken)
         for (m, h), names in labels.items():  # "*" labels all of H_m
             b = (-1 if h == "*" else self.bit.get(h, 0)) & through.get(m, 0)
             if b:
                 for name in names:
                     col = self.labelled.setdefault(name, {})
                     col[m] = col.get(m, 0) | b
+                    lvs.setdefault(name, [0] * len(ends))[depth.get(m, 0)] |= b
+        self.levels = {}   # formula -> (mask per depth, histories covered)
         self.masks = {}    # formula -> moment -> mask where it holds
         self.cells = {}    # (agents, moment) -> (cells, [(mask, named)])
         self.optimal = {}  # (agents, moment, condition) -> cell indices
@@ -93,49 +100,49 @@ class ModelIndex:
                         rank[m.bit_length() - 1]) if m else None)
         return out
 
+    def fill(self, lv, cov, ms, lt, rt, release):
+        """Fill lv, l U r (l R r if release) per depth, from l's and r's lt
+        and rt, over S_d, the histories at depth d of ms's blocks, and add
+        S_d to cov[d]: T_d = R_d | L_d & T_d+1, or R_d & (L_d | T_d+1 | E_d)
+        with E_d the histories that end at d (a leaf stutters)."""
+        spans, t, reaching = [0] * len(lv), 0, 0
+        for m in ms:
+            spans[self.depth[m]] |= self.through[m]
+        spans = list(itertools.accumulate(spans, int.__or__))  # depth <= d
+        for d in reversed(range(len(lv))):
+            reaching |= self.ends[d]  # the histories that reach depth d
+            s = spans[d] & reaching
+            t = (rt[d] & (lt[d] | t | self.ends[d]) if release
+                 else rt[d] | lt[d] & t) & s
+            lv[d] |= t
+            cov[d] |= s
+
     def reach(self, ms, t):
-        """The moments reachable from ms that t lacks, in self.order.  With
-        every path linked, a step stays in its moment's subtree, so these
-        are the blocks of ms less the moments in t (t holds whole blocks).
-        A broken path may step out of a subtree: then they are walked."""
-        if self.broken:
-            reach, todo = set(ms), list(ms)
-            while todo:
-                for n, _ in self.succ[todo.pop()]:
-                    if n not in reach and n not in t:
-                        reach.add(n)
-                        todo.append(n)
-            return [m for m in self.order if m in reach]
-        out, start = [], len(self.order)
-        for pos, size in sorted(map(self.block.__getitem__, ms), reverse=True):
-            if pos < start:  # not inside the last block taken
-                start = pos + 1 - size
-                out += [m for m in self.order[start:pos + 1] if m not in t]
-        return out
+        """The moments reachable from ms that t lacks, in self.order."""
+        reach, todo = set(ms), list(ms)
+        while todo:
+            for n, _ in self.succ[todo.pop()]:
+                if n not in reach and n not in t:
+                    reach.add(n)
+                    todo.append(n)
+        return [m for m in self.order if m in reach]
 
     def sweep(self, order, lt, rt, t, release):
         """Fill t with l U r, or l R r if release, from the masks lt of l
         and rt of r, over order: moments that t lacks, in self.order, each
-        with its successors in t or order.  lt None is true under Until
-        (F r) and false under Release (G r); the groups lie in H_m, so
-        F r = r | later and G r = r & later.  A history that stutters at
-        its leaf reads the preset: an Until unfulfilled, a Release kept."""
-        succ, broken = self.succ, self.broken
-        # a broken path may step to a moment later in the order.  Each
-        # history still only moves forward along its own path, so the
-        # fixpoint is unique: repeat from the preset until no mask changes.
+        with its successors in t or order.  A history that stutters at its
+        leaf reads the preset: an Until unfulfilled, a Release kept.  A
+        broken path may step to a moment later in the order, but each
+        history only moves forward along its own path, so the fixpoint is
+        unique: repeat from the preset until no mask changes."""
         t.update(dict.fromkeys(order, -1 if release else 0))
         while True:
-            before = broken and dict(t)
+            before = dict(t)
             for m in order:
-                later = 0
-                for n, g in succ[m]:
-                    later |= t[n] & g
-                if release:
-                    t[m] = rt[m] & (later if lt is None else lt[m] | later)
-                else:
-                    t[m] = rt[m] | (later if lt is None else lt[m] & later)
-            if not broken or before == t:
+                later = along(self.succ[m], t)
+                t[m] = rt[m] & (lt[m] | later) if release \
+                    else rt[m] | lt[m] & later
+            if before == t:
                 return
 
 

@@ -12,9 +12,9 @@ Evaluation is bit-parallel, on the bit index of ``model_index`` that
 per moment into one int, the mask of the histories of H_m at which it holds.
 Connectives are &, | and ^ within H_m.  X, X^n, F[lo:hi] and BR[n] run
 their unfolding backwards over levels of next moments that all the asked
-moments share.  U, R, F and G fill the subtree blocks of the asked moments
-that are not yet filled, in one pass over the moments' depth-first order,
-successors first, that the model fixes when it is built.  A and
+moments share.  With every history path linked the H_m of one depth are
+disjoint, so U, R, F and G keep one mask per depth, filled deepest first
+over the asked moments' subtrees; a broken path makes them sweep.  A and
 E are all or nothing over H_m.  cstit, dstit and oughts compare choice-cell
 masks with the body's mask, and dominance compares the least and greatest
 values of each (cell, background state) pair, read off its lowest and
@@ -324,9 +324,12 @@ class ExplicitStitModel:
         ix = self._index()
         hit = ix.cells.get((agents, mid))
         if hit is None:
-            cells = self.group_actions(agents, mid)
-            masks = [(mask, mask.bit_count() == len(cell))
-                     for cell, mask in zip(cells, map(ix.mask, cells))]
+            cells, th, masks = self.group_actions(agents, mid), self._through, []
+            for cell in cells:  # next-moment groups that fill it, or its ids
+                mask = sum(g for n, g in ix.succ[mid]
+                           if n in th and th[n] <= cell)
+                mask = mask if mask.bit_count() == len(cell) else ix.mask(cell)
+                masks.append((mask, mask.bit_count() == len(cell)))
             hit = ix.cells[agents, mid] = (cells, masks)
         return hit
 
@@ -393,14 +396,18 @@ class ExplicitStitModel:
             self._warned_atoms.add(x.name)
             warnings.warn(f"atom {x.name!r} is not declared in the model; "
                           f"it is false everywhere", stacklevel=2)
+        if t is None:  # its masks per depth (see _unbounded)
+            return self._ix.atoms.get(x.name) or [0] * len(self._ix.ends)
         col = self._ix.labelled.get(x.name, {})
         for m in ms:
             t[m] = col.get(m, 0)
 
     def _constant(self, x, ms, t):
-        th = self._ix.through
+        th, true = self._ix.through, type(x) is fm.TrueFormula
+        if t is None:  # its masks per depth (see _unbounded)
+            return [-1 if true else 0] * len(self._ix.ends)
         for m in ms:
-            t[m] = th[m] if type(x) is fm.TrueFormula else 0
+            t[m] = th[m] if true else 0
 
     def _not(self, x, ms, t):
         o = self._table(x.operand if type(x) is fm.Not else x.body, ms)
@@ -462,16 +469,34 @@ class ExplicitStitModel:
         t.update(e)
 
     def _unbounded(self, x, ms, t):
-        """U, R, F and G in one pass, successors first, over the moments
-        that ms reach and t lacks, read off the index (ModelIndex.reach);
-        F and G evaluate only their operand (ModelIndex.sweep)."""
+        """U, R, F and G (F r is true U r, G r false R r): masks per depth
+        if no path is broken (ModelIndex.fill), returned if t is None."""
         op, ix = type(x), self._ix
-        order = ix.reach(ms, t)
-        if op is fm.Eventually or op is fm.Always:
-            lt, rt = None, self._table(x.operand, order)
-        else:
-            lt, rt = self._table(x.left, order), self._table(x.right, order)
-        ix.sweep(order, lt, rt, t, release=op is fm.Release or op is fm.Always)
+        release = op is fm.Release or op is fm.Always
+        ys = (x.left, x.right) if op is fm.Until or op is fm.Release else (
+            _FALSE if release else _TRUE, x.operand)
+        if ix.broken:
+            order = ix.reach(ms, t)
+            lt, rt = self._table(ys[0], order), self._table(ys[1], order)
+            return ix.sweep(order, lt, rt, t, release)
+        depth, th, n = ix.depth, ix.through, len(ix.ends)
+        lv, cov = ix.levels.get(x) or ix.levels.setdefault(
+            x, ([0] * n, [0] * n))
+        todo = [m for m in ms if th[m] & ~cov[depth[m]]]
+        if todo:
+            got = []
+            for y in ys:  # a loop, not _table: one frame per nesting level
+                if type(y) in _LEVELLED:
+                    got.append(_EVALUATORS[type(y)](self, y, todo, None))
+                    continue
+                got.append([0] * n)  # by moment, over todo's blocks
+                for m, b in self._table(y, ix.reach(todo, ())).items():
+                    got[-1][depth[m]] |= b
+            ix.fill(lv, cov, todo, *got, release)
+        if t is None:
+            return lv
+        for m in ms:
+            t[m] = lv[depth[m]] & th[m]
 
     def _path_quantifier(self, x, ms, t):
         o = self._table(x.operand, ms)
@@ -695,6 +720,9 @@ _EVALUATORS = {kind: method for kinds, method in (
     ((fm.Cstit, fm.Dstit, fm.DstitOf), ExplicitStitModel._stit),
     ((fm.OughtStatement,), ExplicitStitModel._ought),
 ) for kind in kinds}
+_TRUE, _FALSE = fm.TrueFormula(), fm.FalseFormula()  # F r, G r's left
+_LEVELLED = {fm.Atom, fm.TrueFormula, fm.FalseFormula, fm.Until, fm.Release,
+             fm.Eventually, fm.Always}  # evaluators that give masks per depth
 
 
 def _entries(data, name, fields):

@@ -139,6 +139,25 @@ class TestProduct:
         p = product([a, b], names=["left", "right"])
         assert p.label(p.initial) == {"left.p", "right.p"}
 
+    def test_colliding_joint_states_are_refused(self):
+        """("a|b", "c") and ("a", "b|c") both join to a|b|c."""
+        a = StitAutomaton(["a|b", "a"], "a", ["x"], [],
+                          [("a|b", "x", "a", 1), ("a", "x", "a|b", 1)], {})
+        b = StitAutomaton(["c", "b|c"], "c", ["y"], [],
+                          [("c", "y", "b|c", 1), ("b|c", "y", "c", 1)], {})
+        with pytest.raises(AutomatonError, match=r"joint state 'a\|b\|c'"):
+            product([a, b])
+        assert product([a, a]).validate() == []  # "a|b|a|b" etc. stay apart
+
+    def test_colliding_joint_actions_are_refused(self):
+        a = StitAutomaton(["s"], "s", ["a|b", "a"], [],
+                          [("s", "a|b", "s", 1), ("s", "a", "s", 2)], {})
+        b = StitAutomaton(["t"], "t", ["c", "b|c"], [],
+                          [("t", "c", "t", 1), ("t", "b|c", "t", 2)], {})
+        with pytest.raises(AutomatonError, match=r"joint action 'a\|b\|c'"):
+            product([a, b])
+        assert len(product([a, a]).actions) == 4
+
     def test_joint_weight_is_the_least(self):
         a = StitAutomaton(["s0"], "s0", ["x"], [], [("s0", "x", "s0", 2)], {})
         b = StitAutomaton(["t0"], "t0", ["u"], [], [("t0", "u", "t0", 5)], {})

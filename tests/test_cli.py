@@ -81,6 +81,20 @@ class TestValidate:
         code, _, err = run(capsys, "validate", str(path))
         assert code == 2 and "malformed" in err
 
+    @pytest.mark.parametrize("value", [
+        json.loads("[" * 900 + "]" * 900), "9" * 2000 + "x"],
+        ids=["nested-900", "long-string"])
+    def test_long_bad_value_gives_a_short_error(self, capsys, tmp_path,
+                                                value):
+        data = rss.fig1_model().to_json()
+        data["histories"][0]["value"] = value
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "validate", str(path))
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad utility value ")
+        assert len(err.splitlines()) == 1 and len(err) < 200, err
+
     def test_wrong_schema_exits_two(self, capsys, tmp_path):
         path = tmp_path / "odd.json"
         path.write_text(json.dumps({"stuff": 1}))

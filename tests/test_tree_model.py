@@ -1233,7 +1233,7 @@ class TestEvaluationEdges:
 
 def walked(ix, ms, t):
     """The moments reachable from ms that t lacks, by a walk along the
-    next-moment groups: the reference for ModelIndex.reach's blocks."""
+    next-moment groups: the reference for the blocks the levels fill."""
     reach, todo = set(ms), [m for m in ms if m not in t]
     while todo:
         for n, _ in ix.succ[todo.pop()]:
@@ -1243,13 +1243,29 @@ def walked(ix, ms, t):
     return reach
 
 
+def by_depth(ix, ms):
+    """Per depth, the histories through the moments of ms there."""
+    out = [0] * len(ix.ends)
+    for m in ms:
+        out[ix.depth[m]] |= ix.through[m]
+    return out
+
+
+TEMPORAL = (fm.Until, fm.Release, fm.Eventually, fm.Always)
+
+
 class TestReachByBlocks:
-    """U, R, F and G fill the subtree blocks of the asked moments, read off
-    the index's order: exactly the moments a walk reaches, and never a
-    moment outside them."""
+    """On a model whose paths are all linked, U, R, F and G fill their
+    levels over the subtree blocks of the asked moments: exactly what a walk
+    reaches, and never a moment outside it."""
 
     @pytest.mark.filterwarnings("ignore:atom")
     def test_blocks_fill_what_the_walk_reaches(self):
+        """A formula keeps masks at the asked moments alone.  Each of its
+        U, R, F and G subformulas covers, per depth, the histories of the
+        walked moments and holds no bit outside them; each other operand,
+        an atom read only per depth (from the index) aside, is filled
+        exactly on the walked moments."""
         rng = random.Random(54)
         models = [random_model(rng, max_depth=rng.randint(1, 4),
                                max_histories=rng.randint(2, 8),
@@ -1259,16 +1275,26 @@ class TestReachByBlocks:
         models += [getattr(rss, f"fig{i}_model")() for i in (1, 2, 3)]
         seen = Counter()
         for model in models:
-            for text in ("F p", "G q", "q U p", "F (G q)"):
+            for text in ("F p", "G q", "q U p", "F (G q)", "G (p -> F q)"):
                 f = fm.parse_formula(text)
                 fresh = copy.deepcopy(model)
-                ix, filled = fresh._index(), set()
+                ix, filled, asked = fresh._index(), set(), set()
+                assert not ix.broken
                 for mid in rng.sample(list(model.moments), len(model.moments)):
                     filled |= walked(ix, [mid], filled)
+                    asked.add(mid)
                     fresh.extension(mid, f)
-                    # the formula and each operand, on the same moments
-                    for g in (f, *vars(f).values()):
-                        assert set(ix.masks[g]) == filled, (text, mid, g)
+                    assert set(ix.masks[f]) == asked, (text, mid)
+                    covered = by_depth(ix, filled)
+                    for g in fm.walk(f):
+                        if type(g) in TEMPORAL:
+                            levels, cov = ix.levels[g]
+                            assert cov == covered, (text, mid, g)
+                            assert not any(lv & ~c for lv, c in
+                                           zip(levels, cov)), (text, mid, g)
+                        elif g is not f and (type(g) is not fm.Atom
+                                             or g in ix.masks):
+                            assert set(ix.masks[g]) == filled, (text, mid, g)
                     seen[len(filled) < len(model.moments)] += 1
         assert seen[True] > 1000 and seen[False] > 1000, seen
 
@@ -1295,6 +1321,60 @@ class TestReachByBlocks:
         for mid in (2, 0):
             with pytest.raises(ModelError, match="do not cover 'h4'"):
                 model.satisfies(mid, "h3", f)
+
+
+class TestLevels:
+    """The level path of U, R, F and G against the recursive reference,
+    asked in any order, and the choice-cell masks ORed from next-moment
+    groups against the sum of their ids' bits."""
+
+    @staticmethod
+    def _models(rng):
+        models = _unrolled_workload_models()
+        models += [random_model(rng, max_depth=rng.randint(1, 4),
+                                max_histories=rng.randint(2, 8),
+                                n_agents=rng.randint(1, 2))
+                   for _ in range(300)]
+        return models + [getattr(rss, f"fig{i}_model")() for i in (1, 2, 3)]
+
+    @pytest.mark.filterwarnings("ignore:atom")
+    def test_agrees_with_the_reference_in_any_order(self):
+        """Each formula on a fresh copy, asked at every moment once in a
+        shuffled order and once children before their parent."""
+        rng = random.Random(55)
+        tally = Counter()
+        for model in self._models(rng):
+            ref = RecursiveReference(model)
+            p, q = model.atoms[0], model.atoms[-1]
+            asks = [rng.sample(list(model.moments), len(model.moments)),
+                    list(model._index().order)]  # successors first
+            for text in ("F {p}", "G {q}", "{q} U {p}", "{q} R {p}",
+                         "F (G {q})", "G ({p} -> F {q})"):
+                f = fm.parse_formula(text.format(p=p, q=q))
+                for order in asks:
+                    fresh = copy.deepcopy(model)
+                    for mid in order:
+                        got = fresh.extension(mid, f)
+                        assert got == ref.extension(mid, f), (text, mid)
+                        tally[got == model.histories_through(mid)] += 1
+                    assert fresh._index().levels
+        assert tally[True] > 1000 and tally[False] > 1000, tally
+
+    def test_cell_masks_are_the_summed_bits(self):
+        rng, scrambled = random.Random(56), random.Random(57)
+        models = self._models(rng)
+        models += [TestUndividedByGrouping.scrambled(scrambled)
+                   for _ in range(500)]
+        seen = Counter()
+        for model in models:
+            ix = model._index()
+            groups = {(a,) for a in model.agents} | {tuple(model.agents)}
+            for agents, mid in itertools.product(groups, model.moments):
+                cells, masks = model._cells(agents, mid)
+                assert masks == [(ix.mask(c), ix.mask(c).bit_count() == len(c))
+                                 for c in cells], (agents, mid)
+                seen[bool(ix.broken), all(named for _, named in masks)] += 1
+        assert min(seen.values()) > 50 and len(seen) == 4, seen
 
 
 # ======================== Validation on the index ========================
@@ -1362,8 +1442,8 @@ def _spoiled(model, rng):
     return ExplicitStitModel.from_json(data)
 
 
-INDEX_FIELDS = ("ids", "rank", "through", "succ", "order", "block",
-                "labelled")
+INDEX_FIELDS = ("ids", "rank", "through", "succ", "order", "depth", "ends",
+                "labelled", "atoms")
 
 
 class TestValidateOnTheIndex:
