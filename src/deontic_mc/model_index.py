@@ -3,11 +3,12 @@
 Bit i of a mask stands for the i-th history in (value, id) order, so the
 lowest and the highest set bit of a mask carry the least and the greatest
 value among its histories.  Per moment the index keeps H_m as a mask and
-H_m grouped by the moment each history steps to next, a history that ends
-at the moment stuttering there.  The evaluators step bounded operators
-along these groups.  With every path linked the H_m of one depth are
-disjoint: ``fill`` keeps Until and Release as one mask per depth, as the
-index keeps atoms; else ``sweep`` fills them by moment over ``reach``'s walk.
+H_m grouped by the moment each history steps to next (a leaf stutters),
+both filled in one successors-first pass.  ``validate`` reads partition
+and undivided off these groups; the evaluators step bounded operators
+along them.  With every path linked the H_m of one depth are disjoint:
+``fill`` keeps Until and Release as one mask per depth, as the index keeps
+atoms; else ``sweep`` fills them by moment over ``reach``'s walk.
 """
 
 from __future__ import annotations
@@ -35,47 +36,53 @@ class ModelIndex:
         lcm = math.lcm(*(d for _, d in ratio))
         keyed = sorted(zip([n * (lcm // d) for n, d in ratio], histories))
         self.ids = [hid for _, hid in keyed]  # in (value, id) order
-        self.bit = {hid: 1 << i for i, hid in enumerate(self.ids)}
+        self.bit = bit = {hid: 1 << i for i, hid in enumerate(self.ids)}
         rank = {v: i for i, v in enumerate(sorted({v for v, _ in keyed}))}
         self.rank = [rank[v] for v, _ in keyed]  # bit i's rank
-        # succ[m] groups H_m by the next moment (step), a history that ends
-        # at m stuttering there; the groups are disjoint, so H_m is their sum
-        succ = {m: {} for m in moments}
-        parent = {m: x.parent for m, x in moments.items()}
         self.broken = {}  # history -> (moment, detail) of its broken path
         self.depth = depth = {m: x.depth for m, x in moments.items()}
         self.ends = ends = [0] * (1 + max(depth.values(), default=0))
-        for hid, b in self.bit.items():
+        leaf, kids = {}, {}  # the linked histories by leaf; groups by parent
+        for hid, b in bit.items():
             ms = histories[hid].moments  # linked: a leaf's path from a root
             if ms and paths.get(ms[-1]) == ms and block[ms[-1]][1] == 1 \
-                    and parent[ms[0]] is None:
-                succ[ms[-1]][ms[-1]] = b | succ[ms[-1]].get(ms[-1], 0)
+                    and moments[ms[0]].parent is None:
+                leaf[ms[-1]] = leaf.get(ms[-1], 0) | b
                 ends[len(ms) - 1] |= b  # the linked ones ending at depth d
             else:
-                self.broken[hid] = _path_fault(hid, ms, parent)
-        self.through = through = {}
-        for m in order:  # successors first; only linked ones grouped yet
-            through[m] = t = sum(succ[m].values())
-            if t and parent[m] is not None:
-                succ[parent[m]][m] = t
-        for hid in self.broken:
-            b, ms = self.bit[hid], histories[hid].moments
-            for m, i in {m: i for i, m in enumerate(ms)}.items():
-                groups = succ.setdefault(m, {})
-                n = ms[i + 1] if i + 1 < len(ms) else m
-                groups[n] = groups.get(n, 0) | b
-                through[m] = through.get(m, 0) | b
-        self.order = order + [m for m in succ if m not in moments]
-        self.succ = {m: tuple(groups.items()) for m, groups in succ.items()}
-        self.labelled = {}  # atom -> moment -> histories labelled with it
+                self.broken[hid] = _path_fault(hid, ms, moments)
+        # succ[m] groups H_m by the next moment (step), a history that ends
+        # at m stuttering there; the groups are disjoint, so H_m is their sum
+        self.through, self.succ = through, succ = {}, {}
+        for m in order:  # successors first: m's children have grouped it
+            t = leaf.get(m, 0)
+            succ[m] = groups = ((m, t),) if t else tuple(kids.pop(m, ()))
+            for _, g in groups:
+                t |= g
+            through[m], p = t, moments[m].parent
+            if t and p is not None:
+                kids.setdefault(p, []).append((m, t))
+        self.order, self.block = order, block  # block: (position, size)
+        if self.broken:  # grouped at each moment's last visit on the path
+            for hid in self.broken:
+                b, ms = bit[hid], histories[hid].moments
+                for m, i in {m: i for i, m in enumerate(ms)}.items():
+                    groups = succ[m] = dict(succ.get(m, ()))
+                    n = ms[i + 1] if i + 1 < len(ms) else m
+                    groups[n] = groups.get(n, 0) | b
+                    through[m] = through.get(m, 0) | b
+            self.order = order + [m for m in succ if m not in moments]
+            self.succ = {m: tuple(dict(g).items()) for m, g in succ.items()}
+        self.labelled = labelled = {}  # atom -> moment -> its histories
         self.atoms = lvs = {}  # atom -> mask per depth (if none is broken)
         for (m, h), names in labels.items():  # "*" labels all of H_m
-            b = (-1 if h == "*" else self.bit.get(h, 0)) & through.get(m, 0)
+            b = (-1 if h == "*" else bit.get(h, 0)) & through.get(m, 0)
             if b:
                 for name in names:
-                    col = self.labelled.setdefault(name, {})
-                    col[m] = col.get(m, 0) | b
-                    lvs.setdefault(name, [0] * len(ends))[depth.get(m, 0)] |= b
+                    if name not in labelled:
+                        labelled[name], lvs[name] = {}, [0] * len(ends)
+                    labelled[name][m] = labelled[name].get(m, 0) | b
+                    lvs[name][depth.get(m, 0)] |= b
         self.levels = {}   # formula -> (mask per depth, histories covered)
         self.masks = {}    # formula -> moment -> mask where it holds
         self.cells = {}    # (agents, moment) -> (cells, [(mask, named)])
@@ -118,7 +125,15 @@ class ModelIndex:
             cov[d] |= s
 
     def reach(self, ms, t):
-        """The moments reachable from ms that t lacks, in self.order."""
+        """The moments reachable from ms that t lacks, in self.order: with t
+        empty and every path linked, ms's subtree blocks, slices of it."""
+        if not (self.broken or t):
+            out, start = [], len(self.order)
+            for pos, size in sorted(map(self.block.get, ms), reverse=True):
+                if pos < start:  # not inside the block taken last
+                    start = pos + 1 - size
+                    out.append(self.order[start:pos + 1])
+            return list(itertools.chain(*reversed(out)))
         reach, todo = set(ms), list(ms)
         while todo:
             for n, _ in self.succ[todo.pop()]:
@@ -146,14 +161,14 @@ class ModelIndex:
                 return
 
 
-def _path_fault(hid, ms, parent):
+def _path_fault(hid, ms, moments):
     """The moment and the text of a path's history-path violation."""
-    if not ms or not all(m in parent for m in ms):
+    if not ms or not all(m in moments for m in ms):
         return None, f"history {hid} mentions unknown moments"
-    if parent[ms[0]] is not None:
+    if moments[ms[0]].parent is not None:
         return ms[0], f"history {hid} does not start at the root"
     for a, b in zip(ms, ms[1:]):
-        if parent[b] != a:
+        if moments[b].parent != a:
             return b, f"history {hid}: {b} is not a child of {a}"
     return ms[-1], f"history {hid} ends at a non-leaf moment"
 

@@ -8,7 +8,12 @@ the leaf's label repeats, so temporal operators are decided on the
 ultimately-constant extension.
 
 Evaluation is bit-parallel, on the bit index of ``model_index`` that
-``validate`` or the first evaluation builds.  Each formula is evaluated once
+``validate`` or the first evaluation builds.  With no broken path,
+``validate`` passes a choice on masks when its cells are non-empty, their
+sizes sum to |H_m| and the next-moment groups lying whole in them OR to
+H_m: they are then disjoint unions of whole groups, so partition and
+undivided hold (one pass over the choices, no set built).  Other choices
+are checked by sets.  Each formula is evaluated once
 per moment into one int, the mask of the histories of H_m at which it holds.
 Connectives are &, | and ^ within H_m.  X, X^n, F[lo:hi] and BR[n] run
 their unfolding backwards over levels of next moments that all the asked
@@ -563,23 +568,30 @@ class ExplicitStitModel:
                 out.append(Violation("parent", None, m.id,
                                      f"parent {m.parent} does not exist"))
         ix = self._index()
-        broken = ix.mask(ix.broken)
+        broken, th, ids = ix.mask(ix.broken), ix.through, self._through
         out.extend(Violation("history-path", None, *ix.broken[h])
                    for h in self.histories if h in ix.broken)
-        leaves = set(self.moments) - {m.parent for m in self.moments.values()}
-        for leaf in sorted(leaves):  # a linked history through it ends there
-            if not ix.through[leaf] & ~broken:
-                out.append(Violation("leaf-covered", None, leaf,
-                                     "no history ends at this leaf"))
-        empty = Counter()  # moment -> empty cells in choices of 2+ cells
+        for leaf in sorted(m for m, (_, n) in ix.block.items()  # leaves
+                           if n == 1 and not th[m] & ~broken):  # none ends
+            out.append(Violation("leaf-covered", None, leaf,
+                                 "no history ends at this leaf"))
+        by_sets, empty = [], Counter()  # empty: moment -> empty cells of 2+
         for (agent, mid), cells in sorted(self.choices.items()):
             if agent not in self.agents:
                 out.append(Violation("partition", agent, mid, "unknown agent"))
+                by_sets.append(((agent, mid), cells))
                 continue
             if mid not in self.moments:
                 out.append(Violation("partition", agent, mid, "unknown moment"))
                 continue
-            hm = self.histories_through(mid)
+            if not ix.broken and all(cells) and \
+                    sum(map(len, cells)) == th[mid].bit_count():
+                union = 0  # the next-moment groups that lie in some cell
+                for cell in cells:
+                    for n, g in ix.succ[mid]:
+                        union |= g if ids[n] <= cell else 0
+                if union == th[mid]:  # disjoint ORs of whole groups: valid
+                    continue
             seen = set()
             for cell in cells:
                 if not cell:
@@ -591,13 +603,14 @@ class ExplicitStitModel:
                         "partition", agent, mid,
                         f"histories {sorted(overlap)} appear in two actions"))
                 seen |= cell
-            if seen != hm:
+            if seen != ids[mid]:
                 out.append(Violation(
                     "partition", agent, mid,
                     f"actions do not partition H_m: union {sorted(seen)} "
-                    f"vs H_m {sorted(hm)}"))
-        out.extend(self._validate_independence(empty))
-        out.extend(self._validate_undivided(ix))
+                    f"vs H_m {sorted(ids[mid])}"))
+            by_sets.append(((agent, mid), cells))
+        out.extend(self._validate_independence(+empty))
+        out.extend(self._validate_undivided(ix, by_sets))
         out.extend(Violation("labels", None, mid, f"label entry for {hid} "
                              "names no history through a declared moment")
                    for mid, hid in self._labels  # in entry order
@@ -606,10 +619,10 @@ class ExplicitStitModel:
         return out
 
     def _validate_independence(self, empty):
-        out = []
-        declared = {mid for _, mid in self.choices}
-        for mid in filter(declared.__contains__, self.moments):
-            if len(self.agents) == 1:  # only its empty cells break it
+        out, one = [], len(self.agents) == 1
+        declared = empty if one else {mid for _, mid in self.choices}
+        for mid in filter(declared.__contains__, declared and self.moments):
+            if one:  # only its empty cells break it
                 picks = [(frozenset(),)] * empty[mid]
             else:
                 per_agent = [self.actions_at(a, mid) for a in self.agents]
@@ -624,9 +637,9 @@ class ExplicitStitModel:
                         + " x ".join(str(sorted(c)) for c in pick)))
         return out
 
-    def _validate_undivided(self, ix):
+    def _validate_undivided(self, ix, choices):
         out, th, bad = [], self._through, ix.broken
-        for (agent, mid), cells in sorted(self.choices.items()):
+        for (agent, mid), cells in choices:
             if mid not in self.moments:
                 continue
             # when no cell holds a history with a broken path, two of its

@@ -27,6 +27,7 @@ from deontic_mc.tree_model import (
     load_model,
     save_model,
 )
+from reference_index import ReferenceIndex
 from reference_validate import reference_validate
 
 
@@ -1298,6 +1299,25 @@ class TestReachByBlocks:
                     seen[len(filled) < len(model.moments)] += 1
         assert seen[True] > 1000 and seen[False] > 1000, seen
 
+    def test_reach_reads_the_blocks_a_walk_reaches(self):
+        """With every path linked, reach returns the asked moments' subtree
+        blocks, in the index's order: what a walk along the next-moment
+        groups reaches, nested and repeated moments included."""
+        rng = random.Random(58)
+        models = [random_model(rng, max_depth=rng.randint(1, 4),
+                               max_histories=rng.randint(2, 8),
+                               n_agents=rng.randint(1, 2))
+                  for _ in range(200)]
+        models += _unrolled_workload_models()[:2]
+        for model in models:
+            ix, moments = model._index(), list(model.moments)
+            assert not ix.broken
+            for _ in range(10):
+                ms = rng.choices(moments, k=rng.randint(1, 4))
+                reached = walked(ix, ms, {})
+                assert ix.reach(ms, ()) == [
+                    m for m in ix.order if m in reached], ms
+
     def test_operands_stay_inside_the_asked_subtree(self):
         """alpha's cells at moment 2 leave out h4, so [alpha cstit: p] is
         refused there.  Asked under moment 1, F of it never reaches moment
@@ -1533,6 +1553,116 @@ class TestIndexBuild:
         model.optimal_actions(agent, 0), model.extension(0, fm.TRUE)
         model.dominates(agent, 0, cells[0], cells[-1])
         assert _CountingIndex.built == 1
+
+
+ALL_INDEX_FIELDS = INDEX_FIELDS + ("bit", "broken")
+
+
+class TestFusedIndex:
+    """The index built in one successors-first pass against the reference
+    that builds each field in its own loop."""
+
+    def test_same_fields_as_the_reference(self):
+        scrambled, drawn = random.Random(44), random.Random(42)
+        models = [TestUndividedByGrouping.scrambled(scrambled)
+                  for _ in range(1000)]
+        models += [random_model(drawn, n_agents=drawn.randint(1, 2))
+                   for _ in range(150)]
+        models += _unrolled_workload_models()
+        models += [getattr(rss, f"fig{i}_model")() for i in (1, 2, 3)]
+        models += list(_mutated_fixtures().values())
+        # two linked histories end at leaf 2 of each of these
+        models += [_shortcut_case(c) for c, _ in SHORTCUT_CASES.values()]
+        seen = Counter()
+        for model in models:
+            args = (model.histories, model.moments, model._labels,
+                    *model._tree)
+            got, ref = ModelIndex(*args), ReferenceIndex(*args)
+            for field in ALL_INDEX_FIELDS:
+                assert getattr(got, field) == getattr(ref, field), field
+            seen[bool(got.broken)] += 1
+            seen["undeclared"] += len(got.order) > len(model.moments)
+        assert min(seen.values()) > 50, seen
+
+
+def _shortcut_case(choices, extra=()):
+    """Moments 0 > 1, 2 and 1 > 3, 4; h1 and h2 pass 1, h3 and h4 end at
+    leaf 2, and extra adds histories; alpha is the one agent."""
+    return ExplicitStitModel(
+        ["alpha"], [], [(0, None), (1, 0), (2, 0), (3, 1), (4, 1)],
+        [("h1", [0, 1, 3], 1), ("h2", [0, 1, 4], 2), ("h3", [0, 2], 3),
+         ("h4", [0, 2], 4), *extra], choices, {})
+
+
+SHORTCUT_CASES = {
+    # each cell one whole group of moment 1 and the sizes add up to |H_1|,
+    # but the groups in them OR to half of H_1
+    "identical-cells": ({("alpha", 1): [["h1"], ["h1"]]}, {"partition"}),
+    # the known half of a cell is a whole group, so the groups in the cells
+    # OR to H_1, but the sizes add up to 3
+    "unknown-history": ({("alpha", 1): [["h1", "hz"], ["h2"]]},
+                        {"partition"}),
+    # whole groups that OR to H_0, one of them in two cells: sizes add to 6
+    "overlapping-cells": ({("alpha", 0): [["h1", "h2", "h3", "h4"],
+                                          ["h3", "h4"]]}, {"partition"}),
+    # sizes and groups as for one cell of all of H_0
+    "empty-cell": ({("alpha", 0): [["h1", "h2", "h3", "h4"], []]},
+                   {"partition", "independence"}),
+    # a leaf's histories share no later moment, so splitting them is valid;
+    # its one group lies in no cell
+    "split-leaf": ({("alpha", 2): [["h3"], ["h4"]],
+                    ("alpha", 0): [["h1", "h2"], ["h3", "h4"]]}, set()),
+    "unknown-agent-and-moment": ({("beta", 0): [["h1"], ["h2", "h3", "h4"]],
+                                  ("alpha", 7): [["h1"]],
+                                  ("beta", 9): [["h1"]]},
+                                 {"partition", "undivided"}),
+}
+
+
+class TestValidateShortcut:
+    """With no broken path, a choice passes partition and undivided on its
+    masks only when its cells are non-empty, their sizes add up to |H_m|
+    and the next-moment groups lying whole in them OR to H_m.  Each case
+    below fails one of these tests, or names an unknown agent or moment,
+    so it is decided set by set, and must report what the reference
+    reports."""
+
+    @pytest.mark.parametrize("name", list(SHORTCUT_CASES))
+    def test_same_violations_as_the_reference(self, name):
+        choices, axioms = SHORTCUT_CASES[name]
+        model = _shortcut_case(choices)
+        got = model.validate()
+        assert got == reference_validate(model)
+        assert {v.axiom for v in got} == axioms, got
+
+    def test_one_broken_path_among_linked_choices(self):
+        """h5 steps from 2 to 3, not a child of 2: every choice is then
+        decided set by set, the linked ones beside it included."""
+        model = _shortcut_case({("alpha", 0): [["h1"], ["h2", "h3", "h4"]],
+                                ("alpha", 1): [["h1"], ["h2"]],
+                                ("alpha", 2): [["h3", "h5"], ["h4"]]},
+                               extra=[("h5", [0, 2, 3], 5)])
+        got = model.validate()
+        assert got == reference_validate(model)
+        assert {v.axiom for v in got} == {"history-path", "partition",
+                                          "undivided"}, got
+
+    def test_valid_linked_models_build_no_set(self, monkeypatch):
+        """On a valid model with every path linked each choice passes on
+        its masks: no choice reaches the set-based undivided check."""
+        left = []
+        check = ExplicitStitModel._validate_undivided
+        monkeypatch.setattr(
+            ExplicitStitModel, "_validate_undivided",
+            lambda self, ix, choices: left.extend(choices) or check(
+                self, ix, choices))
+        rng = random.Random(59)
+        models = _unrolled_workload_models()
+        models += [random_model(rng, n_agents=rng.randint(1, 2))
+                   for _ in range(100)]
+        for model in models:
+            assert model.validate() == []
+            assert not model._ix.broken and left == []
 
 
 class TestValueOrder:
