@@ -435,28 +435,6 @@ def prime_automaton(restricted: StitAutomaton, aut: StitAutomaton) -> StitAutoma
                          aut.final, transitions, labels)
 
 
-def bounded_traces(aut: StitAutomaton, depth: int,
-                   first_action: str | None = None) -> frozenset:
-    """Depth-bounded traces: (initial label, ((action, weight, label), ...)).
-
-    State names are deliberately absent so traces compare across renamings.
-    """
-    out = set()
-
-    def go(state, steps, acc):
-        if steps == 0:
-            out.add((aut.label(aut.initial), tuple(acc)))
-            return
-        for t in aut.out(state):
-            if not acc and first_action is not None and t.action != first_action:
-                continue
-            go(t.dst, steps - 1,
-               acc + [(t.action, t.weight, aut.label(t.dst))])
-
-    go(aut.initial, depth, [])
-    return frozenset(out)
-
-
 # ---------------------------------------------------------------------------
 # Extremal bottleneck values (accumulation = min)
 # ---------------------------------------------------------------------------

@@ -4,11 +4,12 @@ Bit i of a mask stands for the i-th history in (value, id) order, so the
 lowest and the highest set bit of a mask carry the least and the greatest
 value among its histories.  Per moment the index keeps H_m as a mask and
 H_m grouped by the moment each history steps to next (a leaf stutters),
-both filled in one successors-first pass.  ``validate`` reads partition
-and undivided off these groups; the evaluators step bounded operators
-along them.  With every path linked the H_m of one depth are disjoint:
-``fill`` keeps Until and Release as one mask per depth, as the index keeps
-atoms; else ``sweep`` fills them by moment over ``reach``'s walk.
+both filled in one successors-first pass over the model's walk (its
+depths shared, its paths kept for leaves only).  ``validate`` reads
+partition and undivided off these groups; the evaluators step bounded
+operators along them.  With every path linked the H_m of one depth are
+disjoint: ``fill`` keeps Until and Release as one mask per depth, as the
+index keeps atoms; else ``sweep`` fills them over all ``reach`` walks to.
 """
 
 from __future__ import annotations
@@ -22,8 +23,9 @@ class ModelIndex:
 
     histories maps ids to History records, moments maps ids to Moment
     records and labels maps (moment, history) to atom names, the history
-    "*" naming all of H_m.  order, block and paths are the model's walk of
-    its moments.  The masks are memoised here by the evaluators.
+    "*" naming all of H_m.  order, block, depth (the Moment records' own
+    dict) and paths (leaves only) are the model's walk of its moments.  The
+    masks are memoised here by the evaluators.
 
     Values rank by exact int keys over their common denominator.  A linked
     path is its leaf's path from the root, so it only marks its leaf, and
@@ -31,7 +33,7 @@ class ModelIndex:
     history to the moment and the text of its history-path violation, and
     such a path is grouped at each moment's last visit on it."""
 
-    def __init__(self, histories, moments, labels, order, block, paths):
+    def __init__(self, histories, moments, labels, order, block, depth, paths):
         ratio = [h.value.as_integer_ratio() for h in histories.values()]
         lcm = math.lcm(*(d for _, d in ratio))
         keyed = sorted(zip([n * (lcm // d) for n, d in ratio], histories))
@@ -40,12 +42,12 @@ class ModelIndex:
         rank = {v: i for i, v in enumerate(sorted({v for v, _ in keyed}))}
         self.rank = [rank[v] for v, _ in keyed]  # bit i's rank
         self.broken = {}  # history -> (moment, detail) of its broken path
-        self.depth = depth = {m: x.depth for m, x in moments.items()}
+        self.depth = depth
         self.ends = ends = [0] * (1 + max(depth.values(), default=0))
         leaf, kids = {}, {}  # the linked histories by leaf; groups by parent
         for hid, b in bit.items():
             ms = histories[hid].moments  # linked: a leaf's path from a root
-            if ms and paths.get(ms[-1]) == ms and block[ms[-1]][1] == 1 \
+            if ms and paths.get(ms[-1]) == ms \
                     and moments[ms[0]].parent is None:
                 leaf[ms[-1]] = leaf.get(ms[-1], 0) | b
                 ends[len(ms) - 1] |= b  # the linked ones ending at depth d
@@ -124,10 +126,10 @@ class ModelIndex:
             lv[d] |= t
             cov[d] |= s
 
-    def reach(self, ms, t):
-        """The moments reachable from ms that t lacks, in self.order: with t
-        empty and every path linked, ms's subtree blocks, slices of it."""
-        if not (self.broken or t):
+    def reach(self, ms):
+        """The moments reachable from ms, in self.order: with every path
+        linked, ms's subtree blocks, slices of it."""
+        if not self.broken:
             out, start = [], len(self.order)
             for pos, size in sorted(map(self.block.get, ms), reverse=True):
                 if pos < start:  # not inside the block taken last
@@ -137,19 +139,20 @@ class ModelIndex:
         reach, todo = set(ms), list(ms)
         while todo:
             for n, _ in self.succ[todo.pop()]:
-                if n not in reach and n not in t:
+                if n not in reach:
                     reach.add(n)
                     todo.append(n)
         return [m for m in self.order if m in reach]
 
     def sweep(self, order, lt, rt, t, release):
         """Fill t with l U r, or l R r if release, from the masks lt of l
-        and rt of r, over order: moments that t lacks, in self.order, each
-        with its successors in t or order.  A history that stutters at its
-        leaf reads the preset: an Until unfulfilled, a Release kept.  A
-        broken path may step to a moment later in the order, but each
-        history only moves forward along its own path, so the fixpoint is
-        unique: repeat from the preset until no mask changes."""
+        and rt of r, over order, every moment reach walks to: one that t
+        holds already is filled again, to the same mask.  A history that
+        stutters at its leaf reads the preset: an Until unfulfilled, a
+        Release kept.  A broken path may step to a moment later in the
+        order, but each history only moves forward along its own path, so
+        the fixpoint is unique: repeat from the preset until no mask
+        changes."""
         t.update(dict.fromkeys(order, -1 if release else 0))
         while True:
             before = dict(t)

@@ -8,12 +8,13 @@ the leaf's label repeats, so temporal operators are decided on the
 ultimately-constant extension.
 
 Evaluation is bit-parallel, on the bit index of ``model_index`` that
-``validate`` or the first evaluation builds.  With no broken path,
-``validate`` passes a choice on masks when its cells are non-empty, their
-sizes sum to |H_m| and the next-moment groups lying whole in them OR to
-H_m: they are then disjoint unions of whole groups, so partition and
-undivided hold (one pass over the choices, no set built).  Other choices
-are checked by sets.  Each formula is evaluated once
+``validate`` or the first evaluation builds from the model's one walk of
+its moments (each depth found once, a path kept for each leaf alone).
+With no broken path, ``validate`` passes a choice on masks when its cells
+are non-empty, their sizes sum to |H_m| and the next-moment groups lying
+whole in them OR to H_m: they are then disjoint unions of whole groups, so
+partition and undivided hold.  Other choices are checked by sets and by
+pairs of histories sharing a later moment.  Each formula is evaluated once
 per moment into one int, the mask of the histories of H_m at which it holds.
 Connectives are &, | and ^ within H_m.  X, X^n, F[lo:hi] and BR[n] run
 their unfolding backwards over levels of next moments that all the asked
@@ -116,9 +117,9 @@ class ExplicitStitModel:
         self.moments: dict[int, Moment] = {}
         parents = {int(mid): (None if par is None else int(par))
                    for mid, par in moments}
-        *_, paths = self._tree = self._walk(parents)
+        _, _, depth, _ = self._tree = self._walk(parents)
         for mid, par in parents.items():
-            self.moments[mid] = Moment(mid, par, len(paths[mid]) - 1)
+            self.moments[mid] = Moment(mid, par, depth[mid])
         self.histories: dict[str, History] = {
             hid: History(hid, tuple(int(m) for m in ms),
                          _as_rational(v, "utility value", ModelError))
@@ -142,20 +143,26 @@ class ExplicitStitModel:
     def _walk(parents):
         """A depth-first walk down from the moments whose parent is not
         declared: the reversed pre-order (successors first), each moment's
-        block (its position there and its subtree's size) and its path from
-        its first declared ancestor.  A moment never reached is on or below
-        a cycle; the first one in declaration order is named."""
+        block (its position there and its subtree's size), its depth below
+        its first declared ancestor and, for a leaf alone, its path from
+        that ancestor.  A moment never reached is on or below a cycle; the
+        first one in declaration order is named."""
         children = {}
         for mid, p in parents.items():
             children.setdefault(p if p in parents else None, []).append(mid)
-        order, stack, paths = [], list(children.get(None, ())), {}
+        order, stack, depth, paths = [], list(children.get(None, ())), {}, {}
+        path = []  # the moments down to the one popped last
         while stack:
             mid = stack.pop()
             order.append(mid)
-            stack += children.get(mid, ())
-            paths[mid] = paths.get(parents[mid], ()) + (mid,)
+            depth[mid] = d = depth.get(parents[mid], -1) + 1
+            path[d:] = [mid]
+            if mid in children:
+                stack += children[mid]
+            else:
+                paths[mid] = tuple(path)
         for mid in parents:
-            if mid not in paths:
+            if mid not in depth:
                 raise ModelError(f"cyclic parent chain at moment {mid}")
         order.reverse()
         size, block = dict.fromkeys(order, 1), {}
@@ -163,7 +170,7 @@ class ExplicitStitModel:
             block[mid] = (i, size[mid])
             if parents[mid] in size:
                 size[parents[mid]] += size[mid]
-        return order, block, paths
+        return order, block, depth, paths
 
     # -- basic structure ----------------------------------------------------
 
@@ -329,14 +336,21 @@ class ExplicitStitModel:
         ix = self._index()
         hit = ix.cells.get((agents, mid))
         if hit is None:
-            cells, th, masks = self.group_actions(agents, mid), self._through, []
+            cells, masks = self.group_actions(agents, mid), []
             for cell in cells:  # next-moment groups that fill it, or its ids
-                mask = sum(g for n, g in ix.succ[mid]
-                           if n in th and th[n] <= cell)
+                mask = self._whole_groups(mid, cell)
                 mask = mask if mask.bit_count() == len(cell) else ix.mask(cell)
                 masks.append((mask, mask.bit_count() == len(cell)))
             hit = ix.cells[agents, mid] = (cells, masks)
         return hit
+
+    def _whole_groups(self, mid, cell):
+        """The OR of mid's next-moment groups lying whole in the cell."""
+        th, mask = self._through, 0
+        for n, g in self._ix.succ[mid]:
+            if n in th and th[n] <= cell:
+                mask |= g
+        return mask
 
     def _background(self, agents, mid):
         """The background states' masks: the joint cells of the agents
@@ -481,7 +495,7 @@ class ExplicitStitModel:
         ys = (x.left, x.right) if op is fm.Until or op is fm.Release else (
             _FALSE if release else _TRUE, x.operand)
         if ix.broken:
-            order = ix.reach(ms, t)
+            order = ix.reach(ms)
             lt, rt = self._table(ys[0], order), self._table(ys[1], order)
             return ix.sweep(order, lt, rt, t, release)
         depth, th, n = ix.depth, ix.through, len(ix.ends)
@@ -495,7 +509,7 @@ class ExplicitStitModel:
                     got.append(_EVALUATORS[type(y)](self, y, todo, None))
                     continue
                 got.append([0] * n)  # by moment, over todo's blocks
-                for m, b in self._table(y, ix.reach(todo, ())).items():
+                for m, b in self._table(y, ix.reach(todo)).items():
                     got[-1][depth[m]] |= b
             ix.fill(lv, cov, todo, *got, release)
         if t is None:
@@ -588,8 +602,7 @@ class ExplicitStitModel:
                     sum(map(len, cells)) == th[mid].bit_count():
                 union = 0  # the next-moment groups that lie in some cell
                 for cell in cells:
-                    for n, g in ix.succ[mid]:
-                        union |= g if ids[n] <= cell else 0
+                    union |= self._whole_groups(mid, cell)
                 if union == th[mid]:  # disjoint ORs of whole groups: valid
                     continue
             seen = set()
@@ -610,7 +623,7 @@ class ExplicitStitModel:
                     f"vs H_m {sorted(ids[mid])}"))
             by_sets.append(((agent, mid), cells))
         out.extend(self._validate_independence(+empty))
-        out.extend(self._validate_undivided(ix, by_sets))
+        out.extend(self._validate_undivided(by_sets))
         out.extend(Violation("labels", None, mid, f"label entry for {hid} "
                              "names no history through a declared moment")
                    for mid, hid in self._labels  # in entry order
@@ -637,17 +650,10 @@ class ExplicitStitModel:
                         + " x ".join(str(sorted(c)) for c in pick)))
         return out
 
-    def _validate_undivided(self, ix, choices):
-        out, th, bad = [], self._through, ix.broken
+    def _validate_undivided(self, choices):
+        out = []
         for (agent, mid), cells in choices:
             if mid not in self.moments:
-                continue
-            # when no cell holds a history with a broken path, two of its
-            # histories share a later moment iff they pass the same child,
-            # and the histories through a child n of mid are th[n]
-            if not (bad and any(not c.isdisjoint(bad) for c in cells)) and all(
-                    sum(not c.isdisjoint(th.get(n, ())) for c in cells) <= 1
-                    for n, _ in ix.succ[mid] if n != mid):
                 continue
             cell_of = {h: i for i, cell in enumerate(cells) for h in cell}
             # only histories that reach a common moment after mid can break

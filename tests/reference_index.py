@@ -13,7 +13,8 @@ from deontic_mc.model_index import ModelIndex
 
 
 class ReferenceIndex(ModelIndex):
-    def __init__(self, histories, moments, labels, order, block, paths):
+    def __init__(self, histories, moments, labels, order, block, walked,
+                 paths):  # walked: the walk's depths, rebuilt below
         ratio = [h.value.as_integer_ratio() for h in histories.values()]
         lcm = math.lcm(*(d for _, d in ratio))
         keyed = sorted(zip([n * (lcm // d) for n, d in ratio], histories))

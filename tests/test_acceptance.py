@@ -11,7 +11,6 @@ from deontic_mc import formula as fm
 from deontic_mc import rss
 from deontic_mc.automaton import (
     StitAutomaton,
-    bounded_traces,
     extremal_values,
     prime_automaton,
     restrict_first_action,
@@ -27,6 +26,7 @@ from deontic_mc.mc import check_ought
 from deontic_mc.tree_model import check_inference_condition
 
 import oracle
+from reference_traces import bounded_traces
 
 
 def report(number, name, elapsed, ok=True):

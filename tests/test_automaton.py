@@ -9,7 +9,6 @@ from deontic_mc import automaton
 from deontic_mc.automaton import (
     StitAutomaton,
     ValueInterval,
-    bounded_traces,
     extremal_values,
     load_automaton,
     prime_automaton,
@@ -24,6 +23,7 @@ from deontic_mc.generate import random_automaton
 from deontic_mc.tree_model import ExplicitStitModel
 
 import oracle
+from reference_traces import bounded_traces
 
 
 # ======================== Validation ========================
@@ -31,6 +31,10 @@ import oracle
 class TestValidate:
     def test_t0_is_clean(self, t0):
         assert t0.validate() == []
+
+    def test_out_of_an_unknown_state(self, t0):
+        with pytest.raises(AutomatonError, match="unknown state 'nosuch'"):
+            t0.out("nosuch")
 
     def test_two_actions_on_one_edge_pair(self):
         bad = StitAutomaton(
@@ -111,6 +115,14 @@ class TestValidate:
 # ======================== Product ========================
 
 class TestProduct:
+    def test_zero_automata_are_refused(self):
+        with pytest.raises(AutomatonError, match="product of zero automata"):
+            product([])
+
+    def test_one_name_per_component(self, t0):
+        with pytest.raises(AutomatonError, match="need one name per component"):
+            product([t0, t0], names=["a"])
+
     def test_identity_modulo_renaming(self, t0):
         p = product([t0])
         assert len(p.states) == len(t0.states)
@@ -393,6 +405,15 @@ class TestRestrictPrime:
             assert bounded_traces(tnp, 5) == \
                 bounded_traces(aut, 5, first_action=action)
 
+    def test_prime_root_skips_a_taken_name(self):
+        """q0' names a state already, so the fresh root is q0''."""
+        aut = StitAutomaton(["q0", "q0'"], "q0", ["K"], [],
+                            [("q0", "K", "q0'", 1), ("q0'", "K", "q0", 2)], {})
+        primed = prime_automaton(restrict_first_action(aut, "K"), aut)
+        assert primed.initial == "q0''"
+        assert primed.states == ("q0''", "q0", "q0'")
+        assert primed.validate() == []
+
     def test_single_first_action_trace_equivalent_to_whole(self):
         aut = StitAutomaton(["q0", "q1"], "q0", ["K", "m"], [],
                             [("q0", "K", "q1", 1), ("q1", "m", "q0", 2)], {})
@@ -403,6 +424,17 @@ class TestRestrictPrime:
 # ======================== Extremal values ========================
 
 class TestExtremalValues:
+    def test_no_initial_transition_is_a_dead_end(self):
+        aut = StitAutomaton(["q0"], "q0", ["K"], [], [], {})
+        with pytest.raises(AutomatonError, match="dead end reachable: no "
+                                                 "execution through 'q0'"):
+            extremal_values(aut)
+
+    def test_inverted_interval_is_refused(self):
+        with pytest.raises(AutomatonError, match=r"interval \[2, 1\] is "
+                                                 r"inverted"):
+            ValueInterval("K", Fraction(2), Fraction(1))
+
     def test_t0_branches(self, t0):
         k1 = extremal_values(
             prime_automaton(restrict_first_action(t0, "K1"), t0))
@@ -519,6 +551,16 @@ class TestFileFormat:
         again = load_automaton(path)
         assert again.transitions[0].weight == Fraction(1, 2)
         assert aut.to_json()["transitions"][0]["weight"] == "0.5"
+
+    def test_fifths_in_the_denominator_stay_decimal(self, tmp_path):
+        """3/20 = 0.15: the denominator's factor 5 is scaled out, so the
+        weight is written as a decimal and read back exactly."""
+        aut = StitAutomaton(["q0"], "q0", ["K"], [],
+                            [("q0", "K", "q0", Fraction(3, 20))], {})
+        assert aut.to_json()["transitions"][0]["weight"] == "0.15"
+        path = tmp_path / "a.json"
+        save_automaton(aut, path)
+        assert load_automaton(path).transitions[0].weight == Fraction(3, 20)
 
     def test_non_decimal_weights_survive(self, tmp_path):
         aut = StitAutomaton(["q0"], "q0", ["K"], [],

@@ -360,6 +360,25 @@ class TestMc:
             reports.append(json.loads(out)["result"])
         assert reports[0] == reports[1]
 
+    def test_agent_must_match_the_statement(self, capsys, t0_file):
+        code, _, err = run(capsys, "mc", t0_file, "--agent", "beta",
+                           "--ought", "O[alpha cstit: G p]")
+        assert code == 2
+        assert "--agent 'beta' does not match the statement's agent " \
+            "'alpha'" in err
+
+    def test_a_crash_is_an_internal_error(self, capsys, t0_file, monkeypatch):
+        """A Python error inside a command exits 2 with an internal-error
+        line, never 1, which reads as a failing check."""
+        def crash(*_):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr("deontic_mc.cli.check_ought_statement", crash)
+        code, out, err = run(capsys, "mc", t0_file, "--agent", "alpha",
+                             "--ought", "O[alpha cstit: G p]")
+        assert code == 2 and out == ""
+        assert "error: internal error: RuntimeError: boom" in err
+
     def test_base_exceptions_pass_through(self, capsys, t0_file, monkeypatch):
         """Only Exception is mapped to exit 2; an interrupt or an alarm
         raised as a BaseException still reaches the caller."""
@@ -428,6 +447,13 @@ class TestUnroll:
         code, _, _ = run(capsys, "validate", out_path)
         assert code == 0
 
+    def test_model_file_is_a_usage_error(self, capsys, fig1_file, tmp_path):
+        out_path = tmp_path / "x.json"
+        code, _, err = run(capsys, "unroll", fig1_file, "--depth", "2",
+                           "--out", str(out_path))
+        assert code == 2 and "unroll runs on automaton files" in err
+        assert not out_path.exists()
+
     def test_depth_zero_is_usage_error(self, capsys, t0_file, tmp_path):
         code, _, err = run(capsys, "unroll", t0_file, "--depth", "0",
                            "--out", str(tmp_path / "x.json"))
@@ -491,6 +517,11 @@ class TestRssCommand:
     def test_unknown_name_exits_two(self, capsys):
         code, _, err = run(capsys, "rss", "nope")
         assert code == 2 and "unknown" in err
+
+    def test_neither_name_nor_export_exits_two(self, capsys):
+        code, _, err = run(capsys, "rss")
+        assert code == 2
+        assert "give a demonstration name or --export DIR" in err
 
     def test_export_writes_all_fixtures(self, capsys, tmp_path):
         code, out, _ = run(capsys, "rss", "--export", str(tmp_path / "fx"))

@@ -93,6 +93,60 @@ class TestParse:
             fm.parse("F[2:1] p")
 
 
+class TestNodeChecks:
+    """The nodes' own checks and the typed entry points: each refuses what
+    its grammar does not allow, naming the production."""
+
+    P, Q = fm.Atom("p"), fm.Atom("q")
+
+    @pytest.mark.parametrize("build, production", [
+        (lambda p, q: fm.NextPow(-1, p), "next-pow"),
+        (lambda p, q: fm.EventuallyBounded(-1, 2, p), "bounded-eventually"),
+        (lambda p, q: fm.EventuallyBounded(3, 2, p), "bounded-eventually"),
+        (lambda p, q: fm.BoundedRelease(-1, p, q), "bounded-release"),
+        (lambda p, q: fm.Plain(fm.Cstit("a", p)), "obligation-plain"),
+        (lambda p, q: fm.OughtStatement((), fm.Plain(p)), "ought"),
+        (lambda p, q: fm.OughtStatement(("a", "a"), fm.Plain(p)), "ought"),
+    ], ids=["next-pow", "eventually-lo", "eventually-order", "release",
+            "plain-stit", "no-agent", "repeated-agent"])
+    def test_constructor_refuses(self, build, production):
+        with pytest.raises(GrammarError) as err:
+            build(self.P, self.Q)
+        assert err.value.production == production
+
+    @pytest.mark.parametrize("read, text, production", [
+        (fm.parse_formula, "O[a cstit: p]", "formula"),
+        (fm.parse_obligation, "O[a cstit: p]", "obligation"),
+        (fm.parse_ought, "p", "ought"),
+    ], ids=["formula", "obligation", "ought"])
+    def test_entry_point_refuses_the_wrong_kind(self, read, text, production):
+        with pytest.raises(GrammarError, match="expected an? ") as err:
+            read(text)
+        assert err.value.production == production
+
+    def test_obligation_to_formula(self):
+        assert fm.obligation_to_formula(fm.Plain(self.P)) == self.P
+        assert fm.obligation_to_formula(
+            fm.NegatedObligation(fm.Plain(self.P))) == fm.Not(self.P)
+        with pytest.raises(TypeError, match="not an obligation: Atom"):
+            fm.obligation_to_formula(self.P)
+
+    def test_normalize_refuses_a_non_obligation(self):
+        with pytest.raises(TypeError, match="not an obligation: Atom"):
+            fm.normalize_obligation(fm.DstitOf("a", self.P))
+
+    def test_render_refuses_a_non_formula(self):
+        with pytest.raises(TypeError, match="cannot render int"):
+            fm.render(42)
+
+    def test_str_is_render(self):
+        ought = fm.OughtStatement(("a", "b"), fm.Plain(self.P),
+                                  fm.Plain(fm.Atom("w")))
+        assert str(fm.Until(self.P, self.Q)) == "(p U q)"
+        assert str(fm.NegatedObligation(fm.Plain(self.P))) == "!p"
+        assert str(ought) == "O[a,b cstit: p / w]"
+
+
 # ======================== Parser against its reference ========================
 
 _SOUP = ["(", ")", "[", "]", "!", "&", "|", "->", "U", "R", "BR", "BR[2]",

@@ -55,6 +55,13 @@ class TestCheckOught:
         assert [a for a, _ in v.optimal_actions] == ["K1"]
         assert v.case_taken == {"K1": "ctls"}
 
+    def test_obligation_of_no_known_kind_is_refused(self, t0):
+        """An obligation is an Obligation, a Formula or its text."""
+        with pytest.raises(GrammarError, match="cannot read an obligation "
+                                               "from int") as err:
+            check_ought(t0, "alpha", 1)
+        assert err.value.production == "obligation"
+
     def test_dstit_future_p(self):
         aut = make_t0(root_label=())
         v = check_ought(aut, "alpha",

@@ -300,6 +300,45 @@ class TestStructure:
             frozenset({"h1", "h3"}), frozenset({"h2", "h4"})}
 
 
+class TestAccessorErrors:
+    """Each accessor refuses, with a ModelError naming the fault, an
+    argument that the model does not bear out."""
+
+    def test_moment_off_the_history(self, fig1):
+        with pytest.raises(ModelError, match="moment 2 is not on history h1"):
+            fig1.moments_from(2, "h1")
+
+    def test_unknown_history(self, fig1):
+        with pytest.raises(ModelError, match="unknown history 'h9'"):
+            fig1.moments_from(0, "h9")
+
+    def test_choice_of_a_history_not_through_the_moment(self, fig1):
+        with pytest.raises(ModelError,
+                           match="history 'h1' does not pass through moment 2"):
+            fig1.choice_of("alpha", 2, "h1")
+
+    def test_choice_of_a_history_no_cell_covers(self):
+        model = tiny_two_agent()
+        model.choices[("alpha", 0)] = (frozenset({"h1", "h2"}),
+                                       frozenset({"h3"}))
+        with pytest.raises(ModelError, match="choice cells of 'alpha' at "
+                                             "moment 0 do not cover 'h4'"):
+            model.choice_of("alpha", 0, "h4")
+
+    def test_empty_agent_group(self, fig1):
+        with pytest.raises(ModelError, match="empty agent group"):
+            fig1.group_actions((), 0)
+
+    def test_satisfies_off_the_history(self, fig1):
+        with pytest.raises(ModelError,
+                           match="history 'h1' does not pass through moment 2"):
+            fig1.satisfies(2, "h1", fm.parse_formula("A"))
+
+    def test_evaluating_a_non_formula(self, fig1):
+        with pytest.raises(ModelError, match="cannot evaluate int"):
+            fig1.extension(0, 42)
+
+
 # ======================== Satisfaction ========================
 
 class TestSatisfaction:
@@ -585,6 +624,21 @@ class TestInferenceCondition:
                                           "g_alpha", "p_alpha")
         assert not ok
 
+    def test_skips_a_later_moment_with_one_action(self):
+        """h2 breaks the guard; alpha has one action at moment 1, which is
+        passed over, and at moment 3 h2 falls out of the optimal action."""
+        moments = [(0, None), (1, 0), (2, 0), (3, 1), (5, 3), (6, 3)]
+        histories = [("h1", [0, 1, 3, 5], 9), ("h2", [0, 1, 3, 6], 1),
+                     ("h3", [0, 2], 0)]
+        choices = {("alpha", 0): [["h1", "h2"], ["h3"]],
+                   ("alpha", 3): [["h1"], ["h2"]]}
+        model = ExplicitStitModel(["alpha"], ["g_alpha", "p_alpha"], moments,
+                                  histories, choices, {(0, "h2"): {"p_alpha"}})
+        assert model.validate() == []
+        assert check_inference_condition(
+            model, "alpha", 0, "g_alpha", "p_alpha") == (
+                True, [(frozenset({"h1", "h2"}), "h2", 3)])
+
 
 # ======================== File format ========================
 
@@ -635,6 +689,13 @@ class TestFileFormat:
             "choices": [], "labels": [],
         }
         with pytest.raises(ModelError, match="duplicate history id 'h1'"):
+            ExplicitStitModel.from_json(data)
+
+    def test_duplicate_choices_entry_rejected(self, fig1):
+        data = fig1.to_json()
+        data["choices"].append(dict(data["choices"][0]))
+        with pytest.raises(ModelError, match=r"duplicate choices entry for "
+                                             r"\('alpha', 0\)"):
             ExplicitStitModel.from_json(data)
 
     def test_duplicate_moment_id_rejected(self, fig1):
@@ -1124,8 +1185,13 @@ class TestUndividedByGrouping:
     def test_temporal_formulas_agree_on_scrambled_models(self):
         """Where histories disagree on the order of moments, or pass
         unknown ones, U, R, F, G and the bounded operators are still
-        decided history by history, as the reference does."""
+        decided history by history, as the reference does.  Asked again
+        moment by moment in a shuffled order on a fresh copy, a later ask
+        whose reach covers moments already filled fills them again: every
+        mask kept at a declared moment, of the formula and of its
+        subformulas, stays the reference's."""
         rng = random.Random(46)
+        swept = 0
         for _ in range(300):
             model = self.scrambled(rng)
             ref = RecursiveReference(model)
@@ -1138,6 +1204,18 @@ class TestUndividedByGrouping:
                     for h in sorted(model.histories_through(mid)):
                         assert model.satisfies(mid, h, f) == \
                             ref.sat(mid, h, f), (fm.render(f), mid, h)
+                fresh = copy.deepcopy(model)
+                for mid in rng.sample(list(model.moments), len(model.moments)):
+                    assert fresh.extension(mid, f) == ref.extension(mid, f), \
+                        (fm.render(f), mid)
+                ix = fresh._ix
+                for g, t in ix.masks.items():
+                    for mid in t.keys() & model.moments.keys():
+                        assert frozenset(ix.ids_of(t[mid])) == \
+                            ref.extension(mid, g), (fm.render(f), g, mid)
+                swept += bool(ix.broken) and any(
+                    type(g) in TEMPORAL for g in fm.walk(f))
+        assert swept > 500, swept
 
     @pytest.mark.filterwarnings("ignore:atom")
     def test_statements_agree_or_refuse_on_scrambled_models(self):
@@ -1315,7 +1393,7 @@ class TestReachByBlocks:
             for _ in range(10):
                 ms = rng.choices(moments, k=rng.randint(1, 4))
                 reached = walked(ix, ms, {})
-                assert ix.reach(ms, ()) == [
+                assert ix.reach(ms) == [
                     m for m in ix.order if m in reached], ms
 
     def test_operands_stay_inside_the_asked_subtree(self):
@@ -1654,8 +1732,8 @@ class TestValidateShortcut:
         check = ExplicitStitModel._validate_undivided
         monkeypatch.setattr(
             ExplicitStitModel, "_validate_undivided",
-            lambda self, ix, choices: left.extend(choices) or check(
-                self, ix, choices))
+            lambda self, choices: left.extend(choices) or check(
+                self, choices))
         rng = random.Random(59)
         models = _unrolled_workload_models()
         models += [random_model(rng, n_agents=rng.randint(1, 2))
