@@ -318,12 +318,13 @@ _STITS = {"cstit": Cstit, "dstit": Dstit}
 _OPERATOR_WORDS = frozenset(w for w in (*_INFIX, *_STITS) if w.isalpha())
 _FORMULA_START_SYMS = {"(", "[", "!"}
 
-# The bounded operators, each unfolding into n next-step obligations:
-# kind -> (n, the operator's head as printed and as refusals name it)
+# The bounded operators, each unfolding into n next-step obligations of
+# which the first lo test nothing: kind -> (lo, n, the operator's head as
+# printed and as refusals name it)
 _UNFOLDS = {
-    NextPow: lambda g: (g.steps, f"X^{g.steps}"),
-    EventuallyBounded: lambda g: (g.hi, f"F[{g.lo}:{g.hi}]"),
-    BoundedRelease: lambda g: (g.bound, f"BR[{g.bound}]"),
+    NextPow: lambda g: (g.steps, g.steps, f"X^{g.steps}"),
+    EventuallyBounded: lambda g: (g.lo, g.hi, f"F[{g.lo}:{g.hi}]"),
+    BoundedRelease: lambda g: (0, g.bound, f"BR[{g.bound}]"),
 }
 
 
@@ -356,7 +357,7 @@ def render(x) -> str:
     if shape == "infix":
         return f"({render(x.left)} {word} {render(x.right)})"
     if shape == "prefix":  # X^t and F[lo:hi] take their head from _UNFOLDS
-        return (word or _UNFOLDS[type(x)](x)[1] + " ") + _tight(children(x)[0])
+        return (word or _UNFOLDS[type(x)](x)[2] + " ") + _tight(children(x)[0])
     if shape == "atom":
         return x.name
     if shape == "plain":
@@ -364,7 +365,7 @@ def render(x) -> str:
     if shape == "word":
         return word
     if shape == "bounded":
-        head = _UNFOLDS[type(x)](x)[1]
+        head = _UNFOLDS[type(x)](x)[2]
         return f"{_tight(x.left)} {head} {_tight(x.right)}"
     if shape == "stit":
         return f"[{x.agent} {word}: {render(x.body)}]"
@@ -766,7 +767,7 @@ def compile(f, negated=None):
             if id(g) << 2 | pol in done:
                 continue
             if kind in _UNFOLDS:
-                n, op = _UNFOLDS[kind](g)
+                _, n, op = _UNFOLDS[kind](g)
                 if n > MAX_UNFOLD:
                     raise ResourceLimitError(
                         f"{op} unfolds into {n} next-step obligations; "
@@ -799,9 +800,9 @@ def compile(f, negated=None):
                     i = add((meet, None, (right, i)), len(index))
                     i = add((join, None, (left, i)), len(index))
             else:  # X^t g is F[t:t] g
-                lo = g.steps if kind is NextPow else g.lo
+                lo, n, _ = _UNFOLDS[kind](g)
                 i = last = kids[0]
-                for t in range(1, _UNFOLDS[kind](g)[0] + 1):
+                for t in range(1, n + 1):
                     last = add((Next, None, (last,)), len(index))
                     i = last if t <= lo else \
                         add((join, None, (i, last)), len(index))

@@ -8,8 +8,9 @@ both filled in one successors-first pass over the model's walk (its
 depths shared, its paths kept for leaves only).  ``validate`` reads
 partition and undivided off these groups; the evaluators step bounded
 operators along them.  With every path linked the H_m of one depth are
-disjoint: ``fill`` keeps Until and Release as one mask per depth, as the
-index keeps atoms; else ``sweep`` fills them over all ``reach`` walks to.
+disjoint: atoms, and Until and Release in ``fill``, keep one mask per depth;
+else atoms keep one per moment and ``sweep`` fills the moments not yet
+filled that ``reach`` walks to.
 """
 
 from __future__ import annotations
@@ -24,8 +25,10 @@ class ModelIndex:
     histories maps ids to History records, moments maps ids to Moment
     records and labels maps (moment, history) to atom names, the history
     "*" naming all of H_m.  order, block, depth (the Moment records' own
-    dict) and paths (leaves only) are the model's walk of its moments.  The
-    masks are memoised here by the evaluators.
+    dict) and paths (leaves only) are the model's walk of its moments.
+    atoms keeps each atom's histories per slot: slot is depth when no path
+    is broken, else a moment's place in order.  The masks are memoised
+    here by the evaluators.
 
     Values rank by exact int keys over their common denominator.  A linked
     path is its leaf's path from the root, so it only marks its leaf, and
@@ -65,6 +68,7 @@ class ModelIndex:
             if t and p is not None:
                 kids.setdefault(p, []).append((m, t))
         self.order, self.block = order, block  # block: (position, size)
+        self.slot = depth
         if self.broken:  # grouped at each moment's last visit on the path
             for hid in self.broken:
                 b, ms = bit[hid], histories[hid].moments
@@ -75,16 +79,19 @@ class ModelIndex:
                     through[m] = through.get(m, 0) | b
             self.order = order + [m for m in succ if m not in moments]
             self.succ = {m: tuple(dict(g).items()) for m, g in succ.items()}
-        self.labelled = labelled = {}  # atom -> moment -> its histories
-        self.atoms = lvs = {}  # atom -> mask per depth (if none is broken)
+            self.slot = {m: i for i, m in enumerate(self.order)}
+        self.atoms = atoms = {}  # atom -> its histories per slot
+        self.stray = []  # entries naming no history through a declared moment
         for (m, h), names in labels.items():  # "*" labels all of H_m
             b = (-1 if h == "*" else bit.get(h, 0)) & through.get(m, 0)
+            if m not in depth or not b and h != "*":
+                self.stray.append((m, h))
             if b:
                 for name in names:
-                    if name not in labelled:
-                        labelled[name], lvs[name] = {}, [0] * len(ends)
-                    labelled[name][m] = labelled[name].get(m, 0) | b
-                    lvs[name][depth.get(m, 0)] |= b
+                    if name not in atoms:
+                        atoms[name] = [0] * len(
+                            self.order if self.broken else ends)
+                    atoms[name][self.slot[m]] |= b
         self.levels = {}   # formula -> (mask per depth, histories covered)
         self.masks = {}    # formula -> moment -> mask where it holds
         self.cells = {}    # (agents, moment) -> (cells, [(mask, named)])
@@ -146,22 +153,23 @@ class ModelIndex:
 
     def sweep(self, order, lt, rt, t, release):
         """Fill t with l U r, or l R r if release, from the masks lt of l
-        and rt of r, over order, every moment reach walks to: one that t
-        holds already is filled again, to the same mask.  A history that
-        stutters at its leaf reads the preset: an Until unfulfilled, a
-        Release kept.  A broken path may step to a moment later in the
-        order, but each history only moves forward along its own path, so
-        the fixpoint is unique: repeat from the preset until no mask
-        changes."""
+        and rt of r, over order, the moments reach walks to that t lacks:
+        the moments t holds are closed under successors and keep their
+        masks.  A history that stutters at its leaf reads the preset: an
+        Until unfulfilled, a Release kept.  A broken path may step to a
+        moment later in the order, but each history only moves forward
+        along its own path, so the fixpoint is unique: repeat from the
+        preset until a pass changes no mask."""
         t.update(dict.fromkeys(order, -1 if release else 0))
-        while True:
-            before = dict(t)
+        changed = True
+        while changed:
+            changed = False
             for m in order:
                 later = along(self.succ[m], t)
-                t[m] = rt[m] & (lt[m] | later) if release \
+                mask = rt[m] & (lt[m] | later) if release \
                     else rt[m] | lt[m] & later
-            if before == t:
-                return
+                changed = changed or mask != t[m]
+                t[m] = mask
 
 
 def _path_fault(hid, ms, moments):

@@ -10,17 +10,18 @@ ultimately-constant extension.
 Evaluation is bit-parallel, on the bit index of ``model_index`` that
 ``validate`` or the first evaluation builds from the model's one walk of
 its moments (each depth found once, a path kept for each leaf alone).
-With no broken path, ``validate`` passes a choice on masks when its cells
-are non-empty, their sizes sum to |H_m| and the next-moment groups lying
-whole in them OR to H_m: they are then disjoint unions of whole groups, so
-partition and undivided hold.  Other choices are checked by sets and by
-pairs of histories sharing a later moment.  Each formula is evaluated once
-per moment into one int, the mask of the histories of H_m at which it holds.
-Connectives are &, | and ^ within H_m.  X, X^n, F[lo:hi] and BR[n] run
-their unfolding backwards over levels of next moments that all the asked
-moments share.  With every history path linked the H_m of one depth are
-disjoint, so U, R, F and G keep one mask per depth, filled deepest first
-over the asked moments' subtrees; a broken path makes them sweep.  A and
+``validate`` passes a choice whose H_m holds no broken history on masks
+when its cells are non-empty, their sizes sum to |H_m| and the next-moment
+groups lying whole in them OR to H_m: they are then disjoint unions of
+whole groups, so partition and undivided hold.  Other choices are checked
+by sets and by pairs of histories sharing a later moment.  Each formula is
+evaluated once per moment into one int, the mask of the histories of H_m
+at which it holds.  Connectives are &, | and ^ within H_m.  X, X^n,
+F[lo:hi] and BR[n] run their unfolding (formula._UNFOLDS) backwards over
+levels of next moments that all the asked moments share.  With every
+history path linked the H_m of one depth are disjoint, so U, R, F and G
+keep one mask per depth, filled deepest first over the asked moments'
+subtrees; a broken path makes them sweep the moments not yet filled.  A and
 E are all or nothing over H_m.  cstit, dstit and oughts compare choice-cell
 masks with the body's mask, and dominance compares the least and greatest
 values of each (cell, background state) pair, read off its lowest and
@@ -53,14 +54,14 @@ from .errors import (
 from .model_index import ModelIndex, along, spans_dominate
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Moment:
     id: int
     parent: int | None
     depth: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class History:
     id: str
     moments: tuple[int, ...]
@@ -117,9 +118,9 @@ class ExplicitStitModel:
         self.moments: dict[int, Moment] = {}
         parents = {int(mid): (None if par is None else int(par))
                    for mid, par in moments}
-        _, _, depth, _ = self._tree = self._walk(parents)
+        self._tree, self._tops = self._walk(parents)
         for mid, par in parents.items():
-            self.moments[mid] = Moment(mid, par, depth[mid])
+            self.moments[mid] = Moment(mid, par, self._tree[2][mid])
         self.histories: dict[str, History] = {
             hid: History(hid, tuple(int(m) for m in ms),
                          _as_rational(v, "utility value", ModelError))
@@ -141,12 +142,12 @@ class ExplicitStitModel:
 
     @staticmethod
     def _walk(parents):
-        """A depth-first walk down from the moments whose parent is not
-        declared: the reversed pre-order (successors first), each moment's
-        block (its position there and its subtree's size), its depth below
-        its first declared ancestor and, for a leaf alone, its path from
-        that ancestor.  A moment never reached is on or below a cycle; the
-        first one in declaration order is named."""
+        """A depth-first walk down from the tops, the moments whose parent
+        is not declared: the reversed pre-order (successors first), each
+        moment's block (its position there and its subtree's size), its
+        depth below its top and, for a leaf alone, its path from its top;
+        and the tops in declaration order.  A moment never reached is on or
+        below a cycle; the first one in declaration order is named."""
         children = {}
         for mid, p in parents.items():
             children.setdefault(p if p in parents else None, []).append(mid)
@@ -170,7 +171,7 @@ class ExplicitStitModel:
             block[mid] = (i, size[mid])
             if parents[mid] in size:
                 size[parents[mid]] += size[mid]
-        return order, block, depth, paths
+        return (order, block, depth, paths), children.get(None, [])
 
     # -- basic structure ----------------------------------------------------
 
@@ -415,11 +416,12 @@ class ExplicitStitModel:
             self._warned_atoms.add(x.name)
             warnings.warn(f"atom {x.name!r} is not declared in the model; "
                           f"it is false everywhere", stacklevel=2)
+        col = self._ix.atoms.get(x.name)
         if t is None:  # its masks per depth (see _unbounded)
-            return self._ix.atoms.get(x.name) or [0] * len(self._ix.ends)
-        col = self._ix.labelled.get(x.name, {})
+            return col or [0] * len(self._ix.ends)
+        slot, th = self._ix.slot, self._ix.through
         for m in ms:
-            t[m] = col.get(m, 0)
+            t[m] = col[slot[m]] & th[m] if col else 0
 
     def _constant(self, x, ms, t):
         th, true = self._ix.through, type(x) is fm.TrueFormula
@@ -447,21 +449,16 @@ class ExplicitStitModel:
                 t[m] = (th[m] ^ lt[m]) | rt[m]
 
     def _bounded(self, x, ms, t):
-        """X, X^n, F[lo:hi] and l BR[n] r by compile's recurrences, run
-        backwards over levels (level 0 is ms, level k + 1 the next moments
-        of level k): F[lo:hi] o = X^lo (o | X (o | ...)) and
-        l BR[n] r = l | (r & X (l BR[n-1] r)).  The levels stop after hi
-        steps or once no history moves, where X^j o = F[a:b] o = o and
-        l BR[j] r = l | r; o is read from level min(lo, last) on."""
+        """X, X^n, F[lo:hi] and l BR[n] r over the window (lo, hi) of
+        formula._UNFOLDS (X is X^1), by compile's recurrence T_k = L_k |
+        R_k & X T_k+1 (L_k from level lo on) run backwards over levels
+        (level 0 is ms, level k + 1 the next moments of level k): L = o and
+        R = H_m for X^n o = F[n:n] o and F[lo:hi] o, L = l and R = r for
+        l BR[n] r.  The levels stop after hi steps or once no history
+        moves, where T = L, or l | r for BR."""
         op = type(x)
-        if op is fm.Next:
-            lo = hi = 1
-        elif op is fm.NextPow:
-            lo = hi = x.steps
-        elif op is fm.EventuallyBounded:
-            lo, hi = x.lo, x.hi
-        else:
-            lo, hi = 0, x.bound
+        lo, hi = (1, 1) if op is fm.Next else fm._UNFOLDS[op](x)[:2]
+        release = op is fm.BoundedRelease
         succ = self._ix.succ
         levels = [ms]
         while len(levels) <= hi:
@@ -472,19 +469,15 @@ class ExplicitStitModel:
                 break
             levels.append(nxt)
         last = len(levels) - 1
-        reached = dict.fromkeys(itertools.chain(
-            *levels[0 if op is fm.BoundedRelease else min(lo, last):]))
-        if op is fm.BoundedRelease:
+        reached = dict.fromkeys(itertools.chain(*levels[min(lo, last):]))
+        if release:
             lt, rt = self._table(x.left, reached), self._table(x.right, reached)
-            e = {m: lt[m] | rt[m] for m in levels[last]}
-            for level in reversed(levels[:last]):
-                e = {m: lt[m] | (rt[m] & along(succ[m], e)) for m in level}
         else:
-            o = self._table(x.operand, reached)
-            e = {m: o[m] for m in levels[last]}
-            for k in range(last - 1, -1, -1):
-                e = {m: along(succ[m], e) | (o[m] if k >= lo else 0)
-                     for m in levels[k]}
+            lt, rt = self._table(x.operand, reached), self._ix.through
+        e = {m: lt[m] | rt[m] if release else lt[m] for m in levels[last]}
+        for k in range(last - 1, -1, -1):
+            e = {m: rt[m] & along(succ[m], e) | (lt[m] if k >= lo else 0)
+                 for m in levels[k]}
         t.update(e)
 
     def _unbounded(self, x, ms, t):
@@ -492,10 +485,10 @@ class ExplicitStitModel:
         if no path is broken (ModelIndex.fill), returned if t is None."""
         op, ix = type(x), self._ix
         release = op is fm.Release or op is fm.Always
-        ys = (x.left, x.right) if op is fm.Until or op is fm.Release else (
-            _FALSE if release else _TRUE, x.operand)
-        if ix.broken:
-            order = ix.reach(ms)
+        ys = (fm._CONSTANTS[op], x.operand) if op in fm._CONSTANTS \
+            else (x.left, x.right)
+        if ix.broken:  # the reached moments its memo lacks
+            order = [m for m in ix.reach(ms) if m not in t]
             lt, rt = self._table(ys[0], order), self._table(ys[1], order)
             return ix.sweep(order, lt, rt, t, release)
         depth, th, n = ix.depth, ix.through, len(ix.ends)
@@ -571,24 +564,23 @@ class ExplicitStitModel:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> list[Violation]:
-        """Check every structural axiom; an empty list means the model is valid."""
-        out = []
-        roots = [m.id for m in self.moments.values() if m.parent is None]
+        """Check every structural axiom; an empty list means the model is
+        valid.  It reads the walk and the index, with no pass of its own
+        over moments, blocks or label entries."""
+        out, parent = [], {m: self.moments[m].parent for m in self._tops}
+        roots = [m for m, p in parent.items() if p is None]
         if len(roots) != 1 or (roots and roots[0] != 0):
             out.append(Violation("root", None, None,
                                  f"expected a unique root moment 0, found {roots}"))
-        for m in self.moments.values():
-            if m.parent is not None and m.parent not in self.moments:
-                out.append(Violation("parent", None, m.id,
-                                     f"parent {m.parent} does not exist"))
+        out.extend(Violation("parent", None, m, f"parent {p} does not exist")
+                   for m, p in parent.items() if p is not None)
         ix = self._index()
         broken, th, ids = ix.mask(ix.broken), ix.through, self._through
         out.extend(Violation("history-path", None, *ix.broken[h])
                    for h in self.histories if h in ix.broken)
-        for leaf in sorted(m for m, (_, n) in ix.block.items()  # leaves
-                           if n == 1 and not th[m] & ~broken):  # none ends
-            out.append(Violation("leaf-covered", None, leaf,
-                                 "no history ends at this leaf"))
+        out.extend(Violation("leaf-covered", None, m,  # no linked one ends
+                             "no history ends at this leaf")
+                   for m in sorted(self._tree[3]) if not th[m] & ~broken)
         by_sets, empty = [], Counter()  # empty: moment -> empty cells of 2+
         for (agent, mid), cells in sorted(self.choices.items()):
             if agent not in self.agents:
@@ -598,7 +590,7 @@ class ExplicitStitModel:
             if mid not in self.moments:
                 out.append(Violation("partition", agent, mid, "unknown moment"))
                 continue
-            if not ix.broken and all(cells) and \
+            if not th[mid] & broken and all(cells) and \
                     sum(map(len, cells)) == th[mid].bit_count():
                 union = 0  # the next-moment groups that lie in some cell
                 for cell in cells:
@@ -626,9 +618,7 @@ class ExplicitStitModel:
         out.extend(self._validate_undivided(by_sets))
         out.extend(Violation("labels", None, mid, f"label entry for {hid} "
                              "names no history through a declared moment")
-                   for mid, hid in self._labels  # in entry order
-                   if mid not in self.moments
-                   or hid != "*" and hid not in self._through[mid])
+                   for mid, hid in ix.stray)
         return out
 
     def _validate_independence(self, empty):
@@ -739,7 +729,6 @@ _EVALUATORS = {kind: method for kinds, method in (
     ((fm.Cstit, fm.Dstit, fm.DstitOf), ExplicitStitModel._stit),
     ((fm.OughtStatement,), ExplicitStitModel._ought),
 ) for kind in kinds}
-_TRUE, _FALSE = fm.TrueFormula(), fm.FalseFormula()  # F r, G r's left
 _LEVELLED = {fm.Atom, fm.TrueFormula, fm.FalseFormula, fm.Until, fm.Release,
              fm.Eventually, fm.Always}  # evaluators that give masks per depth
 

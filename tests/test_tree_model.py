@@ -1458,6 +1458,31 @@ class TestLevels:
                     assert fresh._index().levels
         assert tally[True] > 1000 and tally[False] > 1000, tally
 
+    def test_a_broken_chain_sweeps_each_moment_once(self, monkeypatch):
+        """A 401-moment chain beside the broken history [0, 400]: U, R and
+        G asked at every moment successors first sweep each moment once,
+        as the moments a sweep filled keep their masks, and agree with the
+        reference."""
+        rng, n = random.Random(60), 400
+        labels = {(m, rng.choice(["h0", "*"])): frozenset(
+            rng.sample(["p", "q"], rng.randint(0, 2))) for m in range(n + 1)}
+        model = ExplicitStitModel(
+            ["alpha"], ["p", "q"], [(0, None)] + [(m, m - 1)
+                                                  for m in range(1, n + 1)],
+            [("h0", list(range(n + 1)), 1), ("h1", [0, n], 2)], {}, labels)
+        swept = Counter()
+        sweep = ModelIndex.sweep
+        monkeypatch.setattr(ModelIndex, "sweep", lambda self, order, *rest: (
+            swept.update(order), sweep(self, order, *rest))[1])
+        ref = RecursiveReference(model)
+        for text in ("q U p", "q R p", "G q"):
+            f, fresh = fm.parse_formula(text), copy.deepcopy(model)
+            swept.clear()
+            for mid in fresh._index().order:
+                assert fresh.extension(mid, f) == ref.extension(mid, f), \
+                    (text, mid)
+            assert fresh._ix.broken and swept == Counter(range(n + 1)), text
+
     def test_cell_masks_are_the_summed_bits(self):
         rng, scrambled = random.Random(56), random.Random(57)
         models = self._models(rng)
@@ -1503,6 +1528,14 @@ def _mutated_fixtures():
         [("h1", [0, 1], 1)],
         {("alpha", 0): [["h1"]], ("beta", 0): [["h1"]],
          ("alpha", 7): [["h1"]]}, {})
+    # two roots, an orphan subtree below the undeclared 9, and label
+    # entries at the undeclared 8 (which the broken h3 names) and 9
+    out["tops-and-stray-labels"] = ExplicitStitModel(
+        ["alpha"], ["p"], [(0, None), (1, 0), (2, None), (3, 9), (4, 3),
+                           (5, 0)],
+        [("h1", [0, 1], 1), ("h2", [0, 5], 2), ("h3", [0, 8], 3)], {},
+        {(0, "*"): {"p"}, (8, "h3"): {"p"}, (9, "*"): {"p"},
+         (1, "h2"): {"p"}, (7, "h1"): {"p"}, (5, "*"): {"p"}})
     out["root-not-0"] = ExplicitStitModel(
         ["alpha"], [], [(3, None), (4, 3)], [("h1", [3, 4], 1)], {}, {})
     out["non-leaf-end"] = ExplicitStitModel(
@@ -1540,8 +1573,23 @@ def _spoiled(model, rng):
     return ExplicitStitModel.from_json(data)
 
 
-INDEX_FIELDS = ("ids", "rank", "through", "succ", "order", "depth", "ends",
-                "labelled", "atoms")
+INDEX_FIELDS = ("ids", "rank", "through", "succ", "order", "depth", "ends")
+
+
+def _labelled(ix):
+    """The label store read at each moment, as ReferenceIndex.labelled
+    keeps it: atom -> moment -> the histories of H_m labelled with it."""
+    out = {}
+    for name, col in ix.atoms.items():
+        for m, s in ix.slot.items():
+            if col[s] & ix.through[m]:
+                out.setdefault(name, {})[m] = col[s] & ix.through[m]
+    return out
+
+
+def _reference_index(model):
+    return ReferenceIndex(model.histories, model.moments, model._labels,
+                          *model._tree)
 
 
 class TestValidateOnTheIndex:
@@ -1569,6 +1617,18 @@ class TestValidateOnTheIndex:
         if name.startswith("one-agent-empty-cell"):
             assert ("independence" in {v.axiom for v in got}) \
                 == name.endswith("two-cells")
+
+    def test_tops_and_stray_labels_in_the_reference_order(self):
+        """Root and parent read the walk's tops, labels the entries the
+        index's label loop set aside, each in declaration or entry order."""
+        model = _mutated_fixtures()["tops-and-stray-labels"]
+        got = model.validate()
+        assert got == reference_validate(model)
+        assert [(v.axiom, v.moment) for v in got
+                if v.axiom in ("root", "parent", "labels")] == [
+            ("root", None), ("parent", 3), ("labels", 8), ("labels", 9),
+            ("labels", 1), ("labels", 7)]
+        assert model._ix.through[8] == model._ix.bit["h3"]
 
     def test_same_violations_on_unrolled_workload_models(self):
         rng = random.Random(46)
@@ -1606,9 +1666,11 @@ class TestIndexBuild:
                    for _ in range(150)]
         for model in models:
             validated, evaluated = self._both_ways(model)
-            for field in INDEX_FIELDS:
+            for field in INDEX_FIELDS + ("slot", "atoms", "stray"):
                 assert getattr(validated, field) == \
                     getattr(evaluated, field), field
+            assert _labelled(validated) == \
+                _reference_index(model).labelled
 
     def test_validate_then_satisfies_builds_the_index_once(
             self, monkeypatch, tmp_path):
@@ -1658,6 +1720,11 @@ class TestFusedIndex:
             got, ref = ModelIndex(*args), ReferenceIndex(*args)
             for field in ALL_INDEX_FIELDS:
                 assert getattr(got, field) == getattr(ref, field), field
+            # one mask per atom per depth where no path is broken, else
+            # per moment; either way read at each moment as the reference
+            assert _labelled(got) == ref.labelled
+            assert got.broken or (got.slot is got.depth
+                                  and got.atoms == ref.atoms)
             seen[bool(got.broken)] += 1
             seen["undeclared"] += len(got.order) > len(model.moments)
         assert min(seen.values()) > 50, seen
@@ -1714,8 +1781,9 @@ class TestValidateShortcut:
         assert {v.axiom for v in got} == axioms, got
 
     def test_one_broken_path_among_linked_choices(self):
-        """h5 steps from 2 to 3, not a child of 2: every choice is then
-        decided set by set, the linked ones beside it included."""
+        """h5 steps from 2 to 3, not a child of 2: the choices at 0 and 2,
+        whose H_m hold it, are decided set by set, and so is the one at 1,
+        as h5 passes its next moment 3."""
         model = _shortcut_case({("alpha", 0): [["h1"], ["h2", "h3", "h4"]],
                                 ("alpha", 1): [["h1"], ["h2"]],
                                 ("alpha", 2): [["h3", "h5"], ["h4"]]},
@@ -1741,6 +1809,31 @@ class TestValidateShortcut:
         for model in models:
             assert model.validate() == []
             assert not model._ix.broken and left == []
+
+
+    def test_broken_models_shortcut_the_choices_off_the_broken_path(
+            self, monkeypatch):
+        """Each unrolled workload model with the last two moments of its
+        first history swapped, as CI builds fx/broken.json: only the
+        choices whose H_m holds that history reach the set-based undivided
+        check, and validate reports what the reference reports."""
+        left = []
+        check = ExplicitStitModel._validate_undivided
+        monkeypatch.setattr(
+            ExplicitStitModel, "_validate_undivided",
+            lambda self, choices: left.extend(choices) or check(
+                self, choices))
+        for model in _unrolled_workload_models():
+            data = model.to_json()
+            ms = data["histories"][0]["moments"]
+            ms[-2], ms[-1] = ms[-1], ms[-2]
+            broken = ExplicitStitModel.from_json(data)
+            left.clear()
+            assert broken.validate() == reference_validate(broken)
+            assert list(broken._ix.broken) == [data["histories"][0]["id"]]
+            on_path = sorted(key for key in broken.choices if key[1] in ms)
+            assert on_path and sorted(key for key, _ in left) == on_path
+            assert len(on_path) < len(broken.choices)
 
 
 class TestValueOrder:
@@ -1797,8 +1890,9 @@ def _verdict(model, mid, hid, statement):
 def test_moment_labels_read_like_labels_spelled_out():
     """A "*" entry is kept once per moment, and the index reads it as H_m.
     The same model with each such entry spelled out per history has the
-    same labelled columns, labels, label(), file and verdicts, also where
-    paths are broken or pass undeclared moments."""
+    same labels read off the index at each moment, labels, label(), file
+    and verdicts, also where paths are broken or pass undeclared
+    moments."""
     rng = random.Random(51)
     for i in range(200):
         drawn = TestUndividedByGrouping.scrambled(rng) if i % 2 else \
@@ -1824,7 +1918,8 @@ def test_moment_labels_read_like_labels_spelled_out():
         assert all(a.label(m, h) == b.label(m, h)
                    for m in moments for h in paths), i
         assert a.to_json() == b.to_json(), i
-        assert a._index().labelled == b._index().labelled, i
+        assert _labelled(a._index()) == _labelled(b._index()) == \
+            _reference_index(b).labelled, i
         for st in LABEL_FORM_STATEMENTS:
             for mid in drawn.moments:
                 for h in sorted(drawn.histories_through(mid)):
