@@ -7,10 +7,10 @@ H_m grouped by the moment each history steps to next (a leaf stutters),
 both filled in one successors-first pass over the model's walk (its
 depths shared, its paths kept for leaves only).  ``validate`` reads
 partition and undivided off these groups; the evaluators step bounded
-operators along them.  With every path linked the H_m of one depth are
-disjoint: atoms, and Until and Release in ``fill``, keep one mask per depth;
-else atoms keep one per moment and ``sweep`` fills the moments not yet
-filled that ``reach`` walks to.
+operators along them.  Only linked histories are grouped: the H_m of one
+depth are then disjoint, so atoms, and Until and Release in ``fill``, keep
+one mask per depth.  A model with a broken history path is refused before
+any formula is evaluated on it.
 """
 
 from __future__ import annotations
@@ -26,15 +26,14 @@ class ModelIndex:
     records and labels maps (moment, history) to atom names, the history
     "*" naming all of H_m.  order, block, depth (the Moment records' own
     dict) and paths (leaves only) are the model's walk of its moments.
-    atoms keeps each atom's histories per slot: slot is depth when no path
-    is broken, else a moment's place in order.  The masks are memoised
-    here by the evaluators.
+    atoms keeps each atom's linked histories per depth.  The masks are
+    memoised here by the evaluators.
 
     Values rank by exact int keys over their common denominator.  A linked
     path is its leaf's path from the root, so it only marks its leaf, and
     the moments are then filled successors first.  broken maps every other
-    history to the moment and the text of its history-path violation, and
-    such a path is grouped at each moment's last visit on it."""
+    history, in declaration order, to the moment and the text of its
+    history-path violation; through and succ leave it out."""
 
     def __init__(self, histories, moments, labels, order, block, depth, paths):
         ratio = [h.value.as_integer_ratio() for h in histories.values()]
@@ -48,8 +47,8 @@ class ModelIndex:
         self.depth = depth
         self.ends = ends = [0] * (1 + max(depth.values(), default=0))
         leaf, kids = {}, {}  # the linked histories by leaf; groups by parent
-        for hid, b in bit.items():
-            ms = histories[hid].moments  # linked: a leaf's path from a root
+        for hid, h in histories.items():
+            b, ms = bit[hid], h.moments  # linked: a leaf's path from a root
             if ms and paths.get(ms[-1]) == ms \
                     and moments[ms[0]].parent is None:
                 leaf[ms[-1]] = leaf.get(ms[-1], 0) | b
@@ -68,30 +67,18 @@ class ModelIndex:
             if t and p is not None:
                 kids.setdefault(p, []).append((m, t))
         self.order, self.block = order, block  # block: (position, size)
-        self.slot = depth
-        if self.broken:  # grouped at each moment's last visit on the path
-            for hid in self.broken:
-                b, ms = bit[hid], histories[hid].moments
-                for m, i in {m: i for i, m in enumerate(ms)}.items():
-                    groups = succ[m] = dict(succ.get(m, ()))
-                    n = ms[i + 1] if i + 1 < len(ms) else m
-                    groups[n] = groups.get(n, 0) | b
-                    through[m] = through.get(m, 0) | b
-            self.order = order + [m for m in succ if m not in moments]
-            self.succ = {m: tuple(dict(g).items()) for m, g in succ.items()}
-            self.slot = {m: i for i, m in enumerate(self.order)}
-        self.atoms = atoms = {}  # atom -> its histories per slot
+        self.atoms = atoms = {}  # atom -> its histories per depth
         self.stray = []  # entries naming no history through a declared moment
         for (m, h), names in labels.items():  # "*" labels all of H_m
             b = (-1 if h == "*" else bit.get(h, 0)) & through.get(m, 0)
-            if m not in depth or not b and h != "*":
+            if m not in depth or not b and h != "*" and not (
+                    h in self.broken and m in histories[h].moments):
                 self.stray.append((m, h))
             if b:
                 for name in names:
                     if name not in atoms:
-                        atoms[name] = [0] * len(
-                            self.order if self.broken else ends)
-                    atoms[name][self.slot[m]] |= b
+                        atoms[name] = [0] * len(ends)
+                    atoms[name][depth[m]] |= b
         self.levels = {}   # formula -> (mask per depth, histories covered)
         self.masks = {}    # formula -> moment -> mask where it holds
         self.cells = {}    # (agents, moment) -> (cells, [(mask, named)])
@@ -134,42 +121,14 @@ class ModelIndex:
             cov[d] |= s
 
     def reach(self, ms):
-        """The moments reachable from ms, in self.order: with every path
-        linked, ms's subtree blocks, slices of it."""
-        if not self.broken:
-            out, start = [], len(self.order)
-            for pos, size in sorted(map(self.block.get, ms), reverse=True):
-                if pos < start:  # not inside the block taken last
-                    start = pos + 1 - size
-                    out.append(self.order[start:pos + 1])
-            return list(itertools.chain(*reversed(out)))
-        reach, todo = set(ms), list(ms)
-        while todo:
-            for n, _ in self.succ[todo.pop()]:
-                if n not in reach:
-                    reach.add(n)
-                    todo.append(n)
-        return [m for m in self.order if m in reach]
-
-    def sweep(self, order, lt, rt, t, release):
-        """Fill t with l U r, or l R r if release, from the masks lt of l
-        and rt of r, over order, the moments reach walks to that t lacks:
-        the moments t holds are closed under successors and keep their
-        masks.  A history that stutters at its leaf reads the preset: an
-        Until unfulfilled, a Release kept.  A broken path may step to a
-        moment later in the order, but each history only moves forward
-        along its own path, so the fixpoint is unique: repeat from the
-        preset until a pass changes no mask."""
-        t.update(dict.fromkeys(order, -1 if release else 0))
-        changed = True
-        while changed:
-            changed = False
-            for m in order:
-                later = along(self.succ[m], t)
-                mask = rt[m] & (lt[m] | later) if release \
-                    else rt[m] | lt[m] & later
-                changed = changed or mask != t[m]
-                t[m] = mask
+        """The moments reachable from ms, in self.order: ms's subtree
+        blocks, slices of it."""
+        out, start = [], len(self.order)
+        for pos, size in sorted(map(self.block.get, ms), reverse=True):
+            if pos < start:  # not inside the block taken last
+                start = pos + 1 - size
+                out.append(self.order[start:pos + 1])
+        return list(itertools.chain(*reversed(out)))
 
 
 def _path_fault(hid, ms, moments):

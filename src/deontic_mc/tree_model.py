@@ -5,7 +5,9 @@ A model is a finite branching-time tree of moments, a set of histories
 partition of the histories through each moment, and a labeling of
 (moment, history) pairs with atoms.  Histories conceptually extend forever:
 the leaf's label repeats, so temporal operators are decided on the
-ultimately-constant extension.
+ultimately-constant extension.  A history is a maximal path of the tree,
+so a model with another path is not evaluated: the evaluation entry points
+raise ModelError with ``validate``'s first history-path violation.
 
 Evaluation is bit-parallel, on the bit index of ``model_index`` that
 ``validate`` or the first evaluation builds from the model's one walk of
@@ -18,16 +20,15 @@ by sets and by pairs of histories sharing a later moment.  Each formula is
 evaluated once per moment into one int, the mask of the histories of H_m
 at which it holds.  Connectives are &, | and ^ within H_m.  X, X^n,
 F[lo:hi] and BR[n] run their unfolding (formula._UNFOLDS) backwards over
-levels of next moments that all the asked moments share.  With every
-history path linked the H_m of one depth are disjoint, so U, R, F and G
-keep one mask per depth, filled deepest first over the asked moments'
-subtrees; a broken path makes them sweep the moments not yet filled.  A and
-E are all or nothing over H_m.  cstit, dstit and oughts compare choice-cell
-masks with the body's mask, and dominance compares the least and greatest
-values of each (cell, background state) pair, read off its lowest and
-highest set bit.  ``satisfies`` is then a bit test and ``extension`` turns
-a mask back into ids.  The cost is O(moments x subformulas) big-int
-operations, not one truth value per history.
+levels of next moments that all the asked moments share.  The H_m of one
+depth are disjoint, so U, R, F and G keep one mask per depth, filled
+deepest first over the asked moments' subtrees.  A and E are all or
+nothing over H_m.  cstit, dstit and oughts compare choice-cell masks with
+the body's mask, and dominance compares the least and greatest values of
+each (cell, background state) pair, read off its lowest and highest set
+bit.  ``satisfies`` is then a bit test and ``extension`` turns a mask back
+into ids.  The cost is O(moments x subformulas) big-int operations, not
+one truth value per history.
 
 The index and the masks live on the model instance only.  So validation
 and evaluation write to the model: one instance must not be validated or
@@ -285,9 +286,9 @@ class ExplicitStitModel:
     def dominates(self, agents, mid, k_low, k_high, condition=None):
         """True iff k_high strictly dominates k_low at the moment: weakly
         preferable within every background state and strictly so in one."""
+        ix = self._linked()  # an id named twice in a cell counts once
         states = self._background(self._as_group(agents), mid)
         restrict = -1 if condition is None else self._mask(mid, condition)
-        ix = self._index()  # an id named twice in a cell counts once
         low, high = (ix.mask(set(k)) & restrict for k in (k_low, k_high))
         return spans_dominate(ix.spans(low, states), ix.spans(high, states))
 
@@ -298,6 +299,7 @@ class ExplicitStitModel:
         histories and actions disjoint from |B|_m are not candidates; an
         unsatisfiable condition is an error rather than a vacuous answer.
         """
+        self._linked()
         agents = self._as_group(agents)
         self._check_moment(mid)
         cells, _ = self._cells(agents, mid)
@@ -309,7 +311,7 @@ class ExplicitStitModel:
         The background states and the condition's mask are computed once,
         and each (cell, state) pair is reduced to its least and greatest
         value before any two cells are compared."""
-        ix = self._index()
+        ix = self._ix
         key = (agents, mid, condition)
         hit = ix.optimal.get(key)
         if hit is not None:
@@ -334,7 +336,7 @@ class ExplicitStitModel:
         """The group's joint cells at the moment, each with its mask and
         whether every id in it names a history (a cell naming an unknown
         history guarantees nothing)."""
-        ix = self._index()
+        ix = self._ix
         hit = ix.cells.get((agents, mid))
         if hit is None:
             cells, masks = self.group_actions(agents, mid), []
@@ -349,7 +351,7 @@ class ExplicitStitModel:
         """The OR of mid's next-moment groups lying whole in the cell."""
         th, mask = self._through, 0
         for n, g in self._ix.succ[mid]:
-            if n in th and th[n] <= cell:
+            if th[n] <= cell:
                 mask |= g
         return mask
 
@@ -359,17 +361,18 @@ class ExplicitStitModel:
         others = tuple(a for a in self.agents if a not in agents)
         if others:
             return [mask for mask, _ in self._cells(others, mid)[1]]
-        return [self._index().through[self._check_moment(mid)]]
+        return [self._ix.through[self._check_moment(mid)]]
 
     # -- satisfaction --------------------------------------------------------
 
     def satisfies(self, mid, hid, x) -> bool:
         """Truth of a formula, obligation, or ought statement at mid/hid."""
+        ix = self._linked()
         self._check_moment(mid)
         self._check_history(hid)
         if hid not in self.histories_through(mid):
             raise ModelError(f"history {hid!r} does not pass through moment {mid}")
-        return bool(self._mask(mid, x) & self._index().bit[hid])
+        return bool(self._mask(mid, x) & ix.bit[hid])
 
     def satisfies_path(self, mid, hid, f) -> bool:
         """Pure-CTL* entry point; rejects stit operators and oughts."""
@@ -381,12 +384,18 @@ class ExplicitStitModel:
     def extension(self, mid, a) -> frozenset:
         """|A|_m: the histories through mid at which A holds."""
         self._check_moment(mid)
-        return frozenset(self._index().ids_of(self._mask(mid, a)))
+        return frozenset(self._linked().ids_of(self._mask(mid, a)))
 
     def _index(self):
         if self._ix is None:
             self._ix = ModelIndex(self.histories, self.moments, self._labels,
                                   *self._tree)
+        return self._ix
+
+    def _linked(self):
+        """The index, refusing a broken history path before any mask."""
+        for fault in self._index().broken.values():
+            raise ModelError(str(Violation("history-path", None, *fault)))
         return self._ix
 
     def _mask(self, mid, x):
@@ -396,7 +405,7 @@ class ExplicitStitModel:
         """x's memo of masks by moment, filled at least at the moments."""
         if type(x) is fm.Plain:  # an obligation leaf is its formula
             x = x.formula
-        ix = self._index()
+        ix = self._ix
         t = ix.masks.get(x)
         if t is None:
             t = ix.masks[x] = {}
@@ -419,9 +428,9 @@ class ExplicitStitModel:
         col = self._ix.atoms.get(x.name)
         if t is None:  # its masks per depth (see _unbounded)
             return col or [0] * len(self._ix.ends)
-        slot, th = self._ix.slot, self._ix.through
+        depth, th = self._ix.depth, self._ix.through
         for m in ms:
-            t[m] = col[slot[m]] & th[m] if col else 0
+            t[m] = col[depth[m]] & th[m] if col else 0
 
     def _constant(self, x, ms, t):
         th, true = self._ix.through, type(x) is fm.TrueFormula
@@ -463,9 +472,7 @@ class ExplicitStitModel:
         levels = [ms]
         while len(levels) <= hi:
             nxt = list(dict.fromkeys(n for m in levels[-1] for n, _ in succ[m]))
-            # a level where no history moves is its own next level
-            if nxt == levels[-1] and all(n == m for m in nxt
-                                         for n, _ in succ[m]):
+            if nxt == levels[-1]:  # leaves alone: no history moves
                 break
             levels.append(nxt)
         last = len(levels) - 1
@@ -482,15 +489,11 @@ class ExplicitStitModel:
 
     def _unbounded(self, x, ms, t):
         """U, R, F and G (F r is true U r, G r false R r): masks per depth
-        if no path is broken (ModelIndex.fill), returned if t is None."""
+        (ModelIndex.fill), returned if t is None."""
         op, ix = type(x), self._ix
         release = op is fm.Release or op is fm.Always
         ys = (fm._CONSTANTS[op], x.operand) if op in fm._CONSTANTS \
             else (x.left, x.right)
-        if ix.broken:  # the reached moments its memo lacks
-            order = [m for m in ix.reach(ms) if m not in t]
-            lt, rt = self._table(ys[0], order), self._table(ys[1], order)
-            return ix.sweep(order, lt, rt, t, release)
         depth, th, n = ix.depth, ix.through, len(ix.ends)
         lv, cov = ix.levels.get(x) or ix.levels.setdefault(
             x, ([0] * n, [0] * n))
@@ -514,7 +517,6 @@ class ExplicitStitModel:
         o = self._table(x.operand, ms)
         th = self._ix.through
         for m in ms:
-            self._check_moment(m)
             if type(x) is fm.ForallPaths:
                 t[m] = th[m] if o[m] == th[m] else 0
             else:
@@ -524,7 +526,6 @@ class ExplicitStitModel:
         body = self._table(x.body, ms)
         th = self._ix.through
         for m in ms:
-            self._check_moment(m)
             if type(x) is not fm.Cstit and body[m] == th[m]:
                 t[m] = 0  # settled, so not deliberately seen to
             else:
@@ -533,7 +534,7 @@ class ExplicitStitModel:
     def _guaranteed(self, agent, mid, ext):
         """The histories of H_m whose cell of the agent lies inside ext.
         A history belongs to the first cell that contains it."""
-        ix = self._index()
+        ix = self._ix
         _, masks = self._cells(self._as_group(agent), mid)
         seen = out = 0
         for mask, named in masks:
@@ -553,7 +554,6 @@ class ExplicitStitModel:
             if x.condition is not None and not self._mask(m, x.condition):
                 t[m] = th[m]  # no conditionally optimal actions: vacuous
                 continue
-            self._check_moment(m)
             optimal = self._optimal(agents, m, x.condition)
             body = self._mask(m, x.body)
             _, masks = self._cells(agents, m)
@@ -575,12 +575,12 @@ class ExplicitStitModel:
         out.extend(Violation("parent", None, m, f"parent {p} does not exist")
                    for m, p in parent.items() if p is not None)
         ix = self._index()
-        broken, th, ids = ix.mask(ix.broken), ix.through, self._through
-        out.extend(Violation("history-path", None, *ix.broken[h])
-                   for h in self.histories if h in ix.broken)
+        th, ids = ix.through, self._through
+        out.extend(Violation("history-path", None, *fault)
+                   for fault in ix.broken.values())
         out.extend(Violation("leaf-covered", None, m,  # no linked one ends
                              "no history ends at this leaf")
-                   for m in sorted(self._tree[3]) if not th[m] & ~broken)
+                   for m in sorted(self._tree[3]) if not th[m])
         by_sets, empty = [], Counter()  # empty: moment -> empty cells of 2+
         for (agent, mid), cells in sorted(self.choices.items()):
             if agent not in self.agents:
@@ -590,8 +590,9 @@ class ExplicitStitModel:
             if mid not in self.moments:
                 out.append(Violation("partition", agent, mid, "unknown moment"))
                 continue
-            if not th[mid] & broken and all(cells) and \
-                    sum(map(len, cells)) == th[mid].bit_count():
+            n = th[mid].bit_count()  # n < |H_m|: a broken one passes mid
+            if n == len(ids[mid]) and all(cells) and \
+                    sum(map(len, cells)) == n:
                 union = 0  # the next-moment groups that lie in some cell
                 for cell in cells:
                     union |= self._whole_groups(mid, cell)

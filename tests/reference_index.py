@@ -2,9 +2,8 @@
 deontic_mc.model_index.ModelIndex's fused constructor is compared against.
 
 Each field gets its own loop over the moments: parents and depths, the
-linked histories marked at their leaves, H_m summed successors first, the
-broken paths regrouped, the order extended by the moments they name
-undeclared, and the labels ORed per moment and per depth.
+linked histories marked at their leaves, H_m summed successors first over
+the linked histories alone, and the labels ORed per moment and per depth.
 """
 
 import math
@@ -36,28 +35,21 @@ class ReferenceIndex(ModelIndex):
             else:
                 self.broken[hid] = _path_fault(hid, ms, parent)
         self.through = through = {}
-        for m in order:  # successors first; only linked ones grouped yet
+        for m in order:  # successors first; a broken path is grouped nowhere
             through[m] = t = sum(succ[m].values())
             if t and parent[m] is not None:
                 succ[parent[m]][m] = t
-        for hid in self.broken:
-            b, ms = self.bit[hid], histories[hid].moments
-            for m, i in {m: i for i, m in enumerate(ms)}.items():
-                groups = succ.setdefault(m, {})
-                n = ms[i + 1] if i + 1 < len(ms) else m
-                groups[n] = groups.get(n, 0) | b
-                through[m] = through.get(m, 0) | b
-        self.order = order + [m for m in succ if m not in moments]
+        self.order = order
         self.succ = {m: tuple(groups.items()) for m, groups in succ.items()}
         self.labelled = {}  # atom -> moment -> histories labelled with it
-        self.atoms = lvs = {}  # atom -> mask per depth (if none is broken)
+        self.atoms = lvs = {}  # atom -> linked histories labelled per depth
         for (m, h), names in labels.items():  # "*" labels all of H_m
             b = (-1 if h == "*" else self.bit.get(h, 0)) & through.get(m, 0)
             if b:
                 for name in names:
                     col = self.labelled.setdefault(name, {})
                     col[m] = col.get(m, 0) | b
-                    lvs.setdefault(name, [0] * len(ends))[depth.get(m, 0)] |= b
+                    lvs.setdefault(name, [0] * len(ends))[depth[m]] |= b
 
 
 def _path_fault(hid, ms, parent):

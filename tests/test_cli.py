@@ -7,11 +7,12 @@ import pytest
 
 from deontic_mc import formula as fm
 from deontic_mc import rss
-from deontic_mc.automaton import StitAutomaton, save_automaton
+from deontic_mc.automaton import StitAutomaton, save_automaton, unroll
 from deontic_mc.cli import main
 from deontic_mc.tree_model import ExplicitStitModel, load_model, save_model
 
 from conftest import make_t0
+from reference_validate import reference_validate
 
 
 @pytest.fixture
@@ -222,6 +223,33 @@ class TestCheck:
             result = json.loads(out)["result"]
             assert code == 0 and result["vacuous"] is False
             assert result["optimal"]
+
+    @pytest.mark.parametrize("fmt", [[], ["--format", "machine"]],
+                             ids=["human", "machine"])
+    def test_a_swapped_path_exits_two_with_the_validate_text(
+            self, capsys, tmp_path, fmt):
+        """A history whose last two moments are swapped is no path of the
+        tree: check exits 2 naming its history-path violation as validate
+        words it, and validate still exits 1 listing every violation."""
+        data = unroll(make_t0(), 3).to_json()
+        ms = data["histories"][0]["moments"]
+        ms[-2], ms[-1] = ms[-1], ms[-2]
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(data))
+        expected = reference_validate(load_model(path))
+        first = next(str(v) for v in expected if v.axiom == "history-path")
+        for formula in ("p U p", "G (p -> F p)", "A X p"):
+            code, out, err = run(capsys, *fmt, "check", str(path), "--at",
+                                 "0", "--formula", formula)
+            assert (code, out, err) == (2, "", f"error: {first}\n")
+            assert "internal error" not in err
+        code, out, _ = run(capsys, *fmt, "validate", str(path))
+        listed = sorted(map(str, expected))
+        assert code == 1
+        if fmt:
+            assert json.loads(out)["result"]["violations"] == listed
+        else:
+            assert out.splitlines()[1:] == [f"  {v}" for v in listed]
 
     def test_unknown_moment_exits_two(self, capsys, fig1_file):
         code, _, err = run(capsys, "check", fig1_file, "--at", "42",

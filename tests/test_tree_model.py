@@ -63,6 +63,13 @@ def three_agent_grid(rng):
                              labels)
 
 
+def path_refusal(model):
+    """The text of the model's first history-path violation, which every
+    evaluation on it raises, or None when every path is linked."""
+    return next((str(v) for v in model.validate()
+                 if v.axiom == "history-path"), None)
+
+
 # ======================== Validation ========================
 
 # history-path cases on the moments 0 -> {1 -> {2, 3}, 4}: the histories
@@ -244,8 +251,9 @@ class TestValidate:
             "through-an-orphan", "no-moments"])
     def test_path_checked_by_its_leaf(self, path, expected):
         """A linked path is its leaf's path from the root: each of these is
-        not, and is reported, grouped and evaluated as the path-by-path
-        reference has it.  Moment 5's parent 9 is not declared."""
+        not, and is reported as the path-by-path reference has it, and
+        every evaluation is refused with that report.  Moment 5's parent 9
+        is not declared."""
         moments = [(0, None), (1, 0), (2, 1), (3, 1), (4, 0), (5, 9), (6, 5)]
         histories = [("h0", [0, 1, 2], 1), ("h1", path, 2), ("h2", [0, 4], 3)]
         labels = {(0, "*"): {"q"}, (1, "h0"): {"p"}, (4, "*"): {"p"},
@@ -257,12 +265,13 @@ class TestValidate:
         assert [str(v) for v in got if v.axiom == "history-path"] == [
             f"[history-path] {expected}"]
         assert list(model._index().broken) == ["h1"]
-        ref = RecursiveReference(model)
         for f in map(fm.parse_formula, ("F p", "G q", "X p", "q U p")):
             for mid in model.moments:
                 for h in sorted(model.histories_through(mid)):
-                    assert model.satisfies(mid, h, f) == ref.sat(mid, h, f), \
-                        (fm.render(f), mid, h)
+                    with pytest.raises(ModelError) as refused:
+                        model.satisfies(mid, h, f)
+                    assert str(refused.value) == f"[history-path] {expected}"
+        assert not model._ix.masks
 
     def test_random_models_are_valid(self):
         rng = random.Random(42)
@@ -1183,49 +1192,66 @@ class TestUndividedByGrouping:
 
     @pytest.mark.filterwarnings("ignore:atom")
     def test_temporal_formulas_agree_on_scrambled_models(self):
-        """Where histories disagree on the order of moments, or pass
-        unknown ones, U, R, F, G and the bounded operators are still
-        decided history by history, as the reference does.  Asked again
-        moment by moment in a shuffled order on a fresh copy, a later ask
-        whose reach covers moments already filled fills them again: every
-        mask kept at a declared moment, of the formula and of its
-        subformulas, stays the reference's."""
+        """On the scrambled models whose paths are all linked, U, R, F, G
+        and the bounded operators are decided history by history, as the
+        reference does.  Asked again moment by moment in a shuffled order
+        on a copy taken before the formula was asked, every mask kept, of
+        the formula and of its subformulas, stays the reference's.  Where
+        histories disagree on the order of moments, or pass unknown ones,
+        every ask is refused with the first history-path violation."""
         rng = random.Random(46)
-        swept = 0
+        seen = Counter()
         for _ in range(300):
             model = self.scrambled(rng)
+            refusal = path_refusal(model)
+            seen[refusal is None] += 1
             ref = RecursiveReference(model)
             formulas = [random_path_formula(rng, 3, model.atoms)
                         for _ in range(3)]
             formulas += [fm.parse_formula(t) for t in ("G p", "F q", "p U q",
                                                        "q R p", "p BR[2] q")]
             for f in formulas:
+                fresh = copy.deepcopy(model)
+                shuffled = rng.sample(list(model.moments), len(model.moments))
+                if refusal is not None:
+                    for mid in shuffled:
+                        for h in sorted(model.histories_through(mid)):
+                            with pytest.raises(ModelError) as refused:
+                                model.satisfies(mid, h, f)
+                            assert str(refused.value) == refusal
+                        with pytest.raises(ModelError) as refused:
+                            fresh.extension(mid, f)
+                        assert str(refused.value) == refusal
+                    assert not model._ix.masks and not fresh._ix.masks
+                    continue
                 for mid in model.moments:
                     for h in sorted(model.histories_through(mid)):
                         assert model.satisfies(mid, h, f) == \
                             ref.sat(mid, h, f), (fm.render(f), mid, h)
-                fresh = copy.deepcopy(model)
-                for mid in rng.sample(list(model.moments), len(model.moments)):
+                for mid in shuffled:
                     assert fresh.extension(mid, f) == ref.extension(mid, f), \
                         (fm.render(f), mid)
                 ix = fresh._ix
                 for g, t in ix.masks.items():
-                    for mid in t.keys() & model.moments.keys():
+                    for mid in t:
                         assert frozenset(ix.ids_of(t[mid])) == \
                             ref.extension(mid, g), (fm.render(f), g, mid)
-                swept += bool(ix.broken) and any(
-                    type(g) in TEMPORAL for g in fm.walk(f))
-        assert swept > 500, swept
+        # linked and broken models both drawn often
+        assert seen[True] > 150 and seen[False] > 100, seen
 
     @pytest.mark.filterwarnings("ignore:atom")
     def test_statements_agree_or_refuse_on_scrambled_models(self):
         """Stit, ought and quantifier bodies, and U, F and G over them, on
-        the same models: wherever satisfies decides, it agrees with the
-        reference, and elsewhere it raises ModelError."""
+        the same models: on a model whose paths are all linked, wherever
+        satisfies decides, it agrees with the reference, and elsewhere it
+        raises ModelError; on any other model every ask raises ModelError
+        with the first history-path violation."""
         rng = random.Random(47)
         tally = Counter()
         for _ in range(300):
             model = self.scrambled(rng)
+            refusal = path_refusal(model)
+            kind = "linked" if refusal is None else "broken"
             ref = RecursiveReference(model)
             a = model.agents[0]
             statements = random_statements(rng, model) + [
@@ -1236,15 +1262,18 @@ class TestUndividedByGrouping:
                     for h in sorted(model.histories_through(mid)):
                         try:
                             got = model.satisfies(mid, h, st)
-                        except ModelError:
-                            tally["refused"] += 1
+                        except ModelError as exc:
+                            assert refusal in (None, str(exc))
+                            tally[kind, "refused"] += 1
                             continue
+                        assert refusal is None
                         assert got == ref.sat(mid, h, st), \
                             (fm.render(st), mid, h)
-                        tally["decided"] += 1
-        # pinned: an evaluation that swept moments beyond the asked ones'
-        # reach would refuse more of these (an unknown moment out there)
-        assert tally == Counter(decided=25392, refused=573)
+                        tally[kind, "decided"] += 1
+        # pinned: the 186 linked models decide all 15,777 asks; the 114
+        # broken ones refuse all 10,188
+        assert tally == Counter({("linked", "decided"): 15777,
+                                 ("broken", "refused"): 10188})
 
 
 class TestEvaluationEdges:
@@ -1458,11 +1487,11 @@ class TestLevels:
                     assert fresh._index().levels
         assert tally[True] > 1000 and tally[False] > 1000, tally
 
-    def test_a_broken_chain_sweeps_each_moment_once(self, monkeypatch):
+    def test_a_broken_chain_is_refused_before_any_mask(self, monkeypatch):
         """A 401-moment chain beside the broken history [0, 400]: U, R and
-        G asked at every moment successors first sweep each moment once,
-        as the moments a sweep filled keep their masks, and agree with the
-        reference."""
+        G asked at every moment, for each history through it, are each
+        refused with validate's history-path text before any mask is built
+        or any moment reached."""
         rng, n = random.Random(60), 400
         labels = {(m, rng.choice(["h0", "*"])): frozenset(
             rng.sample(["p", "q"], rng.randint(0, 2))) for m in range(n + 1)}
@@ -1470,18 +1499,24 @@ class TestLevels:
             ["alpha"], ["p", "q"], [(0, None)] + [(m, m - 1)
                                                   for m in range(1, n + 1)],
             [("h0", list(range(n + 1)), 1), ("h1", [0, n], 2)], {}, labels)
-        swept = Counter()
-        sweep = ModelIndex.sweep
-        monkeypatch.setattr(ModelIndex, "sweep", lambda self, order, *rest: (
-            swept.update(order), sweep(self, order, *rest))[1])
-        ref = RecursiveReference(model)
+        reached = []
+        monkeypatch.setattr(ModelIndex, "reach",
+                            lambda self, ms: reached.append(ms))
+        refusal = f"[history-path] (moment={n}) history h1: {n} is not a " \
+                  f"child of 0"
         for text in ("q U p", "q R p", "G q"):
-            f, fresh = fm.parse_formula(text), copy.deepcopy(model)
-            swept.clear()
-            for mid in fresh._index().order:
-                assert fresh.extension(mid, f) == ref.extension(mid, f), \
-                    (text, mid)
-            assert fresh._ix.broken and swept == Counter(range(n + 1)), text
+            f = fm.parse_formula(text)
+            for mid in model._index().order:
+                for h in sorted(model.histories_through(mid)):
+                    with pytest.raises(ModelError) as refused:
+                        model.satisfies(mid, h, f)
+                    assert str(refused.value) == refusal, (text, mid, h)
+                with pytest.raises(ModelError) as refused:
+                    model.extension(mid, f)
+                assert str(refused.value) == refusal, (text, mid)
+        assert path_refusal(model) == refusal
+        assert model._ix.masks == {} and model._ix.levels == {}
+        assert reached == []
 
     def test_cell_masks_are_the_summed_bits(self):
         rng, scrambled = random.Random(56), random.Random(57)
@@ -1491,13 +1526,15 @@ class TestLevels:
         seen = Counter()
         for model in models:
             ix = model._index()
+            if ix.broken:  # refused before any cell is built
+                continue
             groups = {(a,) for a in model.agents} | {tuple(model.agents)}
             for agents, mid in itertools.product(groups, model.moments):
                 cells, masks = model._cells(agents, mid)
                 assert masks == [(ix.mask(c), ix.mask(c).bit_count() == len(c))
                                  for c in cells], (agents, mid)
-                seen[bool(ix.broken), all(named for _, named in masks)] += 1
-        assert min(seen.values()) > 50 and len(seen) == 4, seen
+                seen[all(named for _, named in masks)] += 1
+        assert min(seen.values()) > 50 and len(seen) == 2, seen
 
 
 # ======================== Validation on the index ========================
@@ -1581,9 +1618,9 @@ def _labelled(ix):
     keeps it: atom -> moment -> the histories of H_m labelled with it."""
     out = {}
     for name, col in ix.atoms.items():
-        for m, s in ix.slot.items():
-            if col[s] & ix.through[m]:
-                out.setdefault(name, {})[m] = col[s] & ix.through[m]
+        for m, d in ix.depth.items():
+            if col[d] & ix.through[m]:
+                out.setdefault(name, {})[m] = col[d] & ix.through[m]
     return out
 
 
@@ -1628,7 +1665,7 @@ class TestValidateOnTheIndex:
                 if v.axiom in ("root", "parent", "labels")] == [
             ("root", None), ("parent", 3), ("labels", 8), ("labels", 9),
             ("labels", 1), ("labels", 7)]
-        assert model._ix.through[8] == model._ix.bit["h3"]
+        assert model._ix.through.keys() == model.moments.keys()
 
     def test_same_violations_on_unrolled_workload_models(self):
         rng = random.Random(46)
@@ -1655,7 +1692,10 @@ class TestIndexBuild:
         built by a first evaluation."""
         copy_ = copy.deepcopy(model)
         model.validate()
-        copy_.extension(next(iter(copy_.moments)), fm.TRUE)
+        try:
+            copy_.extension(next(iter(copy_.moments)), fm.TRUE)
+        except ModelError:  # refused once the index is built
+            assert copy_._ix.broken
         return model._ix, copy_._ix
 
     def test_same_index_whichever_call_builds_it(self):
@@ -1666,7 +1706,7 @@ class TestIndexBuild:
                    for _ in range(150)]
         for model in models:
             validated, evaluated = self._both_ways(model)
-            for field in INDEX_FIELDS + ("slot", "atoms", "stray"):
+            for field in INDEX_FIELDS + ("atoms", "stray"):
                 assert getattr(validated, field) == \
                     getattr(evaluated, field), field
             assert _labelled(validated) == \
@@ -1720,13 +1760,11 @@ class TestFusedIndex:
             got, ref = ModelIndex(*args), ReferenceIndex(*args)
             for field in ALL_INDEX_FIELDS:
                 assert getattr(got, field) == getattr(ref, field), field
-            # one mask per atom per depth where no path is broken, else
-            # per moment; either way read at each moment as the reference
+            # one mask per atom per depth, read at each moment as the
+            # reference reads it
             assert _labelled(got) == ref.labelled
-            assert got.broken or (got.slot is got.depth
-                                  and got.atoms == ref.atoms)
+            assert got.atoms == ref.atoms
             seen[bool(got.broken)] += 1
-            seen["undeclared"] += len(got.order) > len(model.moments)
         assert min(seen.values()) > 50, seen
 
 
@@ -1836,6 +1874,76 @@ class TestValidateShortcut:
             assert len(on_path) < len(broken.choices)
 
 
+def _broken_models():
+    """By name: the models of TestValidate's history-path cases, and the
+    shortcut model beside the broken h5."""
+    out = {name: model for name, model in _mutated_fixtures().items()
+           if name.startswith("history-path-")}
+    out["shortcut-h5"] = _shortcut_case(
+        {("alpha", 0): [["h1"], ["h2", "h3", "h4", "h5"]]},
+        extra=[("h5", [0, 2, 3], 5)])
+    return out
+
+
+class TestBrokenPathsAreRefused:
+    """A history is a maximal path of the tree, so a model with a broken
+    history path is not evaluated: every evaluation entry point raises
+    ModelError with validate's first history-path violation, and the
+    structural accessors still answer."""
+
+    @pytest.mark.parametrize("name", list(_broken_models()))
+    def test_evaluation_raises_the_first_history_path_violation(self, name):
+        model = _broken_models()[name]
+        first = next(v for v in model.validate() if v.axiom == "history-path")
+        cells = model.actions_at("alpha", 0)
+        h = sorted(model.histories)[0]
+        for ask in (lambda: model.satisfies(0, h, fm.TRUE),
+                    lambda: model.satisfies_path(0, h, fm.parse("F true")),
+                    lambda: model.extension(0, fm.TRUE),
+                    lambda: model.optimal_actions("alpha", 0),
+                    lambda: model.dominates("alpha", 0, cells[0], cells[-1]),
+                    lambda: check_inference_condition(model, "alpha", 0, "g",
+                                                      "p")):
+            with pytest.raises(ModelError) as refused:
+                ask()
+            assert str(refused.value) == str(first)
+        assert not model._ix.masks and not model._ix.cells
+
+    @pytest.mark.parametrize("name", list(_broken_models()))
+    def test_structural_accessors_still_answer(self, name):
+        model = _broken_models()[name]
+        assert model.validate() == reference_validate(model)
+        for mid in model.moments:
+            assert model.actions_at("alpha", mid)
+            for h in sorted(model.histories_through(mid)):
+                assert h in model.choice_of("alpha", mid, h)
+                rest = model.moments_from(mid, h)
+                assert rest[0] == mid
+                assert model.step(mid, h) == (rest + (mid,))[1]
+        assert model.labels == {}
+        again = ExplicitStitModel.from_json(model.to_json())
+        assert again.validate() == model.validate()
+
+    def test_labels_on_a_broken_path_are_not_stray(self):
+        """Label entries for the broken h5 at 2 and 3, declared moments on
+        its own path, are no labels violation; the one at 4, off its path,
+        is, as the path-by-path reference has it."""
+        model = ExplicitStitModel(
+            ["alpha"], ["p"], [(0, None), (1, 0), (2, 0), (3, 1), (4, 1)],
+            [("h1", [0, 1, 3], 1), ("h2", [0, 1, 4], 2), ("h3", [0, 2], 3),
+             ("h4", [0, 2], 4), ("h5", [0, 2, 3], 5)], {},
+            {(2, "h5"): {"p"}, (3, "h5"): {"p"}, (4, "h5"): {"p"}})
+        got = model.validate()
+        assert got == reference_validate(model)
+        assert [str(v) for v in got if v.axiom in ("history-path",
+                                                   "labels")] == [
+            "[history-path] (moment=3) history h5: 3 is not a child of 2",
+            "[labels] (moment=4) label entry for h5 names no history "
+            "through a declared moment"]
+        with pytest.raises(ModelError, match=r"\[history-path\]"):
+            model.extension(2, fm.parse("p"))
+
+
 class TestValueOrder:
     def test_exact_order_and_shared_ranks(self):
         """Equal values share a rank whatever their spelling, ties go by
@@ -1891,8 +1999,8 @@ def test_moment_labels_read_like_labels_spelled_out():
     """A "*" entry is kept once per moment, and the index reads it as H_m.
     The same model with each such entry spelled out per history has the
     same labels read off the index at each moment, labels, label(), file
-    and verdicts, also where paths are broken or pass undeclared
-    moments."""
+    and verdicts, refusals included where paths are broken or pass
+    undeclared moments."""
     rng = random.Random(51)
     for i in range(200):
         drawn = TestUndividedByGrouping.scrambled(rng) if i % 2 else \
