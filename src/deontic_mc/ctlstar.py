@@ -406,20 +406,6 @@ def _bfs_path(starts, goal_test, succ):
     return None
 
 
-def buchi_accepts(buchi: BuchiAutomaton, stem_labels, loop_labels) -> bool:
-    """Does the automaton accept the ultimately periodic word stem.loop^omega?"""
-    stem = [frozenset(x) for x in stem_labels]
-    word = stem + [frozenset(x) for x in loop_labels]
-    if len(word) == len(stem):
-        raise ModelError("lasso loop must be non-empty")
-    n_stem, n = len(stem), len(word)
-    # the word's positions as a transition system: the last closes the loop
-    ts = TransitionSystem(range(n), 0,
-                          [(i, i + 1 if i + 1 < n else n_stem)
-                           for i in range(n)], dict(enumerate(word)))
-    return _Product(ts, ts.labels, buchi).nonempty_from(0)
-
-
 # ---------------------------------------------------------------------------
 # Lasso evaluation (fixpoint over the finite position graph)
 # ---------------------------------------------------------------------------

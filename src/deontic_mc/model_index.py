@@ -6,11 +6,12 @@ value among its histories.  Per moment the index keeps H_m as a mask and
 H_m grouped by the moment each history steps to next (a leaf stutters),
 both filled in one successors-first pass over the model's walk (its
 depths shared, its paths kept for leaves only).  ``validate`` reads
-partition and undivided off these groups; the evaluators step bounded
-operators along them.  Only linked histories are grouped: the H_m of one
-depth are then disjoint, so atoms, and Until and Release in ``fill``, keep
-one mask per depth.  A model with a broken history path is refused before
-any formula is evaluated on it.
+partition and undivided off these groups; the bounded operators find the
+moments they read along them.  Only linked histories are grouped: the H_m
+of one depth are then disjoint, so every formula keeps one mask per depth,
+an atom as a column of ``atoms`` and any other formula in ``masks``, with
+the histories it covers per depth.  A model with a broken history path is
+refused before any formula is evaluated on it.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ class ModelIndex:
     records and labels maps (moment, history) to atom names, the history
     "*" naming all of H_m.  order, block, depth (the Moment records' own
     dict) and paths (leaves only) are the model's walk of its moments.
-    atoms keeps each atom's linked histories per depth.  The masks are
-    memoised here by the evaluators.
+    atoms keeps each atom's linked histories per depth, and masks each
+    evaluated formula's mask per depth with the histories it covers.
 
     Values rank by exact int keys over their common denominator.  A linked
     path is its leaf's path from the root, so it only marks its leaf, and
@@ -79,8 +80,7 @@ class ModelIndex:
                     if name not in atoms:
                         atoms[name] = [0] * len(ends)
                     atoms[name][depth[m]] |= b
-        self.levels = {}   # formula -> (mask per depth, histories covered)
-        self.masks = {}    # formula -> moment -> mask where it holds
+        self.masks = {}    # formula -> (mask per depth, histories covered)
         self.cells = {}    # (agents, moment) -> (cells, [(mask, named)])
         self.optimal = {}  # (agents, moment, condition) -> cell indices
 
@@ -121,10 +121,11 @@ class ModelIndex:
             cov[d] |= s
 
     def reach(self, ms):
-        """The moments reachable from ms, in self.order: ms's subtree
-        blocks, slices of it."""
+        """The moments reachable from those of ms whose H_m is not empty, in
+        self.order: their subtree blocks, slices of it."""
         out, start = [], len(self.order)
-        for pos, size in sorted(map(self.block.get, ms), reverse=True):
+        for pos, size in sorted((self.block[m] for m in ms if self.through[m]),
+                                reverse=True):
             if pos < start:  # not inside the block taken last
                 start = pos + 1 - size
                 out.append(self.order[start:pos + 1])
@@ -141,15 +142,6 @@ def _path_fault(hid, ms, moments):
         if moments[b].parent != a:
             return b, f"history {hid}: {b} is not a child of {a}"
     return ms[-1], f"history {hid} ends at a non-leaf moment"
-
-
-def along(groups, t):
-    """The histories of (moment, histories) groups at whose moment t's
-    formula holds."""
-    out = 0
-    for c, g in groups:
-        out |= t[c] & g
-    return out
 
 
 def spans_dominate(low, high):

@@ -16,19 +16,20 @@ its moments (each depth found once, a path kept for each leaf alone).
 when its cells are non-empty, their sizes sum to |H_m| and the next-moment
 groups lying whole in them OR to H_m: they are then disjoint unions of
 whole groups, so partition and undivided hold.  Other choices are checked
-by sets and by pairs of histories sharing a later moment.  Each formula is
-evaluated once per moment into one int, the mask of the histories of H_m
-at which it holds.  Connectives are &, | and ^ within H_m.  X, X^n,
+by sets and by pairs of histories sharing a later moment.  The H_m of one
+depth are disjoint, so a formula keeps one int per depth, the mask of the
+histories there at which it holds, and moment m reads it ANDed with H_m:
+atoms and constants as whole columns of the index, any other formula
+memoised with the histories it covers, evaluated only where it does not
+cover an asked moment.  Connectives are &, | and ^ within H_m.  X, X^n,
 F[lo:hi] and BR[n] run their unfolding (formula._UNFOLDS) backwards over
-levels of next moments that all the asked moments share.  The H_m of one
-depth are disjoint, so U, R, F and G keep one mask per depth, filled
-deepest first over the asked moments' subtrees.  A and E are all or
-nothing over H_m.  cstit, dstit and oughts compare choice-cell masks with
-the body's mask, and dominance compares the least and greatest values of
-each (cell, background state) pair, read off its lowest and highest set
-bit.  ``satisfies`` is then a bit test and ``extension`` turns a mask back
-into ids.  The cost is O(moments x subformulas) big-int operations, not
-one truth value per history.
+the depths; U, R, F and G fill deepest first over the asked moments'
+subtrees.  A and E are all or nothing over H_m.  cstit, dstit and oughts
+compare choice-cell masks with the body's mask, and dominance compares
+the least and greatest values of each (cell, background state) pair, read
+off its lowest and highest set bit.  ``satisfies`` is then a bit test and
+``extension`` turns a mask back into ids.  The cost is O(moments x
+subformulas) big-int operations, not one truth value per history.
 
 The index and the masks live on the model instance only.  So validation
 and evaluation write to the model: one instance must not be validated or
@@ -52,7 +53,7 @@ from . import formula as fm
 from .errors import (
     GrammarError, ModelError, _as_rational, _require_fields, _require_unique,
     read_json)
-from .model_index import ModelIndex, along, spans_dominate
+from .model_index import ModelIndex, spans_dominate
 
 
 @dataclass(frozen=True, slots=True)
@@ -399,76 +400,79 @@ class ExplicitStitModel:
         return self._ix
 
     def _mask(self, mid, x):
-        return self._table(x, (mid,))[mid]
+        ix = self._ix
+        return self._table(x, (mid,))[ix.depth[mid]] & ix.through[mid]
 
     def _table(self, x, moments):
-        """x's memo of masks by moment, filled at least at the moments."""
+        """x's masks per depth, right at least on the moments' H_m: an atom's
+        or a constant's column, or x's memo (lv, cov), filled at the moments
+        whose H_m cov does not cover (an empty one never is, so a refusal
+        there still raises)."""
         if type(x) is fm.Plain:  # an obligation leaf is its formula
             x = x.formula
+        if type(x) in _COLUMNS:
+            return self._column(x)
         ix = self._ix
-        t = ix.masks.get(x)
-        if t is None:
-            t = ix.masks[x] = {}
-        todo = [m for m in moments if m not in t]
-        if todo:
-            evaluate = _EVALUATORS.get(type(x))
-            if evaluate is None:
+        hit = ix.masks.get(x)
+        if hit is None:
+            if type(x) not in _EVALUATORS:
                 raise ModelError(f"cannot evaluate {type(x).__name__}")
-            evaluate(self, x, todo, t)
-        return t
+            hit = ix.masks[x] = ([0] * len(ix.ends), [0] * len(ix.ends))
+        lv, cov = hit
+        depth, th = ix.depth, ix.through
+        todo = []
+        for m in moments:
+            if not th[m] & cov[depth[m]]:
+                todo.append(m)
+        if todo:
+            _EVALUATORS[type(x)](self, x, todo, lv, cov)
+            for m in todo:
+                cov[depth[m]] |= th[m]
+        return lv
 
-    # Each evaluator fills t[m], the mask of the histories of H_m at which x
-    # holds, for every moment m in ms.
-
-    def _atom(self, x, ms, t):
+    def _column(self, x):
+        """An atom's or a constant's masks at every depth, from the index."""
+        ix = self._ix
+        if type(x) is not fm.Atom:
+            return [-1 if type(x) is fm.TrueFormula else 0] * len(ix.ends)
         if x.name not in self.atoms and x.name not in self._warned_atoms:
             self._warned_atoms.add(x.name)
             warnings.warn(f"atom {x.name!r} is not declared in the model; "
                           f"it is false everywhere", stacklevel=2)
-        col = self._ix.atoms.get(x.name)
-        if t is None:  # its masks per depth (see _unbounded)
-            return col or [0] * len(self._ix.ends)
+        return ix.atoms.get(x.name) or [0] * len(ix.ends)
+
+    # Each evaluator ORs into lv[depth[m]], for every moment m in ms, the
+    # mask of the histories of H_m at which x holds; _table then adds H_m
+    # to cov (U, R, F and G cover the moments' subtrees).
+
+    def _not(self, x, ms, lv, cov):
+        o = self._table(x.operand if type(x) is fm.Not else x.body, ms)
         depth, th = self._ix.depth, self._ix.through
         for m in ms:
-            t[m] = col[depth[m]] & th[m] if col else 0
+            lv[depth[m]] |= th[m] & ~o[depth[m]]
 
-    def _constant(self, x, ms, t):
-        th, true = self._ix.through, type(x) is fm.TrueFormula
-        if t is None:  # its masks per depth (see _unbounded)
-            return [-1 if true else 0] * len(self._ix.ends)
-        for m in ms:
-            t[m] = th[m] if true else 0
-
-    def _not(self, x, ms, t):
-        o = self._table(x.operand if type(x) is fm.Not else x.body, ms)
-        th = self._ix.through
-        for m in ms:
-            t[m] = th[m] ^ o[m]
-
-    def _connective(self, x, ms, t):
+    def _connective(self, x, ms, lv, cov):
         lt, rt = self._table(x.left, ms), self._table(x.right, ms)
-        th = self._ix.through
+        depth, th = self._ix.depth, self._ix.through
         op = type(x)
         for m in ms:
-            if op is fm.And:
-                t[m] = lt[m] & rt[m]
-            elif op is fm.Or:
-                t[m] = lt[m] | rt[m]
-            else:
-                t[m] = (th[m] ^ lt[m]) | rt[m]
+            a, b = lt[depth[m]], rt[depth[m]]
+            lv[depth[m]] |= th[m] & (a & b if op is fm.And else
+                                     a | b if op is fm.Or else ~a | b)
 
-    def _bounded(self, x, ms, t):
+    def _bounded(self, x, ms, lv, cov):
         """X, X^n, F[lo:hi] and l BR[n] r over the window (lo, hi) of
         formula._UNFOLDS (X is X^1), by compile's recurrence T_k = L_k |
-        R_k & X T_k+1 (L_k from level lo on) run backwards over levels
-        (level 0 is ms, level k + 1 the next moments of level k): L = o and
-        R = H_m for X^n o = F[n:n] o and F[lo:hi] o, L = l and R = r for
-        l BR[n] r.  The levels stop after hi steps or once no history
-        moves, where T = L, or l | r for BR."""
-        op = type(x)
+        R_k & X T_k+1 (L_k from level lo on) run backwards per depth over
+        levels (level 0 is ms, level k + 1 the next moments of level k):
+        L = o and R = true for X^n o = F[n:n] o and F[lo:hi] o, L = l and
+        R = r for l BR[n] r.  X T reads depth d + 1, or d where a history
+        ends.  The levels stop after hi steps or once no history moves,
+        where T = L, or l | r for BR."""
+        op, ix = type(x), self._ix
         lo, hi = (1, 1) if op is fm.Next else fm._UNFOLDS[op](x)[:2]
         release = op is fm.BoundedRelease
-        succ = self._ix.succ
+        succ, ends = ix.succ, ix.ends
         levels = [ms]
         while len(levels) <= hi:
             nxt = list(dict.fromkeys(n for m in levels[-1] for n, _ in succ[m]))
@@ -479,57 +483,46 @@ class ExplicitStitModel:
         reached = dict.fromkeys(itertools.chain(*levels[min(lo, last):]))
         if release:
             lt, rt = self._table(x.left, reached), self._table(x.right, reached)
+            e = [a | b for a, b in zip(lt, rt)]
         else:
-            lt, rt = self._table(x.operand, reached), self._ix.through
-        e = {m: lt[m] | rt[m] if release else lt[m] for m in levels[last]}
+            lt = e = self._table(x.operand, reached)
+            rt = [-1] * len(ends)
         for k in range(last - 1, -1, -1):
-            e = {m: rt[m] & along(succ[m], e) | (lt[m] if k >= lo else 0)
-                 for m in levels[k]}
-        t.update(e)
+            e = [r & (a & ~c | b & c) | (o if k >= lo else 0)
+                 for r, a, b, c, o in zip(rt, e[1:] + [0], e, ends, lt)]
+        depth, th = ix.depth, ix.through
+        for m in ms:
+            lv[depth[m]] |= e[depth[m]] & th[m]
 
-    def _unbounded(self, x, ms, t):
-        """U, R, F and G (F r is true U r, G r false R r): masks per depth
-        (ModelIndex.fill), returned if t is None."""
+    def _unbounded(self, x, ms, lv, cov):
+        """U, R, F and G (F r is true U r, G r false R r): filled per depth
+        (ModelIndex.fill) over ms's subtrees, the operands read over them."""
         op, ix = type(x), self._ix
         release = op is fm.Release or op is fm.Always
         ys = (fm._CONSTANTS[op], x.operand) if op in fm._CONSTANTS \
             else (x.left, x.right)
-        depth, th, n = ix.depth, ix.through, len(ix.ends)
-        lv, cov = ix.levels.get(x) or ix.levels.setdefault(
-            x, ([0] * n, [0] * n))
-        todo = [m for m in ms if th[m] & ~cov[depth[m]]]
-        if todo:
-            got = []
-            for y in ys:  # a loop, not _table: one frame per nesting level
-                if type(y) in _LEVELLED:
-                    got.append(_EVALUATORS[type(y)](self, y, todo, None))
-                    continue
-                got.append([0] * n)  # by moment, over todo's blocks
-                for m, b in self._table(y, ix.reach(todo)).items():
-                    got[-1][depth[m]] |= b
-            ix.fill(lv, cov, todo, *got, release)
-        if t is None:
-            return lv
-        for m in ms:
-            t[m] = lv[depth[m]] & th[m]
+        got, reached = [], None
+        for y in ys:  # a loop, not a comprehension: one frame per nesting
+            if reached is None and type(y) not in _COLUMNS:
+                reached = ix.reach(ms)
+            got.append(self._table(y, reached))
+        ix.fill(lv, cov, ms, *got, release)
 
-    def _path_quantifier(self, x, ms, t):
+    def _path_quantifier(self, x, ms, lv, cov):
         o = self._table(x.operand, ms)
-        th = self._ix.through
+        depth, th = self._ix.depth, self._ix.through
         for m in ms:
-            if type(x) is fm.ForallPaths:
-                t[m] = th[m] if o[m] == th[m] else 0
-            else:
-                t[m] = th[m] if o[m] else 0
+            held = o[depth[m]] & th[m]
+            if held == th[m] if type(x) is fm.ForallPaths else held:
+                lv[depth[m]] |= th[m]
 
-    def _stit(self, x, ms, t):
+    def _stit(self, x, ms, lv, cov):
         body = self._table(x.body, ms)
-        th = self._ix.through
+        depth, th = self._ix.depth, self._ix.through
         for m in ms:
-            if type(x) is not fm.Cstit and body[m] == th[m]:
-                t[m] = 0  # settled, so not deliberately seen to
-            else:
-                t[m] = self._guaranteed(x.agent, m, body[m])
+            b = body[depth[m]] & th[m]  # dstit: false where it is settled
+            if type(x) is fm.Cstit or b != th[m]:
+                lv[depth[m]] |= self._guaranteed(x.agent, m, b)
 
     def _guaranteed(self, agent, mid, ext):
         """The histories of H_m whose cell of the agent lies inside ext.
@@ -547,19 +540,19 @@ class ExplicitStitModel:
                              f"do not cover {min(ix.ids_of(missing))!r}")
         return out
 
-    def _ought(self, x, ms, t):
-        th = self._ix.through
+    def _ought(self, x, ms, lv, cov):
+        depth, th = self._ix.depth, self._ix.through
         agents = self._as_group(x.agents)
         for m in ms:
             if x.condition is not None and not self._mask(m, x.condition):
-                t[m] = th[m]  # no conditionally optimal actions: vacuous
+                lv[depth[m]] |= th[m]  # no conditionally optimal actions
                 continue
             optimal = self._optimal(agents, m, x.condition)
             body = self._mask(m, x.body)
             _, masks = self._cells(agents, m)
-            holds = all(named and not mask & ~body
-                        for mask, named in map(masks.__getitem__, optimal))
-            t[m] = th[m] if holds else 0
+            if all(named and not mask & ~body
+                   for mask, named in map(masks.__getitem__, optimal)):
+                lv[depth[m]] |= th[m]
 
     # -- validation ----------------------------------------------------------
 
@@ -718,8 +711,6 @@ class ExplicitStitModel:
 
 
 _EVALUATORS = {kind: method for kinds, method in (
-    ((fm.Atom,), ExplicitStitModel._atom),
-    ((fm.TrueFormula, fm.FalseFormula), ExplicitStitModel._constant),
     ((fm.Not, fm.NegatedObligation), ExplicitStitModel._not),
     ((fm.And, fm.Or, fm.Implies), ExplicitStitModel._connective),
     ((fm.Next, fm.NextPow, fm.EventuallyBounded, fm.BoundedRelease),
@@ -730,8 +721,7 @@ _EVALUATORS = {kind: method for kinds, method in (
     ((fm.Cstit, fm.Dstit, fm.DstitOf), ExplicitStitModel._stit),
     ((fm.OughtStatement,), ExplicitStitModel._ought),
 ) for kind in kinds}
-_LEVELLED = {fm.Atom, fm.TrueFormula, fm.FalseFormula, fm.Until, fm.Release,
-             fm.Eventually, fm.Always}  # evaluators that give masks per depth
+_COLUMNS = {fm.Atom, fm.TrueFormula, fm.FalseFormula}  # read off the index
 
 
 def _entries(data, name, fields):

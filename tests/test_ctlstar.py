@@ -12,7 +12,6 @@ from deontic_mc.ctlstar import (
     TransitionSystem,
     Universality,
     _Product,
-    buchi_accepts,
     check_ctls,
     check_universal,
     eval_on_lasso,
@@ -23,6 +22,7 @@ from deontic_mc.errors import GrammarError, ModelError, ResourceLimitError
 from deontic_mc.generate import random_automaton, random_path_formula
 
 import oracle
+from reference_buchi import buchi_accepts
 from reference_product import TarjanProduct
 from reference_tableau import eager_ltl_to_buchi
 

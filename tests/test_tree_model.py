@@ -21,6 +21,7 @@ from deontic_mc.generate import (
 )
 from deontic_mc.model_index import ModelIndex
 from deontic_mc.tree_model import (
+    _EVALUATORS,
     ExplicitStitModel,
     Violation,
     check_inference_condition,
@@ -1232,10 +1233,13 @@ class TestUndividedByGrouping:
                     assert fresh.extension(mid, f) == ref.extension(mid, f), \
                         (fm.render(f), mid)
                 ix = fresh._ix
-                for g, t in ix.masks.items():
-                    for mid in t:
-                        assert frozenset(ix.ids_of(t[mid])) == \
-                            ref.extension(mid, g), (fm.render(f), g, mid)
+                for g, (lv, cov) in ix.masks.items():
+                    for mid in model.moments:
+                        th = ix.through[mid]
+                        if th & cov[ix.depth[mid]]:  # covered: its mask
+                            assert frozenset(ix.ids_of(
+                                lv[ix.depth[mid]] & th)) == \
+                                ref.extension(mid, g), (fm.render(f), g, mid)
         # linked and broken models both drawn often
         assert seen[True] > 150 and seen[False] > 100, seen
 
@@ -1300,6 +1304,23 @@ class TestEvaluationEdges:
         assert model.extension(0, cstit) == \
             RecursiveReference(model).extension(0, cstit)
 
+    def test_an_unreached_leaf(self):
+        """fig1 with one more leaf under moment 0, which no history reaches,
+        fails validate on leaf-covered alone.  There H_m is empty: a cstit
+        of an unknown agent is refused on every ask, and F A, X A and A A
+        hold at no history."""
+        data = rss.fig1_model().to_json()
+        leaf = max(m["id"] for m in data["moments"]) + 1
+        data["moments"].append({"id": leaf, "parent": 0})
+        model = ExplicitStitModel.from_json(data)
+        assert [v.axiom for v in model.validate()] == ["leaf-covered"]
+        for _ in range(2):
+            with pytest.raises(ModelError) as refused:
+                model.extension(leaf, fm.parse("[zz cstit: A]"))
+            assert str(refused.value) == "unknown agent 'zz'"
+        for text in ("F A", "X A", "A A"):
+            assert model.extension(leaf, fm.parse(text)) == frozenset(), text
+
     def test_history_outside_every_cell_raises(self):
         model = tiny_two_agent()
         model.choices[("alpha", 0)] = (frozenset({"h1", "h2"}),
@@ -1359,21 +1380,16 @@ def by_depth(ix, ms):
     return out
 
 
-TEMPORAL = (fm.Until, fm.Release, fm.Eventually, fm.Always)
-
-
 class TestReachByBlocks:
     """On a model whose paths are all linked, U, R, F and G fill their
-    levels over the subtree blocks of the asked moments: exactly what a walk
-    reaches, and never a moment outside it."""
+    masks per depth over the subtree blocks of the asked moments: exactly
+    what a walk reaches, and never a moment outside it."""
 
     @pytest.mark.filterwarnings("ignore:atom")
     def test_blocks_fill_what_the_walk_reaches(self):
-        """A formula keeps masks at the asked moments alone.  Each of its
-        U, R, F and G subformulas covers, per depth, the histories of the
-        walked moments and holds no bit outside them; each other operand,
-        an atom read only per depth (from the index) aside, is filled
-        exactly on the walked moments."""
+        """Each subformula but an atom (a column of the index, never
+        memoised) covers, per depth, exactly the histories of the walked
+        moments, and its masks hold no bit outside them."""
         rng = random.Random(54)
         models = [random_model(rng, max_depth=rng.randint(1, 4),
                                max_histories=rng.randint(2, 8),
@@ -1386,23 +1402,20 @@ class TestReachByBlocks:
             for text in ("F p", "G q", "q U p", "F (G q)", "G (p -> F q)"):
                 f = fm.parse_formula(text)
                 fresh = copy.deepcopy(model)
-                ix, filled, asked = fresh._index(), set(), set()
+                ix, filled = fresh._index(), set()
                 assert not ix.broken
                 for mid in rng.sample(list(model.moments), len(model.moments)):
                     filled |= walked(ix, [mid], filled)
-                    asked.add(mid)
                     fresh.extension(mid, f)
-                    assert set(ix.masks[f]) == asked, (text, mid)
                     covered = by_depth(ix, filled)
                     for g in fm.walk(f):
-                        if type(g) in TEMPORAL:
-                            levels, cov = ix.levels[g]
-                            assert cov == covered, (text, mid, g)
-                            assert not any(lv & ~c for lv, c in
-                                           zip(levels, cov)), (text, mid, g)
-                        elif g is not f and (type(g) is not fm.Atom
-                                             or g in ix.masks):
-                            assert set(ix.masks[g]) == filled, (text, mid, g)
+                        if type(g) is fm.Atom:
+                            assert g not in ix.masks, (text, mid, g)
+                            continue
+                        levels, cov = ix.masks[g]
+                        assert cov == covered, (text, mid, g)
+                        assert not any(lv & ~c for lv, c in
+                                       zip(levels, cov)), (text, mid, g)
                     seen[len(filled) < len(model.moments)] += 1
         assert seen[True] > 1000 and seen[False] > 1000, seen
 
@@ -1451,7 +1464,7 @@ class TestReachByBlocks:
 
 
 class TestLevels:
-    """The level path of U, R, F and G against the recursive reference,
+    """The per-depth masks of U, R, F and G against the recursive reference,
     asked in any order, and the choice-cell masks ORed from next-moment
     groups against the sum of their ids' bits."""
 
@@ -1484,8 +1497,40 @@ class TestLevels:
                         got = fresh.extension(mid, f)
                         assert got == ref.extension(mid, f), (text, mid)
                         tally[got == model.histories_through(mid)] += 1
-                    assert fresh._index().levels
+                    ix = fresh._index()
+                    assert ix.masks[f][1] == by_depth(ix, order)
         assert tally[True] > 1000 and tally[False] > 1000, tally
+
+    @pytest.mark.filterwarnings("ignore:atom")
+    def test_unbounded_runs_once_per_formula(self, monkeypatch):
+        """q U p and G q asked at the root, then at every other moment of
+        the same copy: the root's ask fills every depth below it, so each
+        formula enters _unbounded once, and every answer is the
+        reference's."""
+        calls = Counter()
+        unbounded = ExplicitStitModel._unbounded
+
+        def counted(self, x, *args):
+            calls[x] += 1
+            return unbounded(self, x, *args)
+
+        for kind in (fm.Until, fm.Release, fm.Eventually, fm.Always):
+            monkeypatch.setitem(_EVALUATORS, kind, counted)
+        rng = random.Random(61)
+        models = self._models(rng)
+        for model in models[:40] + models[-3:]:  # figs 1-3 last
+            assert all(map(model.histories_through, model.moments))
+            ref, fresh = RecursiveReference(model), copy.deepcopy(model)
+            p, q = model.atoms[0], model.atoms[-1]
+            formulas = [fm.parse_formula(f"{q} U {p}"),
+                        fm.parse_formula(f"G {q}")]
+            rest = rng.sample(sorted(set(model.moments) - {0}),
+                              len(model.moments) - 1)
+            calls.clear()
+            for mid in [0] + rest:
+                for f in formulas:
+                    assert fresh.extension(mid, f) == ref.extension(mid, f)
+            assert calls == dict.fromkeys(formulas, 1), calls
 
     def test_a_broken_chain_is_refused_before_any_mask(self, monkeypatch):
         """A 401-moment chain beside the broken history [0, 400]: U, R and
@@ -1515,7 +1560,7 @@ class TestLevels:
                     model.extension(mid, f)
                 assert str(refused.value) == refusal, (text, mid)
         assert path_refusal(model) == refusal
-        assert model._ix.masks == {} and model._ix.levels == {}
+        assert model._ix.masks == {}
         assert reached == []
 
     def test_cell_masks_are_the_summed_bits(self):
