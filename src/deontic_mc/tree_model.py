@@ -466,8 +466,8 @@ class ExplicitStitModel:
         R_k & X T_k+1 (L_k from level lo on) run backwards per depth over
         levels (level 0 is ms, level k + 1 the next moments of level k):
         L = o and R = true for X^n o = F[n:n] o and F[lo:hi] o, L = l and
-        R = r for l BR[n] r.  X T reads depth d + 1, or d where a history
-        ends.  The levels stop after hi steps or once no history moves,
+        R = r for l BR[n] r.  X T at depth d reads d + 1 (d1), or d (d0)
+        where a history ends.  The levels stop after hi steps or once no history moves,
         where T = L, or l | r for BR."""
         op, ix = type(x), self._ix
         lo, hi = (1, 1) if op is fm.Next else fm._UNFOLDS[op](x)[:2]
@@ -488,8 +488,8 @@ class ExplicitStitModel:
             lt = e = self._table(x.operand, reached)
             rt = [-1] * len(ends)
         for k in range(last - 1, -1, -1):
-            e = [r & (a & ~c | b & c) | (o if k >= lo else 0)
-                 for r, a, b, c, o in zip(rt, e[1:] + [0], e, ends, lt)]
+            e = [r & (d1 & ~end | d0 & end) | (o if k >= lo else 0)
+                 for r, d1, d0, end, o in zip(rt, e[1:] + [0], e, ends, lt)]
         depth, th = ix.depth, ix.through
         for m in ms:
             lv[depth[m]] |= e[depth[m]] & th[m]
